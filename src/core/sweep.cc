@@ -1,15 +1,13 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
-#include "obs/span.hh"
+#include "core/executor.hh"
 #include "obs/timer.hh"
 #include "xmem/xmem_harness.hh"
 
@@ -850,97 +848,103 @@ sweepUnits(const std::vector<platforms::Platform> &platforms,
     return units;
 }
 
+namespace
+{
+
+using ProfileMap =
+    std::map<std::string, util::Result<xmem::LatencyProfile>>;
+
+/**
+ * Each distinct platform's latency profile, or the error that kept it
+ * from loading, fetched through the profile store once per platform in
+ * unit order, on the calling thread before any task starts.  With
+ * @p stop_at_error the walk ends at the first platform that fails.
+ */
+template <typename Unit>
+ProfileMap
+loadProfiles(const std::vector<Unit> &units, bool stop_at_error)
+{
+    ProfileMap profiles;
+    for (const Unit &u : units) {
+        if (profiles.count(u.platform.name))
+            continue;
+        const auto it =
+            profiles
+                .emplace(u.platform.name,
+                         xmem::XMemHarness().measureCachedChecked(
+                             u.platform,
+                             xmem::defaultProfilePath(u.platform)))
+                .first;
+        if (stop_at_error && !it->second.ok())
+            break;
+    }
+    return profiles;
+}
+
+/** One unit's Experiment parameters; @p registry is the unit's
+ *  private registry, or nullptr when the caller wants no telemetry. */
+Experiment::Params
+experimentParams(const SweepRunner::Params &rp, double warmup_us,
+                 double measure_us, int cores_used, uint64_t seed,
+                 obs::MetricRegistry *registry)
+{
+    Experiment::Params ep;
+    ep.warmupUs = warmup_us;
+    ep.measureUs = measure_us;
+    ep.coresUsed = cores_used;
+    ep.seed = seed;
+    ep.resultCache = rp.cache;
+    ep.sampler = rp.sampler;
+    ep.registry = registry;
+    return ep;
+}
+
+} // namespace
+
 util::Result<std::vector<SweepRunner::UnitResult>>
 SweepRunner::run(const std::vector<SweepUnit> &units)
 {
-    const size_t n = units.size();
-    std::vector<UnitResult> results(n);
-    if (n == 0)
-        return results;
-
-    // Latency profiles are measured (and their cache files written)
-    // once per distinct platform before any worker starts, so the
-    // fan-out never touches profile files concurrently.
-    std::map<std::string, xmem::LatencyProfile> profiles;
+    const ProfileMap profiles = loadProfiles(units, true);
     for (const SweepUnit &u : units) {
-        if (profiles.count(u.platform.name))
-            continue;
-        util::Result<xmem::LatencyProfile> prof =
-            xmem::XMemHarness().measureCachedChecked(
-                u.platform, xmem::defaultProfilePath(u.platform));
+        const util::Result<xmem::LatencyProfile> &prof =
+            profiles.at(u.platform.name);
         if (!prof.ok()) {
             return prof.status().withContext("sweep: profile for '%s'",
                                              u.platform.name.c_str());
         }
-        profiles.emplace(u.platform.name, prof.take());
     }
 
+    const size_t n = units.size();
+    std::vector<UnitResult> results(n);
     std::vector<Status> statuses(n);
-    std::vector<std::vector<obs::SpanTracker::Stat>> spans(n);
     std::vector<obs::MetricRegistry> registries(
         params_.registry ? n : 0);
-
-    std::atomic<size_t> next{0};
-    auto workerLoop = [&] {
-        for (size_t i = next.fetch_add(1); i < n;
-             i = next.fetch_add(1)) {
-            const SweepUnit &u = units[i];
-            UnitResult &res = results[i];
-            res.platform = u.platform.name;
-            res.workload = u.workload->name();
-
-            // Workers record spans into their thread-local tracker;
-            // reset() brackets each unit so stats() is this unit's
-            // delta even when one thread runs several units.
-            obs::SpanTracker &tracker = obs::SpanTracker::global();
-            tracker.reset();
-
-            Experiment::Params ep;
-            ep.warmupUs = params_.warmupUs;
-            ep.measureUs = params_.measureUs;
-            ep.coresUsed = params_.coresUsed;
-            ep.seed = params_.seed;
-            ep.resultCache = params_.cache;
-            ep.sampler = params_.sampler;
-            if (params_.registry)
-                ep.registry = &registries[i];
-
-            util::Result<Experiment> exp = Experiment::create(
-                u.platform, *u.workload,
-                profiles.find(u.platform.name)->second, ep);
-            if (!exp.ok()) {
-                statuses[i] = exp.status().withContext(
-                    "sweep unit %s/%s", res.platform.c_str(),
-                    res.workload.c_str());
-            } else {
-                res.rows = exp->paperTable();
-            }
-            spans[i] = tracker.stats();
-            tracker.reset();
+    Executor(params_.jobs).run(n, [&](size_t i) {
+        const SweepUnit &u = units[i];
+        UnitResult &res = results[i];
+        res.platform = u.platform.name;
+        res.workload = u.workload->name();
+        util::Result<Experiment> exp = Experiment::create(
+            u.platform, *u.workload, *profiles.at(u.platform.name),
+            experimentParams(params_, params_.warmupUs, params_.measureUs,
+                             params_.coresUsed, params_.seed,
+                             params_.registry ? &registries[i] : nullptr));
+        if (!exp.ok()) {
+            statuses[i] = exp.status().withContext(
+                "sweep unit %s/%s", res.platform.c_str(),
+                res.workload.c_str());
+        } else {
+            res.rows = exp->paperTable();
         }
-    };
+    });
 
-    // Workers are always threads — even --jobs 1 — so the main thread's
-    // span tracker sees sweep work only through the deterministic merge
-    // below and serial/parallel runs take one code path.
-    const size_t jobs = std::min<size_t>(
-        n, params_.jobs > 1 ? static_cast<size_t>(params_.jobs) : 1);
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (size_t j = 0; j < jobs; ++j)
-        pool.emplace_back(workerLoop);
-    for (std::thread &t : pool)
-        t.join();
-
-    // Merge-after-join, in unit order regardless of completion order.
-    for (size_t i = 0; i < n; ++i) {
-        if (params_.registry)
-            params_.registry->mergeFrom(registries[i]);
-        obs::SpanTracker::global().merge(spans[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-        if (!statuses[i].ok())
-            return statuses[i];
+    // Merge-after-join, in unit order regardless of completion order
+    // (registries is empty when the caller wants no telemetry).
+    for (const obs::MetricRegistry &r : registries)
+        params_.registry->mergeFrom(r);
+    for (const Status &s : statuses) {
+        if (!s.ok())
+            return s;
     }
     return results;
 }
@@ -953,68 +957,34 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
     if (n == 0)
         return outcomes;
 
-    // Profile preload, as in run() — but a platform whose profile
-    // cannot be loaded fails *its* units, not the batch: the service
-    // contract is one status per request.
-    std::map<std::string, xmem::LatencyProfile> profiles;
-    std::map<std::string, Status> profile_errors;
-    for (const StageUnit &u : units) {
-        const std::string &name = u.platform.name;
-        if (profiles.count(name) || profile_errors.count(name))
-            continue;
-        util::Result<xmem::LatencyProfile> prof =
-            xmem::XMemHarness().measureCachedChecked(
-                u.platform, xmem::defaultProfilePath(u.platform));
-        if (prof.ok()) {
-            profiles.emplace(name, prof.take());
-        } else {
-            profile_errors.emplace(
-                name, prof.status().withContext("profile for '%s'",
-                                                name.c_str()));
-        }
-    }
-
-    std::vector<std::vector<obs::SpanTracker::Stat>> spans(n);
+    // A platform whose profile cannot be loaded fails *its* units, not
+    // the batch: the service contract is one status per request.
+    const ProfileMap profiles = loadProfiles(units, false);
     std::vector<obs::MetricRegistry> registries(
         params_.registry ? n : 0);
+    const Executor executor(params_.jobs);
 
     // Per-unit host timing: queue wait is measured from the fan-out
     // start so the service can attribute end-to-end request latency.
     obs::WallTimer fanout;
+    executor.run(n, [&](size_t i) {
+        const StageUnit &u = units[i];
+        StageOutcome &out = outcomes[i];
+        const double picked_up_ns = fanout.elapsedNs();
+        out.queueWaitNs = picked_up_ns;
 
-    std::atomic<size_t> next{0};
-    auto workerLoop = [&] {
-        for (size_t i = next.fetch_add(1); i < n;
-             i = next.fetch_add(1)) {
-            const StageUnit &u = units[i];
-            StageOutcome &out = outcomes[i];
-            const double picked_up_ns = fanout.elapsedNs();
-            out.queueWaitNs = picked_up_ns;
-
-            obs::SpanTracker &tracker = obs::SpanTracker::global();
-            tracker.reset();
-
-            auto perr = profile_errors.find(u.platform.name);
-            if (perr != profile_errors.end()) {
-                out.status = perr->second;
-                spans[i] = tracker.stats();
-                out.simulateNs = fanout.elapsedNs() - picked_up_ns;
-                continue;
-            }
-
-            Experiment::Params ep;
-            ep.warmupUs = u.warmupUs;
-            ep.measureUs = u.measureUs;
-            ep.coresUsed = u.coresUsed;
-            ep.seed = u.seed;
-            ep.resultCache = params_.cache;
-            ep.sampler = params_.sampler;
-            if (params_.registry)
-                ep.registry = &registries[i];
-
+        const util::Result<xmem::LatencyProfile> &prof =
+            profiles.at(u.platform.name);
+        if (!prof.ok()) {
+            out.status = prof.status().withContext(
+                "profile for '%s'", u.platform.name.c_str());
+        } else {
             util::Result<Experiment> exp = Experiment::create(
-                u.platform, *u.workload,
-                profiles.find(u.platform.name)->second, ep);
+                u.platform, *u.workload, *prof,
+                experimentParams(params_, u.warmupUs, u.measureUs,
+                                 u.coresUsed, u.seed,
+                                 params_.registry ? &registries[i]
+                                                  : nullptr));
             if (!exp.ok()) {
                 out.status = exp.status().withContext(
                     "stage unit %s/%s", u.platform.name.c_str(),
@@ -1022,46 +992,28 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
             } else {
                 out.metrics = exp->stage(u.opts);
             }
-            spans[i] = tracker.stats();
-            tracker.reset();
-            out.simulateNs = fanout.elapsedNs() - picked_up_ns;
         }
-    };
-
-    const size_t jobs = std::min<size_t>(
-        n, params_.jobs > 1 ? static_cast<size_t>(params_.jobs) : 1);
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (size_t j = 0; j < jobs; ++j)
-        pool.emplace_back(workerLoop);
-    for (std::thread &t : pool)
-        t.join();
+        out.simulateNs = fanout.elapsedNs() - picked_up_ns;
+    });
     const double wall_ns = fanout.elapsedNs();
+    if (!params_.registry)
+        return outcomes;
+    for (const obs::MetricRegistry &r : registries)
+        params_.registry->mergeFrom(r);
 
-    // Merge-after-join, in unit order regardless of completion order.
-    for (size_t i = 0; i < n; ++i) {
-        if (params_.registry)
-            params_.registry->mergeFrom(registries[i]);
-        obs::SpanTracker::global().merge(spans[i]);
-    }
-
-    // Worker-utilization gauges: busy time over jobs x wall.  Wall-
+    // Worker-utilization gauges: busy time over workers x wall.  Wall-
     // clock valued, so they live only on this (service) path — run()'s
     // merged telemetry is byte-compared across --jobs values.
-    if (params_.registry) {
-        double busy_ns = 0.0;
-        for (const StageOutcome &o : outcomes)
-            busy_ns += o.simulateNs;
-        params_.registry->setGauge("sweep.workers",
-                                   static_cast<double>(jobs));
-        params_.registry->setGauge("sweep.wall_ns", wall_ns);
-        params_.registry->setGauge("sweep.busy_ns", busy_ns);
-        params_.registry->setGauge(
-            "sweep.worker_utilization",
-            wall_ns > 0.0
-                ? busy_ns / (static_cast<double>(jobs) * wall_ns)
-                : 0.0);
-    }
+    const double workers = static_cast<double>(executor.workers(n));
+    double busy_ns = 0.0;
+    for (const StageOutcome &o : outcomes)
+        busy_ns += o.simulateNs;
+    params_.registry->setGauge("sweep.workers", workers);
+    params_.registry->setGauge("sweep.wall_ns", wall_ns);
+    params_.registry->setGauge("sweep.busy_ns", busy_ns);
+    params_.registry->setGauge(
+        "sweep.worker_utilization",
+        wall_ns > 0.0 ? busy_ns / (workers * wall_ns) : 0.0);
     return outcomes;
 }
 

@@ -3,14 +3,15 @@
  * The parallel sweep runner and the process-wide result cache behind
  * `lll sweep` / `lll table` / `lll reproduce` (DESIGN.md §11).
  *
- * A sweep fans platform x workload experiment *units* out to a pool of
- * worker threads.  Workers share nothing mutable: each unit builds its
- * own Experiment (own System, event queue, RNG state) and, when the
- * caller wants telemetry, records into a private MetricRegistry and its
- * thread-local SpanTracker.  After join, the runner folds per-unit
- * registries and span stats into the caller's on the main thread, in
- * unit order — the merge-after-join contract — so a `--jobs 4` run is
- * byte-identical to `--jobs 1`, including every exporter.
+ * A sweep fans platform x workload experiment *units* out through the
+ * core::Executor: the calling thread plus `jobs - 1` helpers.  Units
+ * share nothing mutable: each builds its own Experiment (own System,
+ * event queue, RNG state) and, when the caller wants telemetry, records
+ * into a private MetricRegistry and a task-private SpanTracker.  After
+ * join, the runner folds per-unit registries and span stats into the
+ * caller's, in unit order — the merge-after-join contract — so a
+ * `--jobs 4` run is byte-identical to `--jobs 1`, including every
+ * exporter.
  *
  * The ResultCache memoizes simulated stages across experiments and
  * processes: the key captures everything the simulation is a pure
@@ -159,15 +160,16 @@ struct SweepUnit
 };
 
 /**
- * Thread-pooled experiment fan-out with deterministic merge.
+ * Experiment fan-out over the core::Executor with deterministic merge.
  */
 class SweepRunner
 {
   public:
     struct Params
     {
-        /** Worker threads (clamped to [1, #units]).  Results and
-         *  merged telemetry are identical for every value. */
+        /** Threads working on the units, the caller included
+         *  (clamped to [1, #units]).  Results and merged telemetry are
+         *  identical for every value. */
         int jobs = 1;
 
         /** Forwarded to each unit's Experiment. */
@@ -182,7 +184,7 @@ class SweepRunner
         /**
          * When set, each unit records into a private registry and the
          * runner mergeFrom()s them into this one after join, in unit
-         * order; worker span stats fold into the calling thread's
+         * order; per-unit span stats fold into the calling thread's
          * SpanTracker the same way.
          */
         obs::MetricRegistry *registry = nullptr;
@@ -234,9 +236,9 @@ class SweepRunner
 
     /**
      * Run every unit and return results in unit order (never in
-     * completion order).  Latency profiles are measured/loaded once
-     * per distinct platform *before* the fan-out, so workers never
-     * touch profile files concurrently.  Fails with the first failing
+     * completion order).  Latency profiles are fetched from the
+     * xmem::ProfileStore (and measured when missing) once per distinct
+     * platform *before* the fan-out.  Fails with the first failing
      * unit's Status, in unit order.
      */
     [[nodiscard]] util::Result<std::vector<UnitResult>>

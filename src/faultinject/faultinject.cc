@@ -15,6 +15,7 @@
 #include "util/status.hh"
 #include "workloads/workload.hh"
 #include "xmem/latency_profile.hh"
+#include "xmem/profile_store.hh"
 
 namespace lll::faultinject
 {
@@ -188,7 +189,7 @@ loadCorrupted(const std::filesystem::path &dir, const char *name,
     std::ofstream out(p);
     out << text;
     out.close();
-    return xmem::LatencyProfile::load(p.string());
+    return xmem::ProfileStore::global().load(p.string());
 }
 
 ScenarioResult
@@ -369,8 +370,8 @@ runAll(const Options &opts)
     // Missing and damaged profile files.
     report.entries.push_back(expectCode(
         "profile-missing",
-        xmem::LatencyProfile::load((dir / "does-not-exist.profile")
-                                       .string()),
+        xmem::ProfileStore::global().load(
+            (dir / "does-not-exist.profile").string()),
         ErrorCode::NotFound));
     const std::string clean = fiProfile().serialize();
     report.entries.push_back(

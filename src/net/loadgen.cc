@@ -97,7 +97,7 @@ runConnection(const LoadGenParams &params, int conn_index,
 
     std::string outbuf, rxbuf;
     size_t outoff = 0;
-    std::deque<WallClock::time_point> pending; // send time FIFO
+    std::deque<WallClock::time_point> pending; // due/send time FIFO
     size_t line_idx = size_t(conn_index);
     bool sending = true;
     WallClock::time_point drain_start;
@@ -118,7 +118,10 @@ runConnection(const LoadGenParams &params, int conn_index,
             ++line_idx;
             outbuf += line;
             outbuf += '\n';
-            pending.push_back(now);
+            // A paced request is stamped with its due time, not the
+            // time it went out: when the pacer falls behind, the
+            // catch-up burst must still count its backlog wait.
+            pending.push_back(interval_ns > 0.0 ? next_send : now);
             ++stats->sent;
             if (interval_ns > 0.0) {
                 next_send +=

@@ -10,10 +10,12 @@
  * it keeps up to `pipeline` requests in flight, paces sends to its
  * share of the target QPS (qps 0 floods), and matches responses to
  * requests positionally (the listener guarantees per-connection
- * response order).  Latencies land in Log2Histograms, split by
- * response class — ok, shed (`unavailable`) and failed — because under
- * deliberate overload the shed p99 and the admitted p99 are different
- * stories and averaging them hides both.
+ * response order).  A paced request's latency runs from its due time,
+ * not its send time, so a pacer that falls behind (full pipeline,
+ * stalled server) still reports the backlog wait.  Latencies land in
+ * Log2Histograms, split by response class — ok, shed (`unavailable`)
+ * and failed — because under deliberate overload the shed p99 and the
+ * admitted p99 are different stories and averaging them hides both.
  */
 
 #ifndef LLL_NET_LOADGEN_HH

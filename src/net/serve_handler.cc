@@ -12,7 +12,9 @@ ServeHandler::operator()(const std::string &line, uint64_t req_no) const
     out.telemetry = std::make_unique<obs::MetricRegistry>();
 
     service::RunService::Params sp;
-    sp.jobs = 1; // concurrency lives in the listener's worker pool
+    // Concurrency lives in the listener's worker pool; at jobs 1 the
+    // Executor runs the request on this worker, spawning no thread.
+    sp.jobs = 1;
     sp.cache = params_.cache;
     sp.registry = out.telemetry.get();
     service::RunService svc(sp);

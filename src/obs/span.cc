@@ -54,11 +54,28 @@ SpanTracker::reset()
     agg_.clear();
 }
 
+namespace
+{
+/** The Redirect target on this thread; nullptr = the thread's own. */
+thread_local SpanTracker *tlsRedirect = nullptr;
+} // namespace
+
 SpanTracker &
 SpanTracker::global()
 {
     thread_local SpanTracker instance;
-    return instance;
+    return tlsRedirect ? *tlsRedirect : instance;
+}
+
+SpanTracker::Redirect::Redirect(SpanTracker &target)
+    : previous_(tlsRedirect)
+{
+    tlsRedirect = &target;
+}
+
+SpanTracker::Redirect::~Redirect()
+{
+    tlsRedirect = previous_;
 }
 
 } // namespace lll::obs

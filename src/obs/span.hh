@@ -15,9 +15,10 @@
  * retaining every interval, keeping overhead and memory constant.
  *
  * Threading: global() is thread-local, so LLL_SPAN is race-free from
- * sweep workers without any locking; each worker records into its own
- * tracker and the sweep runner merge()s the per-task stats into the
- * main thread's tracker after join, in deterministic task order (the
+ * executor threads without any locking.  Each executor task records
+ * into a task-private tracker (SpanTracker::Redirect), and the
+ * executor merge()s the per-task stats into the calling thread's
+ * tracker after join, in deterministic task order (the
  * merge-after-join contract, DESIGN.md §11).
  */
 
@@ -70,8 +71,29 @@ class SpanTracker
     /** Forget all aggregates and abandon open spans. */
     void reset();
 
-    /** The calling thread's tracker — what LLL_SPAN uses. */
+    /** The calling thread's tracker — what LLL_SPAN uses.  Inside a
+     *  Redirect scope this is the redirect target. */
     static SpanTracker &global();
+
+    /**
+     * Point global() on this thread at @p target for the scope's
+     * lifetime, then restore the previous one.  Spans opened before
+     * the scope keep recording into the tracker they began in, so a
+     * task run inline neither sees nor disturbs its caller's open
+     * spans.  Scopes nest.
+     */
+    class Redirect
+    {
+      public:
+        explicit Redirect(SpanTracker &target);
+        ~Redirect();
+
+        Redirect(const Redirect &) = delete;
+        Redirect &operator=(const Redirect &) = delete;
+
+      private:
+        SpanTracker *previous_;
+    };
 
   private:
     // All span durations come from the obs layer's single wall-clock

@@ -84,7 +84,7 @@ class Searcher
   public:
     struct Params
     {
-        /** Worker threads within one wave (runStages fan-out). */
+        /** Threads within one wave (runStages fan-out), caller included. */
         int jobs = 1;
 
         /** Stage memo table; candidates key by their encoded name, so

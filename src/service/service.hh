@@ -194,7 +194,7 @@ class RunService
   public:
     struct Params
     {
-        /** Worker threads for the distinct-unit fan-out. */
+        /** Threads for the distinct-unit fan-out, caller included. */
         int jobs = 1;
 
         /** Stage memo table; nullptr runs every unit uncached (no

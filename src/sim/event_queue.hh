@@ -529,12 +529,6 @@ class EventQueue
         Pending &operator=(Pending &&) noexcept = default;
     };
 
-    static bool
-    pendingBefore(const Pending &a, const Pending &b)
-    {
-        return a.prio != b.prio ? a.prio < b.prio : a.tie < b.tie;
-    }
-
     /**
      * Flat-heap node: the full ordering key plus the index of the
      * callback's slot in slots_.  Trivially copyable and 32 bytes, so
@@ -710,7 +704,14 @@ class EventQueue
             markEmpty(slot);
             wheelCount_ -= batch_.size();
             if (batch_.size() > 1)
-                std::sort(batch_.begin(), batch_.end(), pendingBefore);
+                // A lambda, not a function pointer, so the comparator
+                // inlines; (prio, tie) keys are unique, so the order is
+                // total and any sort yields the same dispatch order.
+                std::sort(batch_.begin(), batch_.end(),
+                          [](const Pending &a, const Pending &b) {
+                              return a.prio != b.prio ? a.prio < b.prio
+                                                      : a.tie < b.tie;
+                          });
             bool remerge = false;
             for (size_t i = 0; i < batch_.size(); ++i) {
                 if (i != 0 && !bucket.empty() &&

@@ -1,6 +1,9 @@
 #include "xmem/latency_profile.hh"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -173,17 +176,30 @@ LatencyProfile::save(const std::string &path) const
         std::error_code ec;
         std::filesystem::create_directories(p.parent_path(), ec);
     }
-    std::ofstream out(path);
+    // Write a private temp file beside the target and rename it into
+    // place: a concurrent reader, in this process or another, sees the
+    // old file or the new one, never a half-written one.
+    static std::atomic<uint64_t> seq{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(seq.fetch_add(1));
+    std::ofstream out(tmp);
     if (!out) {
         return Status::error(ErrorCode::IoError,
                              "cannot write latency profile to '%s'",
                              path.c_str());
     }
     out << serialize();
-    out.flush();
+    out.close();
     if (!out) {
+        std::remove(tmp.c_str());
         return Status::error(ErrorCode::IoError,
                              "short write to latency profile '%s'",
+                             path.c_str());
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        return Status::error(ErrorCode::IoError,
+                             "cannot write latency profile to '%s'",
                              path.c_str());
     }
     return Status::okStatus();

@@ -87,7 +87,8 @@ class LatencyProfile
      */
     [[nodiscard]] static util::Result<LatencyProfile> parse(const std::string &text);
 
-    /** Write to @p path; IoError when the file cannot be written. */
+    /** Write to @p path by rename, so readers never see a partial
+     *  file; IoError when the file cannot be written. */
     [[nodiscard]] util::Status save(const std::string &path) const;
 
     /**

@@ -4,8 +4,8 @@
 
 #include "obs/span.hh"
 #include "sim/system.hh"
-#include "util/logging.hh"
 #include "util/stats.hh"
+#include "xmem/profile_store.hh"
 
 namespace lll::xmem
 {
@@ -96,24 +96,8 @@ util::Result<LatencyProfile>
 XMemHarness::measureCachedChecked(const platforms::Platform &platform,
                                   const std::string &cache_path) const
 {
-    util::Result<LatencyProfile> cached = LatencyProfile::load(cache_path);
-    if (cached.ok()) {
-        if (cached->platformName() == platform.name)
-            return cached;
-        lll_warn("profile at '%s' is for platform '%s', remeasuring",
-                 cache_path.c_str(), cached->platformName().c_str());
-    } else if (cached.status().code() != util::ErrorCode::NotFound) {
-        // Corrupt or unreadable cache: surface it instead of silently
-        // measuring over it (`lll characterize <plat> --fresh` rebuilds).
-        return cached.status().withContext(
-            "cached profile for '%s' is unusable (delete it or rerun "
-            "with --fresh)",
-            platform.name.c_str());
-    }
-    LatencyProfile fresh = measure(platform);
-    LLL_RETURN_IF_ERROR(fresh.save(cache_path).withContext(
-        "caching profile for '%s'", platform.name.c_str()));
-    return fresh;
+    return ProfileStore::global().loadOrMeasure(platform, cache_path,
+                                                *this);
 }
 
 std::string

@@ -67,6 +67,8 @@ class XMemHarness
      * hit the freshly saved file too and the user should know their
      * profile store is damaged.  A cached profile for a different
      * platform is remeasured with a warning (the legacy behaviour).
+     * Served through ProfileStore::global(), so an unchanged file is
+     * read once per process.
      */
     [[nodiscard]] util::Result<LatencyProfile>
     measureCachedChecked(const platforms::Platform &platform,
