@@ -27,59 +27,70 @@ Cache::Cache(const Params &params, EventQueue &eq, RequestPool &pool)
                "%s: sets must be a power of two", params_.name.c_str());
     lll_assert(params_.ways > 0, "%s: ways must be positive",
                params_.name.c_str());
-    lines_.resize(static_cast<size_t>(params_.sets) * params_.ways);
+    const size_t n = static_cast<size_t>(params_.sets) * params_.ways;
+    tags_.assign(n, kInvalidTag);
+    stamps_.assign(n, 0);
+    flags_.assign(n, 0);
 }
 
-unsigned
-Cache::setIndex(uint64_t lineAddr) const
+size_t
+Cache::setBase(uint64_t lineAddr) const
 {
+    lll_assert(lineAddr != kInvalidTag, "%s: line address %#llx is the "
+               "empty-way tag", params_.name.c_str(),
+               static_cast<unsigned long long>(lineAddr));
     uint64_t x = lineAddr;
     if (params_.hashedSets) {
         x ^= x >> 17;
         x *= 0xed5ad4bbac4c1b51ULL;
         x ^= x >> 28;
     }
-    return static_cast<unsigned>(x & (params_.sets - 1));
+    return static_cast<size_t>(x & (params_.sets - 1)) * params_.ways;
 }
 
-Cache::Line *
-Cache::lookup(uint64_t lineAddr)
+size_t
+Cache::lookup(uint64_t lineAddr) const
 {
-    Line *set = &lines_[static_cast<size_t>(setIndex(lineAddr)) *
-                        params_.ways];
+    const size_t base = setBase(lineAddr);
+    const uint64_t *set = &tags_[base];
     for (unsigned w = 0; w < params_.ways; ++w) {
-        if (set[w].valid && set[w].lineAddr == lineAddr)
-            return &set[w];
+        if (set[w] == lineAddr)
+            return base + w;
     }
-    return nullptr;
+    return kNoWay;
 }
 
 bool
 Cache::isResident(uint64_t lineAddr) const
 {
-    return const_cast<Cache *>(this)->lookup(lineAddr) != nullptr;
+    return lookup(lineAddr) != kNoWay;
 }
 
-Cache::Line *
+int
+Cache::wayOf(uint64_t lineAddr) const
+{
+    const size_t way = lookup(lineAddr);
+    return way == kNoWay ? -1 : static_cast<int>(way % params_.ways);
+}
+
+void
 Cache::insert(uint64_t lineAddr, bool dirty, bool prefetched)
 {
-    Line *set = &lines_[static_cast<size_t>(setIndex(lineAddr)) *
-                        params_.ways];
-    Line *victim = &set[0];
-    for (unsigned w = 0; w < params_.ways; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lastUsed < victim->lastUsed)
-            victim = &set[w];
+    // Victim: the first empty way, else the least recently used, first
+    // way winning ties.  Empty ways carry stamp 0 and every fill stamps
+    // >= 1, so the lowest stamp, first found, is exactly that rule.
+    const size_t base = setBase(lineAddr);
+    size_t victim = base;
+    for (size_t w = base + 1; w < base + params_.ways; ++w) {
+        if (stamps_[w] < stamps_[victim])
+            victim = w;
     }
 
-    if (victim->valid && victim->dirty) {
+    if ((flags_[victim] & kDirty) != 0) {
         // Dirty eviction: write the victim back downstream.  Writebacks
         // are never refused (write buffers, not MSHRs, carry them).
         MemRequest *wb = pool_.alloc();
-        wb->lineAddr = victim->lineAddr;
+        wb->lineAddr = tags_[victim];
         wb->type = ReqType::Writeback;
         wb->issued = eq_.now();
         ++stats_.writebacksOut;
@@ -88,12 +99,10 @@ Cache::insert(uint64_t lineAddr, bool dirty, bool prefetched)
                    params_.name.c_str());
     }
 
-    victim->lineAddr = lineAddr;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->prefetched = prefetched;
-    victim->lastUsed = ++useClock_;
-    return victim;
+    tags_[victim] = lineAddr;
+    flags_[victim] = static_cast<uint8_t>((dirty ? kDirty : 0) |
+                                          (prefetched ? kPrefetched : 0));
+    stamps_[victim] = ++useClock_;
 }
 
 bool
@@ -104,9 +113,9 @@ Cache::tryAccess(MemRequest *req)
     if (req->type == ReqType::Writeback) {
         // A dirty line arriving from the level above: update in place if
         // resident, otherwise install it (which may cascade an eviction).
-        if (Line *line = lookup(req->lineAddr)) {
-            line->dirty = true;
-            line->lastUsed = ++useClock_;
+        if (const size_t way = lookup(req->lineAddr); way != kNoWay) {
+            flags_[way] |= kDirty;
+            stamps_[way] = ++useClock_;
         } else {
             insert(req->lineAddr, /*dirty=*/true, /*prefetched=*/false);
         }
@@ -114,16 +123,16 @@ Cache::tryAccess(MemRequest *req)
         return true;
     }
 
-    if (Line *line = lookup(req->lineAddr)) {
+    if (const size_t way = lookup(req->lineAddr); way != kNoWay) {
         // Hit.
-        line->lastUsed = ++useClock_;
+        stamps_[way] = ++useClock_;
         ++stats_.demandHits;
-        if (line->prefetched) {
+        if ((flags_[way] & kPrefetched) != 0) {
             ++stats_.prefetchUseful;
-            line->prefetched = false;
+            flags_[way] &= ~kPrefetched;
         }
         if (req->isStore())
-            line->dirty = true;
+            flags_[way] |= kDirty;
         if (req->origin) {
             // Fill request from the level above: respond with the line.
             MemRequest *resp = req;
@@ -186,7 +195,7 @@ Cache::tryPrefetch(uint64_t lineAddr, ReqType type, int core, int thread)
 {
     lll_assert(type == ReqType::SwPrefetch || type == ReqType::HwPrefetch,
                "tryPrefetch with non-prefetch type");
-    if (lookup(lineAddr) != nullptr)
+    if (lookup(lineAddr) != kNoWay)
         return PrefetchOutcome::Covered;    // already resident
     if (mshrs_.lookup(lineAddr) != nullptr)
         return PrefetchOutcome::Covered;    // already in flight
@@ -239,7 +248,7 @@ Cache::servePendingPrefetches()
     while (!deferredPf_.empty() && !mshrs_.full()) {
         PendingPrefetch pf = deferredPf_.front();
         deferredPf_.pop_front();
-        if (lookup(pf.lineAddr) != nullptr ||
+        if (lookup(pf.lineAddr) != kNoWay ||
             mshrs_.lookup(pf.lineAddr) != nullptr) {
             continue;   // covered while it waited
         }
@@ -284,13 +293,13 @@ void
 Cache::completeTargets(Mshr *mshr)
 {
     const Tick now = eq_.now();
-    Line *line = lookup(mshr->lineAddr);
-    lll_assert(line != nullptr, "%s: completing targets without a line",
+    const size_t way = lookup(mshr->lineAddr);
+    lll_assert(way != kNoWay, "%s: completing targets without a line",
                params_.name.c_str());
 
     for (MemRequest *target : mshr->targets) {
         if (target->isStore())
-            line->dirty = true;
+            flags_[way] |= kDirty;
         if (target->origin) {
             MemRequest *resp = target;
             eq_.schedule(now, fillPrio(*resp->origin, resp->lineAddr),

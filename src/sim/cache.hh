@@ -139,26 +139,38 @@ class Cache : public MemLevel
     /** True if @p lineAddr is currently resident (test aid). */
     bool isResident(uint64_t lineAddr) const;
 
+    /** Way of its set holding @p lineAddr, or -1 (test aid). */
+    int wayOf(uint64_t lineAddr) const;
+
     void resetStats(Tick now);
 
   private:
-    struct Line
-    {
-        uint64_t lineAddr = 0;
-        uint64_t lastUsed = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;
-    };
+    /**
+     * The tag of an empty way.  The line addresses the simulator
+     * generates stay far below it; one that reaches it is asserted
+     * against rather than hitting on an empty way.
+     */
+    static constexpr uint64_t kInvalidTag = ~uint64_t{0};
 
-    unsigned setIndex(uint64_t lineAddr) const;
-    Line *lookup(uint64_t lineAddr);
+    /** lookup()'s miss result. */
+    static constexpr size_t kNoWay = ~size_t{0};
+
+    /** Per-way flag bits (flags_). */
+    static constexpr uint8_t kDirty = 1;
+    static constexpr uint8_t kPrefetched = 2;
+
+    /** Flat index of way 0 of @p lineAddr's set (asserts the line is
+     *  not kInvalidTag). */
+    size_t setBase(uint64_t lineAddr) const;
+
+    /** Flat index (set * ways + way) holding @p lineAddr, or kNoWay. */
+    size_t lookup(uint64_t lineAddr) const;
 
     /**
      * Install @p lineAddr, evicting the LRU victim (dirty victims emit a
-     * writeback downstream).  Returns the installed line.
+     * writeback downstream).
      */
-    Line *insert(uint64_t lineAddr, bool dirty, bool prefetched);
+    void insert(uint64_t lineAddr, bool dirty, bool prefetched);
 
     /** Send a fill request downstream, honouring backpressure. */
     void sendDownstream(MemRequest *fillReq);
@@ -176,7 +188,12 @@ class Cache : public MemLevel
     Cache *downCache_ = nullptr;
     StreamPrefetcher *prefetcher_ = nullptr;
 
-    std::vector<Line> lines_;
+    // Tag store, structure-of-arrays over sets * ways flat indices, so
+    // the lookup scan reads one contiguous run of tags.  An empty way
+    // has tag kInvalidTag, stamp 0 and no flags.
+    std::vector<uint64_t> tags_;
+    std::vector<uint64_t> stamps_;  //!< LRU use stamps, >= 1 once filled
+    std::vector<uint8_t> flags_;    //!< kDirty | kPrefetched
     uint64_t useClock_ = 0;
 
     MshrQueue mshrs_;

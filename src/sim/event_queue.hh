@@ -30,22 +30,23 @@
  * loop, so it avoids the two classic costs of std::priority_queue +
  * std::function designs.  Callbacks are stored in EventFn — a
  * small-buffer callable with no heap fallback, sized for the
- * bound-member-plus-pointer closures every component schedules, and
- * constructed in place at its final resting spot so the schedule path
- * never shuffles type-erased closures around.  The ordering structure
- * is two-level, following the calendar-queue literature: events inside
- * a near-future window (kWheelTicks) drop into a per-tick bucket —
- * O(1), no comparisons — with an occupancy bitmap whose
- * count-trailing-zeros scan is what fast-forwards runUntil() straight
- * to the next busy tick; events beyond the window wait in a flat
- * 4-ary min-heap whose 32-byte nodes pack (tick, priority) into one
- * 128-bit word plus a slot index into a recycled callback arena, so a
- * sift moves small trivially-copyable keys instead of closures.  When
- * the window empties it jumps to the heap's earliest tick and drains
- * every now-in-window event back into buckets.  Within one tick,
- * dispatch sorts the tick's bucket by (priority, tie) and invokes it
- * as a batch, re-merging whenever a callback schedules new same-tick
- * work that could order before a later priority class.
+ * bound-member-plus-pointer closures every component schedules — and
+ * each one is built once, in place, in a cell of a chunked arena whose
+ * cells never move; it runs in that cell and the cell is recycled.
+ * Everything that orders events holds trivially-copyable keys that
+ * point at cells, so no sort, sift or refill ever moves a closure.
+ * The ordering structure is two-level, following the calendar-queue
+ * literature: events inside the near-future window [now, now +
+ * kWheelTicks) drop into a per-tick bucket — O(1), no comparisons —
+ * with an occupancy bitmap whose count-trailing-zeros scan is what
+ * fast-forwards runUntil() straight to the next busy tick; events
+ * beyond the window wait in a flat 4-ary min-heap keyed by (tick,
+ * priority) packed into one 128-bit word.  The window slides with now:
+ * whenever time advances, heap events that entered the window move to
+ * their buckets.  Within one tick, dispatch sorts the tick's bucket by
+ * (priority, tie) and invokes it as a batch, re-merging whenever a
+ * callback schedules new same-tick work that could order before a
+ * later priority class.
  */
 
 #ifndef LLL_SIM_EVENT_QUEUE_HH
@@ -55,6 +56,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -172,21 +174,7 @@ class EventFn
     // NOLINTNEXTLINE(bugprone-forwarding-reference-overload)
     EventFn(F &&f)
     {
-        static_assert(sizeof(D) <= kInlineBytes,
-                      "closure exceeds EventFn inline storage: capture "
-                      "pointers, not objects (or raise kInlineBytes)");
-        static_assert(alignof(D) <= alignof(std::max_align_t),
-                      "closure over-aligned for EventFn inline storage");
-        static_assert(std::is_nothrow_move_constructible_v<D>,
-                      "EventFn captures must be nothrow-movable");
-        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
-        invoke_ = &invokeImpl<D>;
-        // Trivial closures (raw-pointer captures) keep manage_ null:
-        // moves degrade to memcpy and destruction to nothing.
-        if constexpr (!std::is_trivially_copyable_v<D> ||
-                      !std::is_trivially_destructible_v<D>) {
-            manage_ = &manageImpl<D>;
-        }
+        build(std::forward<F>(f));
     }
 
     EventFn(EventFn &&o) noexcept { stealFrom(o); }
@@ -208,6 +196,27 @@ class EventFn
 
     explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
+    /**
+     * Build @p f in this empty EventFn's own storage: how the event
+     * queue constructs a closure directly in its arena cell.  An
+     * EventFn argument is moved in instead.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        LLL_INVARIANT(invoke_ == nullptr, "emplace into a live EventFn");
+        if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "EventFn is move-only: pass it as an rvalue");
+            stealFrom(f);
+        } else
+            build(std::forward<F>(f));
+    }
+
+    /** Destroy the held closure, leaving this EventFn empty. */
+    void reset() noexcept { destroy(); }
+
     void
     operator()()
     {
@@ -216,6 +225,28 @@ class EventFn
     }
 
   private:
+    template <typename F>
+    void
+    build(F &&f)
+    {
+        using D = std::decay_t<F>;
+        static_assert(sizeof(D) <= kInlineBytes,
+                      "closure exceeds EventFn inline storage: capture "
+                      "pointers, not objects (or raise kInlineBytes)");
+        static_assert(alignof(D) <= alignof(std::max_align_t),
+                      "closure over-aligned for EventFn inline storage");
+        static_assert(std::is_nothrow_move_constructible_v<D>,
+                      "EventFn captures must be nothrow-movable");
+        ::new (static_cast<void *>(buf_)) D(std::forward<F>(f));
+        invoke_ = &invokeImpl<D>;
+        // Trivial closures (raw-pointer captures) keep manage_ null:
+        // moves degrade to memcpy and destruction to nothing.
+        if constexpr (!std::is_trivially_copyable_v<D> ||
+                      !std::is_trivially_destructible_v<D>) {
+            manage_ = &manageImpl<D>;
+        }
+    }
+
     template <typename D>
     static void
     invokeImpl(void *p)
@@ -273,15 +304,19 @@ class EventQueue
     using Callback = EventFn;
 
     /**
-     * Near-future window: events fewer than this many ticks out take
-     * the bucketed O(1) path; later ones overflow to the heap until
-     * the window reaches them.  16384 ticks (~16 ns, a few dozen core
-     * cycles) covers every cache-level access latency; only memory
+     * Near-future window: events fewer than this many ticks past now
+     * take the bucketed O(1) path; later ones wait in the heap until
+     * the window, which slides with now, reaches them.  16384 ticks
+     * (~16 ns, a few dozen core cycles) covers the skl and knl cache
+     * latencies (a64fx's 37-cycle L2 lands just past it); memory
      * responses and housekeeping ride the heap.
      */
     static constexpr Tick kWheelTicks = 16384;
 
     EventQueue() : buckets_(kWheelTicks) {}
+
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -326,18 +361,14 @@ class EventQueue
                    "within a tick",
                    static_cast<unsigned long long>(prio),
                    static_cast<unsigned long long>(batchPrio_));
+        EventFn *fn = allocCell();
+        fn->emplace(std::forward<F>(cb));
         const uint64_t tie = tieKey(seq_++);
-        if (when < epochBase_ + kWheelTicks) {
-            // In-window: constant-time drop into the tick's bucket,
-            // closure built in place.  now_ >= epochBase_ whenever
-            // user code runs, so when is never below the window.
-            const size_t slot = when & kWheelMask;
-            buckets_[slot].emplace_back(prio, tie, std::forward<F>(cb));
-            markOccupied(slot);
-            ++wheelCount_;
+        if (when - now_ < kWheelTicks) {
+            toBucket(when, Key{prio, tie, fn});
         } else {
-            pushNode(Node{packKey(when, prio), tie,
-                          allocSlot(std::forward<F>(cb))});
+            ++heapRouted_;
+            pushNode(Node{packKey(when, prio), tie, fn});
         }
     }
 
@@ -378,7 +409,8 @@ class EventQueue
      * in priority order before any later class runs.
      *
      * A stop latched by requestStop() — during a callback *or* between
-     * runs — makes this return true immediately, once.
+     * runs — makes this return true immediately, once.  @p limit must
+     * not be before now().
      *
      * @return true if stopped because the limit was reached or a stop
      *         was requested (events may remain), false if the queue
@@ -387,6 +419,10 @@ class EventQueue
     bool
     runUntil(Tick limit)
     {
+        // Time never runs backwards: the window is anchored at now_.
+        lll_assert(limit >= now_, "runUntil limit %llu is before now %llu",
+                   static_cast<unsigned long long>(limit),
+                   static_cast<unsigned long long>(now_));
         if (stopRequested_) {
             // Latched while no run was in flight (e.g. a watchdog
             // between measurement windows): honour it now.
@@ -396,6 +432,7 @@ class EventQueue
         lll_assert(!dispatching_, "runUntil is not reentrant");
         dispatching_ = true;
         for (;;) {
+            pullIntoWindow();
             if (wheelCount_ == 0) {
                 if (heap_.empty()) {
                     now_ = std::max(now_, limit);
@@ -408,14 +445,12 @@ class EventQueue
                     dispatching_ = false;
                     return true;
                 }
-                // Idle fast-forward: jump the window to the earliest
+                // Idle fast-forward: slide the window to the earliest
                 // heap event and pull everything now in range.
-                epochBase_ = top & ~kWheelMask;
-                refillWheel();
+                now_ = top;
+                pullIntoWindow();
             }
-            const Tick from = now_ > epochBase_ ? now_ : epochBase_;
-            const size_t slot = nextOccupied(from & kWheelMask);
-            const Tick tick = epochBase_ | static_cast<Tick>(slot);
+            const Tick tick = nextBusyTick();
             if (tick > limit) {
                 now_ = limit;
                 dispatching_ = false;
@@ -426,7 +461,7 @@ class EventQueue
                           static_cast<unsigned long long>(tick),
                           static_cast<unsigned long long>(now_));
             now_ = tick;
-            if (dispatchBucket(slot)) {
+            if (dispatchBucket(tick & kWheelMask)) {
                 stopRequested_ = false;
                 dispatching_ = false;
                 return true;
@@ -447,6 +482,9 @@ class EventQueue
 
     /** Number of events still pending. */
     size_t pending() const { return wheelCount_ + heap_.size(); }
+
+    /** Events scheduled beyond the window, onto the heap (test aid). */
+    uint64_t heapRouted() const { return heapRouted_; }
 
   private:
 #if defined(__SIZEOF_INT128__)
@@ -506,40 +544,29 @@ class EventQueue
     static constexpr Tick kWheelMask = kWheelTicks - 1;
     static_assert((kWheelTicks & kWheelMask) == 0,
                   "window size must be a power of two: bucket index is "
-                  "when & kWheelMask and the window is tick-aligned");
+                  "when & kWheelMask");
+
+    /** Arena cells per chunk; chunks are never moved or freed early. */
+    static constexpr size_t kChunkCells = 1024;
 
     /**
-     * One in-window event: ordering key (tick is the bucket) plus the
-     * closure itself — buckets never sift, so the closure can live
-     * where it will be invoked.
+     * One in-window event: the same-tick ordering key (the tick is the
+     * bucket) plus the arena cell holding its closure.  Trivially
+     * copyable, so a batch sort or spill moves 24 bytes per event.
      */
-    struct Pending
+    struct Key
     {
         uint64_t prio;
         uint64_t tie; //!< tie-break: seq, or its seeded permutation
-        EventFn fn;
-
-        template <typename F>
-        Pending(uint64_t p, uint64_t t, F &&f)
-            : prio(p), tie(t), fn(std::forward<F>(f))
-        {
-        }
-
-        Pending(Pending &&) noexcept = default;
-        Pending &operator=(Pending &&) noexcept = default;
+        EventFn *fn;
     };
 
-    /**
-     * Flat-heap node: the full ordering key plus the index of the
-     * callback's slot in slots_.  Trivially copyable and 32 bytes, so
-     * a sift is a handful of register moves — the type-erased closure
-     * never travels through the heap.
-     */
+    /** Flat-heap node: the full ordering key plus the closure's cell. */
     struct Node
     {
         WhenPrio wp;
         uint64_t tie; //!< tie-break: seq, or its seeded permutation
-        uint32_t slot;
+        EventFn *fn;
     };
 
     static bool
@@ -554,6 +581,57 @@ class EventQueue
     tieKey(uint64_t seq) const
     {
         return tieSeed_ == 0 ? seq : schedMix64(seq ^ tieSeed_);
+    }
+
+    /** An empty arena cell; a new chunk when every cell is in use. */
+    EventFn *
+    allocCell()
+    {
+        if (freeCells_.empty()) {
+            chunks_.push_back(std::make_unique<EventFn[]>(kChunkCells));
+            EventFn *chunk = chunks_.back().get();
+            for (size_t i = kChunkCells; i-- > 0;)
+                freeCells_.push_back(chunk + i);
+        }
+        EventFn *fn = freeCells_.back();
+        freeCells_.pop_back();
+        return fn;
+    }
+
+    /** Run the closure in its cell, then recycle the cell.  The cell is
+     *  freed only afterwards, so whatever the callback schedules can
+     *  never land on it; chunks never move, so growth is safe too. */
+    void
+    invoke(const Key &k)
+    {
+        batchPrio_ = k.prio;
+        ++processed_;
+        (*k.fn)();
+        k.fn->reset();
+        freeCells_.push_back(k.fn);
+    }
+
+    void
+    toBucket(Tick when, const Key &k)
+    {
+        const size_t slot = when & kWheelMask;
+        buckets_[slot].push_back(k);
+        markOccupied(slot);
+        ++wheelCount_;
+    }
+
+    /** Move every heap event the window [now, now + kWheelTicks) now
+     *  covers into its bucket; tie keys ride along, so the total order
+     *  is unaffected. */
+    void
+    pullIntoWindow()
+    {
+        while (!heap_.empty() &&
+               keyWhen(heap_.front().wp) - now_ < kWheelTicks) {
+            const Node n = heap_.front();
+            popTop();
+            toBucket(keyWhen(n.wp), Key{keyPrio(n.wp), n.tie, n.fn});
+        }
     }
 
     // 4-ary min-heap over heap_: children of i live at 4i+1..4i+4.
@@ -602,20 +680,6 @@ class EventQueue
         heap_[i] = last;
     }
 
-    template <typename F>
-    uint32_t
-    allocSlot(F &&cb)
-    {
-        if (freeSlots_.empty()) {
-            slots_.emplace_back(std::forward<F>(cb));
-            return static_cast<uint32_t>(slots_.size() - 1);
-        }
-        const uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[slot] = EventFn(std::forward<F>(cb));
-        return slot;
-    }
-
     void
     markOccupied(size_t slot)
     {
@@ -628,47 +692,36 @@ class EventQueue
         bitmap_[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
     }
 
-    /** First occupied bucket at or after @p from (the window holds at
-     *  least one event at a tick >= now_ when this is called). */
-    size_t
-    nextOccupied(size_t from) const
+    /**
+     * Earliest tick with a bucketed event (the window holds at least
+     * one).  Every bucketed event lies in [now, now + kWheelTicks), so
+     * the bitmap is scanned circularly from now's slot and the slot's
+     * distance from there is its distance in time.
+     */
+    Tick
+    nextBusyTick() const
     {
+        const size_t from = now_ & kWheelMask;
         size_t word = from >> 6;
         uint64_t bits = bitmap_[word] & (~uint64_t{0} << (from & 63));
-        while (bits == 0) {
-            ++word;
-            LLL_INVARIANT(word < kWords,
+        for (size_t scanned = 0; bits == 0; ++scanned) {
+            LLL_INVARIANT(scanned < kWords,
                           "occupancy bitmap disagrees with wheelCount_");
+            word = (word + 1) & (kWords - 1);
             bits = bitmap_[word];
         }
-        return (word << 6) +
-               static_cast<size_t>(__builtin_ctzll(bits));
-    }
-
-    /** Drain every heap event inside the (just-moved) window into its
-     *  bucket; tie keys ride along, so total order is unaffected. */
-    void
-    refillWheel()
-    {
-        const Tick end = epochBase_ + kWheelTicks;
-        while (!heap_.empty() && keyWhen(heap_.front().wp) < end) {
-            const Node n = heap_.front();
-            popTop();
-            const size_t slot = keyWhen(n.wp) & kWheelMask;
-            buckets_[slot].emplace_back(keyPrio(n.wp), n.tie,
-                                        std::move(slots_[n.slot]));
-            freeSlots_.push_back(n.slot);
-            markOccupied(slot);
-            ++wheelCount_;
-        }
+        const size_t slot =
+            (word << 6) + static_cast<size_t>(__builtin_ctzll(bits));
+        return now_ + ((slot - from) & kWheelMask);
     }
 
     /** Return batch_[from..] to the tick's bucket (uninvoked work). */
     void
-    spillBack(std::vector<Pending> &bucket, size_t slot, size_t from)
+    spillBack(std::vector<Key> &bucket, size_t slot, size_t from)
     {
-        for (size_t j = from; j < batch_.size(); ++j)
-            bucket.push_back(std::move(batch_[j]));
+        bucket.insert(bucket.end(),
+                      batch_.begin() + static_cast<ptrdiff_t>(from),
+                      batch_.end());
         wheelCount_ += batch_.size() - from;
         if (!bucket.empty())
             markOccupied(slot);
@@ -682,18 +735,16 @@ class EventQueue
     bool
     dispatchBucket(size_t slot)
     {
-        std::vector<Pending> &bucket = buckets_[slot];
+        std::vector<Key> &bucket = buckets_[slot];
         // Lone-event fast path (the common case): no sort, no batch
-        // staging.  Moved out first because the callback may schedule
-        // into this very bucket and reallocate it.
+        // staging.  The key is copied out first because the callback
+        // may schedule into this very bucket and reallocate it.
         while (bucket.size() == 1) {
-            Pending p = std::move(bucket.back());
+            const Key k = bucket.back();
             bucket.pop_back();
             markEmpty(slot);
             --wheelCount_;
-            batchPrio_ = p.prio;
-            ++processed_;
-            p.fn();
+            invoke(k);
             if (stopRequested_)
                 return true;
             if (bucket.empty())
@@ -704,11 +755,10 @@ class EventQueue
             markEmpty(slot);
             wheelCount_ -= batch_.size();
             if (batch_.size() > 1)
-                // A lambda, not a function pointer, so the comparator
-                // inlines; (prio, tie) keys are unique, so the order is
-                // total and any sort yields the same dispatch order.
+                // (prio, tie) keys are unique, so the order is total
+                // and any sort yields the same dispatch order.
                 std::sort(batch_.begin(), batch_.end(),
-                          [](const Pending &a, const Pending &b) {
+                          [](const Key &a, const Key &b) {
                               return a.prio != b.prio ? a.prio < b.prio
                                                       : a.tie < b.tie;
                           });
@@ -723,9 +773,7 @@ class EventQueue
                     remerge = true;
                     break;
                 }
-                batchPrio_ = batch_[i].prio;
-                ++processed_;
-                batch_[i].fn();
+                invoke(batch_[i]);
                 if (stopRequested_) {
                     spillBack(bucket, slot, i + 1);
                     batch_.clear();
@@ -742,18 +790,20 @@ class EventQueue
 
     static constexpr size_t kWords = kWheelTicks / 64;
 
-    std::vector<std::vector<Pending>> buckets_; //!< kWheelTicks entries
+    std::vector<std::vector<Key>> buckets_; //!< kWheelTicks entries
     uint64_t bitmap_[kWords] = {};   //!< bucket-occupancy bits
     size_t wheelCount_ = 0;          //!< events resident in the window
-    Tick epochBase_ = 0;             //!< window covers [base, base+size)
     std::vector<Node> heap_;         //!< beyond-window overflow
-    std::vector<EventFn> slots_;     //!< callback arena, indexed by Node
-    std::vector<uint32_t> freeSlots_;
-    std::vector<Pending> batch_;     //!< tick currently dispatching
+    std::vector<Key> batch_;         //!< tick currently dispatching
+    /** Closure arena: fixed-size chunks, so a cell never moves while
+     *  its event is pending or running. */
+    std::vector<std::unique_ptr<EventFn[]>> chunks_;
+    std::vector<EventFn *> freeCells_;
     Tick now_ = 0;
     uint64_t seq_ = 0;
     uint64_t tieSeed_ = 0;
     uint64_t processed_ = 0;
+    uint64_t heapRouted_ = 0;
     uint64_t batchPrio_ = 0;         //!< class running (assert support)
     bool stopRequested_ = false;
     bool dispatching_ = false;

@@ -1,5 +1,7 @@
 #include "sim/mshr_queue.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace lll::sim
@@ -13,34 +15,63 @@ MshrQueue::MshrQueue(std::string name, unsigned size)
     freeList_.reserve(reserve);
     for (unsigned i = 0; i < reserve; ++i)
         freeList_.push_back(reserve - 1 - i);
-    index_.reserve(reserve * 2);
+    rebuildIndex();
 }
 
-Mshr *
-MshrQueue::lookup(uint64_t lineAddr)
+void
+MshrQueue::rebuildIndex()
 {
-    auto it = index_.find(lineAddr);
-    return it == index_.end() ? nullptr : &entries_[it->second];
+    size_t slots = 2;
+    unsigned bits = 1;
+    while (slots < 2 * entries_.size()) {
+        slots <<= 1;
+        ++bits;
+    }
+    index_.assign(slots, IndexSlot{});
+    indexShift_ = 64 - bits;
+    for (size_t e = 0; e < entries_.size(); ++e) {
+        if (entries_[e].inUse) {
+            index_[findSlot(entries_[e].lineAddr)] = {
+                entries_[e].lineAddr, static_cast<uint32_t>(e)};
+        }
+    }
+}
+
+void
+MshrQueue::eraseSlot(size_t i)
+{
+    const size_t mask = index_.size() - 1;
+    for (size_t j = (i + 1) & mask; index_[j].entry != kEmptySlot;
+         j = (j + 1) & mask) {
+        // Slot j may fill the hole at i only if its home does not lie
+        // cyclically in (i, j]: otherwise lookups would start past i.
+        if (((j - home(index_[j].lineAddr)) & mask) >= ((j - i) & mask)) {
+            index_[i] = index_[j];
+            i = j;
+        }
+    }
+    index_[i].entry = kEmptySlot;
 }
 
 Mshr *
 MshrQueue::allocate(uint64_t lineAddr, ReqType origin, Tick now)
 {
     lll_assert(!full(), "%s: allocate on full MSHR queue", name_.c_str());
-    lll_assert(index_.find(lineAddr) == index_.end(),
+    size_t slot = findSlot(lineAddr);
+    lll_assert(index_[slot].entry == kEmptySlot,
                "%s: duplicate MSHR for line %llu", name_.c_str(),
                static_cast<unsigned long long>(lineAddr));
 
     if (freeList_.empty()) {
-        // Unbounded queue (size_ == 0) growing beyond its reserve.  The
-        // entries_ vector may reallocate, which is safe because no Mshr
-        // pointers are held across event boundaries for unbounded queues
-        // only when resized here; to keep pointer stability we grow via
-        // indices instead.
-        unsigned old = static_cast<unsigned>(entries_.size());
+        // Only an unbounded queue (size_ == 0) runs out of entries: it
+        // doubles them, which moves every entry (hence no Mshr pointer
+        // may be held across allocate()), and re-sizes the index.
+        const unsigned old = static_cast<unsigned>(entries_.size());
         entries_.resize(old * 2);
-        for (unsigned i = old; i < old * 2; ++i)
-            freeList_.push_back(old * 2 - 1 - (i - old));
+        for (unsigned i = old * 2; i-- > old;)
+            freeList_.push_back(i);
+        rebuildIndex();
+        slot = findSlot(lineAddr);
     }
 
     unsigned idx = freeList_.back();
@@ -51,15 +82,15 @@ MshrQueue::allocate(uint64_t lineAddr, ReqType origin, Tick now)
     mshr.originType = origin;
     mshr.targets.clear();
     mshr.inUse = true;
-    index_[lineAddr] = idx;
+    index_[slot] = {lineAddr, idx};
     ++used_;
     ++allocations_;
     LLL_INVARIANT(size_ == 0 || used_ <= size_,
                   "%s: occupancy %u exceeds capacity %u", name_.c_str(),
                   used_, size_);
-    LLL_INVARIANT(index_.size() == used_,
-                  "%s: index/occupancy mismatch (%zu vs %u)",
-                  name_.c_str(), index_.size(), used_);
+    LLL_INVARIANT(lookup(lineAddr) == &mshr,
+                  "%s: index lost line %llu on insert", name_.c_str(),
+                  static_cast<unsigned long long>(lineAddr));
     occupancy_.set(now, used_);
     LLL_DEBUG(mshr, "%s: allocate line %llu (%u/%u in use)", name_.c_str(),
               static_cast<unsigned long long>(lineAddr), used_, size_);
@@ -73,26 +104,41 @@ MshrQueue::deallocate(Mshr *mshr, Tick now)
                name_.c_str());
     lll_assert(mshr->targets.empty(), "%s: deallocating MSHR with targets",
                name_.c_str());
-    auto it = index_.find(mshr->lineAddr);
-    lll_assert(it != index_.end(), "%s: MSHR not indexed", name_.c_str());
-    unsigned idx = it->second;
+    const size_t slot = findSlot(mshr->lineAddr);
+    lll_assert(index_[slot].entry != kEmptySlot, "%s: MSHR not indexed",
+               name_.c_str());
+    const unsigned idx = index_[slot].entry;
     lll_assert(&entries_[idx] == mshr, "%s: MSHR index mismatch",
                name_.c_str());
     lll_assert(used_ > 0, "%s: deallocate on empty queue", name_.c_str());
-    index_.erase(it);
+    eraseSlot(slot);
     mshr->inUse = false;
     freeList_.push_back(idx);
     --used_;
-    LLL_INVARIANT(index_.size() == used_,
-                  "%s: index/occupancy mismatch (%zu vs %u)",
-                  name_.c_str(), index_.size(), used_);
+    residency_ += now - std::max(mshr->allocated, statsStart_);
+    LLL_INVARIANT(lookup(mshr->lineAddr) == nullptr,
+                  "%s: index kept line %llu after erase", name_.c_str(),
+                  static_cast<unsigned long long>(mshr->lineAddr));
     occupancy_.set(now, used_);
+}
+
+uint64_t
+MshrQueue::residencyTicks(Tick now) const
+{
+    uint64_t total = residency_;
+    for (const Mshr &m : entries_) {
+        if (m.inUse)
+            total += now - std::max(m.allocated, statsStart_);
+    }
+    return total;
 }
 
 void
 MshrQueue::resetStats(Tick now)
 {
     occupancy_.reset(now);
+    statsStart_ = now;
+    residency_ = 0;
     fullStalls_.reset();
     allocations_.reset();
 }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/registry.hh"
@@ -59,11 +58,18 @@ class MshrQueue
     const std::string &name() const { return name_; }
 
     /** Find the in-flight entry for @p lineAddr, or nullptr. */
-    Mshr *lookup(uint64_t lineAddr);
+    Mshr *
+    lookup(uint64_t lineAddr)
+    {
+        const IndexSlot &s = index_[findSlot(lineAddr)];
+        return s.entry == kEmptySlot ? nullptr : &entries_[s.entry];
+    }
 
     /**
      * Allocate an entry for @p lineAddr.  Panics if full or duplicate —
-     * callers must check full()/lookup() first.
+     * callers must check full()/lookup() first.  Growing an unbounded
+     * queue moves its entries, so no Mshr pointer may be held across
+     * an allocate() on one.
      */
     Mshr *allocate(uint64_t lineAddr, ReqType origin, Tick now);
 
@@ -88,6 +94,20 @@ class MshrQueue
     /** Highest occupancy observed since the last stats reset. */
     double maxOccupancy() const { return occupancy_.max(); }
 
+    /** Occupancy integrated over [last stats reset, now], in entry-ticks. */
+    double occupancyIntegral(Tick now) const
+    {
+        return occupancy_.integral(now);
+    }
+
+    /**
+     * Summed residency of every entry over [last stats reset, now]:
+     * each entry counts from max(its allocation, the reset) until its
+     * release, or until @p now while still live.  Little's law as an
+     * identity: this equals occupancyIntegral(now) exactly.
+     */
+    uint64_t residencyTicks(Tick now) const;
+
     /** Restart statistics at @p now (occupancy level is retained). */
     void resetStats(Tick now);
 
@@ -102,13 +122,56 @@ class MshrQueue
                          std::vector<std::string> &names) const;
 
   private:
+    /**
+     * One slot of the open-addressed line -> entry index (linear
+     * probing, backward-shift erase, so there are no tombstones).
+     */
+    struct IndexSlot
+    {
+        uint64_t lineAddr = 0;
+        uint32_t entry = kEmptySlot;
+    };
+
+    static constexpr uint32_t kEmptySlot = ~uint32_t{0};
+
+    /** Home slot: Fibonacci hashing, so runs of lines spread out. */
+    size_t
+    home(uint64_t lineAddr) const
+    {
+        return static_cast<size_t>((lineAddr * 0x9e3779b97f4a7c15ULL) >>
+                                   indexShift_);
+    }
+
+    /** The slot holding @p lineAddr, or the empty slot ending its probe
+     *  (the index is at most half full, so one always exists). */
+    size_t
+    findSlot(uint64_t lineAddr) const
+    {
+        const size_t mask = index_.size() - 1;
+        size_t i = home(lineAddr);
+        while (index_[i].entry != kEmptySlot &&
+               index_[i].lineAddr != lineAddr)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** Size the index to the smallest power of two >= 2x entries_ and
+     *  re-insert every live entry. */
+    void rebuildIndex();
+
+    /** Empty slot @p i, shifting later probe-run members back. */
+    void eraseSlot(size_t i);
+
     std::string name_;
     unsigned size_;
     unsigned used_ = 0;
     std::vector<Mshr> entries_;
     std::vector<unsigned> freeList_;
-    std::unordered_map<uint64_t, unsigned> index_;
+    std::vector<IndexSlot> index_;   //!< power of two, >= 2x entries_
+    unsigned indexShift_ = 64;       //!< 64 - log2(index_.size())
     TimeWeightedStat occupancy_;
+    Tick statsStart_ = 0;
+    uint64_t residency_ = 0;         //!< released entries, since statsStart_
     Counter fullStalls_;
     Counter allocations_;
 };

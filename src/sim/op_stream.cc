@@ -92,7 +92,6 @@ OpStream::OpStream(const KernelSpec &spec, uint64_t thread_seed,
     pattern_.resize(patternLen);
     perPattern_ = counts;
     std::vector<unsigned> placed(n, 0);
-    rankAt_.assign(n, std::vector<unsigned>(patternLen, 0));
     for (unsigned slot = 0; slot < patternLen; ++slot) {
         int best = -1;
         double best_deficit = -1e300;
@@ -106,9 +105,7 @@ OpStream::OpStream(const KernelSpec &spec, uint64_t thread_seed,
             }
         }
         lll_assert(best >= 0, "pattern construction failed");
-        for (int s = 0; s < n; ++s)
-            rankAt_[s][slot] = placed[s];
-        pattern_[slot] = best;
+        pattern_[slot] = {best, placed[best]};
         ++placed[best];
     }
 }
@@ -135,10 +132,11 @@ OpStream::at(uint64_t n) const
 {
     const unsigned slot = static_cast<unsigned>(n % patternLen);
     const uint64_t period = n / patternLen;
-    const int s = pattern_[slot];
+    const PatternSlot ps = pattern_[slot];
+    const int s = ps.stream;
     const StreamState &st = streams_[s];
 
-    uint64_t k = period * perPattern_[s] + rankAt_[s][slot];
+    uint64_t k = period * perPattern_[s] + ps.rank;
 
     if (st.desc.reuseFraction > 0.0 && k > 0) {
         uint64_t h = splitmix64(k * 0x9e3779b97f4a7c15ULL ^ st.seed);

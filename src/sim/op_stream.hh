@@ -71,10 +71,17 @@ class OpStream
         uint64_t seed = 0;
     };
 
+    /** One interleave slot: its stream, and how many ops of that
+     *  stream precede it within the pattern period. */
+    struct PatternSlot
+    {
+        int stream = 0;
+        unsigned rank = 0;
+    };
+
     std::vector<StreamState> streams_;
-    std::vector<int> pattern_;          //!< slot -> stream index
+    std::vector<PatternSlot> pattern_;  //!< slot -> (stream, rank)
     std::vector<unsigned> perPattern_;  //!< stream -> ops per period
-    std::vector<std::vector<unsigned>> rankAt_; //!< [stream][slot] rank
 };
 
 } // namespace lll::sim

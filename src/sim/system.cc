@@ -306,6 +306,28 @@ System::runChecked(double warmup_us, double measure_us)
         "request population exploded: %lld outstanding",
         static_cast<long long>(pool_.outstanding()));
 
+#ifdef LLL_INVARIANTS_ENABLED
+    // Little's law as an identity on every MSHR queue: occupancy
+    // integrated over [t0, t1] equals the summed residency of every
+    // entry clipped to the window, exactly, in ticks.  A queue whose
+    // occupancy count drifts from its live entries breaks it.
+    auto checkLittle = [t1](const MshrQueue &q) {
+        LLL_INVARIANT(q.occupancyIntegral(t1) ==
+                          static_cast<double>(q.residencyTicks(t1)),
+                      "%s: occupancy integral %.0f != residency %llu "
+                      "entry-ticks over the measure window",
+                      q.name().c_str(), q.occupancyIntegral(t1),
+                      static_cast<unsigned long long>(
+                          q.residencyTicks(t1)));
+    };
+    for (int c = 0; c < params_.cores; ++c) {
+        checkLittle(l1s_[c]->mshrs());
+        checkLittle(l2s_[c]->mshrs());
+    }
+    if (l3_)
+        checkLittle(l3_->mshrs());
+#endif
+
     RunResult r;
     r.measureSeconds = ticksToNs(t1 - t0) * 1e-9;
     for (auto &t : threads_) {

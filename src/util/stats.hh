@@ -136,10 +136,20 @@ class TimeWeightedStat
         lll_assert(now >= last_, "bad window");
         if (now <= start)
             return current_;
-        double area = area_ + current_ * static_cast<double>(now - last_);
-        // area_ integrates from time 0; the caller resets at window start,
-        // so 'start' is the reset point.
-        return area / static_cast<double>(now - start);
+        // The integral runs from the last reset; the caller resets at
+        // window start, so 'start' is the reset point.
+        return integral(now) / static_cast<double>(now - start);
+    }
+
+    /**
+     * Level integrated over [last reset, now], trailing segment
+     * included.  Integer levels and ticks keep this exact below 2^53.
+     */
+    double
+    integral(Tick now) const
+    {
+        lll_assert(now >= last_, "bad window");
+        return area_ + current_ * static_cast<double>(now - last_);
     }
 
     /** Restart integration at @p now, keeping the current level. */

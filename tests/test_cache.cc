@@ -315,6 +315,71 @@ TEST_F(CacheTest, HashedSetsStillFindLines)
         EXPECT_TRUE(c.isResident(line));
 }
 
+TEST_F(CacheTest, VictimIsFirstEmptyWayThenLowestStamp)
+{
+    // One set of four ways makes the victim order fully observable.
+    Cache::Params cp;
+    cp.name = "one_set";
+    cp.sets = 1;
+    cp.ways = 4;
+    cp.mshrs = 4;
+    Cache c(cp, eq_, pool_);
+    c.setDownstream(l2_.get());
+
+    preload(c, 10);
+    preload(c, 11);
+    EXPECT_EQ(c.wayOf(10), 0);
+    EXPECT_EQ(c.wayOf(11), 1);
+    // 11 is now the least recently used line, but an empty way still
+    // wins, and of the two empty ways the first.
+    load(c, 10);
+    settle();
+    preload(c, 12);
+    EXPECT_EQ(c.wayOf(12), 2);
+    preload(c, 13);
+    EXPECT_EQ(c.wayOf(13), 3);
+    EXPECT_TRUE(c.isResident(11));
+
+    // Full set, use order 11, 10, 12, 13 (oldest first).  Each insert
+    // takes the lowest stamp's way.
+    preload(c, 14);
+    EXPECT_FALSE(c.isResident(11));
+    EXPECT_EQ(c.wayOf(14), 1);
+    load(c, 12);    // refresh 12: order is now 10, 13, 14, 12
+    settle();
+    preload(c, 15);
+    EXPECT_FALSE(c.isResident(10));
+    EXPECT_EQ(c.wayOf(15), 0);
+    preload(c, 16);
+    EXPECT_FALSE(c.isResident(13));
+    EXPECT_EQ(c.wayOf(16), 3);
+    EXPECT_TRUE(c.isResident(12));
+    EXPECT_TRUE(c.isResident(14));
+    // Every eviction above was dirty (preloads arrive as writebacks).
+    EXPECT_EQ(c.stats().writebacksOut.value(), 3u);
+}
+
+TEST_F(CacheTest, LineZeroAndHugeLineAddressesAreOrdinaryTags)
+{
+    // An empty way must not look like line 0, and the largest real
+    // line addresses must tag like any other.
+    const uint64_t huge = ~uint64_t{0} - 1;
+    EXPECT_FALSE(l1_->isResident(0));
+    EXPECT_FALSE(l1_->isResident(huge));
+    EXPECT_EQ(l1_->wayOf(0), -1);
+    EXPECT_TRUE(load(*l1_, 0));
+    EXPECT_TRUE(load(*l1_, huge));
+    settle();
+    EXPECT_TRUE(l1_->isResident(0));
+    EXPECT_TRUE(l1_->isResident(huge));
+    EXPECT_TRUE(l2_->isResident(huge));
+    EXPECT_EQ(l1_->stats().demandMisses.value(), 2u);
+    load(*l1_, 0);
+    load(*l1_, huge);
+    settle();
+    EXPECT_EQ(l1_->stats().demandHits.value(), 2u);
+}
+
 TEST_F(CacheTest, StatsReset)
 {
     load(*l1_, 5);
@@ -322,6 +387,16 @@ TEST_F(CacheTest, StatsReset)
     l1_->resetStats(eq_.now());
     EXPECT_EQ(l1_->stats().demandMisses.value(), 0u);
     EXPECT_EQ(l1_->mshrs().fullStalls(), 0u);
+}
+
+using CacheDeathTest = CacheTest;
+
+TEST_F(CacheDeathTest, EmptyWayTagIsNeverALineAddress)
+{
+    // ~0 marks an empty way; presenting it as a line must die rather
+    // than hit on an empty way.
+    EXPECT_DEATH(load(*l1_, ~uint64_t{0}), "empty-way tag");
+    EXPECT_DEATH(l1_->isResident(~uint64_t{0}), "empty-way tag");
 }
 
 } // namespace

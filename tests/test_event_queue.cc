@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -292,6 +296,354 @@ TEST(EventQueueTest, SameTickBandsProgressDuringDispatch)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
+TEST(EventQueueTest, ChainUnderOneWindowAheadNeverTakesTheHeap)
+{
+    // The window slides with now: an event under kWheelTicks ahead of
+    // the running one always lands in a bucket, however many window
+    // widths the chain crosses.
+    EventQueue eq;
+    int hops = 0;
+    std::function<void()> hop = [&] {
+        if (++hops < 2000)
+            eq.scheduleIn(EventQueue::kWheelTicks - 1 - hops % 7, hop);
+    };
+    eq.schedule(EventQueue::kWheelTicks - 1, hop);
+    EXPECT_FALSE(eq.runUntil(4000 * EventQueue::kWheelTicks));
+    EXPECT_EQ(hops, 2000);
+    EXPECT_GT(eq.now(), 1900 * EventQueue::kWheelTicks);
+    EXPECT_EQ(eq.heapRouted(), 0u);
+    // One window or more ahead still goes to the heap.
+    eq.scheduleIn(EventQueue::kWheelTicks, [] {});
+    EXPECT_EQ(eq.heapRouted(), 1u);
+}
+
+TEST(EventQueueTest, PendingClosuresAreDestroyedWithTheQueue)
+{
+    // Closures live in the queue's arena; ones that never ran must
+    // still be destroyed exactly once, and ones that ran right after.
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        eq.schedule(5, [token] { ++*token; });
+        eq.schedule(3 * EventQueue::kWheelTicks, [token] { ++*token; });
+        eq.schedule(7, [token] { ++*token; });
+        EXPECT_EQ(token.use_count(), 4);
+        eq.runUntil(5);
+        EXPECT_EQ(*token, 1);
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+// ---------------------------------------------------------------------
+// Differential ordering test: the queue against a reference model that
+// is nothing but the documented order — (when, prio, tie), with
+// same-tick arrivals merged in at the next priority-class boundary.
+
+/** Priorities the random schedules draw from, ascending: few enough
+ *  that equal-(tick, prio) ties are common, spread over every band. */
+constexpr uint64_t kDiffPrios[] = {
+    schedPrio(SchedBand::Fill, 0),   schedPrio(SchedBand::Fill, 1),
+    schedPrio(SchedBand::Send, 0),   schedPrio(SchedBand::Send, 5),
+    schedPrio(SchedBand::Thread, 9), schedPrio(SchedBand::Thread, 10),
+    schedPrio(SchedBand::Default),   schedPrio(SchedBand::Housekeeping),
+};
+constexpr size_t kNumDiffPrios = sizeof(kDiffPrios) / sizeof(kDiffPrios[0]);
+
+/** Cap on events one random program may schedule. */
+constexpr uint64_t kDiffEventCap = 3000;
+
+/** Deterministic random stream derived from one key. */
+struct DiffRng
+{
+    uint64_t state;
+
+    uint64_t
+    next()
+    {
+        state = schedMix64(state);
+        return state;
+    }
+
+    uint64_t below(uint64_t n) { return next() % n; }
+};
+
+/** One log entry: an event run (id, now) or a runUntil return. */
+struct DiffRec
+{
+    uint64_t id;      //!< event id, or ~0 for a runUntil return
+    Tick now;
+    uint64_t detail;  //!< runUntil: (pending << 1) | returned-true
+
+    bool
+    operator==(const DiffRec &o) const
+    {
+        return id == o.id && now == o.now && detail == o.detail;
+    }
+};
+
+/** Delay of one follow-up: same tick, near, in-window, or 1-4 windows. */
+Tick
+diffDelay(DiffRng &rng)
+{
+    const Tick w = EventQueue::kWheelTicks;
+    switch (rng.below(8)) {
+      case 0:
+      case 1:
+        return 0;
+      case 2:
+      case 3:
+        return 1 + rng.below(16);
+      case 4:
+      case 5:
+        return 1 + rng.below(w - 1);
+      default:
+        return rng.below(4 * w + 1);
+    }
+}
+
+/**
+ * What event @p id does when it runs — a pure function of the program
+ * seed and the id, so both models replay the same program: log itself,
+ * schedule up to two follow-ups (same-tick ones only in a band at or
+ * above its own), and now and then request a stop.
+ */
+template <typename Model>
+void
+runScripted(Model &m, uint64_t id, size_t prioIdx)
+{
+    m.log.push_back({id, m.now(), 0});
+    DiffRng rng{m.programSeed ^ (id * 0x9e3779b97f4a7c15ULL)};
+    const uint64_t fanout = rng.below(5) < 2 ? 2 : rng.below(2);
+    for (uint64_t k = 0; k < fanout && m.scheduled < kDiffEventCap; ++k) {
+        const Tick delay = diffDelay(rng);
+        const size_t lo = delay == 0 ? prioIdx : 0;
+        const size_t p = lo + rng.below(kNumDiffPrios - lo);
+        m.schedule(m.now() + delay, p, m.scheduled++);
+    }
+    if (rng.below(40) == 0)
+        m.requestStop();
+}
+
+/** The queue under test, driven through the scripted program. */
+struct RealModel
+{
+    RealModel(uint64_t program, uint64_t tie) : programSeed(program)
+    {
+        eq.setTieBreakSeed(tie);
+    }
+
+    Tick now() const { return eq.now(); }
+    size_t pending() const { return eq.pending(); }
+    void requestStop() { eq.requestStop(); }
+    bool runUntil(Tick limit) { return eq.runUntil(limit); }
+
+    void
+    schedule(Tick when, size_t prioIdx, uint64_t id)
+    {
+        eq.schedule(when, kDiffPrios[prioIdx],
+                    [this, id, prioIdx] { runScripted(*this, id, prioIdx); });
+    }
+
+    EventQueue eq;
+    uint64_t programSeed;
+    uint64_t scheduled = 0;
+    std::vector<DiffRec> log;
+};
+
+/** The reference: a flat list, scanned and sorted per tick. */
+struct RefModel
+{
+    struct Ev
+    {
+        Tick when;
+        uint64_t prio;
+        uint64_t tie;
+        uint64_t id;
+        size_t prioIdx;
+    };
+
+    RefModel(uint64_t program, uint64_t tie)
+        : programSeed(program), tieSeed(tie)
+    {
+    }
+
+    Tick now() const { return now_; }
+    size_t pending() const { return pending_.size(); }
+    void requestStop() { stop_ = true; }
+
+    void
+    schedule(Tick when, size_t prioIdx, uint64_t id)
+    {
+        const uint64_t seq = seq_++;
+        pending_.push_back({when, kDiffPrios[prioIdx],
+                            tieSeed == 0 ? seq : schedMix64(seq ^ tieSeed),
+                            id, prioIdx});
+    }
+
+    bool
+    runUntil(Tick limit)
+    {
+        if (stop_) {
+            stop_ = false;
+            return true;
+        }
+        for (;;) {
+            if (pending_.empty()) {
+                now_ = std::max(now_, limit);
+                return false;
+            }
+            Tick t = pending_.front().when;
+            for (const Ev &e : pending_)
+                t = std::min(t, e.when);
+            if (t > limit) {
+                now_ = limit;
+                return true;
+            }
+            now_ = t;
+            if (dispatchTick()) {
+                stop_ = false;
+                return true;
+            }
+        }
+    }
+
+    /**
+     * Run every event at now_ in (prio, tie) order.  Events scheduled
+     * at now_ while the tick runs join at the next boundary between
+     * priority classes (or when the tick's list runs out); a stop
+     * returns the unrun rest to the pending list.
+     */
+    bool
+    dispatchTick()
+    {
+        std::vector<Ev> batch;
+        take(batch);
+        size_t i = 0;
+        bool ran = false;
+        uint64_t last = 0;
+        for (;;) {
+            if (i == batch.size()) {
+                if (!hasArrivals())
+                    return false;
+                batch.clear();
+                i = 0;
+                take(batch);
+            } else if (ran && batch[i].prio != last && hasArrivals()) {
+                batch.erase(batch.begin(),
+                            batch.begin() + static_cast<ptrdiff_t>(i));
+                i = 0;
+                take(batch);
+                ++merges;
+            }
+            const Ev e = batch[i++];
+            last = e.prio;
+            ran = true;
+            runScripted(*this, e.id, e.prioIdx);
+            if (stop_) {
+                pending_.insert(pending_.end(),
+                                batch.begin() + static_cast<ptrdiff_t>(i),
+                                batch.end());
+                ++stops;
+                return true;
+            }
+        }
+    }
+
+    bool
+    hasArrivals() const
+    {
+        return std::any_of(pending_.begin(), pending_.end(),
+                           [&](const Ev &e) { return e.when == now_; });
+    }
+
+    /** Move every pending event at now_ into @p batch and sort it. */
+    void
+    take(std::vector<Ev> &batch)
+    {
+        auto at = std::stable_partition(
+            pending_.begin(), pending_.end(),
+            [&](const Ev &e) { return e.when != now_; });
+        batch.insert(batch.end(), at, pending_.end());
+        pending_.erase(at, pending_.end());
+        std::sort(batch.begin(), batch.end(), [](const Ev &a, const Ev &b) {
+            return a.prio != b.prio ? a.prio < b.prio : a.tie < b.tie;
+        });
+    }
+
+    uint64_t programSeed;
+    uint64_t tieSeed;
+    uint64_t scheduled = 0;
+    std::vector<DiffRec> log;
+    uint64_t merges = 0;   //!< class-boundary merges (coverage check)
+    uint64_t stops = 0;    //!< mid-tick stops (coverage check)
+
+  private:
+    std::vector<Ev> pending_;
+    Tick now_ = 0;
+    uint64_t seq_ = 0;
+    bool stop_ = false;
+};
+
+/**
+ * Seed a program, then alternate runUntil() over random limits with
+ * events scheduled from outside a run, until the queue drains.
+ */
+template <typename Model>
+void
+driveScripted(Model &m)
+{
+    const Tick w = EventQueue::kWheelTicks;
+    DiffRng rng{~m.programSeed};
+    for (int i = 0; i < 48; ++i) {
+        const Tick when = rng.below(4) == 0 ? rng.below(4 * w) : rng.below(64);
+        m.schedule(when, rng.below(kNumDiffPrios), m.scheduled++);
+    }
+    Tick limit = 0;
+    for (int round = 0; round < 100000 && m.pending() > 0; ++round) {
+        limit += rng.below(3 * w);
+        const bool stopped = m.runUntil(limit);
+        m.log.push_back({~uint64_t{0}, m.now(),
+                         (uint64_t{m.pending()} << 1) | (stopped ? 1 : 0)});
+        if (rng.below(4) == 0 && m.scheduled < kDiffEventCap) {
+            m.schedule(m.now() + rng.below(2 * w),
+                       rng.below(kNumDiffPrios), m.scheduled++);
+        }
+    }
+}
+
+TEST(EventQueueDifferentialTest, RandomSchedulesMatchReferenceOrder)
+{
+    uint64_t merges = 0;
+    uint64_t stops = 0;
+    uint64_t events = 0;
+    for (uint64_t tie : {uint64_t{0}, uint64_t{0x9e3779b97f4a7c15ULL},
+                         uint64_t{0xdeadbeef12345678ULL}}) {
+        for (uint64_t program = 1; program <= 12; ++program) {
+            RealModel real(program, tie);
+            RefModel ref(program, tie);
+            driveScripted(real);
+            driveScripted(ref);
+            ASSERT_EQ(real.pending(), 0u);
+            const size_t n = std::min(real.log.size(), ref.log.size());
+            size_t first = 0;
+            while (first < n && real.log[first] == ref.log[first])
+                ++first;
+            ASSERT_EQ(first, std::max(real.log.size(), ref.log.size()))
+                << "program " << program << " tie seed " << tie
+                << ": first divergence at log entry " << first << " of "
+                << real.log.size() << "/" << ref.log.size();
+            merges += ref.merges;
+            stops += ref.stops;
+            events += real.eq.processed();
+        }
+    }
+    // The programs must actually exercise the rules under test.
+    EXPECT_GT(merges, 0u);
+    EXPECT_GT(stops, 0u);
+    EXPECT_GT(events, 36u * 2000u);
+}
+
 TEST(EventQueueDeathTest, SeedAfterFirstEventPanics)
 {
     EventQueue eq;
@@ -305,6 +657,15 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
     eq.schedule(50, [] {});
     eq.runUntil(50);
     EXPECT_DEATH(eq.schedule(10, [] {}), "past");
+}
+
+TEST(EventQueueDeathTest, RunUntilBeforeNowPanics)
+{
+    EventQueue eq;
+    eq.schedule(50, [] {});
+    eq.schedule(60, [] {});
+    eq.runUntil(50);
+    EXPECT_DEATH(eq.runUntil(49), "before now");
 }
 
 TEST(EventQueueDeathTest, ThreadKeyBeyondSmtCeilingPanics)
