@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared plumbing for the table/figure reproduction benches.
+ * Shared plumbing for the figure, ablation and extension benches (the
+ * paper tables are rendered by `lll table` / `lll reproduce`).
  */
 
 #ifndef LLL_BENCH_BENCH_COMMON_HH
@@ -12,7 +13,6 @@
 
 #include "core/experiment.hh"
 #include "obs/span.hh"
-#include "obs/timer.hh"
 #include "platforms/platform.hh"
 #include "util/status.hh"
 #include "util/table.hh"
@@ -68,81 +68,6 @@ platformFor(const std::string &name)
         std::exit(1);
     }
     return p.take();
-}
-
-/**
- * Reproduce one paper table (IV–IX): run the workload's optimization
- * walk on all three platforms and print rows in the paper's format,
- * with the paper's reported speedups alongside and — the paper's core
- * claim — whether the recipe recommended the optimization that was
- * tried.  A trailing summary counts recommendation/outcome agreement
- * (recommended & helped, or not recommended & did not help).
- */
-inline void
-runPaperTable(const std::string &workload_name, const char *caption)
-{
-    // One wall timer + per-platform spans from the obs clock; the
-    // summary goes to stderr so the stdout table stays byte-stable.
-    obs::WallTimer wall;
-    LLL_SPAN("bench.table[" + workload_name + "]");
-    workloads::WorkloadPtr w = workloadFor(workload_name);
-
-    Table t({"Proc", "Source", "BW_obs (GB/s)", "lat_avg (ns)", "n_avg",
-             "Opt: measured", "paper", "recipe"});
-    t.setCaption(caption);
-
-    int agree = 0, total = 0;
-    for (const platforms::Platform &p : platforms::allPlatforms()) {
-        LLL_SPAN("bench.platform[" + p.name + "]");
-        core::Experiment exp(p, *w, profileFor(p));
-        core::Recipe recipe(p);
-        const auto rows = exp.paperTable();
-        const auto specs = w->paperRows(p);
-        for (size_t i = 0; i < rows.size(); ++i) {
-            const core::TableRow &row = rows[i];
-            std::string opt_col = row.optLabel;
-            std::string paper_col = "-";
-            std::string rec_col = "-";
-            if (row.speedup > 0.0) {
-                opt_col += ": " + fmtSpeedup(row.speedup);
-                if (row.paperSpeedup > 0.0)
-                    paper_col = fmtSpeedup(row.paperSpeedup);
-                // Was the tried optimization on the recipe's list at
-                // the source state?
-                const workloads::ExperimentRow &er = specs[i];
-                core::RecipeDecision d =
-                    recipe.advise(exp.stage(er.source).analysis,
-                                  er.source);
-                bool recommended = false;
-                if (er.applied) {
-                    for (workloads::Opt o : d.recommendedOpts()) {
-                        for (workloads::Opt got : er.applied->opts()) {
-                            if (got == o && !er.source.has(got))
-                                recommended = true;
-                        }
-                    }
-                }
-                // The paper counts its 1.02-1.03x SMT rows as wins; match that.
-                bool helped = row.speedup >= 1.03;
-                rec_col = recommended ? "rec" : "not-rec";
-                ++total;
-                if (recommended == helped)
-                    ++agree;
-            }
-            t.addRow({p.name, row.source,
-                      fmtBwPct(row.bwGBs, p.peakGBs),
-                      fmtDouble(row.latencyNs, 0),
-                      fmtDouble(row.nAvg, 2), opt_col, paper_col,
-                      rec_col});
-        }
-        t.addSeparator();
-    }
-    std::fputs(t.render().c_str(), stdout);
-    std::printf("recipe/outcome agreement: %d of %d tried "
-                "optimizations (recommended<->helped)\n",
-                agree, total);
-    std::fprintf(stderr, "bench: %s reproduced in %.1f ms\n",
-                 workload_name.c_str(), wall.elapsedNs() / 1e6);
 }
 
 } // namespace lll::bench

@@ -198,6 +198,7 @@ Experiment::speedup(const workloads::OptSet &from,
 std::vector<TableRow>
 Experiment::paperTable()
 {
+    const Recipe recipe(platform_);
     std::vector<TableRow> rows;
     for (const workloads::ExperimentRow &er :
          workload_.paperRows(platform_)) {
@@ -210,7 +211,16 @@ Experiment::paperTable()
         row.nAvg = src.analysis.nAvg;
         row.optLabel = er.optLabel;
         row.paperSpeedup = er.paperSpeedup;
-        row.speedup = er.applied ? speedup(er.source, *er.applied) : 0.0;
+        if (er.applied) {
+            row.speedup = speedup(er.source, *er.applied);
+            // Was one of the optimizations this row adds on the
+            // recipe's list at the source state?
+            for (workloads::Opt o :
+                 recipe.advise(src.analysis, er.source).recommendedOpts()) {
+                if (er.applied->has(o) && !er.source.has(o))
+                    row.recipeRecommended = true;
+            }
+        }
         rows.push_back(row);
     }
     return rows;

@@ -1,6 +1,7 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -9,12 +10,14 @@
 
 #include "core/executor.hh"
 #include "obs/timer.hh"
+#include "util/json.hh"
 #include "xmem/xmem_harness.hh"
 
 namespace lll::core
 {
 
 using util::ErrorCode;
+using util::jsonEscape;
 using util::Status;
 using workloads::Opt;
 using workloads::OptSet;
@@ -64,23 +67,6 @@ mixStr(uint64_t h, const std::string &s)
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:   out += c; break;
-        }
-    }
-    return out;
-}
-
-std::string
 fmtG17(double v)
 {
     char buf[64];
@@ -101,198 +87,94 @@ optsToken(const OptSet &opts)
 }
 
 /**
- * The spill file is flat JSON — every value sits at top level under a
- * dotted key — parsed by the state machine below rather than a JSON
- * library (the repo has none).  Keys and string values alternate, so
- * the scanner always knows whether a quote opens a key or a value.
+ * Typed reads from a parsed spill file.  The file is flat JSON: every
+ * value sits at top level under a dotted key.  A field that is absent
+ * or has the wrong shape reads as zero/empty and is recorded, so the
+ * caller reports the first problem once every field has been read.
  */
-struct FlatJson
+class SpillReader
 {
-    std::map<std::string, std::string> scalars; //!< raw unquoted tokens
-    std::map<std::string, std::string> strings;
-    std::map<std::string, std::vector<std::string>> arrays;
+  public:
+    using Type = util::JsonValue::Type;
+
+    explicit SpillReader(const util::JsonValue &doc) : doc_(doc) {}
+
     std::vector<std::string> missing; //!< fields asked for but absent
     std::vector<std::string> bad;     //!< fields that failed to parse
 
     double
-    getD(const std::string &key)
+    getD(const char *key)
     {
-        auto it = scalars.find(key);
-        if (it == scalars.end()) {
-            missing.push_back(key);
-            return 0.0;
-        }
-        char *end = nullptr;
-        double v = std::strtod(it->second.c_str(), &end);
-        if (end == it->second.c_str() || *end != '\0')
-            bad.push_back(key);
-        return v;
+        const util::JsonValue *v = field(key, Type::Number);
+        return v ? v->number : 0.0;
     }
 
+    /** A non-negative integer; anything else is malformed. */
     uint64_t
-    getU(const std::string &key)
+    getU(const char *key)
     {
-        auto it = scalars.find(key);
-        if (it == scalars.end()) {
-            missing.push_back(key);
+        const util::JsonValue *v = field(key, Type::Number);
+        if (!v)
+            return 0;
+        const double d = v->number;
+        if (!(d >= 0.0 && d < 0x1p64 && d == std::floor(d))) {
+            bad.push_back(key);
             return 0;
         }
-        char *end = nullptr;
-        uint64_t v = std::strtoull(it->second.c_str(), &end, 10);
-        if (end == it->second.c_str() || *end != '\0')
-            bad.push_back(key);
-        return v;
+        return static_cast<uint64_t>(d);
     }
 
     int
-    getI(const std::string &key)
+    getI(const char *key)
     {
         return static_cast<int>(getU(key));
     }
 
     bool
-    getB(const std::string &key)
+    getB(const char *key)
     {
-        auto it = scalars.find(key);
-        if (it == scalars.end()) {
-            missing.push_back(key);
-            return false;
-        }
-        if (it->second == "true")
-            return true;
-        if (it->second != "false")
-            bad.push_back(key);
-        return false;
+        const util::JsonValue *v = field(key, Type::Bool);
+        return v && v->boolean;
     }
 
     std::string
-    getS(const std::string &key)
+    getS(const char *key)
     {
-        auto it = strings.find(key);
-        if (it == strings.end()) {
-            missing.push_back(key);
-            return std::string();
-        }
-        return it->second;
+        const util::JsonValue *v = field(key, Type::String);
+        return v ? v->string : std::string();
     }
-};
 
-/** Read a quoted string starting at text[i] == '"'; leaves i one past
- *  the closing quote.  False on an unterminated string. */
-bool
-scanQuoted(const std::string &text, size_t &i, std::string *out)
-{
-    out->clear();
-    for (++i; i < text.size(); ++i) {
-        char c = text[i];
-        if (c == '\\' && i + 1 < text.size()) {
-            char e = text[++i];
-            switch (e) {
-              case 'n': out->push_back('\n'); break;
-              case 't': out->push_back('\t'); break;
-              default:  out->push_back(e); break;
-            }
-        } else if (c == '"') {
-            ++i;
-            return true;
-        } else {
-            out->push_back(c);
-        }
-    }
-    return false;
-}
-
-util::Result<FlatJson>
-scanFlatJson(const std::string &text)
-{
-    FlatJson out;
-    size_t i = 0;
-    auto skipWs = [&] {
-        while (i < text.size() &&
-               (text[i] == ' ' || text[i] == '\n' || text[i] == '\r' ||
-                text[i] == '\t' || text[i] == ',' || text[i] == '{' ||
-                text[i] == '}')) {
-            ++i;
-        }
-    };
-    while (true) {
-        skipWs();
-        if (i >= text.size())
+    std::vector<std::string>
+    getStrings(const char *key)
+    {
+        std::vector<std::string> out;
+        const util::JsonValue *v = field(key, Type::Array);
+        if (!v)
             return out;
-        if (text[i] != '"') {
-            return Status::error(ErrorCode::CorruptData,
-                                 "spill file: expected a key at offset "
-                                 "%zu, found '%c'", i, text[i]);
-        }
-        std::string key;
-        if (!scanQuoted(text, i, &key)) {
-            return Status::error(ErrorCode::CorruptData,
-                                 "spill file: unterminated key");
-        }
-        skipWs();
-        if (i >= text.size() || text[i] != ':') {
-            return Status::error(ErrorCode::CorruptData,
-                                 "spill file: key \"%s\" has no value",
-                                 key.c_str());
-        }
-        ++i;
-        skipWs();
-        if (i >= text.size()) {
-            return Status::error(ErrorCode::CorruptData,
-                                 "spill file: key \"%s\" has no value",
-                                 key.c_str());
-        }
-        if (text[i] == '"') {
-            std::string value;
-            if (!scanQuoted(text, i, &value)) {
-                return Status::error(ErrorCode::CorruptData,
-                                     "spill file: unterminated string "
-                                     "for \"%s\"", key.c_str());
+        for (const util::JsonValue &item : v->array) {
+            if (!item.isString()) {
+                bad.push_back(key);
+                return {};
             }
-            out.strings[key] = std::move(value);
-        } else if (text[i] == '[') {
-            ++i;
-            std::vector<std::string> items;
-            while (true) {
-                skipWs();
-                if (i >= text.size()) {
-                    return Status::error(ErrorCode::CorruptData,
-                                         "spill file: unterminated array "
-                                         "for \"%s\"", key.c_str());
-                }
-                if (text[i] == ']') {
-                    ++i;
-                    break;
-                }
-                if (text[i] != '"') {
-                    return Status::error(
-                        ErrorCode::CorruptData,
-                        "spill file: array \"%s\" holds a non-string",
-                        key.c_str());
-                }
-                std::string item;
-                if (!scanQuoted(text, i, &item)) {
-                    return Status::error(ErrorCode::CorruptData,
-                                         "spill file: unterminated string "
-                                         "in array \"%s\"", key.c_str());
-                }
-                items.push_back(std::move(item));
-            }
-            out.arrays[key] = std::move(items);
-        } else {
-            std::string token;
-            while (i < text.size() && text[i] != ',' &&
-                   text[i] != '\n' && text[i] != '}') {
-                token.push_back(text[i++]);
-            }
-            while (!token.empty() && (token.back() == ' ' ||
-                                      token.back() == '\r')) {
-                token.pop_back();
-            }
-            out.scalars[key] = std::move(token);
+            out.push_back(item.string);
         }
+        return out;
     }
-}
+
+  private:
+    const util::JsonValue *
+    field(const char *key, Type type)
+    {
+        const util::JsonValue *v = doc_.find(key);
+        if (!v)
+            missing.push_back(key);
+        else if (v->type != type)
+            bad.push_back(key);
+        return v && v->type == type ? v : nullptr;
+    }
+
+    const util::JsonValue &doc_;
+};
 
 } // namespace
 
@@ -426,10 +308,15 @@ util::Result<StageMetrics>
 parseStageMetricsJson(const std::string &text,
                       const std::string &expect_key)
 {
-    util::Result<FlatJson> scanned = scanFlatJson(text);
-    if (!scanned.ok())
-        return scanned.status();
-    FlatJson &f = *scanned;
+    util::Result<util::JsonValue> doc = util::parseJson(text);
+    if (!doc.ok())
+        return doc.status();
+    if (!doc->isObject()) {
+        return Status::error(ErrorCode::CorruptData,
+                             "spill file: top level is a %s, not an "
+                             "object", doc->typeName());
+    }
+    SpillReader f(*doc);
 
     if (f.getU("version") != kSpillFormatVersion) {
         return Status::error(ErrorCode::FailedPrecondition,
@@ -548,12 +435,7 @@ parseStageMetricsJson(const std::string &text,
     a.coresUsed = f.getI("analysis.coresUsed");
     a.bwBelowProfileRange = f.getB("analysis.bwBelowProfileRange");
     a.bwAboveProfileRange = f.getB("analysis.bwAboveProfileRange");
-    auto warn = f.arrays.find("analysis.warnings");
-    if (warn == f.arrays.end()) {
-        return Status::error(ErrorCode::CorruptData,
-                             "spill file: missing analysis.warnings");
-    }
-    a.warnings = warn->second;
+    a.warnings = f.getStrings("analysis.warnings");
 
     if (!f.missing.empty()) {
         return Status::error(ErrorCode::CorruptData,

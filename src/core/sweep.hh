@@ -50,8 +50,9 @@ uint64_t hashKernelSpec(const sim::KernelSpec &spec);
 std::string stageMetricsJson(const StageMetrics &m,
                              const std::string &key);
 
-/** Parse the spill format back; CorruptData on any missing or
- *  malformed field, FailedPrecondition on a version/key mismatch
+/** Parse the spill format back (util::parseJson); CorruptData on any
+ *  missing or malformed field (an integer field must hold an exact
+ *  non-negative integer), FailedPrecondition on a version/key mismatch
  *  (@p expect_key empty skips the key check). */
 [[nodiscard]] util::Result<StageMetrics>
 parseStageMetricsJson(const std::string &text,

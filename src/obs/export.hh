@@ -47,9 +47,6 @@ std::string jsonEnvelope(const std::string &command,
                          const std::string &data_json,
                          const std::string &telemetry_json = {});
 
-/** Escape @p s for use inside a JSON string literal (no quotes added). */
-std::string jsonEscape(const std::string &s);
-
 /** Format a double as a JSON number (finite; non-finite becomes null). */
 std::string jsonNumber(double v);
 

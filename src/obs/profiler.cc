@@ -6,9 +6,12 @@
 
 #include "obs/export.hh"
 #include "obs/timer.hh"
+#include "util/json.hh"
 
 namespace lll::obs
 {
+
+using util::jsonEscape;
 
 namespace
 {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/registry.hh"
 #include "obs/timer.hh"
 #include "platforms/platform.hh"
 #include "sim/cache.hh"
@@ -181,8 +182,16 @@ class CacheHitKernel : public KernelInstance
 class SystemStepKernel : public KernelInstance
 {
   public:
-    SystemStepKernel() : sys_(sysParams(), makeSpec())
+    /** @p sampled attaches the telemetry sampler at its default
+     *  cadence, so the delta against the plain kernel is the sampler's
+     *  overhead (budget: < 5%). */
+    explicit SystemStepKernel(bool sampled = false)
+        : registry_(sampled ? std::make_unique<obs::MetricRegistry>()
+                            : nullptr),
+          sys_(sysParams(), makeSpec())
     {
+        if (registry_)
+            sys_.attachObservability(*registry_);
         sys_.run(2.0, 2.0); // warm start
     }
 
@@ -216,6 +225,9 @@ class SystemStepKernel : public KernelInstance
         return platforms::skl().sysParams(4, 1);
     }
 
+    // Declared before sys_: the System freezes its gauges into the
+    // registry when it is destroyed.
+    std::unique_ptr<obs::MetricRegistry> registry_;
     sim::System sys_;
 };
 
@@ -244,6 +256,11 @@ kernels()
          make<CacheHitKernel>},
         {"system_step", "end-to-end system microstep (skl, 4 cores)",
          make<SystemStepKernel>},
+        {"system_step_sampled",
+         "system microstep with the telemetry sampler attached",
+         []() -> std::unique_ptr<KernelInstance> {
+             return std::make_unique<SystemStepKernel>(true);
+         }},
     };
     return registry;
 }

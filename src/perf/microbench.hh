@@ -2,15 +2,16 @@
  * @file
  * Microbenchmark kernels + trial runner behind `lll bench`.
  *
- * The kernels mirror bench/bench_sim_micro.cc — event-queue
- * throughput, MSHR allocate/deallocate, stateless op generation, warm
- * cache hits, and an end-to-end system microstep — so the CLI harness
- * and the google-benchmark binary measure the same hot paths.  Each
- * kernel processes one *batch* per call; the runner times batches with
- * the obs wall clock (timer.hh), folds per-item latency into a
- * Log2Histogram, and reports events/sec per trial with min/median/IQR
- * statistics.  The numbers feed the BENCH_<rev>.json trajectory and
- * the CI perf ratchet (bench_report.hh).
+ * The kernels cover the simulator's hot paths — event-queue
+ * throughput and same-tick dispatch, MSHR allocate/deallocate,
+ * stateless op generation, warm cache hits, and an end-to-end system
+ * microstep, plain and with the telemetry sampler attached (the
+ * sampler's overhead is the difference).  Each kernel processes one
+ * *batch* per call; the runner times batches with the obs wall clock
+ * (timer.hh), folds per-item latency into a Log2Histogram, and reports
+ * events/sec per trial with min/median/IQR statistics.  The numbers
+ * feed the BENCH_<rev>.json trajectory and the CI perf ratchet
+ * (bench_report.hh).
  */
 
 #ifndef LLL_PERF_MICROBENCH_HH

@@ -5,7 +5,7 @@
 #include <map>
 #include <sstream>
 
-#include "obs/export.hh"
+#include "util/json.hh"
 #include "util/names.hh"
 #include "workloads/spec_workload.hh"
 
@@ -228,12 +228,12 @@ std::string
 searchDataJson(const SearchResult &r, bool include_rows)
 {
     std::ostringstream out;
-    out << "{\"platform\": \"" << obs::jsonEscape(r.platform)
-        << "\", \"workload\": \"" << obs::jsonEscape(r.workload)
-        << "\", \"opts\": \"" << obs::jsonEscape(r.optsLabel)
+    out << "{\"platform\": \"" << util::jsonEscape(r.platform)
+        << "\", \"workload\": \"" << util::jsonEscape(r.workload)
+        << "\", \"opts\": \"" << util::jsonEscape(r.optsLabel)
         << "\", \"axes\": [";
     for (size_t i = 0; i < r.axisNames.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << obs::jsonEscape(r.axisNames[i])
+        out << (i ? ", " : "") << "\"" << util::jsonEscape(r.axisNames[i])
             << "\"";
     }
     out << "], \"bank_weight\": " << fmtG17(r.bankWeight)
@@ -245,7 +245,7 @@ searchDataJson(const SearchResult &r, bool include_rows)
     auto emitPoint = [&out, &r](size_t index, bool first) {
         const SearchRow &row = r.rows[index];
         out << (first ? "" : ", ") << "{\"config\": \""
-            << obs::jsonEscape(row.label)
+            << util::jsonEscape(row.label)
             << "\", \"cost\": " << fmtG17(row.cost)
             << ", \"bw_gbs\": " << fmtG17(row.bwGBs)
             << ", \"pct_peak\": " << fmtG17(row.pctPeak)
@@ -261,14 +261,14 @@ searchDataJson(const SearchResult &r, bool include_rows)
         for (size_t i = 0; i < r.rows.size(); ++i) {
             const SearchRow &row = r.rows[i];
             out << (i ? ", " : "") << "{\"config\": \""
-                << obs::jsonEscape(row.label)
+                << util::jsonEscape(row.label)
                 << "\", \"cost\": " << fmtG17(row.cost)
                 << ", \"ceiling_gbs\": " << fmtG17(row.ceilingGBs)
                 << ", \"fate\": \"" << candidateFateName(row.fate)
                 << "\", \"status\": {\"code\": \""
                 << util::errorCodeName(row.status.code())
                 << "\", \"message\": \""
-                << obs::jsonEscape(row.status.message())
+                << util::jsonEscape(row.status.message())
                 << "\"}, \"bw_gbs\": " << fmtG17(row.bwGBs)
                 << ", \"n_avg\": " << fmtG17(row.nAvg)
                 << ", \"on_frontier\": "

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/analyzer.hh"
-#include "obs/export.hh"
 #include "obs/span.hh"
 #include "obs/timer.hh"
 #include "platforms/platform.hh"
@@ -492,11 +491,11 @@ renderRunResponse(const RunResponse &r, bool include_timing)
 {
     std::ostringstream out;
     out << "{\"schema_version\": " << r.schemaVersion
-        << ", \"id\": \"" << obs::jsonEscape(r.id)
+        << ", \"id\": \"" << util::jsonEscape(r.id)
         << "\", \"status\": {\"code\": \""
         << util::errorCodeName(r.status.code())
         << "\", \"exit\": " << util::exitCodeFor(r.status.code())
-        << ", \"message\": \"" << obs::jsonEscape(r.status.message())
+        << ", \"message\": \"" << util::jsonEscape(r.status.message())
         << "\"}, ";
     if (include_timing) {
         const StageTiming &t = r.timing;
@@ -528,9 +527,9 @@ stageDataJson(const core::StageMetrics &m, const std::string &platform,
 {
     const core::Analysis &a = m.analysis;
     std::ostringstream out;
-    out << "{\"platform\": \"" << obs::jsonEscape(platform)
-        << "\", \"workload\": \"" << obs::jsonEscape(workload)
-        << "\", \"opts\": \"" << obs::jsonEscape(opts_label)
+    out << "{\"platform\": \"" << util::jsonEscape(platform)
+        << "\", \"workload\": \"" << util::jsonEscape(workload)
+        << "\", \"opts\": \"" << util::jsonEscape(opts_label)
         << "\", \"throughput\": " << fmtG17(m.throughput)
         << ", \"bw_gbs\": " << fmtG17(a.bwGBs)
         << ", \"pct_peak\": " << fmtG17(a.pctPeak)
@@ -544,7 +543,7 @@ stageDataJson(const core::StageMetrics &m, const std::string &platform,
         << ", \"max_achievable_gbs\": " << fmtG17(a.maxAchievableGBs)
         << ", \"cores_used\": " << a.coresUsed << ", \"warnings\": [";
     for (size_t i = 0; i < a.warnings.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << obs::jsonEscape(a.warnings[i])
+        out << (i ? ", " : "") << "\"" << util::jsonEscape(a.warnings[i])
             << "\"";
     }
     out << "]}";

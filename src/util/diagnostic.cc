@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace lll::util
@@ -123,45 +124,6 @@ DiagnosticList::renderText() const
     }
     return out;
 }
-
-namespace
-{
-
-/** Minimal JSON string escape (the exporters in obs/ have their own;
- *  diagnostics must stay usable without the obs library). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 DiagnosticList::renderJson(int indent) const

@@ -1,13 +1,15 @@
 /**
  * @file
- * A minimal JSON document parser for request-shaped input.
+ * A minimal JSON document parser for request-shaped input, and the one
+ * string escape every JSON emitter uses.
  *
- * The repo deliberately carries no third-party JSON dependency; the
- * exporters (obs/export.hh) only ever *emit* JSON and the result-cache
- * spill format is flat by construction.  The run service, however,
- * accepts nested request objects (`lll serve` JSON-lines), so this
- * header adds the read side: a small recursive-descent parser into a
- * JsonValue tree plus typed accessors with field-level error reporting.
+ * The repo deliberately carries no third-party JSON dependency.  The
+ * run service accepts nested request objects (`lll serve` JSON-lines)
+ * and the result cache reads back its spill files, so this header adds
+ * the read side: a small recursive-descent parser into a JsonValue
+ * tree plus typed accessors with field-level error reporting.
+ * jsonEscape() is its write-side twin: whatever it escapes, parseJson()
+ * reads back unchanged.
  *
  * Scope is deliberately narrow — UTF-8 pass-through, doubles for all
  * numbers, objects keep insertion order — enough for the versioned
@@ -76,6 +78,13 @@ class JsonValue
     [[nodiscard]] util::Result<bool> getBoolOr(const std::string &key,
                                  bool fallback) const;
 };
+
+/**
+ * Escape @p s for use inside a JSON string literal (no quotes added):
+ * `"`, `\\`, `\n`, `\r` and `\t` get their short escapes, every other
+ * control byte becomes `\u00XX`, and all other bytes pass through.
+ */
+std::string jsonEscape(const std::string &s);
 
 /**
  * Resource bounds enforced while parsing.  A hostile document — one

@@ -62,11 +62,11 @@ Table::render() const
     if (!caption_.empty())
         out << caption_ << "\n";
     out << rule() << line(header_) << rule();
-    for (const auto &row : rows_) {
-        if (row.empty())
+    for (size_t r = 0; r < rows_.size(); ++r) {
+        if (!rows_[r].empty())
+            out << line(rows_[r]);
+        else if (r + 1 < rows_.size()) // the closing rule ends the table
             out << rule();
-        else
-            out << line(row);
     }
     out << rule();
     return out.str();

@@ -1,7 +1,7 @@
 /**
  * @file
- * Minimal ASCII table renderer used by the bench harnesses to print
- * paper-style tables (Tables I, III–IX of the paper).
+ * Minimal ASCII table renderer used by the CLI and the bench harnesses
+ * to print paper-style tables (Tables I, III–IX of the paper).
  */
 
 #ifndef LLL_UTIL_TABLE_HH
@@ -31,7 +31,8 @@ class Table
     /** Append a data row; must have the same arity as the header. */
     void addRow(std::vector<std::string> row);
 
-    /** Append a horizontal separator between row groups. */
+    /** Append a horizontal separator between row groups (a trailing
+     *  one merges into the closing rule). */
     void addSeparator();
 
     /** Optional caption printed above the table. */

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/experiment.hh"
 #include "test_common.hh"
 #include "workloads/workload.hh"
@@ -71,10 +75,45 @@ TEST_F(ExperimentTest, PaperTableMatchesRows)
         EXPECT_EQ(rows[i].source, expected[i].source.label());
         EXPECT_EQ(rows[i].optLabel, expected[i].optLabel);
         EXPECT_DOUBLE_EQ(rows[i].paperSpeedup, expected[i].paperSpeedup);
-        if (expected[i].applied)
+        if (expected[i].applied) {
             EXPECT_GT(rows[i].speedup, 0.0);
-        else
+        } else {
             EXPECT_DOUBLE_EQ(rows[i].speedup, 0.0);
+            EXPECT_FALSE(rows[i].recipeRecommended);
+        }
+    }
+}
+
+TEST(PaperTableRecipe, IsxVerdictsArePinned)
+{
+    // The full Table IV walk (all cores, the workload's own windows,
+    // the committed X-Mem profiles): which tried optimizations the
+    // recipe recommended.  The recipe steers away from vectorization
+    // and SMT while the L1 MSHRs are full, and toward the L2 software
+    // prefetch that moves misses into the larger L2 queue.
+    using Verdicts = std::vector<std::pair<std::string, bool>>;
+    const std::vector<std::pair<std::string, Verdicts>> expected = {
+        {"skl", {{"Vect", false}, {"2-way HT", false}}},
+        {"knl",
+         {{"Vect", false}, {"2-way HT", false}, {"4-way HT", false},
+          {"L2 Pref", true}}},
+        {"a64fx", {{"L2 Pref", true}}},
+    };
+    workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
+    for (const auto &[name, verdicts] : expected) {
+        platforms::Platform p = platforms::findPlatform(name).take();
+        util::Result<xmem::LatencyProfile> profile =
+            xmem::LatencyProfile::load(std::string(LLL_REPO_ROOT) +
+                                       "/data/profiles/" + name +
+                                       ".profile");
+        ASSERT_TRUE(profile.ok()) << profile.status().toString();
+        Experiment exp(p, *isx, profile.take());
+        Verdicts got;
+        for (const TableRow &row : exp.paperTable()) {
+            if (row.speedup > 0.0)
+                got.emplace_back(row.optLabel, row.recipeRecommended);
+        }
+        EXPECT_EQ(got, verdicts) << name;
     }
 }
 

@@ -75,12 +75,6 @@ populatedRegistry()
 
 } // namespace
 
-TEST(JsonEscape, HandlesSpecials)
-{
-    EXPECT_EQ(obs::jsonEscape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
-    EXPECT_EQ(obs::jsonEscape("plain"), "plain");
-}
-
 TEST(JsonNumber, NonFiniteBecomesNull)
 {
     EXPECT_EQ(obs::jsonNumber(1.5), "1.5");

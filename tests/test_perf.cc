@@ -59,13 +59,14 @@ readFile(const std::string &path)
 TEST(Microbench, RegistryHasTheSimMicroKernels)
 {
     const std::vector<perf::KernelInfo> &ks = perf::kernels();
-    ASSERT_EQ(ks.size(), 6u);
+    ASSERT_EQ(ks.size(), 7u);
     EXPECT_EQ(ks[0].name, "event_queue");
     EXPECT_EQ(ks[1].name, "event_dispatch");
     EXPECT_EQ(ks[2].name, "mshr");
     EXPECT_EQ(ks[3].name, "op_stream");
     EXPECT_EQ(ks[4].name, "cache_hit");
     EXPECT_EQ(ks[5].name, "system_step");
+    EXPECT_EQ(ks[6].name, "system_step_sampled");
     EXPECT_NE(perf::findKernel("mshr"), nullptr);
     EXPECT_EQ(perf::findKernel("nope"), nullptr);
 }

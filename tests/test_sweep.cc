@@ -146,7 +146,10 @@ distinctiveMetrics()
     m.analysis.activeStreams = 3;
     m.analysis.activeStreamsKnown = true;
     m.analysis.coresUsed = 6;
-    m.analysis.warnings = {"first warning", "second \"quoted\" one"};
+    // The last warning holds every byte class the escape must carry
+    // through a spill file: quote, backslash, \r and a raw control byte.
+    m.analysis.warnings = {"first warning", "second \"quoted\" one",
+                           "a \"q\" \\ b\r\x01 end"};
     return m;
 }
 
@@ -317,6 +320,65 @@ TEST(ResultCache, SpillJsonRejectsMismatchAndCorruption)
         parseStageMetricsJson("not json at all", "key-1");
     ASSERT_FALSE(garbage.ok());
     EXPECT_EQ(garbage.status().code(), util::ErrorCode::CorruptData);
+}
+
+/** @p text with the value of top-level field @p field replaced. */
+std::string
+withField(std::string text, const std::string &field,
+          const std::string &value)
+{
+    const std::string tag = "\"" + field + "\": ";
+    const size_t at = text.find(tag);
+    EXPECT_NE(at, std::string::npos) << field;
+    const size_t from = at + tag.size();
+    text.replace(from, text.find(",\n", from) - from, value);
+    return text;
+}
+
+TEST(ResultCache, SpillJsonRejectsMalformedFields)
+{
+    const std::string text =
+        stageMetricsJson(distinctiveMetrics(), "key-1");
+    ASSERT_TRUE(parseStageMetricsJson(text, "key-1").ok());
+
+    // An integer field must hold an exact non-negative integer.
+    for (const char *v : {"1.5", "-3", "1e30", "\"42\""}) {
+        util::Result<StageMetrics> r = parseStageMetricsJson(
+            withField(text, "run.opsIssued", v), "key-1");
+        ASSERT_FALSE(r.ok()) << v;
+        EXPECT_EQ(r.status().code(), util::ErrorCode::CorruptData) << v;
+        EXPECT_NE(r.status().message().find("run.opsIssued"),
+                  std::string::npos) << r.status().toString();
+    }
+    EXPECT_TRUE(parseStageMetricsJson(
+                    withField(text, "run.opsIssued", "7e2"), "key-1")
+                    .ok());
+
+    // Wrong types are malformed; a dropped field is missing.
+    for (const auto &[field, v] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"throughput", "\"fast\""},
+             {"profile.demandFractionKnown", "1"},
+             {"label", "3"}}) {
+        util::Result<StageMetrics> r =
+            parseStageMetricsJson(withField(text, field, v), "key-1");
+        ASSERT_FALSE(r.ok()) << field;
+        EXPECT_EQ(r.status().code(), util::ErrorCode::CorruptData);
+    }
+    std::string dropped = text;
+    const size_t at = dropped.find("  \"run.readGBs\"");
+    dropped.erase(at, dropped.find('\n', at) + 1 - at);
+    util::Result<StageMetrics> missing =
+        parseStageMetricsJson(dropped, "key-1");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), util::ErrorCode::CorruptData);
+    EXPECT_NE(missing.status().message().find("missing field"),
+              std::string::npos);
+
+    util::Result<StageMetrics> not_object =
+        parseStageMetricsJson("[1, 2]", "key-1");
+    ASSERT_FALSE(not_object.ok());
+    EXPECT_EQ(not_object.status().code(), util::ErrorCode::CorruptData);
 }
 
 TEST(ResultCache, DiskSpillServesAFreshCache)

@@ -356,6 +356,24 @@ TEST(TableTest, SeparatorAddsRule)
     EXPECT_EQ(rules, 4u);
 }
 
+TEST(TableTest, TrailingSeparatorMergesIntoClosingRule)
+{
+    // Group-per-platform tables end every group with a separator; the
+    // last one must not print a second closing rule.
+    Table t({"c"});
+    t.addRow({"1"});
+    t.addSeparator();
+    t.addRow({"2"});
+    t.addSeparator();
+    EXPECT_EQ(t.render(), "+---+\n"
+                          "| c |\n"
+                          "+---+\n"
+                          "| 1 |\n"
+                          "+---+\n"
+                          "| 2 |\n"
+                          "+---+\n");
+}
+
 TEST(TableDeathTest, WrongArityPanics)
 {
     Table t({"a", "b"});
@@ -613,6 +631,24 @@ TEST(JsonParseTest, TypedAccessorsNameTheOffendingField)
     EXPECT_EQ(*fallback, "dflt");
     util::Result<bool> mismatch = doc->getBoolOr("n", false);
     EXPECT_FALSE(mismatch.ok());
+}
+
+TEST(JsonEscape, HandlesSpecials)
+{
+    EXPECT_EQ(util::jsonEscape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
+    EXPECT_EQ(util::jsonEscape("plain"), "plain");
+    EXPECT_EQ(util::jsonEscape("\r\x01"), "\\r\\u0001");
+}
+
+TEST(JsonEscape, ParserReadsEveryByteBack)
+{
+    std::string all;
+    for (int c = 1; c < 256; ++c)
+        all.push_back(static_cast<char>(c));
+    util::Result<util::JsonValue> doc =
+        util::parseJson("\"" + util::jsonEscape(all) + "\"");
+    ASSERT_TRUE(doc.ok()) << doc.status().toString();
+    EXPECT_EQ(doc->string, all);
 }
 
 } // namespace

@@ -65,6 +65,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -89,6 +90,7 @@
 #include "search/search.hh"
 #include "util/argparse.hh"
 #include "util/diagnostic.hh"
+#include "util/json.hh"
 #include "util/names.hh"
 #include "util/status.hh"
 
@@ -237,15 +239,21 @@ cmdPlatforms(int argc, char **argv)
     Status extra = ap.finish();
     if (!extra.ok())
         return failWith(extra);
-    Table t({"id", "description", "cores", "peak BW", "L1/L2 MSHRs",
-             "line", "SMT"});
+    Table t({"id", "Platform", "# Cores @ Rate", "Peak BW",
+             "L1 MSHRs/core", "L2 MSHRs/core", "Line", "SMT", "Peak DP"});
+    t.setCaption("Table III — Platforms used in experiments");
     for (const platforms::Platform &p : platforms::allPlatforms()) {
-        t.addRow({p.name, p.description, std::to_string(p.totalCores),
+        // The paper gives A64FX's L2 MSHR count as approximate.
+        std::string l2 = p.name == "a64fx" ? "~" : "";
+        l2 += std::to_string(p.l2Mshrs);
+        t.addRow({p.name, p.description,
+                  std::to_string(p.totalCores) + " @ " +
+                      fmtDouble(p.freqGHz, 1) + "GHz",
                   fmtDouble(p.peakGBs, 0) + " GB/s",
-                  std::to_string(p.l1Mshrs) + "/" +
-                      std::to_string(p.l2Mshrs),
+                  std::to_string(p.l1Mshrs), l2,
                   std::to_string(p.lineBytes) + "B",
-                  std::to_string(p.maxSmtWays) + "-way"});
+                  std::to_string(p.maxSmtWays) + "-way",
+                  fmtDouble(p.peakGFlops / 1000.0, 2) + " TF"});
     }
     std::fputs(t.render().c_str(), stdout);
     return 0;
@@ -283,8 +291,10 @@ cmdVendors(int argc, char **argv)
     Status extra = ap.finish();
     if (!extra.ok())
         return failWith(extra);
-    Table t({"vendor", "stall breakdown", "L1-MSHRQ-full",
-             "L2-MSHRQ-full", "mem latency", "mem traffic"});
+    Table t({"Processor", "Breakdown of stalls", "L1-MSHRQ-full stalls",
+             "L2-MSHRQ-full stalls", "Memory latency", "Memory traffic"});
+    t.setCaption("Table I — Visibility into events across vendors "
+                 "(memory-traffic column added: the portable subset)");
     for (const counters::VendorSummary &v :
          counters::vendorSummaries()) {
         t.addRow({platforms::vendorName(v.vendor),
@@ -667,16 +677,17 @@ parseSweepFlags(ArgParser &ap)
     return sp;
 }
 
-/** Append one unit's paper rows to @p t (no trailing separator). */
-void
-addUnitRows(Table &t, const core::SweepRunner::UnitResult &u,
-            bool lead_with_workload)
+/** One unit's rows as paper-table cells: Proc, Source, BW_obs,
+ *  lat_avg, n_avg, "Opt: measured" and the paper's speedup. */
+std::vector<std::vector<std::string>>
+unitRowCells(const core::SweepRunner::UnitResult &u)
 {
     double peak = 0.0;
     util::Result<platforms::Platform> p =
         platforms::findPlatform(u.platform);
     if (p.ok())
         peak = p->peakGBs;
+    std::vector<std::vector<std::string>> cells;
     for (const core::TableRow &row : u.rows) {
         std::string opt = row.optLabel;
         std::string paper = "-";
@@ -685,15 +696,48 @@ addUnitRows(Table &t, const core::SweepRunner::UnitResult &u,
             if (row.paperSpeedup > 0.0)
                 paper = fmtSpeedup(row.paperSpeedup);
         }
-        std::vector<std::string> cells;
-        if (lead_with_workload)
-            cells.push_back(u.workload);
-        cells.insert(cells.end(),
-                     {u.platform, row.source, fmtBwPct(row.bwGBs, peak),
-                      fmtDouble(row.latencyNs, 0),
-                      fmtDouble(row.nAvg, 2), opt, paper});
-        t.addRow(cells);
+        cells.push_back({u.platform, row.source,
+                         fmtBwPct(row.bwGBs, peak),
+                         fmtDouble(row.latencyNs, 0),
+                         fmtDouble(row.nAvg, 2), opt, paper});
     }
+    return cells;
+}
+
+/**
+ * Print one paper table (Tables IV-IX) from one workload's units: the
+ * rows of every platform with the recipe's verdict on each tried
+ * optimization, then how often that verdict matched the outcome
+ * (recommended and helped, or not recommended and did not help) --
+ * the paper's core claim.
+ */
+void
+printPaperTable(std::span<const core::SweepRunner::UnitResult> units)
+{
+    Table t({"Proc", "Source", "BW_obs (GB/s)", "lat_avg (ns)", "n_avg",
+             "Opt: measured", "paper", "recipe"});
+    int agree = 0, total = 0;
+    for (const core::SweepRunner::UnitResult &u : units) {
+        std::vector<std::vector<std::string>> cells = unitRowCells(u);
+        for (size_t i = 0; i < cells.size(); ++i) {
+            const core::TableRow &row = u.rows[i];
+            std::string recipe = "-";
+            if (row.speedup > 0.0) {
+                recipe = row.recipeRecommended ? "rec" : "not-rec";
+                ++total;
+                if (row.recipeRecommended ==
+                    (row.speedup >= core::kHelpedSpeedup))
+                    ++agree;
+            }
+            cells[i].push_back(recipe);
+            t.addRow(std::move(cells[i]));
+        }
+        t.addSeparator();
+    }
+    std::fputs(t.render().c_str(), stdout);
+    std::printf("recipe/outcome agreement: %d of %d tried "
+                "optimizations (recommended<->helped)\n",
+                agree, total);
 }
 
 /** The ResultCache counters as a JSON object (shared by sweep/serve). */
@@ -716,8 +760,8 @@ cmdTable(int argc, char **argv)
     if (!sp.ok())
         return failWith(sp.status());
     if (helpOut(ap, "table <workload> [flags]",
-                "One workload's paper-table rows across every "
-                "platform."))
+                "One workload's paper table: its rows on every platform "
+                "with the recipe's verdicts."))
         return 0;
     if (ap.rest().empty())
         return usage();
@@ -740,13 +784,7 @@ cmdTable(int argc, char **argv)
     if (!res.ok())
         return failWith(res.status());
 
-    Table t({"Proc", "Source", "BW_obs (GB/s)", "lat_avg (ns)", "n_avg",
-             "Opt: measured", "paper"});
-    for (const core::SweepRunner::UnitResult &u : *res) {
-        addUnitRows(t, u, false);
-        t.addSeparator();
-    }
-    std::fputs(t.render().c_str(), stdout);
+    printPaperTable(*res);
     return 0;
 }
 
@@ -791,7 +829,10 @@ cmdSweep(int argc, char **argv)
         if (!last_workload.empty() && u.workload != last_workload)
             t.addSeparator();
         last_workload = u.workload;
-        addUnitRows(t, u, true);
+        for (std::vector<std::string> &cells : unitRowCells(u)) {
+            cells.insert(cells.begin(), u.workload);
+            t.addRow(std::move(cells));
+        }
         rows += u.rows.size();
     }
     std::fputs(t.render().c_str(), rep);
@@ -871,17 +912,15 @@ cmdReproduce(int argc, char **argv)
 
     // sweepUnits() is workload-major, so each paper table's units are a
     // contiguous run of the result vector.
+    const std::span<const core::SweepRunner::UnitResult> all(*res);
     size_t i = 0;
     for (const workloads::WorkloadPtr &w : wls) {
         std::printf("== %s: %s ==\n", w->name().c_str(),
                     w->routine().c_str());
-        Table t({"Proc", "Source", "BW_obs (GB/s)", "lat_avg (ns)",
-                 "n_avg", "Opt: measured", "paper"});
-        for (; i < res->size() && (*res)[i].workload == w->name(); ++i) {
-            addUnitRows(t, (*res)[i], false);
-            t.addSeparator();
-        }
-        std::fputs(t.render().c_str(), stdout);
+        const size_t first = i;
+        while (i < all.size() && all[i].workload == w->name())
+            ++i;
+        printPaperTable(all.subspan(first, i - first));
         std::printf("\n");
     }
     return 0;
@@ -2286,7 +2325,7 @@ cmdProfile(int argc, char **argv)
 
     if (!out.empty()) {
         std::ostringstream data;
-        data << "{\n  \"profiled_command\": \"" << obs::jsonEscape(inner)
+        data << "{\n  \"profiled_command\": \"" << util::jsonEscape(inner)
              << "\",\n  \"inner_exit\": " << inner_exit
              << ",\n  \"profile\": "
              << obs::Profiler::renderJson(report, top) << "\n}";
