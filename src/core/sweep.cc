@@ -8,7 +8,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/executor.hh"
+#include "obs/executor.hh"
 #include "obs/timer.hh"
 #include "util/json.hh"
 #include "xmem/xmem_harness.hh"
@@ -739,13 +739,19 @@ using ProfileMap =
 /**
  * Each distinct platform's latency profile, or the error that kept it
  * from loading, fetched through the profile store once per platform in
- * unit order, on the calling thread before any task starts.  With
- * @p stop_at_error the walk ends at the first platform that fails.
+ * unit order before the unit fan-out starts.  A profile that must be
+ * characterized first fans its operating points out over @p jobs
+ * workers (the caller plus helpers), so no more than @p jobs threads
+ * ever run.  With @p stop_at_error the walk ends at the first platform
+ * that fails.
  */
 template <typename Unit>
 ProfileMap
-loadProfiles(const std::vector<Unit> &units, bool stop_at_error)
+loadProfiles(const std::vector<Unit> &units, int jobs, bool stop_at_error)
 {
+    xmem::XMemHarness::Params hp;
+    hp.jobs = jobs;
+    const xmem::XMemHarness harness(hp);
     ProfileMap profiles;
     for (const Unit &u : units) {
         if (profiles.count(u.platform.name))
@@ -753,7 +759,7 @@ loadProfiles(const std::vector<Unit> &units, bool stop_at_error)
         const auto it =
             profiles
                 .emplace(u.platform.name,
-                         xmem::XMemHarness().measureCachedChecked(
+                         harness.measureCachedChecked(
                              u.platform,
                              xmem::defaultProfilePath(u.platform)))
                 .first;
@@ -786,7 +792,7 @@ experimentParams(const SweepRunner::Params &rp, double warmup_us,
 util::Result<std::vector<SweepRunner::UnitResult>>
 SweepRunner::run(const std::vector<SweepUnit> &units)
 {
-    const ProfileMap profiles = loadProfiles(units, true);
+    const ProfileMap profiles = loadProfiles(units, params_.jobs, true);
     for (const SweepUnit &u : units) {
         const util::Result<xmem::LatencyProfile> &prof =
             profiles.at(u.platform.name);
@@ -801,7 +807,7 @@ SweepRunner::run(const std::vector<SweepUnit> &units)
     std::vector<Status> statuses(n);
     std::vector<obs::MetricRegistry> registries(
         params_.registry ? n : 0);
-    Executor(params_.jobs).run(n, [&](size_t i) {
+    obs::Executor(params_.jobs).run(n, [&](size_t i) {
         const SweepUnit &u = units[i];
         UnitResult &res = results[i];
         res.platform = u.platform.name;
@@ -841,10 +847,10 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
 
     // A platform whose profile cannot be loaded fails *its* units, not
     // the batch: the service contract is one status per request.
-    const ProfileMap profiles = loadProfiles(units, false);
+    const ProfileMap profiles = loadProfiles(units, params_.jobs, false);
     std::vector<obs::MetricRegistry> registries(
         params_.registry ? n : 0);
-    const Executor executor(params_.jobs);
+    const obs::Executor executor(params_.jobs);
 
     // Per-unit host timing: queue wait is measured from the fan-out
     // start so the service can attribute end-to-end request latency.

@@ -4,7 +4,7 @@
  * `lll sweep` / `lll table` / `lll reproduce` (DESIGN.md §11).
  *
  * A sweep fans platform x workload experiment *units* out through the
- * core::Executor: the calling thread plus `jobs - 1` helpers.  Units
+ * obs::Executor: the calling thread plus `jobs - 1` helpers.  Units
  * share nothing mutable: each builds its own Experiment (own System,
  * event queue, RNG state) and, when the caller wants telemetry, records
  * into a private MetricRegistry and a task-private SpanTracker.  After
@@ -161,7 +161,7 @@ struct SweepUnit
 };
 
 /**
- * Experiment fan-out over the core::Executor with deterministic merge.
+ * Experiment fan-out over the obs::Executor with deterministic merge.
  */
 class SweepRunner
 {
@@ -169,8 +169,9 @@ class SweepRunner
     struct Params
     {
         /** Threads working on the units, the caller included
-         *  (clamped to [1, #units]).  Results and merged telemetry are
-         *  identical for every value. */
+         *  (clamped to [1, #units]), and on the operating points of a
+         *  profile that must be characterized first.  Results and
+         *  merged telemetry are identical for every value. */
         int jobs = 1;
 
         /** Forwarded to each unit's Experiment. */

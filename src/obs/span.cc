@@ -39,9 +39,12 @@ SpanTracker::stats() const
 void
 SpanTracker::merge(const std::vector<Stat> &stats)
 {
+    const std::string prefix =
+        stack_.empty() ? std::string() : stack_.back().path + "/";
+    const unsigned open = static_cast<unsigned>(stack_.size());
     for (const Stat &s : stats) {
-        Agg &agg = agg_[s.path];
-        agg.depth = s.depth;
+        Agg &agg = agg_[prefix + s.path];
+        agg.depth = open + s.depth;
         agg.count += s.count;
         agg.wallNs += s.wallNs;
     }

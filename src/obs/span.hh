@@ -18,8 +18,9 @@
  * executor threads without any locking.  Each executor task records
  * into a task-private tracker (SpanTracker::Redirect), and the
  * executor merge()s the per-task stats into the calling thread's
- * tracker after join, in deterministic task order (the
- * merge-after-join contract, DESIGN.md §11).
+ * tracker after join, under the span that was open around the fan-out,
+ * in deterministic task order (the merge-after-join contract,
+ * DESIGN.md §11).
  */
 
 #ifndef LLL_OBS_SPAN_HH
@@ -63,8 +64,9 @@ class SpanTracker
 
     /**
      * Fold per-path aggregates (a worker tracker's stats()) into this
-     * tracker: counts and wall time add, paths union.  The sweep runner
-     * calls this on the main thread after joining its workers.
+     * tracker, nested under the innermost open span (at the root when
+     * none is open): counts and wall time add, paths union.  The
+     * Executor calls this on the caller after joining its workers.
      */
     void merge(const std::vector<Stat> &stats);
 

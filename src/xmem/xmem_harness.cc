@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "obs/executor.hh"
 #include "obs/span.hh"
 #include "sim/system.hh"
 #include "util/stats.hh"
@@ -24,69 +25,91 @@ cachePathNs(const sim::SystemParams &sp)
     return ticksToNs(path);
 }
 
+/** One load level of the sweep. */
+struct OperatingPoint
+{
+    unsigned window;    //!< per-thread requests in flight
+    double delayCycles; //!< compute gap between requests
+    bool streaming;     //!< sequential streams, else random accesses
+};
+
+/** The sweep's operating points, low load first. */
+std::vector<OperatingPoint>
+operatingPoints(const XMemHarness::Params &p)
+{
+    std::vector<OperatingPoint> ops;
+    // Low-bandwidth points: two in-flight random requests per thread
+    // with decreasing think time.
+    for (double d : p.delays)
+        ops.push_back({2, d, false});
+    // Ramp random-access concurrency toward the L1-MSHR ceiling.
+    for (unsigned w : p.windows)
+        ops.push_back({w, 4.0, false});
+    // Streaming load pushes the sweep to peak achievable bandwidth;
+    // throttled streaming points fill in the knee of the curve.
+    for (double d : {48.0, 32.0, 24.0, 16.0, 12.0, 8.0, 6.0})
+        ops.push_back({8, d, true});
+    for (unsigned w : p.windows) {
+        if (w >= 4)
+            ops.push_back({w, 2.0, true});
+    }
+    return ops;
+}
+
+/** The load generator's kernel at operating point @p op. */
+sim::KernelSpec
+loadSpec(const platforms::Platform &platform, const OperatingPoint &op)
+{
+    sim::KernelSpec spec;
+    spec.name = "xmem-load";
+    if (op.streaming) {
+        // High-load points: forward sequential readers, the load
+        // pattern X-Mem's bandwidth threads use.  The hardware
+        // prefetcher engages, which is the only way past the L1-MSHR
+        // bandwidth ceiling on every platform.
+        for (int i = 0; i < 4; ++i) {
+            sim::StreamDesc s;
+            s.kind = sim::StreamDesc::Kind::Sequential;
+            s.footprintLines = (1ULL << 20) * 64 / platform.lineBytes;
+            s.weight = 1.0;
+            spec.streams.push_back(s);
+        }
+    } else {
+        // Low-load points: random accesses over a buffer larger than
+        // any cache (X-Mem's pointer chase), prefetcher untrained.
+        sim::StreamDesc s;
+        s.kind = sim::StreamDesc::Kind::Random;
+        s.footprintLines = (1ULL << 21) * 64 / platform.lineBytes;
+        s.weight = 1.0;
+        spec.streams.push_back(s);
+    }
+    spec.window = op.window;
+    spec.computeCyclesPerOp = op.delayCycles;
+    return spec;
+}
+
 } // namespace
 
 LatencyProfile
 XMemHarness::measure(const platforms::Platform &platform) const
 {
     obs::ScopedSpan span("xmem.characterize[" + platform.name + "]");
-    std::vector<LatencyProfile::Point> points;
+    const std::vector<OperatingPoint> ops = operatingPoints(params_);
     const double path_ns = cachePathNs(platform.proto);
 
-    auto run_point = [&](unsigned window, double delay_cycles,
-                         bool streaming) {
-        sim::KernelSpec spec;
-        spec.name = "xmem-load";
-        if (streaming) {
-            // High-load points: forward sequential readers, the load
-            // pattern X-Mem's bandwidth threads use.  The hardware
-            // prefetcher engages, which is the only way past the
-            // L1-MSHR bandwidth ceiling on every platform.
-            for (int i = 0; i < 4; ++i) {
-                sim::StreamDesc s;
-                s.kind = sim::StreamDesc::Kind::Sequential;
-                s.footprintLines = (1ULL << 20) * 64 / platform.lineBytes;
-                s.weight = 1.0;
-                spec.streams.push_back(s);
-            }
-        } else {
-            // Low-load points: random accesses over a buffer larger than
-            // any cache (X-Mem's pointer chase), prefetcher untrained.
-            sim::StreamDesc s;
-            s.kind = sim::StreamDesc::Kind::Random;
-            s.footprintLines = (1ULL << 21) * 64 / platform.lineBytes;
-            s.weight = 1.0;
-            spec.streams.push_back(s);
-        }
-        spec.window = window;
-        spec.computeCyclesPerOp = delay_cycles;
-
+    // Every point builds its own System from a fixed seed and shares
+    // nothing, so point i lands in slot i identically at any jobs.
+    std::vector<LatencyProfile::Point> points(ops.size());
+    obs::Executor(params_.jobs).run(ops.size(), [&](size_t i) {
+        const OperatingPoint &op = ops[i];
         sim::SystemParams sp = platform.sysParams(platform.totalCores, 1);
         sp.seed = params_.seed;
-        sim::System sys(sp, spec);
-        sim::RunResult r = sys.run(params_.warmupUs, params_.measureUs);
-
-        LatencyProfile::Point pt;
-        pt.bwGBs = r.totalGBs;
-        pt.latencyNs = path_ns + r.avgMemLatencyNs;
-        points.push_back(pt);
-    };
-
-    // Low-bandwidth points: a single in-flight request per core with
-    // decreasing think time.
-    for (double d : params_.delays)
-        run_point(2, d, false);
-    // Ramp random-access concurrency toward the L1-MSHR ceiling.
-    for (unsigned w : params_.windows)
-        run_point(w, 4.0, false);
-    // Streaming load pushes the sweep to peak achievable bandwidth;
-    // throttled streaming points fill in the knee of the curve.
-    for (double d : {48.0, 32.0, 24.0, 16.0, 12.0, 8.0, 6.0})
-        run_point(8, d, true);
-    for (unsigned w : params_.windows) {
-        if (w >= 4)
-            run_point(w, 2.0, true);
-    }
+        sim::System sys(sp, loadSpec(platform, op));
+        const sim::RunResult r =
+            sys.run(params_.warmupUs, params_.measureUs);
+        points[i].bwGBs = r.totalGBs;
+        points[i].latencyNs = path_ns + r.avgMemLatencyNs;
+    });
 
     return LatencyProfile(platform.name, platform.peakGBs,
                           std::move(points));

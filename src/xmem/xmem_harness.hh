@@ -38,11 +38,16 @@ class XMemHarness
         /** Per-thread concurrency levels to sweep. */
         std::vector<unsigned> windows = {1, 2, 3, 4, 6, 8, 10, 12};
 
-        /** Inter-request compute delays (cycles) to sweep at the highest
-         *  window, to fill in low-bandwidth points. */
+        /** Inter-request compute delays (cycles) swept with random
+         *  accesses at window 2, to fill in low-bandwidth points. */
         std::vector<double> delays = {512, 128, 48, 16};
 
         uint64_t seed = 12345;
+
+        /** Threads that run the operating points, the caller included
+         *  (obs::Executor); 1 runs them all on the caller.  The profile
+         *  is identical for every value. */
+        int jobs = 1;
     };
 
     XMemHarness() : params_(Params()) {}
@@ -51,9 +56,14 @@ class XMemHarness
     /**
      * Measure the bandwidth→latency profile of @p platform.
      *
-     * Load generators issue uniform-random line accesses (so the hardware
-     * prefetcher stays untrained and every access pays the full memory
-     * path, like X-Mem's pointer chase).
+     * Each operating point is an independent System run from the same
+     * seed.  The low-load points issue uniform-random line accesses (the
+     * hardware prefetcher stays untrained and every access pays the full
+     * memory path, like X-Mem's pointer chase); the high-load points
+     * (12 of the default 24) are sequential streams that train the
+     * prefetcher, like X-Mem's bandwidth threads.  The points fan out
+     * over Params::jobs workers; point i is always the profile's i-th,
+     * so the profile does not depend on jobs.
      */
     LatencyProfile measure(const platforms::Platform &platform) const;
 

@@ -36,7 +36,7 @@ endfunction()
 expect_help(platforms)
 expect_help(workloads)
 expect_help(vendors)
-expect_help(characterize --fresh)
+expect_help(characterize --fresh --jobs)
 expect_help(analyze --cores --json --metrics)
 expect_help(trace --cores --json --metrics)
 expect_help(walk)

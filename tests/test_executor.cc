@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the one execution engine (DESIGN.md §11): the
- * core::Executor fork-join — the caller runs the tasks itself at
+ * obs::Executor fork-join — the caller runs the tasks itself at
  * jobs 1, spans stay task-private and merge in task order, a parallel
  * fan-out matches a serial one byte for byte — and the
  * xmem::ProfileStore behind every profile load: warm lookups open no
@@ -22,8 +22,8 @@
 #include <unistd.h>
 #include <vector>
 
-#include "core/executor.hh"
 #include "core/sweep.hh"
+#include "obs/executor.hh"
 #include "obs/export.hh"
 #include "obs/span.hh"
 #include "test_common.hh"
@@ -36,8 +36,8 @@ namespace lll
 namespace
 {
 
-using core::Executor;
 using core::SweepRunner;
+using obs::Executor;
 using xmem::LatencyProfile;
 using xmem::ProfileStore;
 
@@ -112,12 +112,13 @@ TEST(Executor, InlineTasksKeepTheCallersSpansApart)
         EXPECT_EQ(caller.depth(), 1u);
     }
     EXPECT_EQ(caller.depth(), 0u);
-    // Task spans merge at the root after join, as a helper thread's
-    // would; the caller's own spans are all still there.
+    // Task spans merge after join under the span that was open around
+    // the fan-out, as a helper thread's would; the caller's own spans
+    // are all still there.
     EXPECT_EQ(spanShape(caller.stats()),
               (std::vector<std::string>{"before depth=1 count=1",
                                         "outer depth=1 count=1",
-                                        "task depth=1 count=3"}));
+                                        "outer/task depth=2 count=3"}));
     caller.reset();
 }
 
@@ -155,8 +156,8 @@ TEST(Executor, NestedFanOutsComplete)
         });
         EXPECT_EQ(leaves.load(), 12);
         EXPECT_EQ(spanShape(obs::SpanTracker::global().stats()),
-                  (std::vector<std::string>{"leaf depth=1 count=12",
-                                            "outer depth=1 count=3"}));
+                  (std::vector<std::string>{"outer depth=1 count=3",
+                                            "outer/leaf depth=2 count=12"}));
         obs::SpanTracker::global().reset();
     }
 }
@@ -315,15 +316,17 @@ TEST_F(StageFanOut, UnreadableProfileFailsEveryUnitOfItsPlatform)
 
 // ----------------------------------------------------------- profile store
 
-/** A short characterization, enough for store semantics. */
+/** A short characterization on @p jobs workers, enough for store
+ *  semantics. */
 xmem::XMemHarness
-fastHarness()
+fastHarness(int jobs = 1)
 {
     xmem::XMemHarness::Params p;
     p.warmupUs = 5.0;
     p.measureUs = 10.0;
     p.windows = {1, 4, 8, 12};
     p.delays = {256, 32};
+    p.jobs = jobs;
     return xmem::XMemHarness(p);
 }
 
@@ -422,21 +425,28 @@ TEST(ProfileStore, CorruptProfileFailsWithTheRecoveryHint)
 
 TEST(ProfileStore, ConcurrentFirstLoadsMeasureOnce)
 {
-    const std::string path = freshDir("single") + "/tiny.profile";
+    // At jobs 3 the characterization itself fans out over helper
+    // threads while the slot's lock is held; the other callers still
+    // wait for that one measurement.
     const platforms::Platform tiny = test::tinyPlatform();
-    ProfileStore store;
-    std::atomic<int> ok{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&] {
-            if (store.loadOrMeasure(tiny, path, fastHarness()).ok())
-                ++ok;
-        });
+    for (int jobs : {1, 3}) {
+        const std::string path =
+            freshDir("single" + std::to_string(jobs)) + "/tiny.profile";
+        const xmem::XMemHarness harness = fastHarness(jobs);
+        ProfileStore store;
+        std::atomic<int> ok{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < 4; ++t) {
+            threads.emplace_back([&] {
+                if (store.loadOrMeasure(tiny, path, harness).ok())
+                    ++ok;
+            });
+        }
+        for (std::thread &t : threads)
+            t.join();
+        EXPECT_EQ(ok.load(), 4) << "jobs " << jobs;
+        EXPECT_EQ(store.stats().measured, 1u) << "jobs " << jobs;
     }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(ok.load(), 4);
-    EXPECT_EQ(store.stats().measured, 1u);
 }
 
 TEST(ProfileStore, ReadersNeverSeeATornWrite)

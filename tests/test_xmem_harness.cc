@@ -2,13 +2,16 @@
  * @file
  * Tests for the X-Mem-style characterization harness on a small
  * platform: the sweep must produce a monotone curve spanning near-idle
- * to near-saturation, and the cache round-trip must work.
+ * to near-saturation, be the same at any jobs count, and the cache
+ * round-trip must work.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "test_common.hh"
 #include "xmem/xmem_harness.hh"
@@ -69,6 +72,40 @@ TEST_F(XmemTest, LoadedLatencyExceedsIdle)
     LatencyProfile prof = XMemHarness(fastParams()).measure(plat_);
     double at_high = prof.latencyAt(prof.maxMeasuredGBs());
     EXPECT_GT(at_high, prof.idleLatencyNs() * 1.3);
+}
+
+TEST_F(XmemTest, ProfileIsIdenticalAtAnyJobCount)
+{
+    // The operating points are independent fixed-seed runs, each written
+    // to its own slot: a fan-out returns exactly the serial profile.
+    XMemHarness::Params serial_params = fastParams();
+    XMemHarness::Params parallel_params = fastParams();
+    parallel_params.jobs = 3;
+    const LatencyProfile serial = XMemHarness(serial_params).measure(plat_);
+    const LatencyProfile parallel =
+        XMemHarness(parallel_params).measure(plat_);
+    ASSERT_EQ(parallel.points().size(), serial.points().size());
+    for (size_t i = 0; i < serial.points().size(); ++i) {
+        EXPECT_EQ(parallel.points()[i].bwGBs, serial.points()[i].bwGBs)
+            << "point " << i;
+        EXPECT_EQ(parallel.points()[i].latencyNs,
+                  serial.points()[i].latencyNs)
+            << "point " << i;
+    }
+
+    // And the files save() writes are byte-identical.
+    auto saved = [](const LatencyProfile &prof, const std::string &name) {
+        const std::string path = ::testing::TempDir() + "/" + name;
+        EXPECT_TRUE(prof.save(path).ok());
+        std::ifstream in(path, std::ios::binary);
+        std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+        std::remove(path.c_str());
+        return bytes;
+    };
+    const std::string serial_file = saved(serial, "jobs1.profile");
+    EXPECT_FALSE(serial_file.empty());
+    EXPECT_EQ(saved(parallel, "jobs3.profile"), serial_file);
 }
 
 TEST_F(XmemTest, MeasureCachedRoundTrip)

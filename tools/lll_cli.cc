@@ -32,6 +32,8 @@
  * check; `--seeds A,B,...` picks the nonzero tie-break seeds to sweep);
  * without a workload/platform it scans the whole registry;
  * `--profile FILE` lints a cached X-Mem latency profile instead.
+ * characterize `--jobs N` runs a profile's operating points on N
+ * workers (the profile is byte-identical for any N).
  * table/sweep/reproduce run through the parallel SweepRunner: `--jobs N`
  * fans units out to N workers (output is byte-identical for any N) and
  * `--cache-dir DIR` spills the result cache to disk so warm reruns skip
@@ -111,7 +113,7 @@ usageText(FILE *to)
         to,
         "usage: lll <command> [args]\n"
         "  platforms | workloads | vendors\n"
-        "  characterize <platform|all> [--fresh]\n"
+        "  characterize <platform|all> [--fresh] [--jobs N]\n"
         "  analyze <workload> <platform> [vect|2-ht|4-ht|l2-pref|tiling|"
         "unroll-jam|fusion|distr ...]\n"
         "          [--cores N] [--json FILE] [--metrics FILE]\n"
@@ -316,7 +318,11 @@ cmdCharacterize(int argc, char **argv)
         ap.boolFlag("--fresh", "re-measure even when a profile exists");
     if (!fresh.ok())
         return failWith(fresh.status());
-    if (helpOut(ap, "characterize <platform|all> [--fresh]",
+    util::Result<int> jobs =
+        ap.intFlag("--jobs", 1, "threads running the operating points");
+    if (!jobs.ok())
+        return failWith(jobs.status());
+    if (helpOut(ap, "characterize <platform|all> [--fresh] [--jobs N]",
                 "Measure (or load) a platform's X-Mem latency "
                 "profile."))
         return 0;
@@ -338,12 +344,15 @@ cmdCharacterize(int argc, char **argv)
             return failWith(p.status());
         plats.push_back(p.take());
     }
+    xmem::XMemHarness::Params hp;
+    hp.jobs = *jobs;
+    const xmem::XMemHarness harness(hp);
     for (const platforms::Platform &p : plats) {
         std::string path = xmem::defaultProfilePath(p);
         if (*fresh)
             (void)std::remove(path.c_str()); // absent file is fine
         util::Result<xmem::LatencyProfile> prof =
-            xmem::XMemHarness().measureCachedChecked(p, path);
+            harness.measureCachedChecked(p, path);
         if (!prof.ok())
             return failWith(prof.status());
         std::printf("%s: idle %.0f ns, peak achievable %.0f GB/s "
