@@ -1,7 +1,6 @@
 #include "core/roofline.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hh"
 
@@ -56,33 +55,6 @@ double
 Roofline::ridgeIntensity() const
 {
     return platform_.peakGFlops / platform_.peakGBs;
-}
-
-std::vector<Roofline::SeriesPoint>
-Roofline::series(double min_intensity, double max_intensity, int points,
-                 int cores_used) const
-{
-    lll_assert(points >= 2 && min_intensity > 0.0 &&
-                   max_intensity > min_intensity,
-               "bad roofline series request");
-    const double l1_bw = mshrCeilingGBs(MshrLevel::L1, cores_used);
-    const double l2_bw = mshrCeilingGBs(MshrLevel::L2, cores_used);
-
-    std::vector<SeriesPoint> out;
-    out.reserve(points);
-    const double log_min = std::log2(min_intensity);
-    const double log_max = std::log2(max_intensity);
-    for (int i = 0; i < points; ++i) {
-        double t = static_cast<double>(i) / (points - 1);
-        double intensity = std::exp2(log_min + t * (log_max - log_min));
-        SeriesPoint pt;
-        pt.intensity = intensity;
-        pt.classicGFlops = attainableGFlops(intensity);
-        pt.l1CeilingGFlops = attainableGFlops(intensity, l1_bw);
-        pt.l2CeilingGFlops = attainableGFlops(intensity, l2_bw);
-        out.push_back(pt);
-    }
-    return out;
 }
 
 } // namespace lll::core

@@ -17,8 +17,6 @@
 #ifndef LLL_CORE_ROOFLINE_HH
 #define LLL_CORE_ROOFLINE_HH
 
-#include <vector>
-
 #include "core/analyzer.hh"
 #include "platforms/platform.hh"
 #include "xmem/latency_profile.hh"
@@ -56,22 +54,6 @@ class Roofline
 
     /** Machine balance: intensity where bandwidth meets peak FLOPs. */
     double ridgeIntensity() const;
-
-    struct SeriesPoint
-    {
-        double intensity;
-        double classicGFlops;
-        double l1CeilingGFlops;
-        double l2CeilingGFlops;
-    };
-
-    /**
-     * Log-spaced roofline series between two intensities, with the
-     * classic roof and both MSHR-capped roofs (bench/plot fodder).
-     */
-    std::vector<SeriesPoint> series(double min_intensity,
-                                    double max_intensity, int points,
-                                    int cores_used) const;
 
   private:
     platforms::Platform platform_;

@@ -17,6 +17,7 @@ namespace lll::core
 {
 
 using util::ErrorCode;
+using util::fmtG17;
 using util::jsonEscape;
 using util::Status;
 using workloads::Opt;
@@ -64,14 +65,6 @@ mixStr(uint64_t h, const std::string &s)
 {
     h = mixU64(h, s.size());
     return fnv1a(s.data(), s.size(), h);
-}
-
-std::string
-fmtG17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 std::string

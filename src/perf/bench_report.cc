@@ -11,19 +11,12 @@ namespace lll::perf
 {
 
 using util::ErrorCode;
+using util::fmtG17;
 using util::JsonValue;
 using util::Status;
 
 namespace
 {
-
-std::string
-fmtG17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 util::Result<double>
 numberField(const JsonValue &obj, const char *key)

@@ -13,18 +13,11 @@ namespace lll::search
 {
 
 using util::ErrorCode;
+using util::fmtG17;
 using util::Status;
 
 namespace
 {
-
-std::string
-fmtG17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 std::string
 fmtFixed(double v, int prec)

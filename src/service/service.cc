@@ -18,20 +18,13 @@ namespace lll::service
 {
 
 using util::ErrorCode;
+using util::fmtG17;
 using util::JsonValue;
 using util::Status;
 using workloads::OptSet;
 
 namespace
 {
-
-std::string
-fmtG17(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 /** Reject member keys outside @p known — a typo'd field silently
  *  ignored is an analysis the caller did not ask for. */

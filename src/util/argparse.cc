@@ -1,6 +1,9 @@
 #include "util/argparse.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 
@@ -104,9 +107,11 @@ util::Result<int> ArgParser::intFlag(const std::string &flag, int fallback,
         return raw.status();
     if (raw->empty())
         return fallback;
+    // strtol saturates to LONG_MAX on overflow, which the INT_MAX bound
+    // rejects; a plain cast would wrap 2^32 + 10 to 10.
     char *end = nullptr;
     const long n = std::strtol(raw->c_str(), &end, 10);
-    if (*end != '\0' || n < 1) {
+    if (*end != '\0' || n < 1 || n > INT_MAX) {
         return Status::error(ErrorCode::InvalidArgument,
                              "%s wants a positive integer, got '%s'",
                              flag.c_str(), raw->c_str());
@@ -126,9 +131,13 @@ util::Result<uint64_t> ArgParser::uint64Flag(const std::string &flag,
         return raw.status();
     if (raw->empty())
         return fallback;
+    // strtoull negates a leading '-' and saturates past 2^64; accept
+    // plain digits only and reject the overflow.
     char *end = nullptr;
+    errno = 0;
     const unsigned long long n = std::strtoull(raw->c_str(), &end, 10);
-    if (raw->empty() || *end != '\0') {
+    if (!std::isdigit(static_cast<unsigned char>(raw->front())) ||
+        *end != '\0' || errno == ERANGE) {
         return Status::error(ErrorCode::InvalidArgument,
                              "%s wants an unsigned integer, got '%s'",
                              flag.c_str(), raw->c_str());

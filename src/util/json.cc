@@ -32,6 +32,14 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+std::string
+fmtG17(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
 namespace
 {
 

@@ -86,6 +86,10 @@ class JsonValue
  */
 std::string jsonEscape(const std::string &s);
 
+/** Format @p v with `%.17g`: the shortest-safe round-trip spelling
+ *  every JSON emitter uses for doubles. */
+std::string fmtG17(double v);
+
 /**
  * Resource bounds enforced while parsing.  A hostile document — one
  * crafted to exhaust the parser rather than to describe a request —

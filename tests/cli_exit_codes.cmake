@@ -39,6 +39,7 @@ expect_exit(2 roofline skl --bogus)
 expect_exit(2 analyze isx skl --cores 0)
 expect_exit(2 analyze isx skl --cores nope)
 expect_exit(2 trace isx skl --cores 0)
+expect_exit(2 analyze isx skl --cores 4294967306)   # would wrap to 10
 expect_exit(3 analyze isx knl --cores 1)
 
 # table/sweep/reproduce share the SweepRunner flags.
@@ -70,6 +71,7 @@ set(_serve_dir "${CMAKE_CURRENT_BINARY_DIR}/serve_exit_codes")
 file(MAKE_DIRECTORY "${_serve_dir}")
 file(WRITE "${_serve_dir}/empty.jsonl" "")
 expect_exit(0 serve --batch "${_serve_dir}/empty.jsonl")
+expect_exit(2 serve --batch "${_serve_dir}/empty.jsonl" --spill-budget -1)
 file(WRITE "${_serve_dir}/bad.jsonl"
      "{\"schema_version\": 1, \"platform\": \"nope\", \"workload\": \"isx\"}\n")
 expect_exit(3 serve --batch "${_serve_dir}/bad.jsonl")

@@ -11,6 +11,9 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/littles_law.hh"
+#include "core/tma.hh"
+#include "sim/system.hh"
 #include "test_common.hh"
 #include "workloads/workload.hh"
 
@@ -18,6 +21,16 @@ namespace lll::core
 {
 namespace
 {
+
+/** The committed X-Mem profile of @p platform, the one every
+ *  paper-facing run reads. */
+util::Result<xmem::LatencyProfile>
+committedProfile(const std::string &platform)
+{
+    return xmem::LatencyProfile::load(std::string(LLL_REPO_ROOT) +
+                                      "/data/profiles/" + platform +
+                                      ".profile");
+}
 
 class ExperimentTest : public ::testing::Test
 {
@@ -102,10 +115,7 @@ TEST(PaperTableRecipe, IsxVerdictsArePinned)
     workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
     for (const auto &[name, verdicts] : expected) {
         platforms::Platform p = platforms::findPlatform(name).take();
-        util::Result<xmem::LatencyProfile> profile =
-            xmem::LatencyProfile::load(std::string(LLL_REPO_ROOT) +
-                                       "/data/profiles/" + name +
-                                       ".profile");
+        util::Result<xmem::LatencyProfile> profile = committedProfile(name);
         ASSERT_TRUE(profile.ok()) << profile.status().toString();
         Experiment exp(p, *isx, profile.take());
         Verdicts got;
@@ -115,6 +125,87 @@ TEST(PaperTableRecipe, IsxVerdictsArePinned)
         }
         EXPECT_EQ(got, verdicts) << name;
     }
+}
+
+// The paper's claims that a table does not carry, checked on the full
+// socket against the committed profiles.
+
+TEST(PaperClaims, TmaHidesWhatMlpShows)
+{
+    // §I/§II: TMA's view of the same runs.  On hpcg at near-peak
+    // bandwidth the load-latency facility averages over prefetched
+    // hits and reports a small fraction of the loaded latency; on SNAP
+    // it splits memory-bound time into near-equal bandwidth and latency
+    // buckets, while n_avg shows the MSHR queue far from full.
+    platforms::Platform skl = platforms::findPlatform("skl").take();
+    util::Result<xmem::LatencyProfile> profile = committedProfile("skl");
+    ASSERT_TRUE(profile.ok()) << profile.status().toString();
+    const Tma tma(skl);
+    {
+        workloads::WorkloadPtr hpcg = workloads::findWorkload("hpcg").take();
+        Experiment exp(skl, *hpcg, *profile);
+        const StageMetrics &m = exp.stage({});
+        const TmaReport r = tma.analyze(m.run);
+        EXPECT_LT(r.avgLoadLatencyCycles,
+                  0.15 * m.analysis.latencyNs * skl.freqGHz);
+    }
+    {
+        workloads::WorkloadPtr snap = workloads::findWorkload("snap").take();
+        Experiment exp(skl, *snap, *profile);
+        const StageMetrics &m = exp.stage({});
+        const TmaReport r = tma.analyze(m.run);
+        EXPECT_NEAR(r.bandwidthBoundPct, r.latencyBoundPct, 10.0);
+        EXPECT_LT(m.analysis.nAvg, 0.5 * m.analysis.limitingMshrs);
+    }
+}
+
+TEST(PaperClaims, IdleLatencyHidesTheFullIsxQueue)
+{
+    // "Idle memory latency cannot be used for this purpose": Eq. 2 with
+    // the loaded latency calls ISx's L1 queue full, with the idle
+    // latency it would not.
+    const double full = Analyzer::Params{}.mshrFullFraction;
+    workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
+    for (const std::string name : {"skl", "knl"}) {
+        platforms::Platform p = platforms::findPlatform(name).take();
+        util::Result<xmem::LatencyProfile> profile = committedProfile(name);
+        ASSERT_TRUE(profile.ok()) << profile.status().toString();
+        Experiment exp(p, *isx, *profile);
+        const Analysis &a = exp.stage({}).analysis;
+        const double n_idle =
+            mlpPerCore(a.bwGBs, profile->idleLatencyNs(), p.lineBytes,
+                       exp.coresUsed());
+        EXPECT_TRUE(a.nearMshrLimit) << name;
+        EXPECT_GE(a.nAvg, full * a.limitingMshrs) << name;
+        EXPECT_LT(n_idle, full * a.limitingMshrs) << name;
+    }
+}
+
+TEST(PaperClaims, WholeProgramAveragingHidesThePinnedPhase)
+{
+    // Footnote 1 / §III-D: one window over a program alternating ISx's
+    // L1-pinned phase with CoMD's compute phase yields an Eq. 2 n_avg
+    // far below the L1 queue, so the verdict is wrong for the ISx
+    // phase that the per-routine analysis calls full.
+    platforms::Platform skl = platforms::findPlatform("skl").take();
+    util::Result<xmem::LatencyProfile> profile = committedProfile("skl");
+    ASSERT_TRUE(profile.ok()) << profile.status().toString();
+    workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
+    workloads::WorkloadPtr comd = workloads::findWorkload("comd").take();
+
+    Experiment exp(skl, *isx, *profile);
+    EXPECT_TRUE(exp.stage({}).analysis.nearMshrLimit);
+
+    // Op counts give the two routines comparable shares of wall time.
+    std::vector<sim::PhaseSpec> phases = {{isx->spec(skl, {}), 6000},
+                                          {comd->spec(skl, {}), 2000}};
+    sim::System sys(skl.sysParams(skl.totalCores, 1), std::move(phases));
+    const sim::RunResult mixed = sys.run(120.0, 240.0);
+    const double n_mix =
+        mlpPerCore(mixed.totalGBs, profile->latencyAt(mixed.totalGBs),
+                   skl.lineBytes, skl.totalCores);
+    EXPECT_GT(n_mix, 0.0);
+    EXPECT_LT(n_mix, 0.5 * skl.l1Mshrs);
 }
 
 TEST_F(ExperimentTest, CoresUsedDefaultsToAll)

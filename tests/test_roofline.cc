@@ -32,6 +32,13 @@ TEST_F(RooflineTest, ClassicRoofMinOfComputeAndBandwidth)
     EXPECT_DOUBLE_EQ(roof_.attainableGFlops(1.0), 24.0);
     // High intensity: flat compute roof.
     EXPECT_DOUBLE_EQ(roof_.attainableGFlops(1000.0), plat_.peakGFlops);
+    // Non-decreasing in intensity across the ridge.
+    double prev = 0.0;
+    for (double intensity = 0.0625; intensity <= 1024.0; intensity *= 2) {
+        double at = roof_.attainableGFlops(intensity);
+        EXPECT_GE(at, prev) << intensity;
+        prev = at;
+    }
 }
 
 TEST_F(RooflineTest, RidgeIntensity)
@@ -75,21 +82,18 @@ TEST_F(RooflineTest, CeilingCapsAttainable)
     double at = roof_.attainableGFlops(1.0, ceiling);
     EXPECT_DOUBLE_EQ(at, ceiling);
     EXPECT_LT(at, roof_.attainableGFlops(1.0));
-}
-
-TEST_F(RooflineTest, SeriesIsMonotoneAndOrdered)
-{
-    auto series = roof_.series(0.1, 100.0, 16, plat_.totalCores);
-    ASSERT_EQ(series.size(), 16u);
-    for (size_t i = 0; i < series.size(); ++i) {
-        const auto &pt = series[i];
-        EXPECT_LE(pt.l1CeilingGFlops, pt.classicGFlops + 1e-9);
-        EXPECT_LE(pt.l2CeilingGFlops, pt.classicGFlops + 1e-9);
-        EXPECT_LE(pt.l1CeilingGFlops, pt.l2CeilingGFlops + 1e-9);
-        if (i > 0) {
-            EXPECT_GT(pt.intensity, series[i - 1].intensity);
-            EXPECT_GE(pt.classicGFlops, series[i - 1].classicGFlops);
-        }
+    // The L1-capped roof sits under the L2-capped roof, which sits
+    // under the classic roof, at every intensity.
+    const int cores = plat_.totalCores;
+    const double l1 = roof_.mshrCeilingGBs(MshrLevel::L1, cores);
+    const double l2 = roof_.mshrCeilingGBs(MshrLevel::L2, cores);
+    for (double intensity = 0.0625; intensity <= 1024.0; intensity *= 2) {
+        double classic = roof_.attainableGFlops(intensity);
+        EXPECT_LE(roof_.attainableGFlops(intensity, l1),
+                  roof_.attainableGFlops(intensity, l2))
+            << intensity;
+        EXPECT_LE(roof_.attainableGFlops(intensity, l2), classic)
+            << intensity;
     }
 }
 
@@ -116,7 +120,6 @@ TEST(RooflineDeathTest, BadQueriesPanic)
     Roofline roof(p, test::syntheticProfile());
     EXPECT_DEATH(roof.attainableGFlops(0.0), "intensity");
     EXPECT_DEATH(roof.mshrCeilingGBs(0u, 4), "MSHR ceiling");
-    EXPECT_DEATH(roof.series(1.0, 0.5, 8, 4), "series");
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -467,6 +468,32 @@ TEST(ArgParserTest, MissingValueRepeatsAndLeftoversAreUsageErrors)
         util::ArgParser ap({"--jobs", "0"});
         util::Result<int> r = ap.intFlag("--jobs", 1);
         EXPECT_FALSE(r.ok());
+    }
+    // Values that do not fit the flag's type are refused, not wrapped:
+    // 2^32 + 10 would otherwise truncate to 10, and strtoull negates
+    // "-1" and saturates past 2^64.
+    for (const char *raw : {"4294967306", "2147483648",
+                            "99999999999999999999"}) {
+        util::ArgParser ap({"--cores", raw});
+        util::Result<int> r = ap.intFlag("--cores", 1);
+        ASSERT_FALSE(r.ok()) << raw;
+        EXPECT_EQ(r.status().code(), util::ErrorCode::InvalidArgument);
+        EXPECT_NE(r.status().message().find("positive integer"),
+                  std::string::npos);
+    }
+    for (const char *raw : {"-1", "+1", " 1", "18446744073709551616"}) {
+        util::ArgParser ap({"--spill-budget", raw});
+        util::Result<uint64_t> r = ap.uint64Flag("--spill-budget", 0);
+        ASSERT_FALSE(r.ok()) << raw;
+        EXPECT_EQ(r.status().code(), util::ErrorCode::InvalidArgument);
+        EXPECT_NE(r.status().message().find("unsigned integer"),
+                  std::string::npos);
+    }
+    {
+        util::ArgParser ap({"--spill-budget", "18446744073709551615"});
+        util::Result<uint64_t> r = ap.uint64Flag("--spill-budget", 0);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        EXPECT_EQ(*r, UINT64_MAX);
     }
     {
         util::ArgParser ap({"--bogus"});

@@ -473,6 +473,15 @@ cmdAnalyze(int argc, char **argv)
                  a.nAvg, a.limitingMshrs,
                  core::mshrLevelName(a.limitingLevel),
                  core::accessClassName(a.accessClass));
+    // The TMA view of the same run, for the paper's §I contrast: an
+    // ambiguous bandwidth/latency split and a load-latency mean that
+    // prefetched hits pull far below the loaded latency above.
+    const core::TmaReport tma = core::Tma(va.platform).analyze(m.run);
+    std::fprintf(rep,
+                 "  TMA: memory bound %.0f%% (bandwidth %.0f%% / latency "
+                 "%.0f%%), avg load latency %.0f cycles (facility view)\n",
+                 tma.memoryBoundPct, tma.bandwidthBoundPct,
+                 tma.latencyBoundPct, tma.avgLoadLatencyCycles);
     for (const std::string &warning : a.warnings)
         std::fprintf(rep, "  warning: %s\n", warning.c_str());
     core::Recipe recipe(va.platform);
