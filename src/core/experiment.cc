@@ -95,7 +95,7 @@ Experiment::create(const platforms::Platform &platform,
 }
 
 const StageMetrics &
-Experiment::stage(const workloads::OptSet &opts)
+Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
 {
     const std::string label = opts.label();
     auto it = cache_.find(label);
@@ -104,7 +104,6 @@ Experiment::stage(const workloads::OptSet &opts)
 
     obs::ScopedSpan stage_span("stage[" + label + "]");
 
-    sim::KernelSpec spec = workload_.spec(platform_, opts);
     double warmup = params_.warmupUs > 0 ? params_.warmupUs
                                          : workload_.warmupUs();
     double measure = params_.measureUs > 0 ? params_.measureUs
@@ -113,11 +112,19 @@ Experiment::stage(const workloads::OptSet &opts)
     // The cross-experiment memo table: a hit replays the stored
     // StageMetrics — no System, no event queue, no simulate/profile/
     // analyze spans — because the key captures every input the
-    // simulation is a pure function of.
+    // simulation is a pure function of.  With the caller's key a hit
+    // builds no KernelSpec at all.
     std::string key;
     if (params_.resultCache) {
-        key = ResultCache::stageKey(platform_, spec, opts, params_.seed,
-                                    warmup, measure, coresUsed_);
+        auto own_key = [&] {
+            return ResultCache::stageKey(
+                platform_, workload_.spec(platform_, opts), opts,
+                params_.seed, warmup, measure, coresUsed_);
+        };
+        key = cache_key.empty() ? own_key() : cache_key;
+        LLL_INVARIANT(key == own_key(),
+                      "caller's stage key for '%s' is not this stage's",
+                      label.c_str());
         StageMetrics cached;
         if (params_.resultCache->lookup(key, &cached)) {
             if (params_.registry) {
@@ -133,6 +140,7 @@ Experiment::stage(const workloads::OptSet &opts)
         }
     }
 
+    const sim::KernelSpec spec = workload_.spec(platform_, opts);
     sim::SystemParams sp = platform_.sysParams(coresUsed_, opts.smtWays());
     sp.seed = params_.seed;
     sim::System sys(sp, spec);

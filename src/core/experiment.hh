@@ -125,8 +125,15 @@ class Experiment
            const workloads::Workload &workload, xmem::LatencyProfile profile,
            Params params);
 
-    /** Simulate (or fetch the cached) state @p opts. */
-    const StageMetrics &stage(const workloads::OptSet &opts);
+    /**
+     * Simulate (or fetch the cached) state @p opts.  A caller that
+     * already computed the state's ResultCache::stageKey passes it as
+     * @p cache_key (empty = compute it here), so a cache hit builds no
+     * KernelSpec; LLL_INVARIANTS builds check that it is this state's
+     * key.
+     */
+    const StageMetrics &stage(const workloads::OptSet &opts,
+                              const std::string &cache_key = {});
 
     /** Measured speedup of @p to over @p from (throughput ratio). */
     double speedup(const workloads::OptSet &from,

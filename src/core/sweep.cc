@@ -1,6 +1,7 @@
 #include "core/sweep.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -451,15 +452,30 @@ ResultCache::stageKey(const platforms::Platform &platform,
                       uint64_t seed, double warmupUs, double measureUs,
                       int coresUsed)
 {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "|spec:%016llx|opts:%s|seed:%llu|warmup:%.17g"
-                  "|measure:%.17g|cores:%d",
-                  static_cast<unsigned long long>(hashKernelSpec(spec)),
-                  optsToken(opts).c_str(),
-                  static_cast<unsigned long long>(seed), warmupUs,
-                  measureUs, coresUsed);
-    return platform.name + buf;
+    // "<platform>|spec:%016llx|opts:%s|seed:%llu|warmup:%.17g|measure:
+    // %.17g|cores:%d", appended piecewise (spill files store the key,
+    // so its spelling never changes; tests/test_sweep.cc pins it).
+    std::string key;
+    key.reserve(platform.name.size() + 192);
+    key += platform.name;
+    key += "|spec:";
+    char hex[16];
+    uint64_t h = hashKernelSpec(spec);
+    for (int i = 15; i >= 0; --i, h >>= 4)
+        hex[i] = "0123456789abcdef"[h & 15];
+    key.append(hex, sizeof(hex));
+    key += "|opts:";
+    key += optsToken(opts);
+    char num[24];
+    key += "|seed:";
+    key.append(num, std::to_chars(num, num + sizeof(num), seed).ptr);
+    key += "|warmup:";
+    util::appendG17(key, warmupUs);
+    key += "|measure:";
+    util::appendG17(key, measureUs);
+    key += "|cores:";
+    key.append(num, std::to_chars(num, num + sizeof(num), coresUsed).ptr);
+    return key;
 }
 
 std::string
@@ -871,7 +887,7 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
                     "stage unit %s/%s", u.platform.name.c_str(),
                     u.workload->name().c_str());
             } else {
-                out.metrics = exp->stage(u.opts);
+                out.metrics = exp->stage(u.opts, u.stageKey);
             }
         }
         out.simulateNs = fanout.elapsedNs() - picked_up_ns;

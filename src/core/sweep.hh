@@ -217,6 +217,10 @@ class SweepRunner
         double measureUs = 0.0; //!< 0 = the workload's default window
         int coresUsed = 0;      //!< 0 = all of the platform's cores
         uint64_t seed = 7;
+        /** The unit's ResultCache::stageKey when the caller already
+         *  has it (the run service coalesces on it); empty = the
+         *  stage computes it. */
+        std::string stageKey = {};
     };
 
     /** The per-unit result of runStages(): a Status *per unit*, so one

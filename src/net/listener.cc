@@ -85,7 +85,49 @@ outOfBandResponse(uint64_t req_no, const Status &status)
     return service::renderRunResponse(resp);
 }
 
+/** The registry of the listener worker running on this thread. */
+thread_local obs::MetricRegistry *tWorkerRegistry = nullptr;
+
+/** The net.* metrics every request touches, resolved by name once per
+ *  run instead of once per use: std::map nodes never move, so the
+ *  references stay valid for the registry's lifetime. */
+struct RequestMetrics
+{
+    explicit RequestMetrics(obs::MetricRegistry &r)
+        : received(r.counter(util::names::kNetRequestsReceivedTotal)),
+          admitted(r.counter(util::names::kNetRequestsAdmittedTotal)),
+          shed(r.counter(util::names::kNetRequestsShedTotal)),
+          failed(r.counter(util::names::kNetRequestsFailedTotal)),
+          responses(r.counter(util::names::kNetResponsesTotal)),
+          bytesRead(r.counter(util::names::kNetBytesReadTotal)),
+          bytesWritten(r.counter(util::names::kNetBytesWrittenTotal)),
+          inflight(r.setGauge(util::names::kNetInflight, 0.0)),
+          queueWaitNs(r.histogram(util::names::kNetLatencyQueueWaitNs)),
+          handlerNs(r.histogram(util::names::kNetLatencyHandlerNs)),
+          requestNs(r.histogram(util::names::kNetLatencyRequestNs))
+    {
+    }
+
+    obs::CounterMetric &received;
+    obs::CounterMetric &admitted;
+    obs::CounterMetric &shed;
+    obs::CounterMetric &failed;
+    obs::CounterMetric &responses;
+    obs::CounterMetric &bytesRead;
+    obs::CounterMetric &bytesWritten;
+    obs::GaugeMetric &inflight;
+    obs::Log2Histogram &queueWaitNs;
+    obs::Log2Histogram &handlerNs;
+    obs::Log2Histogram &requestNs;
+};
+
 } // namespace
+
+obs::MetricRegistry *
+workerRegistry()
+{
+    return tWorkerRegistry;
+}
 
 struct Listener::Impl
 {
@@ -95,6 +137,7 @@ struct Listener::Impl
     ListenerParams params;
     obs::MetricRegistry ownedRegistry;
     obs::MetricRegistry *reg = nullptr;
+    std::unique_ptr<RequestMetrics> m; //!< handles into *reg
 
     // ---- sockets --------------------------------------------------
     int tcpFd = -1;
@@ -128,6 +171,9 @@ struct Listener::Impl
     std::mutex compMu;
     std::deque<Completion> completions;
     std::vector<std::thread> workerThreads;
+    /** One registry per worker for its lifetime (a deque, so the
+     *  addresses stay put); merged into *reg after the workers join. */
+    std::deque<obs::MetricRegistry> workerRegistries;
 
     // ---- connections ---------------------------------------------
     struct Conn
@@ -190,11 +236,16 @@ struct Listener::Impl
             c.queueWaitNs = obs::wallDeltaNs(task.admitted, picked);
             c.result = params.handler(task.line, task.reqNo);
             c.handlerNs = obs::wallDeltaNs(picked, WallClock::now());
+            bool first;
             {
                 std::lock_guard<std::mutex> lock(compMu);
+                first = completions.empty();
                 completions.push_back(std::move(c));
             }
-            wake();
+            // Only the completion that makes the queue non-empty has to
+            // wake the loop: the loop takes the whole queue at once.
+            if (first)
+                wake();
         }
     }
 
@@ -286,6 +337,7 @@ struct Listener::Impl
                                  "socket path");
         }
         reg = params.registry ? params.registry : &ownedRegistry;
+        m = std::make_unique<RequestMetrics>(*reg);
         if (params.workers < 1)
             params.workers = 1;
         if (params.maxPipelined < 1)
@@ -315,15 +367,23 @@ struct Listener::Impl
                 return s;
             }
         }
-        for (int i = 0; i < params.workers; ++i)
-            workerThreads.emplace_back([this] { workerLoop(); });
+        workerRegistries.resize(size_t(params.workers));
+        for (obs::MetricRegistry &wr : workerRegistries) {
+            workerThreads.emplace_back([this, &wr] {
+                tWorkerRegistry = &wr;
+                workerLoop();
+            });
+        }
         started = true;
         return Status::okStatus();
     }
 
-    void closeFds()
+    /** Close the listening endpoints.  The wake pipe stays open:
+     *  requestShutdown() may still write it from another thread until
+     *  the Listener is destroyed. */
+    void closeListeners()
     {
-        for (int *fd : {&tcpFd, &unixFd, &wakeRead, &wakeWrite}) {
+        for (int *fd : {&tcpFd, &unixFd}) {
             if (*fd >= 0) {
                 ::close(*fd);
                 *fd = -1;
@@ -331,6 +391,17 @@ struct Listener::Impl
         }
         if (!params.unixPath.empty())
             ::unlink(params.unixPath.c_str());
+    }
+
+    void closeFds()
+    {
+        closeListeners();
+        for (int *fd : {&wakeRead, &wakeWrite}) {
+            if (*fd >= 0) {
+                ::close(*fd);
+                *fd = -1;
+            }
+        }
     }
 
     void stopWorkers()
@@ -343,6 +414,13 @@ struct Listener::Impl
         for (std::thread &t : workerThreads)
             t.join();
         workerThreads.clear();
+    }
+
+    /** Fold the joined workers' telemetry into *reg, in worker order. */
+    void mergeWorkerTelemetry()
+    {
+        for (const obs::MetricRegistry &wr : workerRegistries)
+            reg->mergeFrom(wr);
     }
 
     // ---- connection plumbing -------------------------------------
@@ -406,7 +484,7 @@ struct Listener::Impl
             conn.ready.erase(it);
             ++conn.nextSend;
             ++responsesWritten;
-            counter(util::names::kNetResponsesTotal)++;
+            m->responses++;
             maybePrintStats();
             it = conn.ready.find(conn.nextSend);
         }
@@ -432,8 +510,7 @@ struct Listener::Impl
                 teardown(conn_id, util::names::kNetConnsClosedErrorTotal);
                 return true;
             }
-            counter(util::names::kNetBytesWrittenTotal)
-                .increment(uint64_t(n));
+            m->bytesWritten.increment(uint64_t(n));
             conn.outoff += size_t(n);
             conn.lastActivity = WallClock::now();
         }
@@ -477,7 +554,7 @@ struct Listener::Impl
 
     void shed(Conn &conn, uint64_t req_no, const char *why)
     {
-        counter(util::names::kNetRequestsShedTotal)++;
+        m->shed++;
         conn.ready[req_no] = outOfBandResponse(
             req_no,
             Status::error(ErrorCode::Unavailable, "%s — retry later",
@@ -492,8 +569,8 @@ struct Listener::Impl
             lastProgress = now; // arm the watchdog at first admit
         ++inflight;
         ++conn.outstanding;
-        counter(util::names::kNetRequestsAdmittedTotal)++;
-        reg->setGauge(util::names::kNetInflight, double(inflight));
+        m->admitted++;
+        m->inflight.set(double(inflight));
         Task task;
         task.connId = conn.id;
         task.reqNo = req_no;
@@ -533,7 +610,7 @@ struct Listener::Impl
                 break;
             }
             const uint64_t req_no = conn.nextReq++;
-            counter(util::names::kNetRequestsReceivedTotal)++;
+            m->received++;
             if (draining) {
                 shed(conn, req_no, "server is draining");
             } else if (inflight >= params.maxInflight) {
@@ -589,7 +666,7 @@ struct Listener::Impl
                 }
                 break;
             }
-            counter(util::names::kNetBytesReadTotal).increment(uint64_t(n));
+            m->bytesRead.increment(uint64_t(n));
             conn.lastActivity = WallClock::now();
             conn.decoder.feed(buf, size_t(n));
             // One chunk per loop iteration keeps one firehose client
@@ -612,16 +689,12 @@ struct Listener::Impl
         lastProgress = now;
         for (Completion &c : batch) {
             --inflight;
-            reg->setGauge(util::names::kNetInflight, double(inflight));
-            reg->histogram(util::names::kNetLatencyQueueWaitNs)
-                .sample(c.queueWaitNs);
-            reg->histogram(util::names::kNetLatencyHandlerNs).sample(c.handlerNs);
-            reg->histogram(util::names::kNetLatencyRequestNs)
-                .sample(obs::wallDeltaNs(c.admitted, now));
+            m->inflight.set(double(inflight));
+            m->queueWaitNs.sample(c.queueWaitNs);
+            m->handlerNs.sample(c.handlerNs);
+            m->requestNs.sample(obs::wallDeltaNs(c.admitted, now));
             if (c.result.failed)
-                counter(util::names::kNetRequestsFailedTotal)++;
-            if (c.result.telemetry)
-                reg->mergeFrom(*c.result.telemetry);
+                m->failed++;
             auto cit = conns.find(c.connId);
             if (cit == conns.end()) {
                 // The client disconnected while its request ran.
@@ -644,20 +717,16 @@ struct Listener::Impl
         if (responsesWritten %
                 uint64_t(params.statsIntervalResponses) != 0)
             return;
-        const obs::Log2Histogram &req =
-            reg->histogram(util::names::kNetLatencyRequestNs);
-        const obs::Log2Histogram &queue =
-            reg->histogram(util::names::kNetLatencyQueueWaitNs);
+        const obs::Log2Histogram &req = m->requestNs;
+        const obs::Log2Histogram &queue = m->queueWaitNs;
         std::fprintf(
             stderr,
             "serve net stats: %llu responses (%llu admitted, %llu "
             "shed) — request p50/p90/p99 %.2f/%.2f/%.2f ms, queue "
             "%.2f/%.2f/%.2f ms\n",
             static_cast<unsigned long long>(responsesWritten),
-            static_cast<unsigned long long>(
-                counter(util::names::kNetRequestsAdmittedTotal).value()),
-            static_cast<unsigned long long>(
-                counter(util::names::kNetRequestsShedTotal).value()),
+            static_cast<unsigned long long>(m->admitted.value()),
+            static_cast<unsigned long long>(m->shed.value()),
             req.percentile(0.50) / 1e6, req.percentile(0.90) / 1e6,
             req.percentile(0.99) / 1e6, queue.percentile(0.50) / 1e6,
             queue.percentile(0.90) / 1e6, queue.percentile(0.99) / 1e6);
@@ -672,10 +741,8 @@ struct Listener::Impl
             "%zu in flight — %zu connections, %llu admitted, %llu "
             "shed, %llu responses\n",
             msSince(lastProgress, now), inflight, conns.size(),
-            static_cast<unsigned long long>(
-                counter(util::names::kNetRequestsAdmittedTotal).value()),
-            static_cast<unsigned long long>(
-                counter(util::names::kNetRequestsShedTotal).value()),
+            static_cast<unsigned long long>(m->admitted.value()),
+            static_cast<unsigned long long>(m->shed.value()),
             static_cast<unsigned long long>(responsesWritten));
         lastProgress = now; // re-arm instead of spamming
     }
@@ -765,8 +832,11 @@ struct Listener::Impl
 
             // Wake pipe: worker completions and/or shutdown signals.
             if (rc > 0 && (fds[0].revents & POLLIN)) {
+                // A short read has emptied the pipe; only a full one
+                // needs another read to find out.
                 char buf[256];
-                while (::read(wakeRead, buf, sizeof(buf)) > 0) {
+                while (::read(wakeRead, buf, sizeof(buf)) ==
+                       ssize_t(sizeof(buf))) {
                 }
             }
             const int signals =
@@ -832,7 +902,8 @@ struct Listener::Impl
         stopWorkers();
         // Workers may have completed work after the loop exited.
         drainCompletions();
-        closeFds();
+        mergeWorkerTelemetry();
+        closeListeners();
         return result;
     }
 

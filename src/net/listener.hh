@@ -51,18 +51,25 @@ struct HandlerResult
 {
     std::string line;   //!< rendered response (no trailing newline)
     bool failed = false; //!< the request's own status was an error
-    /** Worker-private telemetry, merged into the listener registry on
-     *  the event-loop thread (the registry is not thread-safe). */
-    std::unique_ptr<obs::MetricRegistry> telemetry;
 };
 
 /**
  * The request handler, invoked on worker threads — must be callable
  * concurrently.  @p req_no is the 1-based request number within its
- * connection (default ids and error context count from it).
+ * connection (default ids and error context count from it).  Its
+ * telemetry goes to workerRegistry().
  */
 using Handler =
     std::function<HandlerResult(const std::string &line, uint64_t req_no)>;
+
+/**
+ * The telemetry registry of the listener worker running on the calling
+ * thread; nullptr on any other thread.  Each worker owns one registry
+ * for its lifetime, so a Handler records into it without locking; the
+ * listener merges every worker's registry into its own after the
+ * workers join, before run() returns.
+ */
+obs::MetricRegistry *workerRegistry();
 
 struct ListenerParams
 {
@@ -122,9 +129,10 @@ struct ListenerParams
     /** Required: the request handler (see ServeHandler). */
     Handler handler;
 
-    /** Receives net.* counters, latency histograms and the telemetry
-     *  merged from workers; nullptr uses an internal registry.  Only
-     *  the event-loop thread touches it until run() returns. */
+    /** Receives net.* counters, latency histograms and, once the
+     *  workers have joined, their merged telemetry; nullptr uses an
+     *  internal registry.  Only the event-loop thread touches it until
+     *  run() returns. */
     obs::MetricRegistry *registry = nullptr;
 };
 

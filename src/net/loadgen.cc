@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <deque>
 #include <thread>
 
@@ -65,6 +66,18 @@ struct ConnStats
     obs::Log2Histogram lat;
     obs::Log2Histogram okLat;
     obs::Log2Histogram shedLat;
+    /** Σ send → receive time, ns; an unanswered request counts until
+     *  its connection stops waiting.  Over the wall time, that is the
+     *  time-averaged in-flight population L. */
+    double inflightNs = 0.0;
+};
+
+/** One request on the wire: when it fell due (latency runs from
+ *  here) and when it actually went out (in flight from here). */
+struct Pending
+{
+    WallClock::time_point due;
+    WallClock::time_point sent;
 };
 
 void
@@ -97,7 +110,7 @@ runConnection(const LoadGenParams &params, int conn_index,
 
     std::string outbuf, rxbuf;
     size_t outoff = 0;
-    std::deque<WallClock::time_point> pending; // due/send time FIFO
+    std::deque<Pending> pending;
     size_t line_idx = size_t(conn_index);
     bool sending = true;
     WallClock::time_point drain_start;
@@ -118,10 +131,10 @@ runConnection(const LoadGenParams &params, int conn_index,
             ++line_idx;
             outbuf += line;
             outbuf += '\n';
-            // A paced request is stamped with its due time, not the
+            // A paced request is timed from its due time, not the
             // time it went out: when the pacer falls behind, the
             // catch-up burst must still count its backlog wait.
-            pending.push_back(interval_ns > 0.0 ? next_send : now);
+            pending.push_back({interval_ns > 0.0 ? next_send : now, now});
             ++stats->sent;
             if (interval_ns > 0.0) {
                 next_send +=
@@ -141,24 +154,27 @@ runConnection(const LoadGenParams &params, int conn_index,
             }
         }
 
-        // Sleep until there is something to do.
-        int timeout_ms = 100;
+        // Sleep until there is something to do.  The timeout is in
+        // nanoseconds: rounding a due time up to poll()'s milliseconds
+        // would send every paced request up to 1 ms late.
+        double timeout_ns = 100e6;
         if (sending && interval_ns > 0.0 &&
             pending.size() < size_t(params.pipeline)) {
-            const double until_ms =
-                obs::wallDeltaNs(now, next_send) / 1e6;
-            if (until_ms < double(timeout_ms))
-                timeout_ms = until_ms <= 0.0 ? 0 : int(until_ms) + 1;
+            const double until_ns = obs::wallDeltaNs(now, next_send);
+            if (until_ns < timeout_ns)
+                timeout_ns = until_ns <= 0.0 ? 0.0 : until_ns;
         }
+        const timespec timeout{time_t(timeout_ns / 1e9),
+                               long(std::fmod(timeout_ns, 1e9))};
         pollfd pfd{fd,
                    short(POLLIN |
                          (outoff < outbuf.size() ? POLLOUT : 0)),
                    0};
-        const int rc = ::poll(&pfd, 1, timeout_ms);
+        const int rc = ::ppoll(&pfd, 1, &timeout, nullptr);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
-            stats->error = std::string("poll: ") + strerror(errno);
+            stats->error = std::string("ppoll: ") + strerror(errno);
             break;
         }
         if (rc == 0)
@@ -217,8 +233,11 @@ runConnection(const LoadGenParams &params, int conn_index,
                 if (end > start && !pending.empty()) {
                     const std::string line =
                         rxbuf.substr(start, end - start);
-                    const double lat_ns = obs::wallDeltaNs(
-                        pending.front(), WallClock::now());
+                    const WallClock::time_point at = WallClock::now();
+                    const double lat_ns =
+                        obs::wallDeltaNs(pending.front().due, at);
+                    stats->inflightNs +=
+                        obs::wallDeltaNs(pending.front().sent, at);
                     pending.pop_front();
                     ++stats->received;
                     stats->lat.sample(lat_ns);
@@ -241,7 +260,10 @@ runConnection(const LoadGenParams &params, int conn_index,
             rxbuf.erase(0, start);
         }
     }
-done:;
+done:
+    const WallClock::time_point stop = WallClock::now();
+    for (const Pending &p : pending)
+        stats->inflightNs += obs::wallDeltaNs(p.sent, stop);
     // client's destructor closes the fd.
 }
 
@@ -286,6 +308,7 @@ runLoadGen(const LoadGenParams &params)
     LoadGenReport report;
     report.wallS =
         obs::wallDeltaNs(start, WallClock::now()) / 1e9;
+    double inflight_ns = 0.0;
     for (const ConnStats &c : stats) {
         report.sent += c.sent;
         report.received += c.received;
@@ -299,10 +322,20 @@ runLoadGen(const LoadGenParams &params)
         report.latencyNs.merge(c.lat);
         report.okLatencyNs.merge(c.okLat);
         report.shedLatencyNs.merge(c.shedLat);
+        inflight_ns += c.inflightNs;
     }
     report.achievedQps =
         report.wallS > 0.0 ? double(report.received) / report.wallS
                            : 0.0;
+    report.inflightAvg =
+        report.wallS > 0.0 ? inflight_ns / 1e9 / report.wallS : 0.0;
+    report.meanLatencyS = report.latencyNs.mean() / 1e9;
+    report.littlesResidual =
+        report.inflightAvg > 0.0
+            ? std::fabs(report.inflightAvg -
+                        report.achievedQps * report.meanLatencyS) /
+                  report.inflightAvg
+            : 0.0;
     if (report.connectionErrors == uint64_t(params.connections)) {
         return Status::error(
             ErrorCode::IoError, "every connection failed: %s",

@@ -70,7 +70,19 @@ struct LoadGenReport
     uint64_t connectionErrors = 0;
 
     double wallS = 0.0;        //!< send phase + drain, wall time
-    double achievedQps = 0.0;  //!< received / wallS
+    double achievedQps = 0.0;  //!< received / wallS: Little's λ
+
+    /**
+     * Little's law over the session, L = λW.  L is the time-averaged
+     * number of requests actually in flight, from send to receive; W is
+     * the mean latency, timed from each request's due time like the
+     * histograms.  The two differ by the time requests waited past
+     * their due time to be sent, so the residual |L − λW| / L stays
+     * near 0 unless the generator fell behind its pacing.
+     */
+    double inflightAvg = 0.0;     //!< L
+    double meanLatencyS = 0.0;    //!< W, seconds
+    double littlesResidual = 0.0; //!< |L − λW| / L (0 when L is 0)
 
     obs::Log2Histogram latencyNs;     //!< all responses
     obs::Log2Histogram okLatencyNs;   //!< admitted + succeeded only

@@ -9,14 +9,12 @@ HandlerResult
 ServeHandler::operator()(const std::string &line, uint64_t req_no) const
 {
     HandlerResult out;
-    out.telemetry = std::make_unique<obs::MetricRegistry>();
-
     service::RunService::Params sp;
     // Concurrency lives in the listener's worker pool; at jobs 1 the
     // Executor runs the request on this worker, spawning no thread.
     sp.jobs = 1;
     sp.cache = params_.cache;
-    sp.registry = out.telemetry.get();
+    sp.registry = workerRegistry();
     service::RunService svc(sp);
 
     std::vector<service::RunResponse> responses =

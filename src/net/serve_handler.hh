@@ -12,10 +12,10 @@
  * (tests/test_net.cc asserts this).
  *
  * Thread safety: each call builds its own RunService over the shared
- * core::ResultCache (which is internally synchronized) and a private
- * MetricRegistry, returned in HandlerResult::telemetry for the event
- * loop to merge — the registry type itself is not thread-safe, so no
- * shared registry is ever touched from a worker.
+ * core::ResultCache (which is internally synchronized) and records its
+ * telemetry into the calling worker's own registry (workerRegistry();
+ * none off a listener worker) — the registry type itself is not
+ * thread-safe, so no registry is ever shared between threads.
  */
 
 #ifndef LLL_NET_SERVE_HANDLER_HH

@@ -5,10 +5,28 @@
 namespace lll::obs
 {
 
-CounterMetric &
-MetricRegistry::counter(const std::string &name)
+namespace
 {
-    return counters_[name];
+
+/** @p map's entry for @p name, default-constructed on first use; the
+ *  name is copied only then. */
+template <typename Map>
+typename Map::mapped_type &
+getOrCreate(Map &map, std::string_view name)
+{
+    auto it = map.find(name);
+    if (it == map.end())
+        it = map.emplace(std::string(name), typename Map::mapped_type())
+                 .first;
+    return it->second;
+}
+
+} // namespace
+
+CounterMetric &
+MetricRegistry::counter(std::string_view name)
+{
+    return getOrCreate(counters_, name);
 }
 
 GaugeMetric &
@@ -23,9 +41,9 @@ MetricRegistry::registerGauge(const std::string &name,
 }
 
 GaugeMetric &
-MetricRegistry::setGauge(const std::string &name, double value)
+MetricRegistry::setGauge(std::string_view name, double value)
 {
-    GaugeMetric &g = gauges_[name];
+    GaugeMetric &g = getOrCreate(gauges_, name);
     if (g.mode() == GaugeMode::Value)
         g.set(value);
     else
@@ -52,9 +70,9 @@ MetricRegistry::freezeGauge(const std::string &name)
 }
 
 Log2Histogram &
-MetricRegistry::histogram(const std::string &name)
+MetricRegistry::histogram(std::string_view name)
 {
-    return histograms_[name];
+    return getOrCreate(histograms_, name);
 }
 
 void

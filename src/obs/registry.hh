@@ -23,6 +23,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "obs/metric.hh"
 #include "util/names.hh"
@@ -59,8 +60,9 @@ class MetricRegistry
   public:
     using GaugeOptions = obs::GaugeOptions;
 
-    /** Get or create a counter. */
-    CounterMetric &counter(const std::string &name);
+    /** Get or create a counter.  Lookups by name never allocate; only
+     *  a metric's first use copies its name. */
+    CounterMetric &counter(std::string_view name);
 
     /**
      * Register (or replace) a live gauge.  @p mode Rate derives a
@@ -72,7 +74,7 @@ class MetricRegistry
                                GaugeOptions options = GaugeOptions());
 
     /** Set a Value-mode gauge (get-or-create). */
-    GaugeMetric &setGauge(const std::string &name, double value);
+    GaugeMetric &setGauge(std::string_view name, double value);
 
     /**
      * Drop a gauge's reader, keeping its last value — call before the
@@ -81,7 +83,7 @@ class MetricRegistry
     void freezeGauge(const std::string &name);
 
     /** Get or create a histogram. */
-    Log2Histogram &histogram(const std::string &name);
+    Log2Histogram &histogram(std::string_view name);
 
     /** Attach a free-form string to a metric name (exported as-is). */
     void annotate(const std::string &name, const std::string &value);
@@ -102,15 +104,17 @@ class MetricRegistry
     uint64_t snapshots() const { return snapshots_; }
 
     // Bulk access for exporters.
-    const std::map<std::string, CounterMetric> &counters() const
+    const std::map<std::string, CounterMetric, std::less<>> &
+    counters() const
     {
         return counters_;
     }
-    const std::map<std::string, GaugeMetric> &gauges() const
+    const std::map<std::string, GaugeMetric, std::less<>> &gauges() const
     {
         return gauges_;
     }
-    const std::map<std::string, Log2Histogram> &histograms() const
+    const std::map<std::string, Log2Histogram, std::less<>> &
+    histograms() const
     {
         return histograms_;
     }
@@ -141,9 +145,9 @@ class MetricRegistry
     static MetricRegistry &global();
 
   private:
-    std::map<std::string, CounterMetric> counters_;
-    std::map<std::string, GaugeMetric> gauges_;
-    std::map<std::string, Log2Histogram> histograms_;
+    std::map<std::string, CounterMetric, std::less<>> counters_;
+    std::map<std::string, GaugeMetric, std::less<>> gauges_;
+    std::map<std::string, Log2Histogram, std::less<>> histograms_;
     std::map<std::string, TimeSeries> series_;
     std::map<std::string, std::string> annotations_;
     size_t seriesCapacity_ = 4096;

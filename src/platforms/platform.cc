@@ -304,18 +304,32 @@ a64fx()
     return p;
 }
 
+namespace
+{
+
+/** The three platforms, built once: immutable after the thread-safe
+ *  first call, so every lookup is a copy, never a rebuild. */
+const std::vector<Platform> &
+platformTable()
+{
+    static const std::vector<Platform> table = {skl(), knl(), a64fx()};
+    return table;
+}
+
+} // namespace
+
 std::vector<Platform>
 allPlatforms()
 {
-    return {skl(), knl(), a64fx()};
+    return platformTable();
 }
 
 util::Result<Platform>
 findPlatform(const std::string &name)
 {
-    for (Platform &p : allPlatforms()) {
+    for (const Platform &p : platformTable()) {
         if (p.name == name)
-            return std::move(p);
+            return p;
     }
     return util::Status::error(
         util::ErrorCode::NotFound,

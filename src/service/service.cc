@@ -1,8 +1,10 @@
 #include "service/service.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <map>
-#include <sstream>
+#include <span>
+#include <string_view>
 
 #include "core/analyzer.hh"
 #include "obs/span.hh"
@@ -18,7 +20,7 @@ namespace lll::service
 {
 
 using util::ErrorCode;
-using util::fmtG17;
+using util::appendG17;
 using util::JsonValue;
 using util::Status;
 using workloads::OptSet;
@@ -30,19 +32,21 @@ namespace
  *  ignored is an analysis the caller did not ask for. */
 Status
 rejectUnknownFields(const JsonValue &obj,
-                    const std::vector<std::string> &known,
-                    const char *what)
+                    std::span<const std::string_view> known,
+                    const char *what,
+                    std::span<const std::string_view> also_known = {})
 {
+    auto listed = [](std::span<const std::string_view> names,
+                     const std::string &key) {
+        for (std::string_view name : names) {
+            if (key == name)
+                return true;
+        }
+        return false;
+    };
     for (const auto &[k, v] : obj.object) {
         (void)v;
-        bool found = false;
-        for (const std::string &name : known) {
-            if (k == name) {
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
+        if (!listed(known, k) && !listed(also_known, k)) {
             return Status::error(ErrorCode::InvalidArgument,
                                  "unknown %s field \"%s\"", what,
                                  k.c_str());
@@ -73,12 +77,11 @@ parseStream(const JsonValue &v, size_t index)
                              "spec stream %zu must be an object, got %s",
                              index, v.typeName());
     }
-    LLL_RETURN_IF_ERROR(rejectUnknownFields(
-        v,
-        {"kind", "footprint_lines", "weight", "stride_lines", "store",
-         "shared_across_threads", "reuse_fraction", "reuse_window",
-         "sw_prefetchable"},
-        "spec stream"));
+    static constexpr std::string_view kFields[] = {
+        "kind", "footprint_lines", "weight", "stride_lines", "store",
+        "shared_across_threads", "reuse_fraction", "reuse_window",
+        "sw_prefetchable"};
+    LLL_RETURN_IF_ERROR(rejectUnknownFields(v, kFields, "spec stream"));
 
     sim::StreamDesc s;
     util::Result<std::string> kind = v.getStringOr("kind", "sequential");
@@ -143,12 +146,11 @@ parseSpec(const JsonValue &v)
                              "field \"spec\" must be an object, got %s",
                              v.typeName());
     }
-    LLL_RETURN_IF_ERROR(rejectUnknownFields(
-        v,
-        {"name", "streams", "compute_cycles_per_op", "window",
-         "work_per_op", "sw_prefetch_l2", "sw_prefetch_distance",
-         "sw_prefetch_overhead_cycles"},
-        "spec"));
+    static constexpr std::string_view kFields[] = {
+        "name", "streams", "compute_cycles_per_op", "window",
+        "work_per_op", "sw_prefetch_l2", "sw_prefetch_distance",
+        "sw_prefetch_overhead_cycles"};
+    LLL_RETURN_IF_ERROR(rejectUnknownFields(v, kFields, "spec"));
 
     sim::KernelSpec spec;
     util::Result<std::string> name = v.getStringOr("name", "inline");
@@ -242,16 +244,17 @@ parseRunRequest(const std::string &line, size_t line_no)
 
     // Per-version field lists: a v1 line must behave exactly as it did
     // on a v1-only build, so the v2-only fields stay unknown to it.
-    std::vector<std::string> known_fields = {
+    static constexpr std::string_view kV1Fields[] = {
         "schema_version", "id",   "platform",  "workload",
         "spec",           "random_dominated", "opts", "cores",
         "seed",           "warmup_us",        "measure_us"};
-    if (v2) {
-        known_fields.insert(known_fields.end(),
-                            {"kind", "axes", "points", "bank_weight",
-                             "max_candidates", "no_prune"});
-    }
-    Status known = rejectUnknownFields(*doc, known_fields, "request");
+    static constexpr std::string_view kV2Fields[] = {
+        "kind", "axes", "points", "bank_weight", "max_candidates",
+        "no_prune"};
+    Status known = rejectUnknownFields(
+        *doc, kV1Fields, "request",
+        v2 ? std::span<const std::string_view>(kV2Fields)
+           : std::span<const std::string_view>());
     if (!known.ok())
         return fail(known);
 
@@ -479,38 +482,99 @@ parseRunRequest(const std::string &line, size_t line_no)
     return req;
 }
 
+namespace
+{
+
+void
+appendInt(std::string &out, long long v)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/** Appenders for one `<key><value>` pair, where @p key carries the
+ *  separator and field name (and, for strings, the opening quote). */
+void
+appendStr(std::string &out, const char *key, std::string_view v)
+{
+    out += key;
+    util::appendJsonEscaped(out, v);
+    out += '"';
+}
+
+void
+appendNum(std::string &out, const char *key, double v)
+{
+    out += key;
+    appendG17(out, v);
+}
+
+/** stageDataJson() appended to @p out. */
+void
+appendStageData(std::string &out, const core::StageMetrics &m,
+                const std::string &platform, const std::string &workload,
+                const std::string &opts_label)
+{
+    const core::Analysis &a = m.analysis;
+    appendStr(out, "{\"platform\": \"", platform);
+    appendStr(out, ", \"workload\": \"", workload);
+    appendStr(out, ", \"opts\": \"", opts_label);
+    appendNum(out, ", \"throughput\": ", m.throughput);
+    appendNum(out, ", \"bw_gbs\": ", a.bwGBs);
+    appendNum(out, ", \"pct_peak\": ", a.pctPeak);
+    appendNum(out, ", \"latency_ns\": ", a.latencyNs);
+    appendNum(out, ", \"n_avg\": ", a.nAvg);
+    appendStr(out, ", \"access_class\": \"",
+              core::accessClassName(a.accessClass));
+    appendStr(out, ", \"limiting_level\": \"",
+              core::mshrLevelName(a.limitingLevel));
+    out += ", \"limiting_mshrs\": ";
+    appendInt(out, a.limitingMshrs);
+    appendNum(out, ", \"headroom\": ", a.headroom);
+    appendNum(out, ", \"max_achievable_gbs\": ", a.maxAchievableGBs);
+    out += ", \"cores_used\": ";
+    appendInt(out, a.coresUsed);
+    out += ", \"warnings\": [";
+    for (size_t i = 0; i < a.warnings.size(); ++i)
+        appendStr(out, i ? ", \"" : "\"", a.warnings[i]);
+    out += "]}";
+}
+
+} // namespace
+
 std::string
 renderRunResponse(const RunResponse &r, bool include_timing)
 {
-    std::ostringstream out;
-    out << "{\"schema_version\": " << r.schemaVersion
-        << ", \"id\": \"" << util::jsonEscape(r.id)
-        << "\", \"status\": {\"code\": \""
-        << util::errorCodeName(r.status.code())
-        << "\", \"exit\": " << util::exitCodeFor(r.status.code())
-        << ", \"message\": \"" << util::jsonEscape(r.status.message())
-        << "\"}, ";
+    std::string out;
+    out.reserve(512);
+    out += "{\"schema_version\": ";
+    appendInt(out, r.schemaVersion);
+    appendStr(out, ", \"id\": \"", r.id);
+    appendStr(out, ", \"status\": {\"code\": \"",
+              util::errorCodeName(r.status.code()));
+    out += ", \"exit\": ";
+    appendInt(out, util::exitCodeFor(r.status.code()));
+    appendStr(out, ", \"message\": \"", r.status.message());
+    out += "}, ";
     if (include_timing) {
         const StageTiming &t = r.timing;
-        out << "\"timing\": {\"parse_ns\": " << fmtG17(t.parseNs)
-            << ", \"coalesce_ns\": " << fmtG17(t.coalesceNs)
-            << ", \"queue_wait_ns\": " << fmtG17(t.queueWaitNs)
-            << ", \"simulate_ns\": " << fmtG17(t.simulateNs)
-            << ", \"respond_ns\": " << fmtG17(t.respondNs)
-            << ", \"total_ns\": " << fmtG17(t.totalNs) << "}, ";
+        appendNum(out, "\"timing\": {\"parse_ns\": ", t.parseNs);
+        appendNum(out, ", \"coalesce_ns\": ", t.coalesceNs);
+        appendNum(out, ", \"queue_wait_ns\": ", t.queueWaitNs);
+        appendNum(out, ", \"simulate_ns\": ", t.simulateNs);
+        appendNum(out, ", \"respond_ns\": ", t.respondNs);
+        appendNum(out, ", \"total_ns\": ", t.totalNs);
+        out += "}, ";
     }
-    out << "\"data\": ";
-    if (!r.status.ok()) {
-        out << "null}";
-        return out.str();
-    }
-    if (r.isSearch) {
-        out << search::searchDataJson(r.search, false) << "}";
-        return out.str();
-    }
-    out << stageDataJson(r.metrics, r.platform, r.workload, r.optsLabel)
-        << "}";
-    return out.str();
+    out += "\"data\": ";
+    if (!r.status.ok())
+        out += "null";
+    else if (r.isSearch)
+        out += search::searchDataJson(r.search, false);
+    else
+        appendStageData(out, r.metrics, r.platform, r.workload, r.optsLabel);
+    out += '}';
+    return out;
 }
 
 std::string
@@ -518,29 +582,9 @@ stageDataJson(const core::StageMetrics &m, const std::string &platform,
               const std::string &workload,
               const std::string &opts_label)
 {
-    const core::Analysis &a = m.analysis;
-    std::ostringstream out;
-    out << "{\"platform\": \"" << util::jsonEscape(platform)
-        << "\", \"workload\": \"" << util::jsonEscape(workload)
-        << "\", \"opts\": \"" << util::jsonEscape(opts_label)
-        << "\", \"throughput\": " << fmtG17(m.throughput)
-        << ", \"bw_gbs\": " << fmtG17(a.bwGBs)
-        << ", \"pct_peak\": " << fmtG17(a.pctPeak)
-        << ", \"latency_ns\": " << fmtG17(a.latencyNs)
-        << ", \"n_avg\": " << fmtG17(a.nAvg) << ", \"access_class\": \""
-        << core::accessClassName(a.accessClass)
-        << "\", \"limiting_level\": \""
-        << core::mshrLevelName(a.limitingLevel)
-        << "\", \"limiting_mshrs\": " << a.limitingMshrs
-        << ", \"headroom\": " << fmtG17(a.headroom)
-        << ", \"max_achievable_gbs\": " << fmtG17(a.maxAchievableGBs)
-        << ", \"cores_used\": " << a.coresUsed << ", \"warnings\": [";
-    for (size_t i = 0; i < a.warnings.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << util::jsonEscape(a.warnings[i])
-            << "\"";
-    }
-    out << "]}";
-    return out.str();
+    std::string out;
+    appendStageData(out, m, platform, workload, opts_label);
+    return out;
 }
 
 std::vector<RunResponse>
@@ -653,13 +697,14 @@ RunService::serveLines(const std::vector<std::string> &lines,
             const double measure = req.measureUs > 0.0
                                        ? req.measureUs
                                        : wl->measureUs();
-            const std::string key = core::ResultCache::stageKey(
+            std::string key = core::ResultCache::stageKey(
                 *plat, wl->spec(*plat, req.opts), req.opts, req.seed,
                 warmup, measure, cores);
             auto [it, fresh] = by_key.emplace(key, units.size());
             if (fresh) {
-                units.push_back({*plat, wl.get(), req.opts, warmup,
-                                 measure, cores, req.seed});
+                units.push_back({std::move(*plat), wl.get(), req.opts,
+                                 warmup, measure, cores, req.seed,
+                                 std::move(key)});
                 owned.push_back(std::move(wl));
             }
             slot.unit = it->second;

@@ -1,17 +1,16 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
 namespace lll::util
 {
 
-std::string
-jsonEscape(const std::string &s)
+void
+appendJsonEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
     for (char c : s) {
         switch (c) {
         case '"': out += "\\\""; break;
@@ -29,15 +28,36 @@ jsonEscape(const std::string &s)
             }
         }
     }
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendJsonEscaped(out, s);
     return out;
+}
+
+void
+appendG17(std::string &out, double v)
+{
+    // Shortest-of-%e/%f selection and 17 significant digits, exactly as
+    // printf("%.17g") spells them (tests/test_util.cc checks), without
+    // printf's format parsing and locale lookup.
+    char buf[32];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), v,
+                      std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 std::string
 fmtG17(double v)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendG17(out, v);
+    return out;
 }
 
 namespace

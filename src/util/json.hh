@@ -20,6 +20,7 @@
 #define LLL_UTIL_JSON_HH
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -86,9 +87,16 @@ class JsonValue
  */
 std::string jsonEscape(const std::string &s);
 
+/** jsonEscape(@p s) appended to @p out, for emitters that build one
+ *  line in one buffer. */
+void appendJsonEscaped(std::string &out, std::string_view s);
+
 /** Format @p v with `%.17g`: the shortest-safe round-trip spelling
  *  every JSON emitter uses for doubles. */
 std::string fmtG17(double v);
+
+/** fmtG17(@p v) appended to @p out. */
+void appendG17(std::string &out, double v);
 
 /**
  * Resource bounds enforced while parsing.  A hostile document — one

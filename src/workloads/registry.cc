@@ -5,16 +5,34 @@
 namespace lll::workloads
 {
 
+namespace
+{
+
+/** One registry entry: the short id makeX()->name() returns, and the
+ *  factory, so a lookup by name builds only the workload it finds
+ *  (tests/test_workloads.cc checks that the ids agree). */
+struct Entry
+{
+    const char *name;
+    WorkloadPtr (*make)();
+};
+
+/** Paper Table II order. */
+constexpr Entry kTableII[] = {
+    {"isx", makeIsx},         {"hpcg", makeHpcg},
+    {"pennant", makePennant}, {"comd", makeComd},
+    {"minighost", makeMinighost},
+    {"snap", makeSnap},
+};
+
+} // namespace
+
 std::vector<WorkloadPtr>
 allWorkloads()
 {
     std::vector<WorkloadPtr> all;
-    all.push_back(makeIsx());
-    all.push_back(makeHpcg());
-    all.push_back(makePennant());
-    all.push_back(makeComd());
-    all.push_back(makeMinighost());
-    all.push_back(makeSnap());
+    for (const Entry &e : kTableII)
+        all.push_back(e.make());
     return all;
 }
 
@@ -30,12 +48,12 @@ util::Result<WorkloadPtr>
 findWorkload(const std::string &name)
 {
     std::string known;
-    for (WorkloadPtr &w : allWorkloads()) {
-        if (w->name() == name)
-            return std::move(w);
+    for (const Entry &e : kTableII) {
+        if (name == e.name)
+            return e.make();
         if (!known.empty())
             known += ", ";
-        known += w->name();
+        known += e.name;
     }
     // Extensions outside the paper's Table II.
     if (name == "dgemm")

@@ -30,6 +30,13 @@ ProfileStore::statFile(const std::string &path, FileId *out)
 ProfileStore::Slot &
 ProfileStore::slotFor(const std::string &path)
 {
+    const bool absolute = !path.empty() && path.front() == '/';
+    if (absolute) {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = absoluteSlots_.find(path);
+        if (it != absoluteSlots_.end())
+            return *it->second;
+    }
     // Key on the absolute path, so "data/profiles/skl.profile" and its
     // absolute spelling share one entry, and a later chdir cannot make
     // one relative path serve another directory's file.
@@ -39,7 +46,10 @@ ProfileStore::slotFor(const std::string &path)
     if (ec)
         key = path;
     std::lock_guard<std::mutex> lock(mu_);
-    return slots_[key];
+    Slot &slot = slots_[key];
+    if (absolute)
+        absoluteSlots_.emplace(path, &slot);
+    return slot;
 }
 
 Result<LatencyProfile>

@@ -94,8 +94,12 @@ class ProfileStore
     [[nodiscard]] util::Result<LatencyProfile>
     loadLocked(Slot &slot, const std::string &path);
 
-    std::mutex mu_; //!< guards slots_ only
+    std::mutex mu_; //!< guards slots_ and absoluteSlots_ only
     std::map<std::string, Slot> slots_;
+    /** Absolute spellings already resolved to their slot: they mean
+     *  the same file at any cwd, so a repeat lookup skips the path
+     *  normalization (the stat() revalidation still runs). */
+    std::map<std::string, Slot *, std::less<>> absoluteSlots_;
     std::atomic<uint64_t> lookups_{0};
     std::atomic<uint64_t> fileLoads_{0};
     std::atomic<uint64_t> measured_{0};

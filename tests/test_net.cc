@@ -26,6 +26,7 @@
 #include "net/serve_handler.hh"
 #include "obs/registry.hh"
 #include "service/service.hh"
+#include "util/names.hh"
 #include "util/status.hh"
 #include "xmem/xmem_harness.hh"
 
@@ -584,6 +585,57 @@ TEST(Listener, DrainShutdownCompletesAdmittedWork)
     EXPECT_EQ(server.counter("net.responses_total"), 1u);
 }
 
+TEST(Listener, WorkerTelemetryAddsUpToTheAdmittedRequests)
+{
+    warmProfileCache();
+    ListenerParams params;
+    params.workers = 2;
+    TestServer server(params);
+    util::Result<BlockingClient> client =
+        BlockingClient::connectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status().toString();
+
+    // One request in flight at a time, so each request's cache-stat
+    // delta is its own: three cold stages (distinct seeds), each then
+    // repeated warm three times, and one line that fails to parse.
+    constexpr int kCold = 3;
+    constexpr int kWarmRepeats = 3;
+    std::vector<std::string> plan;
+    for (int pass = 0; pass <= kWarmRepeats; ++pass) {
+        for (int k = 0; k < kCold; ++k) {
+            plan.push_back(
+                "{\"schema_version\": 1, \"platform\": \"skl\", "
+                "\"workload\": \"isx\", \"cores\": 6, \"seed\": " +
+                std::to_string(9100 + k) +
+                ", \"warmup_us\": 5, \"measure_us\": 10}");
+        }
+    }
+    plan.push_back("this is not json");
+    for (const std::string &line : plan) {
+        ASSERT_TRUE(client->sendAll(line + "\n").ok());
+        util::Result<std::string> resp = client->recvLine(60000);
+        ASSERT_TRUE(resp.ok()) << resp.status().toString();
+    }
+
+    Status run = server.stop();
+    EXPECT_TRUE(run.ok()) << run.toString();
+    const uint64_t admitted = plan.size();
+    EXPECT_EQ(server.counter(util::names::kNetRequestsAdmittedTotal),
+              admitted);
+    EXPECT_EQ(server.counter(util::names::kServiceRequestsTotal),
+              admitted);
+    EXPECT_EQ(server.registry()
+                  .histogram(util::names::kServiceLatencyTotalNs)
+                  .total(),
+              admitted);
+    EXPECT_EQ(server.counter(util::names::kServiceRequestsFailedTotal),
+              1u);
+    EXPECT_EQ(server.counter(util::names::kServiceCacheMissesTotal),
+              uint64_t(kCold));
+    EXPECT_EQ(server.counter(util::names::kServiceCacheHitsTotal),
+              uint64_t(kCold * kWarmRepeats));
+}
+
 TEST(Listener, UnixSocketServes)
 {
     warmProfileCache();
@@ -651,6 +703,39 @@ TEST(LoadGen, PacedLatencyIncludesTheBacklogBehindAStall)
     // About 40 of ~200 requests fell due during the stall, so the p99
     // sits inside the backlog, not on the fast path behind it.
     EXPECT_GE(rep->okLatencyNs.percentile(0.99), 0.5 * stall_ms * 1e6);
+}
+
+TEST(LoadGen, LightlyPacedRunObeysLittlesLaw)
+{
+    // Each request holds a worker for 20 ms; at 50 req/s on 4 workers
+    // the generator never has to wait, so what it keeps in flight (L)
+    // matches throughput x latency (λW) up to its send jitter.
+    ListenerParams params;
+    params.workers = 4;
+    params.handler = [](const std::string &, uint64_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        HandlerResult out;
+        out.line = "{\"status\": {\"code\": \"ok\"}}";
+        return out;
+    };
+    TestServer server(std::move(params));
+
+    LoadGenParams lp;
+    lp.port = server.port();
+    lp.connections = 2;
+    lp.pipeline = 4;
+    lp.qps = 50.0;
+    lp.durationS = 1.5;
+    lp.requestLines = {"{}"};
+    util::Result<LoadGenReport> rep = runLoadGen(lp);
+    ASSERT_TRUE(rep.ok()) << rep.status().toString();
+    ASSERT_EQ(rep->received, rep->sent);
+    ASSERT_GT(rep->received, 50u);
+    EXPECT_GE(rep->meanLatencyS, 0.020);
+    // About one request in flight: 50/s x 20 ms.
+    EXPECT_GT(rep->inflightAvg, 0.5);
+    EXPECT_LT(rep->inflightAvg, 2.0);
+    EXPECT_LT(rep->littlesResidual, 0.2);
 }
 
 } // namespace

@@ -73,7 +73,21 @@ TEST(PlatformTest, FindPlatformUnknownIsNotFound)
     util::Result<Platform> r = findPlatform("epyc");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), util::ErrorCode::NotFound);
-    EXPECT_NE(r.status().message().find("unknown"), std::string::npos);
+    EXPECT_EQ(r.status().message(),
+              "unknown platform 'epyc' (expected skl, knl or a64fx)");
+}
+
+TEST(PlatformTest, LookupsReturnFreshEqualCopies)
+{
+    // The table is built once; a caller editing its copy must not
+    // change what the next lookup returns.
+    Platform first = findPlatform("knl").take();
+    first.totalCores = 1;
+    first.proto.l2.mshrs = 1;
+    const Platform again = findPlatform("knl").take();
+    EXPECT_EQ(again.totalCores, knl().totalCores);
+    EXPECT_EQ(again.proto.l2.mshrs, knl().proto.l2.mshrs);
+    EXPECT_EQ(allPlatforms()[1].totalCores, knl().totalCores);
 }
 
 TEST(PlatformTest, SysParamsAppliesCoresAndSmt)

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -477,6 +478,34 @@ TEST(ResultCache, StageKeyCoversEveryInput)
                                           11.0, 6));
     EXPECT_NE(base, ResultCache::stageKey(skl, spec, OptSet{}, 7, 5.0,
                                           10.0, 8));
+}
+
+TEST(ResultCache, StageKeySpellingIsPinned)
+{
+    // Spill files store the key and are named by its hash, so its
+    // spelling is part of the on-disk format.
+    const platforms::Platform skl = platforms::skl();
+    const platforms::Platform a64fx = platforms::a64fx();
+    const workloads::WorkloadPtr isx = workloads::makeIsx();
+    EXPECT_EQ(ResultCache::stageKey(skl, isx->spec(skl, OptSet{}),
+                                    OptSet{}, 7, 15.0, 40.0, 24),
+              "skl|spec:4dca9198d47dea24|opts:|seed:7|warmup:15"
+              "|measure:40|cores:24");
+    const OptSet all = OptSet{}
+                           .with(Opt::Vectorize)
+                           .with(Opt::Smt2)
+                           .with(Opt::SwPrefetchL2)
+                           .with(Opt::Tiling)
+                           .with(Opt::UnrollJam)
+                           .with(Opt::Fusion)
+                           .with(Opt::Distribution);
+    EXPECT_EQ(ResultCache::stageKey(
+                  a64fx, isx->spec(a64fx, OptSet{}.with(Opt::Vectorize)),
+                  all, UINT64_MAX, 0.1, 1e-5, 4),
+              "a64fx|spec:bc580c2b5aa18dc5|opts:vect 2-ht l2-pref "
+              "tiling unroll-jam fusion distr|seed:18446744073709551615"
+              "|warmup:0.10000000000000001"
+              "|measure:1.0000000000000001e-05|cores:4");
 }
 
 TEST(ResultCache, LruCapEvictsLeastRecentlyUsed)

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -676,6 +680,63 @@ TEST(JsonEscape, ParserReadsEveryByteBack)
         util::parseJson("\"" + util::jsonEscape(all) + "\"");
     ASSERT_TRUE(doc.ok()) << doc.status().toString();
     EXPECT_EQ(doc->string, all);
+}
+
+std::string
+printfG17(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+TEST(FmtG17, MatchesPrintfOnEdgeValues)
+{
+    const double edges[] = {
+        0.0,
+        -0.0,
+        INFINITY,
+        -INFINITY,
+        std::nan(""),
+        -std::nan(""),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        0x1.fffffffffffffp-1023, // largest subnormal
+        DBL_MIN,
+        -DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+        0x1p53 - 1,
+        0x1p53,
+        0x1p53 + 2, // 2^53 + 1 rounds to an even neighbour
+        9007199254740993.0,
+        0.1,
+        1.0 / 3.0,
+        1e16,
+        1e17,
+        123456789012345678.0,
+        1e-5,
+        1e-4,
+        100.0,
+        2.5,
+    };
+    for (double v : edges)
+        EXPECT_EQ(util::fmtG17(v), printfG17(v)) << printfG17(v);
+}
+
+TEST(FmtG17, MatchesPrintfOnRandomBitPatterns)
+{
+    Rng rng(20260417);
+    int mismatches = 0;
+    for (int i = 0; i < 200000; ++i) {
+        const uint64_t bits = rng.next64();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        const std::string want = printfG17(v);
+        if (util::fmtG17(v) != want && ++mismatches <= 5)
+            ADD_FAILURE() << "bits " << bits << ": want " << want;
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 } // namespace

@@ -158,8 +158,18 @@ TEST(WorkloadRegistryTest, UnknownNameIsNotFound)
     util::Result<WorkloadPtr> r = findWorkload("lulesh");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), util::ErrorCode::NotFound);
-    EXPECT_NE(r.status().message().find("unknown workload"),
-              std::string::npos);
+    EXPECT_EQ(r.status().message(),
+              "unknown workload 'lulesh' (expected isx, hpcg, pennant, "
+              "comd, minighost, snap or dgemm)");
+}
+
+TEST(WorkloadRegistryTest, FindByNameReturnsThatWorkload)
+{
+    for (const WorkloadPtr &w : allWorkloadsAndExtensions()) {
+        util::Result<WorkloadPtr> found = findWorkload(w->name());
+        ASSERT_TRUE(found.ok()) << w->name();
+        EXPECT_EQ((*found)->name(), w->name());
+    }
 }
 
 TEST(WorkloadEffectTest, IsxVectorizationWidensWindow)

@@ -1487,9 +1487,10 @@ cmdServe(int argc, char **argv)
  * `--pipeline` requests in flight, at `--qps` aggregate (0 floods) for
  * `--duration-s`, then reports achieved throughput and latency
  * percentiles split by response class — admitted (`ok`) vs shed
- * (`unavailable`).  Shedding is the server working as designed, so it
- * never fails the run; request-level failures or connection errors
- * exit 3.
+ * (`unavailable`) — and checks Little's law on the run: in-flight L
+ * against throughput × mean latency.  Shedding is the server working
+ * as designed, so it never fails the run; request-level failures or
+ * connection errors exit 3.
  */
 int
 cmdBenchServe(int argc, char **argv)
@@ -1597,6 +1598,11 @@ cmdBenchServe(int argc, char **argv)
                 fmtPercentilesMs(rep->shedLatencyNs).c_str());
     std::printf("  failed      %8llu\n",
                 static_cast<unsigned long long>(rep->failed));
+    std::printf("  Little's law: L %.3f in flight vs λW %.3f (λ %.1f "
+                "req/s, W %.3f ms), residual %.4f\n",
+                rep->inflightAvg, rep->achievedQps * rep->meanLatencyS,
+                rep->achievedQps, rep->meanLatencyS * 1e3,
+                rep->littlesResidual);
     for (const std::string &e : rep->errors)
         std::fprintf(stderr, "bench-serve: %s\n", e.c_str());
 
@@ -1620,6 +1626,10 @@ cmdBenchServe(int argc, char **argv)
              << ",\n  \"connection_errors\": " << rep->connectionErrors
              << ",\n  \"wall_s\": " << rep->wallS
              << ",\n  \"achieved_qps\": " << rep->achievedQps
+             << ",\n  \"littles_law\": {\"l\": " << rep->inflightAvg
+             << ", \"lambda_rps\": " << rep->achievedQps
+             << ", \"w_ms\": " << rep->meanLatencyS * 1e3
+             << ", \"residual\": " << rep->littlesResidual << "}"
              << ",\n  \"latency_ms\": {\"all\": "
              << percentilesMsJson(rep->latencyNs)
              << ", \"ok\": " << percentilesMsJson(rep->okLatencyNs)
