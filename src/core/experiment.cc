@@ -126,7 +126,9 @@ Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
                       "caller's stage key for '%s' is not this stage's",
                       label.c_str());
         StageMetrics cached;
+        ++cacheLookups_;
         if (params_.resultCache->lookup(key, &cached)) {
+            ++cacheHits_;
             if (params_.registry) {
                 params_.registry->setGauge(
                     "analyzer.variant." + label + ".n_avg",

@@ -151,6 +151,11 @@ class Experiment
     const Analyzer &analyzer() const { return analyzer_; }
     int coresUsed() const { return coresUsed_; }
 
+    /** ResultCache lookups this experiment's stages made, and how many
+     *  of them hit (0 and 0 without a cache). */
+    uint64_t resultCacheLookups() const { return cacheLookups_; }
+    uint64_t resultCacheHits() const { return cacheHits_; }
+
   private:
     platforms::Platform platform_;
     const workloads::Workload &workload_;
@@ -158,6 +163,8 @@ class Experiment
     Params params_;
     int coresUsed_;
     std::map<std::string, StageMetrics> cache_;
+    uint64_t cacheLookups_ = 0;
+    uint64_t cacheHits_ = 0;
 };
 
 } // namespace lll::core

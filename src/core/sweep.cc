@@ -888,6 +888,8 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
                     u.workload->name().c_str());
             } else {
                 out.metrics = exp->stage(u.opts, u.stageKey);
+                out.cacheLookups = exp->resultCacheLookups();
+                out.cacheHits = exp->resultCacheHits();
             }
         }
         out.simulateNs = fanout.elapsedNs() - picked_up_ns;

@@ -236,6 +236,11 @@ class SweepRunner
         /** Host wall time the worker spent running the unit
          *  (Experiment creation + simulated stage). */
         double simulateNs = 0.0;
+
+        /** This unit's own ResultCache outcome: lookups made and how
+         *  many hit (both 0 without a cache). */
+        uint64_t cacheLookups = 0;
+        uint64_t cacheHits = 0;
     };
 
     explicit SweepRunner(Params params) : params_(params) {}

@@ -164,6 +164,8 @@ Searcher::run(const SearchSpec &spec)
             row.fate = CandidateFate::Simulated;
             ++result.simulated;
             const core::SweepRunner::StageOutcome &out = outcomes[u];
+            result.cacheLookups += out.cacheLookups;
+            result.cacheHits += out.cacheHits;
             row.status = out.status;
             if (!out.status.ok())
                 continue;

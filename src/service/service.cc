@@ -823,12 +823,24 @@ RunService::serveLines(const std::vector<std::string> &lines,
             reg.histogram(util::names::kServiceLatencyTotalNs).sample(t.totalNs);
         }
         if (params_.cache) {
+            // Hits and misses come from this batch's own lookups, so
+            // concurrent batches on a shared cache never count each
+            // other's.
+            uint64_t lookups = 0;
+            uint64_t hits = 0;
+            for (const core::SweepRunner::StageOutcome &o : outcomes) {
+                lookups += o.cacheLookups;
+                hits += o.cacheHits;
+            }
+            for (const Slot &slot : slots) {
+                lookups += slot.search.cacheLookups;
+                hits += slot.search.cacheHits;
+            }
+            reg.counter(util::names::kServiceCacheHitsTotal).increment(hits);
+            reg.counter(util::names::kServiceCacheMissesTotal)
+                .increment(lookups - hits);
             const core::ResultCache::Stats after =
                 params_.cache->stats();
-            reg.counter(util::names::kServiceCacheHitsTotal)
-                .increment(after.hits - before.hits);
-            reg.counter(util::names::kServiceCacheMissesTotal)
-                .increment(after.misses - before.misses);
             reg.counter(util::names::kServiceCacheEvictionsTotal)
                 .increment(after.evictions - before.evictions);
             reg.counter(util::names::kServiceCacheSpillEvictionsTotal)

@@ -1,5 +1,8 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
+#include <cstring>
+
 #include "sim/stream_prefetcher.hh"
 #include "sim/thread_context.hh"
 
@@ -27,70 +30,104 @@ Cache::Cache(const Params &params, EventQueue &eq, RequestPool &pool)
                "%s: sets must be a power of two", params_.name.c_str());
     lll_assert(params_.ways > 0, "%s: ways must be positive",
                params_.name.c_str());
-    const size_t n = static_cast<size_t>(params_.sets) * params_.ways;
-    tags_.assign(n, kInvalidTag);
-    stamps_.assign(n, 0);
-    flags_.assign(n, 0);
-}
-
-size_t
-Cache::setBase(uint64_t lineAddr) const
-{
-    lll_assert(lineAddr != kInvalidTag, "%s: line address %#llx is the "
-               "empty-way tag", params_.name.c_str(),
-               static_cast<unsigned long long>(lineAddr));
-    uint64_t x = lineAddr;
-    if (params_.hashedSets) {
-        x ^= x >> 17;
-        x *= 0xed5ad4bbac4c1b51ULL;
-        x ^= x >> 28;
+    lll_assert(params_.ways <= kMaxWays,
+               "%s: %u ways exceed the %u one-byte recency ranks order",
+               params_.name.c_str(), params_.ways, kMaxWays);
+    const size_t ways = params_.ways;
+    rankOff_ = ways * sizeof(uint64_t);
+    flagOff_ = rankOff_ + (ways + kRankChunk - 1) / kRankChunk * kRankChunk;
+    fillOff_ = flagOff_ + ways;
+    blockBytes_ = (fillOff_ + kHostLine) / kHostLine * kHostLine;
+    // Plain (8-byte aligned) storage with one host line of slack, the
+    // first block placed on a line boundary inside it.
+    blocks_.resize((params_.sets * blockBytes_ + kHostLine) /
+                   sizeof(uint64_t));
+    const auto addr = reinterpret_cast<uintptr_t>(blocks_.data());
+    blockBase_ = reinterpret_cast<uint8_t *>(blocks_.data()) +
+                 ((kHostLine - addr % kHostLine) % kHostLine);
+    for (size_t set = 0; set < params_.sets; ++set) {
+        uint64_t *tags = tagsOf(blockBase_ + set * blockBytes_);
+        std::fill(tags, tags + ways, kInvalidTag);
     }
-    return static_cast<size_t>(x & (params_.sets - 1)) * params_.ways;
 }
 
-size_t
-Cache::lookup(uint64_t lineAddr) const
+unsigned
+Cache::findWay(const uint8_t *b, uint64_t lineAddr) const
 {
-    const size_t base = setBase(lineAddr);
-    const uint64_t *set = &tags_[base];
+    const uint64_t *tags = tagsOf(b);
     for (unsigned w = 0; w < params_.ways; ++w) {
-        if (set[w] == lineAddr)
-            return base + w;
+        if (tags[w] == lineAddr)
+            return w;
     }
     return kNoWay;
+}
+
+void
+Cache::touch(uint8_t *b, unsigned way) const
+{
+    // Every rank above the touched way's moves down one and the way
+    // becomes the filled count (MRU).  Padding and empty ways hold 0,
+    // so whole fixed-size chunks update without a per-way branch.
+    uint8_t *ranks = ranksOf(b);
+    const uint8_t mru = filledOf(b);
+    const uint8_t old = ranks[way];
+    if (old == mru)
+        return;
+    // One 16-lane vector op per chunk: a lane compare yields all-ones
+    // (-1) where the rank is above the old one, and adding it
+    // decrements exactly those lanes.
+    using Chunk = uint8_t __attribute__((vector_size(kRankChunk)));
+    const Chunk threshold = Chunk{} + old;
+    const size_t rankBytes = flagOff_ - rankOff_;
+    for (size_t c = 0; c < rankBytes; c += kRankChunk) {
+        Chunk v;
+        std::memcpy(&v, ranks + c, sizeof(v));
+        v += reinterpret_cast<Chunk>(v > threshold);
+        std::memcpy(ranks + c, &v, sizeof(v));
+    }
+    ranks[way] = mru;
 }
 
 bool
 Cache::isResident(uint64_t lineAddr) const
 {
-    return lookup(lineAddr) != kNoWay;
+    return findWay(setBlock(lineAddr), lineAddr) != kNoWay;
 }
 
 int
 Cache::wayOf(uint64_t lineAddr) const
 {
-    const size_t way = lookup(lineAddr);
-    return way == kNoWay ? -1 : static_cast<int>(way % params_.ways);
+    const unsigned way = findWay(setBlock(lineAddr), lineAddr);
+    return way == kNoWay ? -1 : static_cast<int>(way);
 }
 
 void
 Cache::insert(uint64_t lineAddr, bool dirty, bool prefetched)
 {
-    // Victim: the first empty way, else the least recently used, first
-    // way winning ties.  Empty ways carry stamp 0 and every fill stamps
-    // >= 1, so the lowest stamp, first found, is exactly that rule.
-    const size_t base = setBase(lineAddr);
-    size_t victim = base;
-    for (size_t w = base + 1; w < base + params_.ways; ++w) {
-        if (stamps_[w] < stamps_[victim])
-            victim = w;
+    // Victim: the first empty way, else the least recently used (rank
+    // 1).  Filled ways are a prefix, so the first empty way is the
+    // filled count.
+    uint8_t *b = setBlock(lineAddr);
+    uint8_t *ranks = ranksOf(b);
+    uint8_t &filled = filledOf(b);
+    unsigned victim;
+    if (filled < params_.ways) {
+        victim = filled;
+        ranks[victim] = ++filled;
+    } else {
+        victim = static_cast<unsigned>(
+            static_cast<const uint8_t *>(std::memchr(ranks, 1, filled)) -
+            ranks);
+        touch(b, victim);
     }
 
-    if ((flags_[victim] & kDirty) != 0) {
+    uint64_t &tag = tagsOf(b)[victim];
+    uint8_t &flags = flagsOf(b)[victim];
+    if ((flags & kDirty) != 0) {
         // Dirty eviction: write the victim back downstream.  Writebacks
         // are never refused (write buffers, not MSHRs, carry them).
         MemRequest *wb = pool_.alloc();
-        wb->lineAddr = tags_[victim];
+        wb->lineAddr = tag;
         wb->type = ReqType::Writeback;
         wb->issued = eq_.now();
         ++stats_.writebacksOut;
@@ -99,10 +136,9 @@ Cache::insert(uint64_t lineAddr, bool dirty, bool prefetched)
                    params_.name.c_str());
     }
 
-    tags_[victim] = lineAddr;
-    flags_[victim] = static_cast<uint8_t>((dirty ? kDirty : 0) |
-                                          (prefetched ? kPrefetched : 0));
-    stamps_[victim] = ++useClock_;
+    tag = lineAddr;
+    flags = static_cast<uint8_t>((dirty ? kDirty : 0) |
+                                 (prefetched ? kPrefetched : 0));
 }
 
 bool
@@ -113,9 +149,10 @@ Cache::tryAccess(MemRequest *req)
     if (req->type == ReqType::Writeback) {
         // A dirty line arriving from the level above: update in place if
         // resident, otherwise install it (which may cascade an eviction).
-        if (const size_t way = lookup(req->lineAddr); way != kNoWay) {
-            flags_[way] |= kDirty;
-            stamps_[way] = ++useClock_;
+        uint8_t *b = setBlock(req->lineAddr);
+        if (const unsigned way = findWay(b, req->lineAddr); way != kNoWay) {
+            flagsOf(b)[way] |= kDirty;
+            touch(b, way);
         } else {
             insert(req->lineAddr, /*dirty=*/true, /*prefetched=*/false);
         }
@@ -123,16 +160,18 @@ Cache::tryAccess(MemRequest *req)
         return true;
     }
 
-    if (const size_t way = lookup(req->lineAddr); way != kNoWay) {
+    uint8_t *b = setBlock(req->lineAddr);
+    if (const unsigned way = findWay(b, req->lineAddr); way != kNoWay) {
         // Hit.
-        stamps_[way] = ++useClock_;
+        touch(b, way);
         ++stats_.demandHits;
-        if ((flags_[way] & kPrefetched) != 0) {
+        uint8_t &flags = flagsOf(b)[way];
+        if ((flags & kPrefetched) != 0) {
             ++stats_.prefetchUseful;
-            flags_[way] &= ~kPrefetched;
+            flags &= ~kPrefetched;
         }
         if (req->isStore())
-            flags_[way] |= kDirty;
+            flags |= kDirty;
         if (req->origin) {
             // Fill request from the level above: respond with the line.
             MemRequest *resp = req;
@@ -195,7 +234,7 @@ Cache::tryPrefetch(uint64_t lineAddr, ReqType type, int core, int thread)
 {
     lll_assert(type == ReqType::SwPrefetch || type == ReqType::HwPrefetch,
                "tryPrefetch with non-prefetch type");
-    if (lookup(lineAddr) != kNoWay)
+    if (isResident(lineAddr))
         return PrefetchOutcome::Covered;    // already resident
     if (mshrs_.lookup(lineAddr) != nullptr)
         return PrefetchOutcome::Covered;    // already in flight
@@ -248,7 +287,7 @@ Cache::servePendingPrefetches()
     while (!deferredPf_.empty() && !mshrs_.full()) {
         PendingPrefetch pf = deferredPf_.front();
         deferredPf_.pop_front();
-        if (lookup(pf.lineAddr) != kNoWay ||
+        if (isResident(pf.lineAddr) ||
             mshrs_.lookup(pf.lineAddr) != nullptr) {
             continue;   // covered while it waited
         }
@@ -293,13 +332,14 @@ void
 Cache::completeTargets(Mshr *mshr)
 {
     const Tick now = eq_.now();
-    const size_t way = lookup(mshr->lineAddr);
+    uint8_t *b = setBlock(mshr->lineAddr);
+    const unsigned way = findWay(b, mshr->lineAddr);
     lll_assert(way != kNoWay, "%s: completing targets without a line",
                params_.name.c_str());
 
     for (MemRequest *target : mshr->targets) {
         if (target->isStore())
-            flags_[way] |= kDirty;
+            flagsOf(b)[way] |= kDirty;
         if (target->origin) {
             MemRequest *resp = target;
             eq_.schedule(now, fillPrio(*resp->origin, resp->lineAddr),
@@ -356,10 +396,16 @@ Cache::notifyRetryWaiters()
 {
     if (retryWaiters_.empty())
         return;
+    // Run the waiters from the spare buffer while callbacks that
+    // re-register land in the (emptied, capacity-keeping) live list;
+    // the buffer goes back to spare afterwards.
     std::vector<EventFn> waiters;
+    waiters.swap(spareWaiters_);
     waiters.swap(retryWaiters_);
     for (auto &cb : waiters)
         cb();
+    waiters.clear();
+    spareWaiters_.swap(waiters);
 }
 
 void

@@ -51,6 +51,12 @@ enum class PrefetchOutcome
 class Cache : public MemLevel
 {
   public:
+    /**
+     * Widest set the one-byte recency ranks can order; the validator
+     * rejects wider caches (LLL-SPEC-020).
+     */
+    static constexpr unsigned kMaxWays = 255;
+
     struct Params
     {
         std::string name = "cache";
@@ -92,6 +98,9 @@ class Cache : public MemLevel
     };
 
     Cache(const Params &params, EventQueue &eq, RequestPool &pool);
+    // blockBase_ points into blocks_, so a copy would alias the original.
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /** Wire the next level down (must be called before use). */
     void setDownstream(MemLevel *down) { down_ = down; }
@@ -152,19 +161,61 @@ class Cache : public MemLevel
      */
     static constexpr uint64_t kInvalidTag = ~uint64_t{0};
 
-    /** lookup()'s miss result. */
-    static constexpr size_t kNoWay = ~size_t{0};
+    /** findWay()'s miss result. */
+    static constexpr unsigned kNoWay = ~0u;
 
-    /** Per-way flag bits (flags_). */
+    /** Per-way flag bits (a block's flag bytes). */
     static constexpr uint8_t kDirty = 1;
     static constexpr uint8_t kPrefetched = 2;
 
-    /** Flat index of way 0 of @p lineAddr's set (asserts the line is
-     *  not kInvalidTag). */
-    size_t setBase(uint64_t lineAddr) const;
+    /** Ranks are updated in chunks of this many bytes. */
+    static constexpr unsigned kRankChunk = 16;
 
-    /** Flat index (set * ways + way) holding @p lineAddr, or kNoWay. */
-    size_t lookup(uint64_t lineAddr) const;
+    /** Host cache-line size the tag blocks are padded and aligned to. */
+    static constexpr size_t kHostLine = 64;
+
+    /** Tag block of @p lineAddr's set, by plain low bits or hashed
+     *  (asserts the line is not kInvalidTag). */
+    uint8_t *
+    setBlock(uint64_t lineAddr) const
+    {
+        lll_assert(lineAddr != kInvalidTag, "%s: line address %#llx is "
+                   "the empty-way tag", params_.name.c_str(),
+                   static_cast<unsigned long long>(lineAddr));
+        uint64_t x = lineAddr;
+        if (params_.hashedSets) {
+            x ^= x >> 17;
+            x *= 0xed5ad4bbac4c1b51ULL;
+            x ^= x >> 28;
+        }
+        return blockBase_ +
+               static_cast<size_t>(x & (params_.sets - 1)) * blockBytes_;
+    }
+
+    // A block's fields: ways tags, then the ranks, then the flag
+    // bytes and the filled-way count.
+    static uint64_t *
+    tagsOf(uint8_t *b)
+    {
+        return reinterpret_cast<uint64_t *>(b);
+    }
+
+    static const uint64_t *
+    tagsOf(const uint8_t *b)
+    {
+        return reinterpret_cast<const uint64_t *>(b);
+    }
+
+    uint8_t *ranksOf(uint8_t *b) const { return b + rankOff_; }
+    uint8_t *flagsOf(uint8_t *b) const { return b + flagOff_; }
+    uint8_t &filledOf(uint8_t *b) const { return b[fillOff_]; }
+
+    /** Way of block @p b holding @p lineAddr (first match), or
+     *  kNoWay. */
+    unsigned findWay(const uint8_t *b, uint64_t lineAddr) const;
+
+    /** Make @p way of block @p b its set's most recently used way. */
+    void touch(uint8_t *b, unsigned way) const;
 
     /**
      * Install @p lineAddr, evicting the LRU victim (dirty victims emit a
@@ -188,13 +239,18 @@ class Cache : public MemLevel
     Cache *downCache_ = nullptr;
     StreamPrefetcher *prefetcher_ = nullptr;
 
-    // Tag store, structure-of-arrays over sets * ways flat indices, so
-    // the lookup scan reads one contiguous run of tags.  An empty way
-    // has tag kInvalidTag, stamp 0 and no flags.
-    std::vector<uint64_t> tags_;
-    std::vector<uint64_t> stamps_;  //!< LRU use stamps, >= 1 once filled
-    std::vector<uint8_t> flags_;    //!< kDirty | kPrefetched
-    uint64_t useClock_ = 0;
+    // Tag store: one contiguous block per set, padded to whole host
+    // lines, so a lookup and its LRU update touch only that block.
+    // Ranks order a set's filled ways by recency, 1 (LRU) up to the
+    // filled count (MRU); an empty way has rank 0, tag kInvalidTag
+    // and no flags.  Ways fill in order and never empty again, so the
+    // filled ways are always a prefix of the set.
+    std::vector<uint64_t> blocks_;  //!< the blocks, plus alignment slack
+    uint8_t *blockBase_ = nullptr;  //!< first block, kHostLine-aligned
+    size_t blockBytes_ = 0;
+    size_t rankOff_ = 0;    //!< ways * 8
+    size_t flagOff_ = 0;    //!< rankOff_ + ways rounded up to kRankChunk
+    size_t fillOff_ = 0;    //!< flagOff_ + ways
 
     MshrQueue mshrs_;
     CacheStats stats_;
@@ -219,6 +275,9 @@ class Cache : public MemLevel
     std::deque<PendingPrefetch> deferredPf_;
 
     std::vector<EventFn> retryWaiters_;
+    /** Emptied buffer notifyRetryWaiters() runs from and hands back, so
+     *  re-registering never allocates. */
+    std::vector<EventFn> spareWaiters_;
 };
 
 /**

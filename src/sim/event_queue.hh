@@ -33,20 +33,27 @@
  * bound-member-plus-pointer closures every component schedules — and
  * each one is built once, in place, in a cell of a chunked arena whose
  * cells never move; it runs in that cell and the cell is recycled.
- * Everything that orders events holds trivially-copyable keys that
- * point at cells, so no sort, sift or refill ever moves a closure.
- * The ordering structure is two-level, following the calendar-queue
- * literature: events inside the near-future window [now, now +
- * kWheelTicks) drop into a per-tick bucket — O(1), no comparisons —
- * with an occupancy bitmap whose count-trailing-zeros scan is what
- * fast-forwards runUntil() straight to the next busy tick; events
- * beyond the window wait in a flat 4-ary min-heap keyed by (tick,
- * priority) packed into one 128-bit word.  The window slides with now:
- * whenever time advances, heap events that entered the window move to
- * their buckets.  Within one tick, dispatch sorts the tick's bucket by
- * (priority, tie) and invokes it as a batch, re-merging whenever a
- * callback schedules new same-tick work that could order before a
- * later priority class.
+ * The wheels chain the cells themselves, and the heap and the
+ * dispatch batch hold trivially-copyable keys that point at cells, so
+ * no sort, sift or relink ever moves a closure.
+ * The ordering structure is a two-level timing wheel over a heap,
+ * following the calendar-queue literature.  Time is cut into
+ * kWheelTicks-aligned slots.  The fine wheel has one bucket per tick
+ * and spans two slots: the one holding now and the next.  An event
+ * fewer than kWheelTicks ahead always lands there — O(1), no
+ * comparisons — and an occupancy bitmap's count-trailing-zeros scan
+ * fast-forwards runUntil() straight to the next busy tick.  Events
+ * further out drop, unsorted, into the coarse wheel: one slot-wide
+ * bucket per slot, kCoarseSlots of them, a few microseconds in all,
+ * which takes memory responses and compute gaps.  When now enters a
+ * slot, the coarse bucket of the slot after it moves into the fine
+ * wheel whole.  Only events past the coarse horizon (housekeeping,
+ * long watchdog periods) wait in a flat 4-ary min-heap keyed by
+ * (tick, priority) packed into one 128-bit word, and move to the
+ * wheels as the horizon reaches them.  Within one tick, dispatch sorts
+ * the tick's bucket by (priority, tie) and invokes it as a batch,
+ * re-merging whenever a callback schedules new same-tick work that
+ * could order before a later priority class.
  */
 
 #ifndef LLL_SIM_EVENT_QUEUE_HH
@@ -304,16 +311,20 @@ class EventQueue
     using Callback = EventFn;
 
     /**
-     * Near-future window: events fewer than this many ticks past now
-     * take the bucketed O(1) path; later ones wait in the heap until
-     * the window, which slides with now, reaches them.  16384 ticks
+     * Near-future window and slot width: events fewer than this many
+     * ticks past now go straight into a fine bucket.  16384 ticks
      * (~16 ns, a few dozen core cycles) covers the skl and knl cache
-     * latencies (a64fx's 37-cycle L2 lands just past it); memory
-     * responses and housekeeping ride the heap.
+     * latencies; a64fx's 37-cycle L2 hits, memory responses and
+     * compute gaps land in the coarse wheel and move into the fine
+     * wheel a slot ahead of their time.
      */
     static constexpr Tick kWheelTicks = 16384;
 
-    EventQueue() : buckets_(kWheelTicks) {}
+    /** Coarse wheel slots: a kCoarseSlots * kWheelTicks horizon
+     *  (~4.2 µs) before events fall back to the heap. */
+    static constexpr size_t kCoarseSlots = 256;
+
+    EventQueue() : fineHead_(std::make_unique<Cell *[]>(kFineTicks)) {}
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -361,14 +372,16 @@ class EventQueue
                    "within a tick",
                    static_cast<unsigned long long>(prio),
                    static_cast<unsigned long long>(batchPrio_));
-        EventFn *fn = allocCell();
-        fn->emplace(std::forward<F>(cb));
-        const uint64_t tie = tieKey(seq_++);
+        Cell *c = allocCell();
+        c->fn.emplace(std::forward<F>(cb));
+        c->when = when;
+        c->prio = prio;
+        c->tie = tieKey(seq_++);
         if (when - now_ < kWheelTicks) {
-            toBucket(when, Key{prio, tie, fn});
+            linkFine(c);
         } else {
-            ++heapRouted_;
-            pushNode(Node{packKey(when, prio), tie, fn});
+            ++farRouted_;
+            route(c);
         }
     }
 
@@ -401,9 +414,11 @@ class EventQueue
      * @p limit.  Events scheduled exactly at @p limit are processed.
      *
      * now_ fast-forwards: the occupancy bitmap's count-trailing-zeros
-     * scan jumps straight to the next busy tick, and an empty window
-     * jumps straight to the heap's earliest event, so a sparse
-     * schedule costs per *event*, never per idle tick.  Within one
+     * scan jumps straight to the next busy tick, and an empty fine
+     * wheel jumps straight to the first occupied coarse slot (or the
+     * heap's earliest event), so a sparse schedule costs per *event*,
+     * never per idle tick.  Crossing into a new slot is the one
+     * compare per event against boundary_.  Within one
      * tick, the bucket is sorted by (priority, tie) and dispatched as
      * a batch; new same-tick work landing during the batch is merged
      * in priority order before any later class runs.
@@ -419,7 +434,7 @@ class EventQueue
     bool
     runUntil(Tick limit)
     {
-        // Time never runs backwards: the window is anchored at now_.
+        // Time never runs backwards: the wheels are anchored at now_.
         lll_assert(limit >= now_, "runUntil limit %llu is before now %llu",
                    static_cast<unsigned long long>(limit),
                    static_cast<unsigned long long>(now_));
@@ -432,27 +447,34 @@ class EventQueue
         lll_assert(!dispatching_, "runUntil is not reentrant");
         dispatching_ = true;
         for (;;) {
-            pullIntoWindow();
             if (wheelCount_ == 0) {
-                if (heap_.empty()) {
+                // Idle fast-forward: to the first occupied coarse slot,
+                // else to the heap's earliest event; advancing there
+                // moves it into the fine wheel.
+                Tick next;
+                if (coarseCount_ != 0) {
+                    next = firstCoarseStart();
+                } else if (!heap_.empty()) {
+                    next = keyWhen(heap_.front().wp);
+                } else {
+                    // Drained: nothing to move, so re-anchor the slots
+                    // at the new now without a branch on the boundary.
                     now_ = std::max(now_, limit);
+                    boundary_ = (now_ & ~kWheelMask) + kWheelTicks;
                     dispatching_ = false;
                     return false;
                 }
-                const Tick top = keyWhen(heap_.front().wp);
-                if (top > limit) {
-                    now_ = limit;
+                if (next > limit) {
+                    moveNow(limit);
                     dispatching_ = false;
                     return true;
                 }
-                // Idle fast-forward: slide the window to the earliest
-                // heap event and pull everything now in range.
-                now_ = top;
-                pullIntoWindow();
+                moveNow(next);
+                continue;
             }
             const Tick tick = nextBusyTick();
             if (tick > limit) {
-                now_ = limit;
+                moveNow(limit);
                 dispatching_ = false;
                 return true;
             }
@@ -460,8 +482,10 @@ class EventQueue
                           "event-queue time ran backwards (%llu < %llu)",
                           static_cast<unsigned long long>(tick),
                           static_cast<unsigned long long>(now_));
+            if (tick >= boundary_)
+                advance(tick);
             now_ = tick;
-            if (dispatchBucket(tick & kWheelMask)) {
+            if (dispatchBucket(tick & kFineMask)) {
                 stopRequested_ = false;
                 dispatching_ = false;
                 return true;
@@ -481,10 +505,14 @@ class EventQueue
     uint64_t processed() const { return processed_; }
 
     /** Number of events still pending. */
-    size_t pending() const { return wheelCount_ + heap_.size(); }
+    size_t
+    pending() const
+    {
+        return wheelCount_ + coarseCount_ + heap_.size();
+    }
 
-    /** Events scheduled beyond the window, onto the heap (test aid). */
-    uint64_t heapRouted() const { return heapRouted_; }
+    /** Events scheduled kWheelTicks or more ahead (test aid). */
+    uint64_t farRouted() const { return farRouted_; }
 
   private:
 #if defined(__SIZEOF_INT128__)
@@ -501,12 +529,6 @@ class EventQueue
     keyWhen(WhenPrio wp)
     {
         return static_cast<Tick>(wp >> 64);
-    }
-
-    static constexpr uint64_t
-    keyPrio(WhenPrio wp)
-    {
-        return static_cast<uint64_t>(wp);
     }
 #else
     struct WhenPrio
@@ -537,36 +559,62 @@ class EventQueue
     }
 
     static constexpr Tick keyWhen(WhenPrio wp) { return wp.when; }
-
-    static constexpr uint64_t keyPrio(WhenPrio wp) { return wp.prio; }
 #endif
 
     static constexpr Tick kWheelMask = kWheelTicks - 1;
     static_assert((kWheelTicks & kWheelMask) == 0,
-                  "window size must be a power of two: bucket index is "
-                  "when & kWheelMask");
+                  "slot width must be a power of two: slots are "
+                  "kWheelTicks-aligned");
+
+    /** The fine wheel spans two slots: now's and the next. */
+    static constexpr Tick kFineTicks = 2 * kWheelTicks;
+    static constexpr Tick kFineMask = kFineTicks - 1;
+
+    static_assert((kCoarseSlots & (kCoarseSlots - 1)) == 0 &&
+                      kCoarseSlots % 64 == 0,
+                  "coarse slots index by a mask and a whole-word bitmap");
 
     /** Arena cells per chunk; chunks are never moved or freed early. */
     static constexpr size_t kChunkCells = 1024;
 
     /**
-     * One in-window event: the same-tick ordering key (the tick is the
-     * bucket) plus the arena cell holding its closure.  Trivially
-     * copyable, so a batch sort or spill moves 24 bytes per event.
+     * An arena cell: one pending event's closure, its full ordering key
+     * and the next cell of its wheel bucket's chain.  The wheels are
+     * chains through the cells themselves, so their storage is bounded
+     * by the events pending, scheduling allocates nothing beyond the
+     * cell, and moving a coarse slot into the fine wheel relinks
+     * without copying.
+     */
+    struct Cell
+    {
+        // The chain link and the same-tick key lead, so a chain walk
+        // reads the first 24 bytes of each cell.
+        Cell *next = nullptr;
+        uint64_t prio = 0;
+        uint64_t tie = 0; //!< tie-break: seq, or its seeded permutation
+        Tick when = 0;
+        EventFn fn;
+    };
+
+    /**
+     * One event of the tick being dispatched: the same-tick ordering
+     * key plus its cell.  Trivially copyable, so a batch sort moves 24
+     * bytes per event.
      */
     struct Key
     {
         uint64_t prio;
-        uint64_t tie; //!< tie-break: seq, or its seeded permutation
-        EventFn *fn;
+        uint64_t tie;
+        Cell *cell;
     };
 
-    /** Flat-heap node: the full ordering key plus the closure's cell. */
+    /** Heap node: the full ordering key, copied out of the cell so the
+     *  sift compares touch only the heap array. */
     struct Node
     {
         WhenPrio wp;
-        uint64_t tie; //!< tie-break: seq, or its seeded permutation
-        EventFn *fn;
+        uint64_t tie;
+        Cell *cell;
     };
 
     static bool
@@ -584,54 +632,144 @@ class EventQueue
     }
 
     /** An empty arena cell; a new chunk when every cell is in use. */
-    EventFn *
+    Cell *
     allocCell()
     {
         if (freeCells_.empty()) {
-            chunks_.push_back(std::make_unique<EventFn[]>(kChunkCells));
-            EventFn *chunk = chunks_.back().get();
+            chunks_.push_back(std::make_unique<Cell[]>(kChunkCells));
+            Cell *chunk = chunks_.back().get();
             for (size_t i = kChunkCells; i-- > 0;)
                 freeCells_.push_back(chunk + i);
         }
-        EventFn *fn = freeCells_.back();
+        Cell *c = freeCells_.back();
         freeCells_.pop_back();
-        return fn;
+        return c;
     }
 
     /** Run the closure in its cell, then recycle the cell.  The cell is
      *  freed only afterwards, so whatever the callback schedules can
      *  never land on it; chunks never move, so growth is safe too. */
     void
-    invoke(const Key &k)
+    invoke(Cell *c)
     {
-        batchPrio_ = k.prio;
+        batchPrio_ = c->prio;
         ++processed_;
-        (*k.fn)();
-        k.fn->reset();
-        freeCells_.push_back(k.fn);
+        c->fn();
+        c->fn.reset();
+        freeCells_.push_back(c);
     }
 
+    /** Chain @p c into the fine bucket of its tick. */
     void
-    toBucket(Tick when, const Key &k)
+    linkFine(Cell *c)
     {
-        const size_t slot = when & kWheelMask;
-        buckets_[slot].push_back(k);
+        const size_t slot = c->when & kFineMask;
+        c->next = fineHead_[slot];
+        fineHead_[slot] = c;
         markOccupied(slot);
         ++wheelCount_;
     }
 
-    /** Move every heap event the window [now, now + kWheelTicks) now
-     *  covers into its bucket; tie keys ride along, so the total order
-     *  is unaffected. */
-    void
-    pullIntoWindow()
+    /** First tick past the fine wheel: the start of the coarse range. */
+    Tick fineEnd() const { return boundary_ + kWheelTicks; }
+
+    /** First tick past the coarse horizon: the start of the heap range. */
+    Tick
+    coarseEnd() const
     {
-        while (!heap_.empty() &&
-               keyWhen(heap_.front().wp) - now_ < kWheelTicks) {
-            const Node n = heap_.front();
-            popTop();
-            toBucket(keyWhen(n.wp), Key{keyPrio(n.wp), n.tie, n.fn});
+        return fineEnd() + kCoarseSlots * kWheelTicks;
+    }
+
+    static size_t
+    coarseIndex(Tick when)
+    {
+        return static_cast<size_t>(when / kWheelTicks) & (kCoarseSlots - 1);
+    }
+
+    /** Place an event at least a window ahead (or one the heap
+     *  releases) on whichever level covers its tick.  Tie keys ride
+     *  along, so no level can change the total order. */
+    void
+    route(Cell *c)
+    {
+        if (c->when < fineEnd()) {
+            linkFine(c);
+        } else if (c->when < coarseEnd()) {
+            const size_t i = coarseIndex(c->when);
+            c->next = coarseHead_[i];
+            coarseHead_[i] = c;
+            coarseBits_[i >> 6] |= uint64_t{1} << (i & 63);
+            ++coarseCount_;
+        } else {
+            pushNode(Node{packKey(c->when, c->prio), c->tie, c});
         }
+    }
+
+    /** Set now_ to @p t (>= now_), advancing the slots first if @p t
+     *  crosses the boundary. */
+    void
+    moveNow(Tick t)
+    {
+        if (t >= boundary_)
+            advance(t);
+        now_ = t;
+    }
+
+    /**
+     * Now is about to enter @p t's slot (t >= boundary_): the fine
+     * wheel then covers up to the end of the slot after it.  Every
+     * coarse slot that range now takes moves into fine buckets whole,
+     * and heap events inside the new coarse horizon move to the
+     * wheels.  No event lies before @p t, so every moved event still
+     * lies ahead of now.  Once per slot at most, so kept out of
+     * runUntil()'s inlined loop.
+     */
+    __attribute__((noinline)) void
+    advance(Tick t)
+    {
+        const Tick oldFineEnd = fineEnd();
+        const Tick oldCoarseEnd = coarseEnd();
+        boundary_ = (t & ~kWheelMask) + kWheelTicks;
+        const Tick take = std::min(fineEnd(), oldCoarseEnd);
+        for (Tick s = oldFineEnd; s < take && coarseCount_ != 0;
+             s += kWheelTicks) {
+            const size_t i = coarseIndex(s);
+            for (Cell *c = coarseHead_[i]; c != nullptr;) {
+                Cell *next = c->next;
+                linkFine(c);
+                --coarseCount_;
+                c = next;
+            }
+            coarseHead_[i] = nullptr;
+            coarseBits_[i >> 6] &= ~(uint64_t{1} << (i & 63));
+        }
+        const Tick horizon = coarseEnd();
+        while (!heap_.empty() && keyWhen(heap_.front().wp) < horizon) {
+            Cell *c = heap_.front().cell;
+            popTop();
+            route(c);
+        }
+    }
+
+    /** Start tick of the earliest occupied coarse slot (one exists):
+     *  a circular count-trailing-zeros scan from the first slot past
+     *  the fine wheel. */
+    Tick
+    firstCoarseStart() const
+    {
+        const Tick from = fineEnd();
+        const size_t first = coarseIndex(from);
+        size_t word = first >> 6;
+        uint64_t bits = coarseBits_[word] & (~uint64_t{0} << (first & 63));
+        for (size_t scanned = 0; bits == 0; ++scanned) {
+            LLL_INVARIANT(scanned < kCoarseWords,
+                          "coarse bitmap disagrees with coarseCount_");
+            word = (word + 1) & (kCoarseWords - 1);
+            bits = coarseBits_[word];
+        }
+        const size_t c =
+            (word << 6) + static_cast<size_t>(__builtin_ctzll(bits));
+        return from + ((c - first) & (kCoarseSlots - 1)) * kWheelTicks;
     }
 
     // 4-ary min-heap over heap_: children of i live at 4i+1..4i+4.
@@ -693,15 +831,15 @@ class EventQueue
     }
 
     /**
-     * Earliest tick with a bucketed event (the window holds at least
-     * one).  Every bucketed event lies in [now, now + kWheelTicks), so
-     * the bitmap is scanned circularly from now's slot and the slot's
-     * distance from there is its distance in time.
+     * Earliest tick with a bucketed event (the fine wheel holds at
+     * least one).  Every bucketed event lies in [now, now + kFineTicks),
+     * so the bitmap is scanned circularly from now's bucket and the
+     * bucket's distance from there is its distance in time.
      */
     Tick
     nextBusyTick() const
     {
-        const size_t from = now_ & kWheelMask;
+        const size_t from = now_ & kFineMask;
         size_t word = from >> 6;
         uint64_t bits = bitmap_[word] & (~uint64_t{0} << (from & 63));
         for (size_t scanned = 0; bits == 0; ++scanned) {
@@ -712,19 +850,15 @@ class EventQueue
         }
         const size_t slot =
             (word << 6) + static_cast<size_t>(__builtin_ctzll(bits));
-        return now_ + ((slot - from) & kWheelMask);
+        return now_ + ((slot - from) & kFineMask);
     }
 
     /** Return batch_[from..] to the tick's bucket (uninvoked work). */
     void
-    spillBack(std::vector<Key> &bucket, size_t slot, size_t from)
+    spillBack(size_t from)
     {
-        bucket.insert(bucket.end(),
-                      batch_.begin() + static_cast<ptrdiff_t>(from),
-                      batch_.end());
-        wheelCount_ += batch_.size() - from;
-        if (!bucket.empty())
-            markOccupied(slot);
+        for (size_t i = from; i < batch_.size(); ++i)
+            linkFine(batch_[i].cell);
     }
 
     /**
@@ -735,47 +869,53 @@ class EventQueue
     bool
     dispatchBucket(size_t slot)
     {
-        std::vector<Key> &bucket = buckets_[slot];
+        Cell *&head = fineHead_[slot];
         // Lone-event fast path (the common case): no sort, no batch
-        // staging.  The key is copied out first because the callback
-        // may schedule into this very bucket and reallocate it.
-        while (bucket.size() == 1) {
-            const Key k = bucket.back();
-            bucket.pop_back();
+        // staging.  The bucket is emptied before the callback runs,
+        // since the callback may schedule into this very bucket.
+        while (head->next == nullptr) {
+            Cell *c = head;
+            head = nullptr;
             markEmpty(slot);
             --wheelCount_;
-            invoke(k);
+            invoke(c);
             if (stopRequested_)
                 return true;
-            if (bucket.empty())
+            if (head == nullptr)
                 return false;
         }
         for (;;) {
-            batch_.swap(bucket);
+            for (Cell *c = head; c != nullptr; c = c->next)
+                batch_.push_back(Key{c->prio, c->tie, c});
+            head = nullptr;
             markEmpty(slot);
             wheelCount_ -= batch_.size();
-            if (batch_.size() > 1)
-                // (prio, tie) keys are unique, so the order is total
-                // and any sort yields the same dispatch order.
+            if (batch_.size() > 1) {
+                // Chains run newest first; reversed, a tick's events
+                // arrive mostly in order, which the sort finishes
+                // fastest.  (prio, tie) keys are unique, so the order
+                // is total and any sort yields the same dispatch order.
+                std::reverse(batch_.begin(), batch_.end());
                 std::sort(batch_.begin(), batch_.end(),
                           [](const Key &a, const Key &b) {
                               return a.prio != b.prio ? a.prio < b.prio
                                                       : a.tie < b.tie;
                           });
+            }
             bool remerge = false;
             for (size_t i = 0; i < batch_.size(); ++i) {
-                if (i != 0 && !bucket.empty() &&
+                if (i != 0 && head != nullptr &&
                     batch_[i].prio != batch_[i - 1].prio) {
                     // A callback scheduled same-tick work; it may sort
                     // before this next class, so fold the remainder
                     // back in and re-sort everything together.
-                    spillBack(bucket, slot, i);
+                    spillBack(i);
                     remerge = true;
                     break;
                 }
-                invoke(batch_[i]);
+                invoke(batch_[i].cell);
                 if (stopRequested_) {
-                    spillBack(bucket, slot, i + 1);
+                    spillBack(i + 1);
                     batch_.clear();
                     return true;
                 }
@@ -783,27 +923,37 @@ class EventQueue
             batch_.clear();
             // Same-tick arrivals at or above the last class run now,
             // still inside this tick.
-            if (!remerge && bucket.empty())
+            if (!remerge && head == nullptr)
                 return false;
         }
     }
 
-    static constexpr size_t kWords = kWheelTicks / 64;
+    static constexpr size_t kWords = kFineTicks / 64;
+    static constexpr size_t kCoarseWords = kCoarseSlots / 64;
 
-    std::vector<std::vector<Key>> buckets_; //!< kWheelTicks entries
+    /** Fine wheel: one chain head per tick bucket, kFineTicks of them. */
+    std::unique_ptr<Cell *[]> fineHead_;
     uint64_t bitmap_[kWords] = {};   //!< bucket-occupancy bits
-    size_t wheelCount_ = 0;          //!< events resident in the window
-    std::vector<Node> heap_;         //!< beyond-window overflow
+    size_t wheelCount_ = 0;          //!< events in the fine wheel
+    /** Coarse wheel: one chain per slot over [fineEnd(), coarseEnd()),
+     *  indexed by coarseIndex(), unsorted. */
+    Cell *coarseHead_[kCoarseSlots] = {};
+    uint64_t coarseBits_[kCoarseWords] = {}; //!< coarse occupancy bits
+    size_t coarseCount_ = 0;         //!< events in the coarse wheel
+    /** Start of the slot after now's: reaching it moves the next
+     *  coarse slot into the fine wheel. */
+    Tick boundary_ = kWheelTicks;
+    std::vector<Node> heap_;         //!< beyond the coarse horizon
     std::vector<Key> batch_;         //!< tick currently dispatching
     /** Closure arena: fixed-size chunks, so a cell never moves while
      *  its event is pending or running. */
-    std::vector<std::unique_ptr<EventFn[]>> chunks_;
-    std::vector<EventFn *> freeCells_;
+    std::vector<std::unique_ptr<Cell[]>> chunks_;
+    std::vector<Cell *> freeCells_;
     Tick now_ = 0;
     uint64_t seq_ = 0;
     uint64_t tieSeed_ = 0;
     uint64_t processed_ = 0;
-    uint64_t heapRouted_ = 0;
+    uint64_t farRouted_ = 0;
     uint64_t batchPrio_ = 0;         //!< class running (assert support)
     bool stopRequested_ = false;
     bool dispatching_ = false;

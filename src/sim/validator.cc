@@ -32,6 +32,12 @@ lintCacheParams(const Cache::Params &params, const char *what,
     }
     if (params.ways == 0)
         out.error("LLL-SPEC-008", what, "%s: ways must be >= 1", what);
+    if (params.ways > Cache::kMaxWays) {
+        out.error("LLL-SPEC-020", what,
+                  "%s: ways (%u) exceed the %u-way limit of the tag "
+                  "store's one-byte recency ranks",
+                  what, params.ways, Cache::kMaxWays);
+    }
     if (mshrs_required && params.mshrs == 0) {
         out.error("LLL-SPEC-009", what, "%s: MSHR count must be >= 1",
                   what);

@@ -264,6 +264,7 @@ inline constexpr DiagId kDiagIds[] = {
     {"LLL-SPEC-017", "bank math cannot sustain the declared peak BW"},
     {"LLL-SPEC-018", "watchdog cadence invalid"},
     {"LLL-SPEC-019", "watchdog maxStrikes invalid"},
+    {"LLL-SPEC-020", "cache ways exceed the tag store's 255-way limit"},
     // sim::lintKernelSpec (kernel spec validation).
     {"LLL-KRN-001", "kernel has no streams"},
     {"LLL-KRN-002", "stream has zero footprint"},

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "sim/cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/mem_ctrl.hh"
@@ -387,6 +390,238 @@ TEST_F(CacheTest, StatsReset)
     l1_->resetStats(eq_.now());
     EXPECT_EQ(l1_->stats().demandMisses.value(), 0u);
     EXPECT_EQ(l1_->mshrs().fullStalls(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Differential LRU test: the cache's tag store against a reference
+// model that is nothing but the documented rule — a global use clock
+// stamps every fill and touch, and the victim is the lowest stamp in
+// the set, first way winning (empty ways hold stamp 0).
+
+/** Downstream stub: records writebacks in arrival order and parks
+ *  fill requests until the test delivers them. */
+class RecordingLevel : public MemLevel
+{
+  public:
+    explicit RecordingLevel(RequestPool &pool) : pool_(pool) {}
+
+    bool
+    tryAccess(MemRequest *req) override
+    {
+        if (req->type == ReqType::Writeback) {
+            writebacks.push_back(req->lineAddr);
+            pool_.free(req);
+        } else {
+            fills.push_back(req);
+        }
+        return true;
+    }
+
+    void addRetryWaiter(EventFn) override {}
+
+    std::vector<uint64_t> writebacks;
+    std::vector<MemRequest *> fills;
+
+  private:
+    RequestPool &pool_;
+};
+
+/** The reference: per-way tag, stamp and dirty bit. */
+class StampModel
+{
+  public:
+    StampModel(unsigned sets, unsigned ways, bool hashed)
+        : sets_(sets), ways_(ways), hashed_(hashed), way_(sets * ways)
+    {
+    }
+
+    /** Way of @p line in its set, or -1 (first match wins). */
+    int
+    wayOf(uint64_t line) const
+    {
+        const size_t base = setBase(line);
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (way_[base + w].stamp != 0 && way_[base + w].tag == line)
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    /** A demand load or store from above. */
+    void
+    access(uint64_t line, bool store)
+    {
+        if (const int w = wayOf(line); w >= 0) {
+            Way &way = way_[setBase(line) + w];
+            way.stamp = ++clock_;
+            way.dirty = way.dirty || store;
+        } else if (auto it = inFlight_.find(line); it != inFlight_.end()) {
+            it->second = it->second || store;
+        } else {
+            inFlight_[line] = store;
+        }
+    }
+
+    /** A dirty line written back from above. */
+    void
+    writeback(uint64_t line)
+    {
+        if (const int w = wayOf(line); w >= 0) {
+            Way &way = way_[setBase(line) + w];
+            way.dirty = true;
+            way.stamp = ++clock_;
+        } else {
+            insert(line, true);
+        }
+    }
+
+    void
+    prefetch(uint64_t line)
+    {
+        if (wayOf(line) < 0 && inFlight_.count(line) == 0)
+            inFlight_[line] = false;
+    }
+
+    /** The fill for @p line arrives; store targets dirty it. */
+    void
+    fill(uint64_t line)
+    {
+        insert(line, false);
+        // Store targets dirty the first way holding the line (a
+        // writeback may have installed a copy while the fill flew).
+        if (inFlight_.at(line))
+            way_[setBase(line) + wayOf(line)].dirty = true;
+        inFlight_.erase(line);
+    }
+
+    std::vector<uint64_t> writebacks;
+
+  private:
+    struct Way
+    {
+        uint64_t tag = 0;
+        uint64_t stamp = 0;
+        bool dirty = false;
+    };
+
+    size_t
+    setBase(uint64_t line) const
+    {
+        uint64_t x = line;
+        if (hashed_) {
+            x ^= x >> 17;
+            x *= 0xed5ad4bbac4c1b51ULL;
+            x ^= x >> 28;
+        }
+        return static_cast<size_t>(x & (sets_ - 1)) * ways_;
+    }
+
+    void
+    insert(uint64_t line, bool dirty)
+    {
+        const size_t base = setBase(line);
+        size_t victim = base;
+        for (size_t w = base + 1; w < base + ways_; ++w) {
+            if (way_[w].stamp < way_[victim].stamp)
+                victim = w;
+        }
+        if (way_[victim].stamp != 0 && way_[victim].dirty)
+            writebacks.push_back(way_[victim].tag);
+        way_[victim] = {line, ++clock_, dirty};
+    }
+
+    unsigned sets_;
+    unsigned ways_;
+    bool hashed_;
+    std::vector<Way> way_;
+    uint64_t clock_ = 0;
+    std::map<uint64_t, bool> inFlight_;   //!< line -> a store waits
+};
+
+TEST(CacheDifferentialTest, RandomTrafficMatchesReferenceLru)
+{
+    uint64_t steps = 0;
+    uint64_t evictions = 0;
+    for (unsigned ways : {1u, 2u, 3u, 4u, 8u, 16u, 32u}) {
+        for (bool hashed : {false, true}) {
+            EventQueue eq;
+            RequestPool pool;
+            RecordingLevel down(pool);
+            Cache::Params cp;
+            cp.name = "diff";
+            cp.sets = 4;
+            cp.ways = ways;
+            cp.accessLat = 0;
+            cp.mshrs = 0;   // unbounded: every miss starts a fill
+            cp.hashedSets = hashed;
+            Cache cache(cp, eq, pool);
+            cache.setDownstream(&down);
+            StampModel ref(cp.sets, ways, hashed);
+
+            // A universe of about three lines per way keeps sets
+            // overflowing, so hits, misses and evictions all recur.
+            const uint64_t universe = 3ULL * cp.sets * ways + 5;
+            uint64_t rng = ways * 2 + (hashed ? 1 : 0);
+            auto draw = [&](uint64_t n) {
+                rng = schedMix64(rng);
+                return rng % n;
+            };
+            for (int step = 0; step < 4000; ++step) {
+                const uint64_t line = 1000 + draw(universe);
+                const uint64_t op = draw(10);
+                if (op < 3) {
+                    MemRequest *req = pool.alloc();
+                    req->lineAddr = line;
+                    req->type = op == 0 ? ReqType::DemandStore
+                                        : ReqType::DemandLoad;
+                    ASSERT_TRUE(cache.tryAccess(req));
+                    ref.access(line, op == 0);
+                } else if (op < 5) {
+                    MemRequest *wb = pool.alloc();
+                    wb->lineAddr = line;
+                    wb->type = ReqType::Writeback;
+                    ASSERT_TRUE(cache.tryAccess(wb));
+                    ref.writeback(line);
+                } else if (op < 6) {
+                    cache.tryPrefetch(line, ReqType::HwPrefetch, 0, 0);
+                    ref.prefetch(line);
+                } else {
+                    // Misses leave the cache on the next event-queue
+                    // pass; then deliver one parked fill, picked at
+                    // random so fills land out of request order.
+                    eq.runUntil(eq.now());
+                    if (!down.fills.empty()) {
+                        const size_t i = draw(down.fills.size());
+                        MemRequest *f = down.fills[i];
+                        down.fills.erase(down.fills.begin() +
+                                         static_cast<ptrdiff_t>(i));
+                        ref.fill(f->lineAddr);
+                        cache.handleFill(f);
+                    }
+                }
+                eq.runUntil(eq.now());
+                for (uint64_t l = 1000; l < 1000 + universe; ++l) {
+                    ASSERT_EQ(cache.wayOf(l), ref.wayOf(l))
+                        << "ways " << ways << (hashed ? " hashed" : "")
+                        << ", step " << step << ", line " << l;
+                    ASSERT_EQ(cache.isResident(l), ref.wayOf(l) >= 0);
+                }
+                ASSERT_EQ(down.writebacks, ref.writebacks)
+                    << "ways " << ways << (hashed ? " hashed" : "")
+                    << ", step " << step;
+                ++steps;
+            }
+            evictions += ref.writebacks.size();
+            // Deliver what is still parked so no request leaks.
+            for (MemRequest *f : down.fills)
+                cache.handleFill(f);
+            down.fills.clear();
+            eq.runUntil(eq.now());
+            EXPECT_EQ(pool.outstanding(), 0);
+        }
+    }
+    EXPECT_EQ(steps, 7u * 2u * 4000u);
+    EXPECT_GT(evictions, 1000u);
 }
 
 using CacheDeathTest = CacheTest;

@@ -311,10 +311,10 @@ TEST(EventQueueTest, ChainUnderOneWindowAheadNeverTakesTheHeap)
     EXPECT_FALSE(eq.runUntil(4000 * EventQueue::kWheelTicks));
     EXPECT_EQ(hops, 2000);
     EXPECT_GT(eq.now(), 1900 * EventQueue::kWheelTicks);
-    EXPECT_EQ(eq.heapRouted(), 0u);
-    // One window or more ahead still goes to the heap.
+    EXPECT_EQ(eq.farRouted(), 0u);
+    // One window or more ahead is routed past the near window.
     eq.scheduleIn(EventQueue::kWheelTicks, [] {});
-    EXPECT_EQ(eq.heapRouted(), 1u);
+    EXPECT_EQ(eq.farRouted(), 1u);
 }
 
 TEST(EventQueueTest, PendingClosuresAreDestroyedWithTheQueue)
@@ -382,12 +382,20 @@ struct DiffRec
     }
 };
 
-/** Delay of one follow-up: same tick, near, in-window, or 1-4 windows. */
+/** The coarse wheel's reach: events further out wait in the heap. */
+constexpr Tick kDiffHorizon =
+    EventQueue::kCoarseSlots * EventQueue::kWheelTicks;
+
+/**
+ * Delay of one follow-up from @p now: same tick, near, in-window, 1-4
+ * windows, a slot boundary (or one tick either side of it), anywhere
+ * in the coarse wheel's reach, or past it into the heap.
+ */
 Tick
-diffDelay(DiffRng &rng)
+diffDelay(DiffRng &rng, Tick now)
 {
     const Tick w = EventQueue::kWheelTicks;
-    switch (rng.below(8)) {
+    switch (rng.below(12)) {
       case 0:
       case 1:
         return 0;
@@ -397,8 +405,19 @@ diffDelay(DiffRng &rng)
       case 4:
       case 5:
         return 1 + rng.below(w - 1);
-      default:
+      case 6:
+      case 7:
         return rng.below(4 * w + 1);
+      case 8: {
+        // A later slot's first tick, or its neighbours.
+        const Tick boundary = (now / w + 1 + rng.below(4)) * w;
+        return boundary - now + rng.below(3) - 1;
+      }
+      case 9:
+      case 10:
+        return rng.below(kDiffHorizon + 1);
+      default:
+        return kDiffHorizon + rng.below(kDiffHorizon);
     }
 }
 
@@ -416,7 +435,7 @@ runScripted(Model &m, uint64_t id, size_t prioIdx)
     DiffRng rng{m.programSeed ^ (id * 0x9e3779b97f4a7c15ULL)};
     const uint64_t fanout = rng.below(5) < 2 ? 2 : rng.below(2);
     for (uint64_t k = 0; k < fanout && m.scheduled < kDiffEventCap; ++k) {
-        const Tick delay = diffDelay(rng);
+        const Tick delay = diffDelay(rng, m.now());
         const size_t lo = delay == 0 ? prioIdx : 0;
         const size_t p = lo + rng.below(kNumDiffPrios - lo);
         m.schedule(m.now() + delay, p, m.scheduled++);
@@ -601,12 +620,25 @@ driveScripted(Model &m)
     }
     Tick limit = 0;
     for (int round = 0; round < 100000 && m.pending() > 0; ++round) {
-        limit += rng.below(3 * w);
+        switch (rng.below(8)) {
+          case 0:
+            // Stop exactly on a slot boundary, a few slots on.
+            limit = (std::max(limit, m.now()) / w + 1 + rng.below(3)) * w;
+            break;
+          case 1:
+            // An idle jump across several coarse slots.
+            limit += w * (8 + rng.below(64));
+            break;
+          default:
+            limit += rng.below(3 * w);
+        }
         const bool stopped = m.runUntil(limit);
         m.log.push_back({~uint64_t{0}, m.now(),
                          (uint64_t{m.pending()} << 1) | (stopped ? 1 : 0)});
         if (rng.below(4) == 0 && m.scheduled < kDiffEventCap) {
-            m.schedule(m.now() + rng.below(2 * w),
+            m.schedule(m.now() + (rng.below(2) == 0
+                                      ? rng.below(2 * w)
+                                      : diffDelay(rng, m.now())),
                        rng.below(kNumDiffPrios), m.scheduled++);
         }
     }
@@ -617,6 +649,7 @@ TEST(EventQueueDifferentialTest, RandomSchedulesMatchReferenceOrder)
     uint64_t merges = 0;
     uint64_t stops = 0;
     uint64_t events = 0;
+    uint64_t farRouted = 0;
     for (uint64_t tie : {uint64_t{0}, uint64_t{0x9e3779b97f4a7c15ULL},
                          uint64_t{0xdeadbeef12345678ULL}}) {
         for (uint64_t program = 1; program <= 12; ++program) {
@@ -636,12 +669,14 @@ TEST(EventQueueDifferentialTest, RandomSchedulesMatchReferenceOrder)
             merges += ref.merges;
             stops += ref.stops;
             events += real.eq.processed();
+            farRouted += real.eq.farRouted();
         }
     }
     // The programs must actually exercise the rules under test.
     EXPECT_GT(merges, 0u);
     EXPECT_GT(stops, 0u);
     EXPECT_GT(events, 36u * 2000u);
+    EXPECT_GT(farRouted, events / 4);
 }
 
 TEST(EventQueueDeathTest, SeedAfterFirstEventPanics)

@@ -636,6 +636,62 @@ TEST(Listener, WorkerTelemetryAddsUpToTheAdmittedRequests)
               uint64_t(kCold * kWarmRepeats));
 }
 
+TEST(Listener, ConcurrentWarmHitsCountEachLookupOnce)
+{
+    warmProfileCache();
+    ListenerParams params;
+    params.workers = 2;
+    TestServer server(params);
+
+    // Two cold stages first, one at a time; then two clients pipeline
+    // warm repeats of them, so both workers serve hits at once on the
+    // shared cache.  Each request looks its one unit up exactly once.
+    auto request = [](int k) {
+        return "{\"schema_version\": 1, \"platform\": \"skl\", "
+               "\"workload\": \"isx\", \"cores\": 6, \"seed\": " +
+               std::to_string(9200 + k) +
+               ", \"warmup_us\": 5, \"measure_us\": 10}\n";
+    };
+    constexpr int kCold = 2;
+    constexpr int kWarmPerClient = 1000;
+    {
+        util::Result<BlockingClient> client =
+            BlockingClient::connectTcp("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.status().toString();
+        for (int k = 0; k < kCold; ++k) {
+            ASSERT_TRUE(client->sendAll(request(k)).ok());
+            ASSERT_TRUE(client->recvLine(60000).ok());
+        }
+    }
+    std::vector<BlockingClient> clients;
+    for (int c = 0; c < 2; ++c) {
+        util::Result<BlockingClient> client =
+            BlockingClient::connectTcp("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.status().toString();
+        clients.push_back(client.take());
+    }
+    std::string batch;
+    for (int i = 0; i < kWarmPerClient; ++i)
+        batch += request(i % kCold);
+    for (BlockingClient &client : clients)
+        ASSERT_TRUE(client.sendAll(batch).ok());
+    for (BlockingClient &client : clients) {
+        for (int i = 0; i < kWarmPerClient; ++i) {
+            util::Result<std::string> resp = client.recvLine(60000);
+            ASSERT_TRUE(resp.ok()) << resp.status().toString();
+        }
+    }
+
+    Status run = server.stop();
+    EXPECT_TRUE(run.ok()) << run.toString();
+    const uint64_t looked_up = kCold + 2 * kWarmPerClient;
+    const uint64_t hits = server.counter(util::names::kServiceCacheHitsTotal);
+    const uint64_t misses =
+        server.counter(util::names::kServiceCacheMissesTotal);
+    EXPECT_EQ(hits + misses, looked_up);
+    EXPECT_EQ(misses, uint64_t(kCold));
+}
+
 TEST(Listener, UnixSocketServes)
 {
     warmProfileCache();

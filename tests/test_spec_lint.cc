@@ -127,6 +127,20 @@ TEST(SpecLintTest, BrokenSpecReportsStableValidatorIds)
         << diags.renderText();
 }
 
+TEST(SpecLintTest, TooManyWaysReportsTheTagStoreLimit)
+{
+    platforms::Platform tiny = test::tinyPlatform();
+    sim::SystemParams sys = tiny.sysParams(tiny.totalCores, 1);
+    sys.l2.ways = 256;
+    util::DiagnosticList diags =
+        lintSpec(sys, test::randomKernel(32, 4.0), "tiny/test");
+    EXPECT_TRUE(diags.hasErrors());
+    const util::Diagnostic *d = find(diags, "LLL-SPEC-020");
+    ASSERT_NE(d, nullptr) << diags.renderText();
+    EXPECT_NE(d->message.find("256"), std::string::npos) << d->message;
+    EXPECT_EQ(find(diags, "LLL-SPEC-008"), nullptr);
+}
+
 TEST(SpecLintTest, OverCommittedWindowWarns)
 {
     platforms::Platform tiny = test::tinyPlatform();

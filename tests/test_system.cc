@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "platforms/platform.hh"
 #include "sim/system.hh"
 #include "test_common.hh"
+#include "util/json.hh"
+#include "workloads/workload.hh"
 
 namespace lll::sim
 {
@@ -248,6 +253,159 @@ TEST(SystemTest, TrueLatencyNearIdleWhenUnloaded)
     MemCtrl::Params mp = test::tinyPlatform().proto.mem;
     double idle = mp.frontLatencyNs + mp.bankServiceNs + mp.backLatencyNs;
     EXPECT_NEAR(r.avgMemLatencyNs, idle, 4.0);
+}
+
+// ---------------------------------------------------------------------
+// Exact simulator golden: every RunResult field of a handful of short
+// stages, printed with 17 significant digits.  A host-side speed-up of
+// the simulator (tag store, event queue, allocation) must leave every
+// simulated number untouched, so this file changes only with a
+// deliberate change to the model.
+
+/** Every RunResult field as "name=value", fmtG17 for doubles. */
+std::string
+goldenLine(const std::string &stage, const RunResult &r)
+{
+    std::string line = stage;
+    auto add = [&](const char *name, double v) {
+        line += ' ';
+        line += name;
+        line += '=';
+        line += util::fmtG17(v);
+    };
+    auto addU = [&](const char *name, uint64_t v) {
+        line += ' ';
+        line += name;
+        line += '=';
+        line += std::to_string(v);
+    };
+    add("measure_s", r.measureSeconds);
+    add("work", r.workDone);
+    add("throughput", r.throughput);
+    addU("ops", r.opsIssued);
+    add("read_gbs", r.readGBs);
+    add("write_gbs", r.writeGBs);
+    add("total_gbs", r.totalGBs);
+    add("demand_frac", r.demandFraction);
+    add("mem_util", r.memUtilization);
+    add("lat_avg_ns", r.avgMemLatencyNs);
+    add("lat_p50_ns", r.p50MemLatencyNs);
+    add("lat_p95_ns", r.p95MemLatencyNs);
+    add("lat_p99_ns", r.p99MemLatencyNs);
+    add("mem_outstanding", r.avgMemOutstanding);
+    add("l1_occ_avg", r.avgL1MshrOccupancy);
+    add("l2_occ_avg", r.avgL2MshrOccupancy);
+    add("l1_occ_max", r.maxL1MshrOccupancy);
+    add("l2_occ_max", r.maxL2MshrOccupancy);
+    addU("l1_full", r.l1FullStalls);
+    addU("l2_full", r.l2FullStalls);
+    addU("l1_miss", r.l1DemandMisses);
+    addU("l1_hit", r.l1DemandHits);
+    addU("l2_miss", r.l2DemandMisses);
+    addU("l2_hit", r.l2DemandHits);
+    addU("hw_pf", r.hwPrefIssued);
+    addU("hw_pf_useful", r.hwPrefUseful);
+    addU("sw_pf", r.swPrefIssued);
+    addU("l2_pf_dropped", r.l2PrefetchDropped);
+    addU("mem_read", r.memReadLines);
+    addU("mem_write", r.memWriteLines);
+    addU("mem_hw_pf", r.memHwPrefetchLines);
+    addU("mem_sw_pf", r.memSwPrefetchLines);
+    addU("events", r.eventsProcessed);
+    return line + '\n';
+}
+
+/** One X-Mem operating point's load kernel (xmem_harness.cc's shape). */
+KernelSpec
+xmemPointSpec(const platforms::Platform &p, bool streaming,
+              unsigned window, double delay_cycles)
+{
+    KernelSpec spec;
+    spec.name = "xmem-load";
+    for (int i = 0; i < (streaming ? 4 : 1); ++i) {
+        StreamDesc s;
+        s.kind = streaming ? StreamDesc::Kind::Sequential
+                           : StreamDesc::Kind::Random;
+        s.footprintLines =
+            (streaming ? (1ULL << 20) : (1ULL << 21)) * 64 / p.lineBytes;
+        spec.streams.push_back(s);
+    }
+    spec.window = window;
+    spec.computeCyclesPerOp = delay_cycles;
+    return spec;
+}
+
+/** A workload stage the way Experiment::stage builds it. */
+std::string
+workloadStage(const char *label, const platforms::Platform &p,
+              const char *workload, const workloads::OptSet &opts,
+              int cores, uint64_t tie_seed = 0)
+{
+    auto w = workloads::findWorkload(workload);
+    EXPECT_TRUE(w.ok());
+    SystemParams sp = p.sysParams(cores, opts.smtWays());
+    sp.tieBreakSeed = tie_seed;
+    System sys(sp, (*w)->spec(p, opts));
+    return goldenLine(label, sys.run(10.0, 30.0));
+}
+
+std::string
+simStagesReport()
+{
+    using workloads::Opt;
+    const platforms::Platform skl = platforms::skl();
+    const platforms::Platform knl = platforms::knl();
+    const platforms::Platform a64fx = platforms::a64fx();
+    std::string out;
+    out += workloadStage("skl/isx/base", skl, "isx", {}, 4);
+    out += workloadStage("knl/hpcg/base", knl, "hpcg", {}, 4);
+    out += workloadStage("a64fx/snap/base", a64fx, "snap", {}, 4);
+    out += workloadStage("skl/isx/2-ht", skl, "isx", {Opt::Smt2}, 2);
+    out += workloadStage("skl/minighost/tie-seed", skl, "minighost", {}, 4,
+                         0x9e3779b97f4a7c15ULL);
+    out += workloadStage("knl/isx/l2-pref", knl, "isx",
+                         {Opt::SwPrefetchL2}, 4);
+    {
+        // A store kernel on shrunken caches, so that dirty lines are
+        // written back all the way to memory inside the window.
+        auto w = workloads::findWorkload("isx");
+        EXPECT_TRUE(w.ok());
+        SystemParams sp = skl.sysParams(4, 1);
+        sp.l1.sets = 8;
+        sp.l2.sets = 16;
+        sp.l3.sets = 64;
+        System sys(sp, (*w)->spec(skl, {}));
+        out += goldenLine("skl/isx/small-caches", sys.run(10.0, 30.0));
+    }
+    {
+        SystemParams sp = skl.sysParams(skl.totalCores, 1);
+        System sys(sp, xmemPointSpec(skl, false, 2, 50.0));
+        out += goldenLine("skl/xmem/random-w2", sys.run(5.0, 10.0));
+    }
+    {
+        SystemParams sp = knl.sysParams(16, 1);
+        System sys(sp, xmemPointSpec(knl, true, 8, 8.0));
+        out += goldenLine("knl/xmem/stream-w8", sys.run(5.0, 10.0));
+    }
+    return out;
+}
+
+TEST(SystemGoldenTest, StageStatisticsMatchTheGoldenExactly)
+{
+    const std::string path =
+        std::string(LLL_TEST_GOLDEN_DIR) + "/sim_stages.ref";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing " << path;
+    std::ostringstream want;
+    want << in.rdbuf();
+    const std::string got = simStagesReport();
+    if (got != want.str()) {
+        // Leave the fresh report in the working directory for diffing.
+        std::ofstream("sim_stages.actual", std::ios::binary) << got;
+    }
+    EXPECT_EQ(got, want.str())
+        << "simulated stage statistics moved; fresh report written to "
+           "sim_stages.actual in the test's working directory";
 }
 
 TEST(SystemDeathTest, ZeroMeasurePanics)

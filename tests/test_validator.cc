@@ -81,6 +81,13 @@ TEST(ValidatorTest, RejectsBadCacheGeometry)
     sp.l2.ways = 0;
     expectRejected(sp, "ways");
 
+    // One-byte recency ranks order at most Cache::kMaxWays ways.
+    sp = good();
+    sp.l2.ways = Cache::kMaxWays;
+    EXPECT_TRUE(validateSystemParams(sp).ok());
+    sp.l2.ways = Cache::kMaxWays + 1;
+    expectRejected(sp, "ways");
+
     sp = good();
     sp.l1.mshrs = 0;
     expectRejected(sp, "MSHR");
