@@ -39,7 +39,7 @@ namespace lll::analysis
 // core, not the other way around).  Re-exported here for source
 // compatibility.
 using SpecBounds = core::SpecBounds;
-using core::boundsJson;
+using core::writeBounds;
 using core::deriveBounds;
 
 /**

@@ -42,25 +42,30 @@ AuditReport::renderText() const
 std::string
 AuditReport::renderJson() const
 {
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"stats\": {\n";
-    out << "    \"files\": " << stats.files << ",\n";
-    out << "    \"modules\": " << stats.modules << ",\n";
-    out << "    \"includes\": " << stats.includes << ",\n";
-    out << "    \"name_literals\": " << stats.nameLiterals << ",\n";
-    out << "    \"id_literals\": " << stats.idLiterals << ",\n";
-    out << "    \"declarations\": " << stats.declarations << "\n";
-    out << "  },\n";
-    out << "  \"diagnostics\": " << diagnostics.renderJson(2) << ",\n";
-    out << "  \"summary\": {\n";
-    out << "    \"errors\": " << diagnostics.errorCount() << ",\n";
-    out << "    \"warnings\": " << diagnostics.warningCount() << ",\n";
-    out << "    \"notes\": " << diagnostics.noteCount() << ",\n";
-    out << "    \"clean\": " << (clean() ? "true" : "false") << "\n";
-    out << "  }\n";
-    out << "}";
-    return out.str();
+    using Layout = util::JsonWriter::Layout;
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject(Layout::Block)
+        .key("stats")
+        .beginObject(Layout::Block)
+        .member("files", stats.files)
+        .member("modules", stats.modules)
+        .member("includes", stats.includes)
+        .member("name_literals", stats.nameLiterals)
+        .member("id_literals", stats.idLiterals)
+        .member("declarations", stats.declarations)
+        .end()
+        .key("diagnostics");
+    diagnostics.writeJson(w);
+    w.key("summary")
+        .beginObject(Layout::Block)
+        .member("errors", diagnostics.errorCount())
+        .member("warnings", diagnostics.warningCount())
+        .member("notes", diagnostics.noteCount())
+        .member("clean", clean())
+        .end()
+        .end();
+    return out;
 }
 
 std::string

@@ -1,11 +1,13 @@
 /**
  * @file
- * API-hygiene checks (LLL-SRC-120..122): [[nodiscard]] on every
+ * API-hygiene checks (LLL-SRC-120..123): [[nodiscard]] on every
  * Status/Result-returning header declaration, banned raw time/rand/exit
- * APIs, and no non-test references to [[deprecated]] symbols.
+ * APIs, no non-test references to [[deprecated]] symbols, and no JSON
+ * member spelled by hand outside util::JsonWriter.
  */
 
 #include <map>
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -207,6 +209,38 @@ checkBannedApis(const SourceFile &f, AuditReport &report)
     }
 }
 
+/**
+ * Hand-written JSON (LLL-SRC-123).  util::JsonWriter owns separators,
+ * escaping and number spelling, so a string literal that spells a
+ * member outside src/util/json.* is a second writer in the making.
+ * The one exemption: src/faultinject sends deliberately truncated
+ * frames, and a literal there that ends right after a member's colon
+ * is such a fragment, not a document.
+ */
+void
+checkJsonLiterals(const SourceFile &f, AuditReport &report)
+{
+    if (f.relPath.rfind("src/util/json.", 0) == 0)
+        return;
+    // `\"name\":` in a literal (escapes stay raw in the token), or
+    // `"name":` in a raw string.
+    static const std::regex kMember(R"(\\?"[A-Za-z0-9_.]+\\?":)");
+    std::smatch m;
+    for (const Token &t : f.tokens) {
+        if (t.kind != Token::Kind::String ||
+            !std::regex_search(t.text, m, kMember))
+            continue;
+        if (f.module == "faultinject" &&
+            size_t(m.position(0) + m.length(0)) == t.text.size())
+            continue;
+        report.add({"LLL-SRC-123", util::Severity::Error, at(f, t.line),
+                    "string literal spells a JSON member outside "
+                    "util::JsonWriter"},
+                   "write the document through util::JsonWriter so "
+                   "escaping, separators and numbers have one owner");
+    }
+}
+
 /** A symbol marked [[deprecated]] and where it lives. */
 struct DeprecatedSymbol
 {
@@ -298,6 +332,8 @@ checkApiHygiene(const std::vector<SourceFile> &files,
         checkBannedApis(f, report);
     }
     checkDeprecatedRefs(files, report);
+    for (const SourceFile &f : files)
+        checkJsonLiterals(f, report);
 }
 
 } // namespace lll::audit

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "util/stats.hh"
 
@@ -79,50 +77,30 @@ deriveBounds(const sim::SystemParams &sys, const sim::KernelSpec &spec)
     return b;
 }
 
-std::string
-boundsJson(const SpecBounds &b, int indent)
+void
+writeBounds(util::JsonWriter &w, const SpecBounds &b)
 {
-    const std::string pad(static_cast<size_t>(indent), ' ');
-    std::ostringstream out;
-    char buf[160];
-    auto num = [&buf](double v) {
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-        return std::string(buf);
-    };
-    out << "{\n"
-        << pad << "  \"exposed_mlp_per_thread\": "
-        << num(b.exposedMlpPerThread) << ",\n"
-        << pad << "  \"exposed_mlp_per_core\": "
-        << num(b.exposedMlpPerCore) << ",\n"
-        << pad << "  \"l1_mshrs\": " << b.l1Mshrs << ",\n"
-        << pad << "  \"l2_mshrs\": " << b.l2Mshrs << ",\n"
-        << pad << "  \"effective_mlp_per_core\": "
-        << num(b.effectiveMlpPerCore) << ",\n"
-        << pad << "  \"idle_latency_ns\": " << num(b.idleLatencyNs)
-        << ",\n"
-        << pad << "  \"peak_gbs\": " << num(b.peakGBs) << ",\n"
-        << pad << "  \"l1_ceiling_gbs\": " << num(b.l1CeilingGBs)
-        << ",\n"
-        << pad << "  \"l2_ceiling_gbs\": " << num(b.l2CeilingGBs)
-        << ",\n"
-        << pad << "  \"mlp_ceiling_gbs\": " << num(b.mlpCeilingGBs)
-        << ",\n"
-        << pad << "  \"n_avg_at_peak_per_core\": "
-        << num(b.nAvgAtPeakPerCore) << ",\n"
-        << pad << "  \"footprint_bytes\": " << b.footprintBytes << ",\n"
-        << pad << "  \"l1_capacity_bytes\": " << b.l1CapacityBytes
-        << ",\n"
-        << pad << "  \"l2_capacity_bytes\": " << b.l2CapacityBytes
-        << ",\n"
-        << pad << "  \"random_weight\": " << num(b.randomWeight) << ",\n"
-        << pad << "  \"random_dominated\": "
-        << (b.randomDominated ? "true" : "false") << ",\n"
-        << pad << "  \"prefetcher_covers\": "
-        << (b.prefetcherCovers ? "true" : "false") << ",\n"
-        << pad << "  \"vacuous\": " << (b.vacuous() ? "true" : "false")
-        << "\n"
-        << pad << "}";
-    return out.str();
+    w.beginObject(util::JsonWriter::Layout::Block)
+        .precision(6)
+        .member("exposed_mlp_per_thread", b.exposedMlpPerThread)
+        .member("exposed_mlp_per_core", b.exposedMlpPerCore)
+        .member("l1_mshrs", b.l1Mshrs)
+        .member("l2_mshrs", b.l2Mshrs)
+        .member("effective_mlp_per_core", b.effectiveMlpPerCore)
+        .member("idle_latency_ns", b.idleLatencyNs)
+        .member("peak_gbs", b.peakGBs)
+        .member("l1_ceiling_gbs", b.l1CeilingGBs)
+        .member("l2_ceiling_gbs", b.l2CeilingGBs)
+        .member("mlp_ceiling_gbs", b.mlpCeilingGBs)
+        .member("n_avg_at_peak_per_core", b.nAvgAtPeakPerCore)
+        .member("footprint_bytes", b.footprintBytes)
+        .member("l1_capacity_bytes", b.l1CapacityBytes)
+        .member("l2_capacity_bytes", b.l2CapacityBytes)
+        .member("random_weight", b.randomWeight)
+        .member("random_dominated", b.randomDominated)
+        .member("prefetcher_covers", b.prefetcherCovers)
+        .member("vacuous", b.vacuous())
+        .end();
 }
 
 } // namespace lll::core

@@ -25,6 +25,7 @@
 
 #include "sim/kernel_spec.hh"
 #include "sim/system.hh"
+#include "util/json.hh"
 
 namespace lll::core
 {
@@ -86,8 +87,9 @@ struct SpecBounds
 SpecBounds deriveBounds(const sim::SystemParams &sys,
                         const sim::KernelSpec &spec);
 
-/** JSON object with every SpecBounds field ({"idle_latency_ns": ...}). */
-std::string boundsJson(const SpecBounds &bounds, int indent = 0);
+/** Every SpecBounds field as a block-layout JSON object
+ *  ({"idle_latency_ns": ...}), doubles to 6 significant digits. */
+void writeBounds(util::JsonWriter &w, const SpecBounds &bounds);
 
 } // namespace lll::core
 

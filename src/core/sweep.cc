@@ -18,8 +18,6 @@ namespace lll::core
 {
 
 using util::ErrorCode;
-using util::fmtG17;
-using util::jsonEscape;
 using util::Status;
 using workloads::Opt;
 using workloads::OptSet;
@@ -201,101 +199,87 @@ hashKernelSpec(const sim::KernelSpec &spec)
 std::string
 stageMetricsJson(const StageMetrics &m, const std::string &key)
 {
-    std::ostringstream out;
-    out << "{\n";
-    auto str = [&out](const char *name, const std::string &v) {
-        out << "  \"" << name << "\": \"" << jsonEscape(v) << "\",\n";
-    };
-    auto num = [&out](const char *name, double v) {
-        out << "  \"" << name << "\": " << fmtG17(v) << ",\n";
-    };
-    auto uns = [&out](const char *name, uint64_t v) {
-        out << "  \"" << name << "\": " << v << ",\n";
-    };
-    auto bol = [&out](const char *name, bool v) {
-        out << "  \"" << name << "\": " << (v ? "true" : "false")
-            << ",\n";
-    };
-
-    uns("version", kSpillFormatVersion);
-    str("key", key);
-    str("label", m.label);
-    str("opts", optsToken(m.opts));
-    num("throughput", m.throughput);
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject(util::JsonWriter::Layout::Block);
+    w.member("version", kSpillFormatVersion);
+    w.member("key", key);
+    w.member("label", m.label);
+    w.member("opts", optsToken(m.opts));
+    w.member("throughput", m.throughput);
 
     const sim::RunResult &r = m.run;
-    num("run.measureSeconds", r.measureSeconds);
-    num("run.workDone", r.workDone);
-    num("run.throughput", r.throughput);
-    uns("run.opsIssued", r.opsIssued);
-    num("run.readGBs", r.readGBs);
-    num("run.writeGBs", r.writeGBs);
-    num("run.totalGBs", r.totalGBs);
-    num("run.demandFraction", r.demandFraction);
-    num("run.memUtilization", r.memUtilization);
-    num("run.avgMemLatencyNs", r.avgMemLatencyNs);
-    num("run.p50MemLatencyNs", r.p50MemLatencyNs);
-    num("run.p95MemLatencyNs", r.p95MemLatencyNs);
-    num("run.p99MemLatencyNs", r.p99MemLatencyNs);
-    num("run.avgMemOutstanding", r.avgMemOutstanding);
-    num("run.avgL1MshrOccupancy", r.avgL1MshrOccupancy);
-    num("run.avgL2MshrOccupancy", r.avgL2MshrOccupancy);
-    num("run.maxL1MshrOccupancy", r.maxL1MshrOccupancy);
-    num("run.maxL2MshrOccupancy", r.maxL2MshrOccupancy);
-    uns("run.l1FullStalls", r.l1FullStalls);
-    uns("run.l2FullStalls", r.l2FullStalls);
-    uns("run.l1DemandMisses", r.l1DemandMisses);
-    uns("run.l1DemandHits", r.l1DemandHits);
-    uns("run.l2DemandMisses", r.l2DemandMisses);
-    uns("run.l2DemandHits", r.l2DemandHits);
-    uns("run.hwPrefIssued", r.hwPrefIssued);
-    uns("run.hwPrefUseful", r.hwPrefUseful);
-    uns("run.swPrefIssued", r.swPrefIssued);
-    uns("run.l2PrefetchDropped", r.l2PrefetchDropped);
-    uns("run.memReadLines", r.memReadLines);
-    uns("run.memWriteLines", r.memWriteLines);
-    uns("run.memHwPrefetchLines", r.memHwPrefetchLines);
-    uns("run.memSwPrefetchLines", r.memSwPrefetchLines);
-    uns("run.eventsProcessed", r.eventsProcessed);
+    w.member("run.measureSeconds", r.measureSeconds);
+    w.member("run.workDone", r.workDone);
+    w.member("run.throughput", r.throughput);
+    w.member("run.opsIssued", r.opsIssued);
+    w.member("run.readGBs", r.readGBs);
+    w.member("run.writeGBs", r.writeGBs);
+    w.member("run.totalGBs", r.totalGBs);
+    w.member("run.demandFraction", r.demandFraction);
+    w.member("run.memUtilization", r.memUtilization);
+    w.member("run.avgMemLatencyNs", r.avgMemLatencyNs);
+    w.member("run.p50MemLatencyNs", r.p50MemLatencyNs);
+    w.member("run.p95MemLatencyNs", r.p95MemLatencyNs);
+    w.member("run.p99MemLatencyNs", r.p99MemLatencyNs);
+    w.member("run.avgMemOutstanding", r.avgMemOutstanding);
+    w.member("run.avgL1MshrOccupancy", r.avgL1MshrOccupancy);
+    w.member("run.avgL2MshrOccupancy", r.avgL2MshrOccupancy);
+    w.member("run.maxL1MshrOccupancy", r.maxL1MshrOccupancy);
+    w.member("run.maxL2MshrOccupancy", r.maxL2MshrOccupancy);
+    w.member("run.l1FullStalls", r.l1FullStalls);
+    w.member("run.l2FullStalls", r.l2FullStalls);
+    w.member("run.l1DemandMisses", r.l1DemandMisses);
+    w.member("run.l1DemandHits", r.l1DemandHits);
+    w.member("run.l2DemandMisses", r.l2DemandMisses);
+    w.member("run.l2DemandHits", r.l2DemandHits);
+    w.member("run.hwPrefIssued", r.hwPrefIssued);
+    w.member("run.hwPrefUseful", r.hwPrefUseful);
+    w.member("run.swPrefIssued", r.swPrefIssued);
+    w.member("run.l2PrefetchDropped", r.l2PrefetchDropped);
+    w.member("run.memReadLines", r.memReadLines);
+    w.member("run.memWriteLines", r.memWriteLines);
+    w.member("run.memHwPrefetchLines", r.memHwPrefetchLines);
+    w.member("run.memSwPrefetchLines", r.memSwPrefetchLines);
+    w.member("run.eventsProcessed", r.eventsProcessed);
 
     const counters::RoutineProfile &p = m.profile;
-    str("profile.routine", p.routine);
-    num("profile.seconds", p.seconds);
-    num("profile.readGBs", p.readGBs);
-    num("profile.writeGBs", p.writeGBs);
-    num("profile.totalGBs", p.totalGBs);
-    num("profile.demandFraction", p.demandFraction);
-    bol("profile.demandFractionKnown", p.demandFractionKnown);
+    w.member("profile.routine", p.routine);
+    w.member("profile.seconds", p.seconds);
+    w.member("profile.readGBs", p.readGBs);
+    w.member("profile.writeGBs", p.writeGBs);
+    w.member("profile.totalGBs", p.totalGBs);
+    w.member("profile.demandFraction", p.demandFraction);
+    w.member("profile.demandFractionKnown", p.demandFractionKnown);
 
     const Analysis &a = m.analysis;
-    str("analysis.routine", a.routine);
-    str("analysis.platform", a.platform);
-    num("analysis.bwGBs", a.bwGBs);
-    num("analysis.pctPeak", a.pctPeak);
-    num("analysis.latencyNs", a.latencyNs);
-    num("analysis.idleLatencyNs", a.idleLatencyNs);
-    num("analysis.nAvg", a.nAvg);
-    str("analysis.accessClass", accessClassName(a.accessClass));
-    str("analysis.limitingLevel", mshrLevelName(a.limitingLevel));
-    uns("analysis.limitingMshrs", a.limitingMshrs);
-    num("analysis.headroom", a.headroom);
-    bol("analysis.nearMshrLimit", a.nearMshrLimit);
-    bol("analysis.nearBandwidthLimit", a.nearBandwidthLimit);
-    num("analysis.maxAchievableGBs", a.maxAchievableGBs);
-    num("analysis.demandFraction", a.demandFraction);
-    bol("analysis.demandFractionKnown", a.demandFractionKnown);
-    uns("analysis.activeStreams", a.activeStreams);
-    bol("analysis.activeStreamsKnown", a.activeStreamsKnown);
-    uns("analysis.coresUsed", static_cast<uint64_t>(a.coresUsed));
-    bol("analysis.bwBelowProfileRange", a.bwBelowProfileRange);
-    bol("analysis.bwAboveProfileRange", a.bwAboveProfileRange);
-    out << "  \"analysis.warnings\": [";
-    for (size_t i = 0; i < a.warnings.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << jsonEscape(a.warnings[i])
-            << "\"";
-    }
-    out << "]\n}\n";
-    return out.str();
+    w.member("analysis.routine", a.routine);
+    w.member("analysis.platform", a.platform);
+    w.member("analysis.bwGBs", a.bwGBs);
+    w.member("analysis.pctPeak", a.pctPeak);
+    w.member("analysis.latencyNs", a.latencyNs);
+    w.member("analysis.idleLatencyNs", a.idleLatencyNs);
+    w.member("analysis.nAvg", a.nAvg);
+    w.member("analysis.accessClass", accessClassName(a.accessClass));
+    w.member("analysis.limitingLevel", mshrLevelName(a.limitingLevel));
+    w.member("analysis.limitingMshrs", a.limitingMshrs);
+    w.member("analysis.headroom", a.headroom);
+    w.member("analysis.nearMshrLimit", a.nearMshrLimit);
+    w.member("analysis.nearBandwidthLimit", a.nearBandwidthLimit);
+    w.member("analysis.maxAchievableGBs", a.maxAchievableGBs);
+    w.member("analysis.demandFraction", a.demandFraction);
+    w.member("analysis.demandFractionKnown", a.demandFractionKnown);
+    w.member("analysis.activeStreams", a.activeStreams);
+    w.member("analysis.activeStreamsKnown", a.activeStreamsKnown);
+    w.member("analysis.coresUsed", static_cast<uint64_t>(a.coresUsed));
+    w.member("analysis.bwBelowProfileRange", a.bwBelowProfileRange);
+    w.member("analysis.bwAboveProfileRange", a.bwAboveProfileRange);
+    w.key("analysis.warnings").beginArray();
+    for (const std::string &warning : a.warnings)
+        w.value(warning);
+    w.end().end();
+    out += '\n';
+    return out;
 }
 
 util::Result<StageMetrics>

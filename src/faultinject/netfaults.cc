@@ -18,6 +18,7 @@
 #include "net/listener.hh"
 #include "net/serve_handler.hh"
 #include "obs/registry.hh"
+#include "util/json.hh"
 #include "util/status.hh"
 
 namespace lll::faultinject
@@ -29,11 +30,23 @@ using net::BlockingClient;
 using util::ErrorCode;
 using util::Status;
 
-/** The same fast request shape the service tests use. */
-const char *kQuickRequest =
-    "{\"schema_version\": 1, \"id\": \"ctl\", \"platform\": \"skl\", "
-    "\"workload\": \"isx\", \"cores\": 6, \"warmup_us\": 5, "
-    "\"measure_us\": 10}";
+/** The same fast request shape the service tests use, as one line. */
+std::string
+quickRequestLine()
+{
+    std::string line;
+    util::JsonWriter(line)
+        .beginObject()
+        .member("schema_version", 1)
+        .member("id", "ctl")
+        .member("platform", "skl")
+        .member("workload", "isx")
+        .member("cores", 6)
+        .member("warmup_us", 5)
+        .member("measure_us", 10)
+        .end();
+    return line + "\n";
+}
 
 /** An in-process listener on an ephemeral loopback port. */
 class NetServer
@@ -94,7 +107,7 @@ controlStillServed(NetServer &server, std::string *detail)
                   client.status().toString();
         return false;
     }
-    Status sent = client->sendAll(std::string(kQuickRequest) + "\n");
+    Status sent = client->sendAll(quickRequestLine());
     if (!sent.ok()) {
         *detail = "control send failed: " + sent.toString();
         return false;
@@ -256,7 +269,7 @@ midRequestDisconnectScenario()
             r.detail = rude.status().toString();
             return r;
         }
-        if (!rude->sendAll(std::string(kQuickRequest) + "\n").ok()) {
+        if (!rude->sendAll(quickRequestLine()).ok()) {
             r.detail = "send failed";
             return r;
         }
@@ -301,10 +314,8 @@ neverReadsScenario()
     // when the server resets us: a blocked send() is released by the
     // RST from the server-side close, so the reap bounds the loop.
     std::string batch;
-    for (int i = 0; i < 20; ++i) {
-        batch += kQuickRequest;
-        batch += '\n';
-    }
+    for (int i = 0; i < 20; ++i)
+        batch += quickRequestLine();
     bool closed = false;
     for (int i = 0; i < 100000 && !closed; ++i)
         closed = !client->sendAll(batch).ok();

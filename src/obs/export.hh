@@ -47,9 +47,6 @@ std::string jsonEnvelope(const std::string &command,
                          const std::string &data_json,
                          const std::string &telemetry_json = {});
 
-/** Format a double as a JSON number (finite; non-finite becomes null). */
-std::string jsonNumber(double v);
-
 /**
  * Serialize @p registry (and, when given, @p spans and @p extra
  * sections) as a JSON object.

@@ -1,6 +1,5 @@
-#include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 #include "obs/export.hh"
 #include "util/json.hh"
@@ -8,130 +7,86 @@
 namespace lll::obs
 {
 
-using util::jsonEscape;
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-namespace
-{
-
-/** Emit `"key": ` */
-void
-key(std::ostringstream &out, const std::string &name)
-{
-    out << '"' << jsonEscape(name) << "\": ";
-}
-
-template <typename Map, typename Fn>
-void
-object(std::ostringstream &out, const Map &map, Fn &&value)
-{
-    out << '{';
-    bool first = true;
-    for (const auto &[name, entry] : map) {
-        if (!first)
-            out << ", ";
-        first = false;
-        key(out, name);
-        value(entry);
-    }
-    out << '}';
-}
-
-} // namespace
+using util::JsonWriter;
 
 std::string
 exportJson(const MetricRegistry &registry, const SpanTracker *spans,
            const std::vector<JsonSection> &extra)
 {
-    std::ostringstream out;
-    out << "{\n  ";
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject(JsonWriter::Layout::Block).precision(9);
 
-    key(out, "counters");
-    object(out, registry.counters(),
-           [&](const CounterMetric &c) { out << c.value(); });
-    out << ",\n  ";
+    w.key("counters").beginObject();
+    for (const auto &[name, c] : registry.counters())
+        w.member(name, c.value());
+    w.end();
 
-    key(out, "gauges");
-    object(out, registry.gauges(),
-           [&](const GaugeMetric &g) { out << jsonNumber(g.read()); });
-    out << ",\n  ";
+    w.key("gauges").beginObject();
+    for (const auto &[name, g] : registry.gauges())
+        w.member(name, g.read());
+    w.end();
 
-    key(out, "histograms");
-    object(out, registry.histograms(), [&](const Log2Histogram &h) {
-        out << "{\"total\": " << h.total()
-            << ", \"mean\": " << jsonNumber(h.mean())
-            << ", \"p50\": " << jsonNumber(h.percentile(0.50))
-            << ", \"p90\": " << jsonNumber(h.percentile(0.90))
-            << ", \"p99\": " << jsonNumber(h.percentile(0.99))
-            << ", \"buckets\": [";
-        bool first = true;
+    w.key("histograms").beginObject();
+    for (const auto &[name, h] : registry.histograms()) {
+        w.key(name)
+            .beginObject()
+            .member("total", h.total())
+            .member("mean", h.mean())
+            .member("p50", h.percentile(0.50))
+            .member("p90", h.percentile(0.90))
+            .member("p99", h.percentile(0.99))
+            .key("buckets")
+            .beginArray();
         for (size_t k = 0; k < Log2Histogram::kBuckets; ++k) {
             if (!h.bucket(k))
                 continue;
-            if (!first)
-                out << ", ";
-            first = false;
-            out << "[" << jsonNumber(Log2Histogram::bucketUpper(k)) << ", "
-                << h.bucket(k) << "]";
+            w.beginArray()
+                .value(Log2Histogram::bucketUpper(k))
+                .value(h.bucket(k))
+                .end();
         }
-        out << "]}";
-    });
-    out << ",\n  ";
+        w.end().end();
+    }
+    w.end();
 
-    key(out, "series");
-    object(out, registry.allSeries(), [&](const TimeSeries &ts) {
-        out << "{\"total\": " << ts.total() << ", \"samples\": [";
-        bool first = true;
-        for (const TimeSeries::Sample &s : ts.samples()) {
-            if (!first)
-                out << ", ";
-            first = false;
-            out << "[" << jsonNumber(ticksToNs(s.when)) << ", "
-                << jsonNumber(s.value) << "]";
-        }
-        out << "]}";
-    });
-    out << ",\n  ";
+    w.key("series").beginObject();
+    for (const auto &[name, ts] : registry.allSeries()) {
+        w.key(name)
+            .beginObject()
+            .member("total", ts.total())
+            .key("samples")
+            .beginArray();
+        for (const TimeSeries::Sample &s : ts.samples())
+            w.beginArray().value(ticksToNs(s.when)).value(s.value).end();
+        w.end().end();
+    }
+    w.end();
 
-    key(out, "annotations");
-    object(out, registry.annotations(), [&](const std::string &v) {
-        out << '"' << jsonEscape(v) << '"';
-    });
+    w.key("annotations").beginObject();
+    for (const auto &[name, v] : registry.annotations())
+        w.member(name, v);
+    w.end();
 
     if (spans) {
-        out << ",\n  ";
-        key(out, "spans");
-        out << '[';
-        bool first = true;
+        w.key("spans").beginArray();
         for (const SpanTracker::Stat &s : spans->stats()) {
-            if (!first)
-                out << ", ";
-            first = false;
-            out << "{\"path\": \"" << jsonEscape(s.path)
-                << "\", \"depth\": " << s.depth
-                << ", \"count\": " << s.count
-                << ", \"wall_ns\": " << jsonNumber(s.wallNs) << "}";
+            w.beginObject()
+                .member("path", s.path)
+                .member("depth", s.depth)
+                .member("count", s.count)
+                .member("wall_ns", s.wallNs)
+                .end();
         }
-        out << ']';
+        w.end();
     }
 
-    for (const JsonSection &section : extra) {
-        out << ",\n  ";
-        key(out, section.first);
-        out << section.second;
-    }
+    for (const JsonSection &section : extra)
+        w.key(section.first).raw(section.second);
 
-    out << "\n}\n";
-    return out.str();
+    w.end();
+    out += '\n';
+    return out;
 }
 
 namespace
@@ -139,15 +94,15 @@ namespace
 
 /** Embedded pre-serialized values keep their own layout but must not
  *  carry trailing newlines into the envelope. */
-std::string
-trimmedOrNull(const std::string &json)
+std::string_view
+trimmedOrNull(std::string_view json)
 {
     size_t end = json.size();
     while (end > 0 && (json[end - 1] == '\n' || json[end - 1] == ' ' ||
                        json[end - 1] == '\t' || json[end - 1] == '\r')) {
         --end;
     }
-    return end == 0 ? std::string("null") : json.substr(0, end);
+    return end == 0 ? std::string_view("null") : json.substr(0, end);
 }
 
 } // namespace
@@ -157,16 +112,24 @@ jsonEnvelope(const std::string &command, const util::Status &status,
              int exit_code, const std::string &data_json,
              const std::string &telemetry_json)
 {
-    std::ostringstream out;
-    out << "{\n  \"schema_version\": " << kJsonEnvelopeVersion
-        << ",\n  \"command\": \"" << jsonEscape(command)
-        << "\",\n  \"status\": {\"code\": \""
-        << util::errorCodeName(status.code())
-        << "\", \"exit\": " << exit_code << ", \"message\": \""
-        << jsonEscape(status.message()) << "\"},\n  \"data\": "
-        << trimmedOrNull(data_json) << ",\n  \"telemetry\": "
-        << trimmedOrNull(telemetry_json) << "\n}\n";
-    return out.str();
+    std::string out;
+    JsonWriter w(out);
+    w.beginObject(JsonWriter::Layout::Block)
+        .member("schema_version", kJsonEnvelopeVersion)
+        .member("command", command)
+        .key("status")
+        .beginObject()
+        .member("code", util::errorCodeName(status.code()))
+        .member("exit", exit_code)
+        .member("message", status.message())
+        .end()
+        .key("data")
+        .raw(trimmedOrNull(data_json))
+        .key("telemetry")
+        .raw(trimmedOrNull(telemetry_json))
+        .end();
+    out += '\n';
+    return out;
 }
 
 bool

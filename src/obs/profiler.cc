@@ -4,25 +4,14 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/export.hh"
 #include "obs/timer.hh"
 #include "util/json.hh"
 
 namespace lll::obs
 {
 
-using util::jsonEscape;
-
 namespace
 {
-
-/** Last slash-separated segment of @p path. */
-std::string
-lastSegment(const std::string &path)
-{
-    const size_t slash = path.rfind('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
-}
 
 /**
  * Find or create the node for @p path under @p root.  Intermediate
@@ -105,21 +94,19 @@ renderNode(std::ostringstream &out, const ProfileNode &node,
 }
 
 void
-nodeJson(std::ostringstream &out, const ProfileNode &node)
+writeNode(util::JsonWriter &w, const ProfileNode &node)
 {
-    out << "{\"name\": \"" << jsonEscape(node.name) << "\", \"path\": \""
-        << jsonEscape(node.path) << "\", \"count\": " << node.count
-        << ", \"inclusive_ns\": " << jsonNumber(node.inclusiveNs)
-        << ", \"exclusive_ns\": " << jsonNumber(node.exclusiveNs)
-        << ", \"children\": [";
-    bool first = true;
-    for (const ProfileNode &child : node.children) {
-        if (!first)
-            out << ", ";
-        first = false;
-        nodeJson(out, child);
-    }
-    out << "]}";
+    w.beginObject()
+        .member("name", node.name)
+        .member("path", node.path)
+        .member("count", node.count)
+        .member("inclusive_ns", node.inclusiveNs)
+        .member("exclusive_ns", node.exclusiveNs)
+        .key("children")
+        .beginArray();
+    for (const ProfileNode &child : node.children)
+        writeNode(w, child);
+    w.end().end();
 }
 
 } // namespace
@@ -208,26 +195,27 @@ Profiler::renderText(const Report &report, size_t hot_limit)
 std::string
 Profiler::renderJson(const Report &report, size_t hot_limit)
 {
-    std::ostringstream out;
-    out << "{\n  \"schema_version\": " << kSchemaVersion
-        << ",\n  \"wall_ns\": " << jsonNumber(report.wallNs)
-        << ",\n  \"attributed_ns\": " << jsonNumber(report.attributedNs)
-        << ",\n  \"coverage\": " << jsonNumber(report.coverage())
-        << ",\n  \"build_ns\": " << jsonNumber(report.buildNs)
-        << ",\n  \"tree\": ";
-    nodeJson(out, report.root);
-    out << ",\n  \"hot\": [";
-    bool first = true;
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject(util::JsonWriter::Layout::Block)
+        .precision(9)
+        .member("schema_version", kSchemaVersion)
+        .member("wall_ns", report.wallNs)
+        .member("attributed_ns", report.attributedNs)
+        .member("coverage", report.coverage())
+        .member("build_ns", report.buildNs)
+        .key("tree");
+    writeNode(w, report.root);
+    w.key("hot").beginArray();
     for (const ProfileNode *node : report.hotPaths(hot_limit)) {
-        if (!first)
-            out << ", ";
-        first = false;
-        out << "{\"path\": \"" << jsonEscape(node->path)
-            << "\", \"exclusive_ns\": " << jsonNumber(node->exclusiveNs)
-            << ", \"count\": " << node->count << "}";
+        w.beginObject()
+            .member("path", node->path)
+            .member("exclusive_ns", node->exclusiveNs)
+            .member("count", node->count)
+            .end();
     }
-    out << "]\n}";
-    return out.str();
+    w.end().end();
+    return out;
 }
 
 } // namespace lll::obs

@@ -11,7 +11,6 @@ namespace lll::perf
 {
 
 using util::ErrorCode;
-using util::fmtG17;
 using util::JsonValue;
 using util::Status;
 
@@ -32,31 +31,46 @@ numberField(const JsonValue &obj, const char *key)
 std::string
 benchReportJson(const BenchReport &report)
 {
-    std::ostringstream out;
-    out << "{\n  \"schema_version\": " << report.schemaVersion
-        << ",\n  \"rev\": \"" << report.rev << "\",\n  \"trials\": "
-        << report.trials << ",\n  \"warmup_ms\": "
-        << fmtG17(report.warmupMs) << ",\n  \"measure_ms\": "
-        << fmtG17(report.measureMs) << ",\n  \"kernels\": [";
-    bool first = true;
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject(util::JsonWriter::Layout::Block)
+        .member("schema_version", report.schemaVersion)
+        .member("rev", report.rev)
+        .member("trials", report.trials)
+        .member("warmup_ms", report.warmupMs)
+        .member("measure_ms", report.measureMs)
+        .key("kernels")
+        .beginArray(util::JsonWriter::Layout::Block);
     for (const KernelStats &k : report.kernels) {
-        out << (first ? "" : ",") << "\n    {\"name\": \"" << k.name
-            << "\", \"trials\": " << k.trials << ", \"batches\": "
-            << k.batches << ", \"items\": " << k.items
-            << ",\n     \"events_per_sec\": {\"median\": "
-            << fmtG17(k.medianEps) << ", \"min\": " << fmtG17(k.minEps)
-            << ", \"max\": " << fmtG17(k.maxEps) << ", \"iqr\": "
-            << fmtG17(k.iqrEps) << ", \"trials\": [";
-        for (size_t i = 0; i < k.trialEventsPerSec.size(); ++i) {
-            out << (i ? ", " : "") << fmtG17(k.trialEventsPerSec[i]);
-        }
-        out << "]},\n     \"item_latency_ns\": {\"p50\": "
-            << fmtG17(k.p50ItemNs) << ", \"p90\": " << fmtG17(k.p90ItemNs)
-            << ", \"p99\": " << fmtG17(k.p99ItemNs) << "}}";
-        first = false;
+        w.beginObject()
+            .member("name", k.name)
+            .member("trials", k.trials)
+            .member("batches", k.batches)
+            .member("items", k.items)
+            .wrap()
+            .key("events_per_sec")
+            .beginObject()
+            .member("median", k.medianEps)
+            .member("min", k.minEps)
+            .member("max", k.maxEps)
+            .member("iqr", k.iqrEps)
+            .key("trials")
+            .beginArray();
+        for (double eps : k.trialEventsPerSec)
+            w.value(eps);
+        w.end()
+            .end()
+            .wrap()
+            .key("item_latency_ns")
+            .beginObject()
+            .member("p50", k.p50ItemNs)
+            .member("p90", k.p90ItemNs)
+            .member("p99", k.p99ItemNs)
+            .end()
+            .end();
     }
-    out << (first ? "" : "\n  ") << "]\n}";
-    return out.str();
+    w.end().end();
+    return out;
 }
 
 util::Result<BenchReport>

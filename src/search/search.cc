@@ -5,7 +5,6 @@
 #include <map>
 #include <sstream>
 
-#include "util/json.hh"
 #include "util/names.hh"
 #include "workloads/spec_workload.hh"
 
@@ -13,7 +12,6 @@ namespace lll::search
 {
 
 using util::ErrorCode;
-using util::fmtG17;
 using util::Status;
 
 namespace
@@ -219,60 +217,70 @@ Searcher::run(const SearchSpec &spec)
     return result;
 }
 
+void
+writeSearchData(util::JsonWriter &w, const SearchResult &r,
+                bool include_rows)
+{
+    w.beginObject()
+        .member("platform", r.platform)
+        .member("workload", r.workload)
+        .member("opts", r.optsLabel)
+        .key("axes")
+        .beginArray();
+    for (const std::string &axis : r.axisNames)
+        w.value(axis);
+    w.end()
+        .member("bank_weight", r.bankWeight)
+        .member("enumerated", r.enumerated)
+        .member("pruned_analytic", r.prunedAnalytic)
+        .member("pruned_infeasible", r.prunedInfeasible)
+        .member("simulated", r.simulated)
+        .member("waves", r.waves)
+        .key("frontier")
+        .beginArray();
+    for (size_t index : r.frontier) {
+        const SearchRow &row = r.rows[index];
+        w.beginObject()
+            .member("config", row.label)
+            .member("cost", row.cost)
+            .member("bw_gbs", row.bwGBs)
+            .member("pct_peak", row.pctPeak)
+            .member("latency_ns", row.latencyNs)
+            .member("n_avg", row.nAvg)
+            .member("ceiling_gbs", row.ceilingGBs)
+            .end();
+    }
+    w.end();
+    if (include_rows) {
+        w.key("rows").beginArray();
+        for (const SearchRow &row : r.rows) {
+            w.beginObject()
+                .member("config", row.label)
+                .member("cost", row.cost)
+                .member("ceiling_gbs", row.ceilingGBs)
+                .member("fate", candidateFateName(row.fate))
+                .key("status")
+                .beginObject()
+                .member("code", util::errorCodeName(row.status.code()))
+                .member("message", row.status.message())
+                .end()
+                .member("bw_gbs", row.bwGBs)
+                .member("n_avg", row.nAvg)
+                .member("on_frontier", row.onFrontier)
+                .end();
+        }
+        w.end();
+    }
+    w.end();
+}
+
 std::string
 searchDataJson(const SearchResult &r, bool include_rows)
 {
-    std::ostringstream out;
-    out << "{\"platform\": \"" << util::jsonEscape(r.platform)
-        << "\", \"workload\": \"" << util::jsonEscape(r.workload)
-        << "\", \"opts\": \"" << util::jsonEscape(r.optsLabel)
-        << "\", \"axes\": [";
-    for (size_t i = 0; i < r.axisNames.size(); ++i) {
-        out << (i ? ", " : "") << "\"" << util::jsonEscape(r.axisNames[i])
-            << "\"";
-    }
-    out << "], \"bank_weight\": " << fmtG17(r.bankWeight)
-        << ", \"enumerated\": " << r.enumerated
-        << ", \"pruned_analytic\": " << r.prunedAnalytic
-        << ", \"pruned_infeasible\": " << r.prunedInfeasible
-        << ", \"simulated\": " << r.simulated
-        << ", \"waves\": " << r.waves << ", \"frontier\": [";
-    auto emitPoint = [&out, &r](size_t index, bool first) {
-        const SearchRow &row = r.rows[index];
-        out << (first ? "" : ", ") << "{\"config\": \""
-            << util::jsonEscape(row.label)
-            << "\", \"cost\": " << fmtG17(row.cost)
-            << ", \"bw_gbs\": " << fmtG17(row.bwGBs)
-            << ", \"pct_peak\": " << fmtG17(row.pctPeak)
-            << ", \"latency_ns\": " << fmtG17(row.latencyNs)
-            << ", \"n_avg\": " << fmtG17(row.nAvg)
-            << ", \"ceiling_gbs\": " << fmtG17(row.ceilingGBs) << "}";
-    };
-    for (size_t i = 0; i < r.frontier.size(); ++i)
-        emitPoint(r.frontier[i], i == 0);
-    out << "]";
-    if (include_rows) {
-        out << ", \"rows\": [";
-        for (size_t i = 0; i < r.rows.size(); ++i) {
-            const SearchRow &row = r.rows[i];
-            out << (i ? ", " : "") << "{\"config\": \""
-                << util::jsonEscape(row.label)
-                << "\", \"cost\": " << fmtG17(row.cost)
-                << ", \"ceiling_gbs\": " << fmtG17(row.ceilingGBs)
-                << ", \"fate\": \"" << candidateFateName(row.fate)
-                << "\", \"status\": {\"code\": \""
-                << util::errorCodeName(row.status.code())
-                << "\", \"message\": \""
-                << util::jsonEscape(row.status.message())
-                << "\"}, \"bw_gbs\": " << fmtG17(row.bwGBs)
-                << ", \"n_avg\": " << fmtG17(row.nAvg)
-                << ", \"on_frontier\": "
-                << (row.onFrontier ? "true" : "false") << "}";
-        }
-        out << "]";
-    }
-    out << "}";
-    return out.str();
+    std::string out;
+    util::JsonWriter w(out);
+    writeSearchData(w, r, include_rows);
+    return out;
 }
 
 std::string

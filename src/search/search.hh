@@ -29,6 +29,7 @@
 #include "obs/registry.hh"
 #include "search/pareto.hh"
 #include "search/space.hh"
+#include "util/json.hh"
 #include "util/status.hh"
 
 namespace lll::search
@@ -122,6 +123,11 @@ class Searcher
  * per-candidate row array after the frontier.
  */
 std::string searchDataJson(const SearchResult &r, bool include_rows);
+
+/** searchDataJson() written through @p w (the serve path renders the
+ *  whole response into one buffer). */
+void writeSearchData(util::JsonWriter &w, const SearchResult &r,
+                     bool include_rows);
 
 /** Human-readable report: accounting line + frontier table
  *  (@p all_rows appends every simulated row). */

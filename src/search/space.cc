@@ -159,6 +159,15 @@ enumerateSpace(const SearchSpec &spec, const platforms::Platform &base,
                              "search space is empty: give at least "
                              "one axis or explicit point");
     }
+    if (!(spec.bankWeight >= 0.0 && spec.bankWeight <= 1e9)) {
+        return Status::error(ErrorCode::InvalidArgument,
+                             "bank weight %g is outside [0, 1e9]",
+                             spec.bankWeight);
+    }
+    if (spec.maxCandidates == 0) {
+        return Status::error(ErrorCode::InvalidArgument,
+                             "max candidates must be >= 1");
+    }
 
     // Canonical axis order (by name), so the cross product — and every
     // downstream artifact — is independent of declaration order.

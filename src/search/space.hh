@@ -53,10 +53,12 @@ struct SearchSpec
     double measureUs = 0.0; //!< 0 = the workload's default window
 
     /** Cost model: cost = l1_mshrs + l2_mshrs + bankWeight * banks
-     *  (per core MSHRs; banks as built by the memory controller). */
+     *  (per core MSHRs; banks as built by the memory controller).
+     *  enumerateSpace() accepts [0, 1e9]. */
     double bankWeight = 0.5;
 
-    /** Refuse spaces larger than this before any work happens. */
+    /** Refuse spaces larger than this before any work happens
+     *  (at least 1). */
     size_t maxCandidates = 4096;
 
     /** Simulate everything (tests compare against this brute force;
@@ -100,8 +102,10 @@ struct Candidate
  * against @p workload's kernel under @p spec's opts.
  *
  * Fails only on structural problems (empty space, too many
- * candidates); per-candidate build failures come back as infeasible
- * candidates, not errors.
+ * candidates, a bank weight or candidate cap out of range) — the one
+ * place both `lll search` and a serve search request check them;
+ * per-candidate build failures come back as infeasible candidates,
+ * not errors.
  */
 [[nodiscard]] util::Result<std::vector<Candidate>>
 enumerateSpace(const SearchSpec &spec, const platforms::Platform &base,

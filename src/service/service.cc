@@ -1,7 +1,8 @@
 #include "service/service.hh"
 
-#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <span>
 #include <string_view>
@@ -20,7 +21,6 @@ namespace lll::service
 {
 
 using util::ErrorCode;
-using util::appendG17;
 using util::JsonValue;
 using util::Status;
 using workloads::OptSet;
@@ -55,18 +55,30 @@ rejectUnknownFields(const JsonValue &obj,
     return Status::okStatus();
 }
 
-util::Result<uint64_t>
-getCount(const JsonValue &obj, const std::string &key, uint64_t fallback)
+/**
+ * Member @p key as a T, @p fallback when absent.  InvalidArgument names
+ * the field unless the number is an integer in [@p lo, max of T]; the
+ * range is checked on the double, so the conversion is always defined.
+ */
+template <typename T>
+util::Result<T>
+getInteger(const JsonValue &obj, const std::string &key, T fallback,
+           T lo = std::numeric_limits<T>::min())
 {
     util::Result<double> v = obj.getNumberOr(key, double(fallback));
     if (!v.ok())
         return v.status();
-    if (*v < 0 || *v != double(uint64_t(*v))) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "field \"%s\" must be a non-negative "
-                             "integer", key.c_str());
+    // 2^digits (one past the max of T) is exact as a double; the max
+    // itself need not be.
+    const double end = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (!(*v >= double(lo) && *v < end) || *v != std::floor(*v)) {
+        return Status::error(
+            ErrorCode::InvalidArgument,
+            "field \"%s\" must be an integer in [%lld, %llu]",
+            key.c_str(), static_cast<long long>(lo),
+            static_cast<unsigned long long>(std::numeric_limits<T>::max()));
     }
-    return uint64_t(*v);
+    return static_cast<T>(*v);
 }
 
 util::Result<sim::StreamDesc>
@@ -99,7 +111,7 @@ parseStream(const JsonValue &v, size_t index)
                              index, kind->c_str());
     }
     util::Result<uint64_t> fp =
-        getCount(v, "footprint_lines", s.footprintLines);
+        getInteger(v, "footprint_lines", s.footprintLines);
     if (!fp.ok())
         return fp.status();
     s.footprintLines = *fp;
@@ -107,11 +119,10 @@ parseStream(const JsonValue &v, size_t index)
     if (!weight.ok())
         return weight.status();
     s.weight = *weight;
-    util::Result<double> stride =
-        v.getNumberOr("stride_lines", s.strideLines);
+    util::Result<int> stride = getInteger(v, "stride_lines", s.strideLines);
     if (!stride.ok())
         return stride.status();
-    s.strideLines = int(*stride);
+    s.strideLines = *stride;
     util::Result<bool> store = v.getBoolOr("store", s.store);
     if (!store.ok())
         return store.status();
@@ -126,10 +137,10 @@ parseStream(const JsonValue &v, size_t index)
     if (!reuse.ok())
         return reuse.status();
     s.reuseFraction = *reuse;
-    util::Result<uint64_t> rw = getCount(v, "reuse_window", s.reuseWindow);
+    util::Result<unsigned> rw = getInteger(v, "reuse_window", s.reuseWindow);
     if (!rw.ok())
         return rw.status();
-    s.reuseWindow = unsigned(*rw);
+    s.reuseWindow = *rw;
     util::Result<bool> pref =
         v.getBoolOr("sw_prefetchable", s.swPrefetchable);
     if (!pref.ok())
@@ -176,10 +187,10 @@ parseSpec(const JsonValue &v)
     if (!cycles.ok())
         return cycles.status();
     spec.computeCyclesPerOp = *cycles;
-    util::Result<uint64_t> window = getCount(v, "window", spec.window);
+    util::Result<unsigned> window = getInteger(v, "window", spec.window);
     if (!window.ok())
         return window.status();
-    spec.window = unsigned(*window);
+    spec.window = *window;
     util::Result<double> work =
         v.getNumberOr("work_per_op", spec.workPerOp);
     if (!work.ok())
@@ -190,11 +201,11 @@ parseSpec(const JsonValue &v)
     if (!pl2.ok())
         return pl2.status();
     spec.swPrefetchL2 = *pl2;
-    util::Result<uint64_t> dist =
-        getCount(v, "sw_prefetch_distance", spec.swPrefetchDistance);
+    util::Result<unsigned> dist =
+        getInteger(v, "sw_prefetch_distance", spec.swPrefetchDistance);
     if (!dist.ok())
         return dist.status();
-    spec.swPrefetchDistance = unsigned(*dist);
+    spec.swPrefetchDistance = *dist;
     util::Result<double> overhead = v.getNumberOr(
         "sw_prefetch_overhead_cycles", spec.swPrefetchOverheadCycles);
     if (!overhead.ok())
@@ -360,17 +371,12 @@ parseRunRequest(const std::string &line, size_t line_no)
         }
     }
 
-    util::Result<double> cores = doc->getNumberOr("cores", 0.0);
+    util::Result<int> cores = getInteger(*doc, "cores", 0, 0);
     if (!cores.ok())
         return fail(cores.status());
-    if (*cores != double(int(*cores)) || int(*cores) < 0) {
-        return fail(Status::error(ErrorCode::InvalidArgument,
-                                  "field \"cores\" must be a "
-                                  "non-negative integer"));
-    }
-    req.cores = int(*cores);
+    req.cores = *cores;
 
-    util::Result<uint64_t> seed = getCount(*doc, "seed", req.seed);
+    util::Result<uint64_t> seed = getInteger(*doc, "seed", req.seed);
     if (!seed.ok())
         return fail(seed.status());
     req.seed = *seed;
@@ -446,21 +452,11 @@ parseRunRequest(const std::string &line, size_t line_no)
             doc->getNumberOr("bank_weight", space.bankWeight);
         if (!weight.ok())
             return fail(weight.status());
-        if (!(*weight >= 0.0) || *weight > 1e9) {
-            return fail(Status::error(
-                ErrorCode::InvalidArgument,
-                "field \"bank_weight\" must be in [0, 1e9]"));
-        }
         space.bankWeight = *weight;
-        util::Result<uint64_t> max_cand =
-            getCount(*doc, "max_candidates", space.maxCandidates);
+        util::Result<size_t> max_cand =
+            getInteger(*doc, "max_candidates", space.maxCandidates);
         if (!max_cand.ok())
             return fail(max_cand.status());
-        if (*max_cand == 0) {
-            return fail(Status::error(
-                ErrorCode::InvalidArgument,
-                "field \"max_candidates\" must be >= 1"));
-        }
         space.maxCandidates = *max_cand;
         util::Result<bool> no_prune = doc->getBoolOr("no_prune", false);
         if (!no_prune.ok())
@@ -485,59 +481,33 @@ parseRunRequest(const std::string &line, size_t line_no)
 namespace
 {
 
+/** stageDataJson() written through @p w. */
 void
-appendInt(std::string &out, long long v)
-{
-    char buf[24];
-    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-}
-
-/** Appenders for one `<key><value>` pair, where @p key carries the
- *  separator and field name (and, for strings, the opening quote). */
-void
-appendStr(std::string &out, const char *key, std::string_view v)
-{
-    out += key;
-    util::appendJsonEscaped(out, v);
-    out += '"';
-}
-
-void
-appendNum(std::string &out, const char *key, double v)
-{
-    out += key;
-    appendG17(out, v);
-}
-
-/** stageDataJson() appended to @p out. */
-void
-appendStageData(std::string &out, const core::StageMetrics &m,
-                const std::string &platform, const std::string &workload,
-                const std::string &opts_label)
+writeStageData(util::JsonWriter &w, const core::StageMetrics &m,
+               const std::string &platform, const std::string &workload,
+               const std::string &opts_label)
 {
     const core::Analysis &a = m.analysis;
-    appendStr(out, "{\"platform\": \"", platform);
-    appendStr(out, ", \"workload\": \"", workload);
-    appendStr(out, ", \"opts\": \"", opts_label);
-    appendNum(out, ", \"throughput\": ", m.throughput);
-    appendNum(out, ", \"bw_gbs\": ", a.bwGBs);
-    appendNum(out, ", \"pct_peak\": ", a.pctPeak);
-    appendNum(out, ", \"latency_ns\": ", a.latencyNs);
-    appendNum(out, ", \"n_avg\": ", a.nAvg);
-    appendStr(out, ", \"access_class\": \"",
-              core::accessClassName(a.accessClass));
-    appendStr(out, ", \"limiting_level\": \"",
-              core::mshrLevelName(a.limitingLevel));
-    out += ", \"limiting_mshrs\": ";
-    appendInt(out, a.limitingMshrs);
-    appendNum(out, ", \"headroom\": ", a.headroom);
-    appendNum(out, ", \"max_achievable_gbs\": ", a.maxAchievableGBs);
-    out += ", \"cores_used\": ";
-    appendInt(out, a.coresUsed);
-    out += ", \"warnings\": [";
-    for (size_t i = 0; i < a.warnings.size(); ++i)
-        appendStr(out, i ? ", \"" : "\"", a.warnings[i]);
-    out += "]}";
+    w.beginObject()
+        .member("platform", platform)
+        .member("workload", workload)
+        .member("opts", opts_label)
+        .member("throughput", m.throughput)
+        .member("bw_gbs", a.bwGBs)
+        .member("pct_peak", a.pctPeak)
+        .member("latency_ns", a.latencyNs)
+        .member("n_avg", a.nAvg)
+        .member("access_class", core::accessClassName(a.accessClass))
+        .member("limiting_level", core::mshrLevelName(a.limitingLevel))
+        .member("limiting_mshrs", a.limitingMshrs)
+        .member("headroom", a.headroom)
+        .member("max_achievable_gbs", a.maxAchievableGBs)
+        .member("cores_used", a.coresUsed)
+        .key("warnings")
+        .beginArray();
+    for (const std::string &warning : a.warnings)
+        w.value(warning);
+    w.end().end();
 }
 
 } // namespace
@@ -547,33 +517,36 @@ renderRunResponse(const RunResponse &r, bool include_timing)
 {
     std::string out;
     out.reserve(512);
-    out += "{\"schema_version\": ";
-    appendInt(out, r.schemaVersion);
-    appendStr(out, ", \"id\": \"", r.id);
-    appendStr(out, ", \"status\": {\"code\": \"",
-              util::errorCodeName(r.status.code()));
-    out += ", \"exit\": ";
-    appendInt(out, util::exitCodeFor(r.status.code()));
-    appendStr(out, ", \"message\": \"", r.status.message());
-    out += "}, ";
+    util::JsonWriter w(out);
+    w.beginObject()
+        .member("schema_version", r.schemaVersion)
+        .member("id", r.id)
+        .key("status")
+        .beginObject()
+        .member("code", util::errorCodeName(r.status.code()))
+        .member("exit", util::exitCodeFor(r.status.code()))
+        .member("message", r.status.message())
+        .end();
     if (include_timing) {
         const StageTiming &t = r.timing;
-        appendNum(out, "\"timing\": {\"parse_ns\": ", t.parseNs);
-        appendNum(out, ", \"coalesce_ns\": ", t.coalesceNs);
-        appendNum(out, ", \"queue_wait_ns\": ", t.queueWaitNs);
-        appendNum(out, ", \"simulate_ns\": ", t.simulateNs);
-        appendNum(out, ", \"respond_ns\": ", t.respondNs);
-        appendNum(out, ", \"total_ns\": ", t.totalNs);
-        out += "}, ";
+        w.key("timing")
+            .beginObject()
+            .member("parse_ns", t.parseNs)
+            .member("coalesce_ns", t.coalesceNs)
+            .member("queue_wait_ns", t.queueWaitNs)
+            .member("simulate_ns", t.simulateNs)
+            .member("respond_ns", t.respondNs)
+            .member("total_ns", t.totalNs)
+            .end();
     }
-    out += "\"data\": ";
+    w.key("data");
     if (!r.status.ok())
-        out += "null";
+        w.null();
     else if (r.isSearch)
-        out += search::searchDataJson(r.search, false);
+        search::writeSearchData(w, r.search, false);
     else
-        appendStageData(out, r.metrics, r.platform, r.workload, r.optsLabel);
-    out += '}';
+        writeStageData(w, r.metrics, r.platform, r.workload, r.optsLabel);
+    w.end();
     return out;
 }
 
@@ -583,7 +556,8 @@ stageDataJson(const core::StageMetrics &m, const std::string &platform,
               const std::string &opts_label)
 {
     std::string out;
-    appendStageData(out, m, platform, workload, opts_label);
+    util::JsonWriter w(out);
+    writeStageData(w, m, platform, workload, opts_label);
     return out;
 }
 

@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/json.hh"
+
 namespace lll::sim
 {
 
@@ -27,23 +29,24 @@ RequestTracer::toCsv() const
 std::string
 RequestTracer::toJson() const
 {
-    std::ostringstream out;
-    out << "{\"total\": " << total_ << ", \"events\": [";
-    char buf[192];
-    bool first = true;
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject()
+        .precision(9)
+        .member("total", total_)
+        .key("events")
+        .beginArray();
     for (const Event &ev : events()) {
-        std::snprintf(buf, sizeof(buf),
-                      "%s{\"when_ns\": %.3f, \"line_addr\": %llu, "
-                      "\"type\": \"%s\", \"core\": %d, "
-                      "\"latency_ns\": %.2f}",
-                      first ? "" : ", ", ticksToNs(ev.when),
-                      static_cast<unsigned long long>(ev.lineAddr),
-                      reqTypeName(ev.type), ev.core, ev.latencyNs);
-        first = false;
-        out << buf;
+        w.beginObject()
+            .member("when_ns", ticksToNs(ev.when))
+            .member("line_addr", ev.lineAddr)
+            .member("type", reqTypeName(ev.type))
+            .member("core", ev.core)
+            .member("latency_ns", ev.latencyNs)
+            .end();
     }
-    out << "]}";
-    return out.str();
+    w.end().end();
+    return out;
 }
 
 double

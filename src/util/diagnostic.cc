@@ -1,8 +1,5 @@
 #include "util/diagnostic.hh"
 
-#include <sstream>
-
-#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace lll::util
@@ -125,24 +122,19 @@ DiagnosticList::renderText() const
     return out;
 }
 
-std::string
-DiagnosticList::renderJson(int indent) const
+void
+DiagnosticList::writeJson(JsonWriter &w) const
 {
-    const std::string pad(static_cast<size_t>(indent), ' ');
-    std::ostringstream out;
-    out << "[";
-    for (size_t i = 0; i < diags_.size(); ++i) {
-        const Diagnostic &d = diags_[i];
-        out << (i ? "," : "") << "\n"
-            << pad << "  {\"id\": \"" << jsonEscape(d.id)
-            << "\", \"severity\": \"" << severityName(d.severity)
-            << "\", \"subject\": \"" << jsonEscape(d.subject)
-            << "\", \"message\": \"" << jsonEscape(d.message) << "\"}";
+    w.beginArray(JsonWriter::Layout::Block);
+    for (const Diagnostic &d : diags_) {
+        w.beginObject()
+            .member("id", d.id)
+            .member("severity", severityName(d.severity))
+            .member("subject", d.subject)
+            .member("message", d.message)
+            .end();
     }
-    if (!diags_.empty())
-        out << "\n" << pad;
-    out << "]";
-    return out.str();
+    w.end();
 }
 
 } // namespace lll::util

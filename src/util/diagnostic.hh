@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hh"
 #include "util/status.hh"
 
 namespace lll::util
@@ -98,8 +99,9 @@ class DiagnosticList
     /** One finding per line, `Diagnostic::toString()` format. */
     std::string renderText() const;
 
-    /** A JSON array of {id, severity, subject, message} objects. */
-    std::string renderJson(int indent = 0) const;
+    /** A block-layout JSON array of {id, severity, subject, message}
+     *  objects, one per line. */
+    void writeJson(JsonWriter &w) const;
 
   private:
     size_t count(Severity s) const;

@@ -2,8 +2,11 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "util/logging.hh"
 
 namespace lll::util
 {
@@ -11,53 +14,170 @@ namespace lll::util
 void
 appendJsonEscaped(std::string &out, std::string_view s)
 {
-    for (char c : s) {
+    // Bytes that pass through are appended a run at a time: the serve
+    // path escapes every key and string of every response.
+    size_t run = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
         case '"': out += "\\\""; break;
         case '\\': out += "\\\\"; break;
         case '\n': out += "\\n"; break;
         case '\r': out += "\\r"; break;
         case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+        }
         }
     }
+    out.append(s.data() + run, s.size() - run);
 }
 
-std::string
-jsonEscape(const std::string &s)
+namespace
 {
-    std::string out;
-    out.reserve(s.size());
-    appendJsonEscaped(out, s);
-    return out;
+
+/** @p v spelled as printf("%.*g", @p digits, v) does, without printf's
+ *  format parsing and locale lookup (tests/test_util.cc checks). */
+void
+appendGeneral(std::string &out, double v, int digits)
+{
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, digits);
+    out.append(buf, r.ptr);
 }
+
+} // namespace
 
 void
 appendG17(std::string &out, double v)
 {
-    // Shortest-of-%e/%f selection and 17 significant digits, exactly as
-    // printf("%.17g") spells them (tests/test_util.cc checks), without
-    // printf's format parsing and locale lookup.
-    char buf[32];
-    const std::to_chars_result r =
-        std::to_chars(buf, buf + sizeof(buf), v,
-                      std::chars_format::general, 17);
-    out.append(buf, r.ptr);
+    appendGeneral(out, v, 17);
 }
 
-std::string
-fmtG17(double v)
+JsonWriter &
+JsonWriter::begin(char open, char close, Layout layout)
 {
-    std::string out;
-    appendG17(out, v);
-    return out;
+    lll_assert(depth_ < kMaxDepth, "JSON nesting deeper than %d",
+               kMaxDepth);
+    separate();
+    const bool block = layout == Layout::Block;
+    frames_[depth_++] = {out_.size(), digits_, close, block, true, false};
+    blockDepth_ += block;
+    out_ += open;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::end()
+{
+    lll_assert(depth_ > 0 && !afterKey_,
+               "JSON end() with no open container or a dangling key");
+    const Frame &f = frames_[--depth_];
+    if (f.block) {
+        --blockDepth_;
+        if (!f.empty) {
+            out_ += '\n';
+            out_.append(2 * size_t(blockDepth_), ' ');
+        }
+    }
+    out_ += f.close;
+    digits_ = f.outerDigits;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::precision(int digits)
+{
+    lll_assert(digits >= 1 && digits <= 17, "JSON precision %d", digits);
+    digits_ = digits;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::wrap()
+{
+    lll_assert(depth_ > 0, "JSON wrap() outside a container");
+    frames_[depth_ - 1].wrapNext = true;
+    return *this;
+}
+
+void
+JsonWriter::separate()
+{
+    if (afterKey_) {
+        afterKey_ = false;
+        return;
+    }
+    if (depth_ == 0)
+        return;
+    Frame &f = frames_[depth_ - 1];
+    if (!f.empty)
+        out_ += ',';
+    if (f.block) {
+        out_ += '\n';
+        out_.append(2 * size_t(blockDepth_), ' ');
+    } else if (f.wrapNext) {
+        const size_t line = out_.rfind('\n', f.open);
+        const size_t column =
+            line == std::string::npos ? f.open : f.open - line - 1;
+        out_ += '\n';
+        out_.append(column + 1, ' ');
+        f.wrapNext = false;
+    } else if (!f.empty) {
+        out_ += ' ';
+    }
+    f.empty = false;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view name)
+{
+    lll_assert(depth_ > 0 && frames_[depth_ - 1].close == '}' &&
+                   !afterKey_,
+               "JSON key \"%.*s\" outside an object", int(name.size()),
+               name.data());
+    separate();
+    out_ += '"';
+    appendJsonEscaped(out_, name);
+    out_ += "\": ";
+    afterKey_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(std::string_view s)
+{
+    separate();
+    out_ += '"';
+    appendJsonEscaped(out_, s);
+    out_ += '"';
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(double v)
+{
+    separate();
+    if (std::isfinite(v))
+        appendGeneral(out_, v, digits_);
+    else
+        out_ += "null";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::raw(std::string_view json)
+{
+    separate();
+    out_ += json;
+    return *this;
 }
 
 namespace

@@ -312,6 +312,7 @@ inline constexpr DiagId kDiagIds[] = {
     {"LLL-SRC-120", "Status/Result declaration missing [[nodiscard]]"},
     {"LLL-SRC-121", "banned API (raw clock, rand, time, exit)"},
     {"LLL-SRC-122", "deprecated symbol referenced from non-test code"},
+    {"LLL-SRC-123", "JSON member spelled by hand outside util::JsonWriter"},
 };
 
 } // namespace lll::util::names

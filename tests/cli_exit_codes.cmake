@@ -76,6 +76,10 @@ file(WRITE "${_serve_dir}/bad.jsonl"
      "{\"schema_version\": 1, \"platform\": \"nope\", \"workload\": \"isx\"}\n")
 expect_exit(3 serve --batch "${_serve_dir}/bad.jsonl")
 
+# search: the cost-model bounds a serve search request obeys hold on
+# the CLI too (a huge bank weight used to print a garbled table).
+expect_exit(2 search isx skl --axis l2_mshrs=8:16:*2 --bank-weight 1e12)
+
 expect_exit(2 lint isx)                      # platform missing
 expect_exit(2 lint isx skl nonsense-opt)     # unknown optimization
 expect_exit(2 lint --json)                   # dangling flag

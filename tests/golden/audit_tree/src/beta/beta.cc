@@ -15,4 +15,6 @@ shutDown()
     std::exit(3); // banned call (LLL-SRC-121)
 }
 
+const char *kBody = "{\"id\": 1}"; // hand-written JSON (LLL-SRC-123)
+
 } // namespace demo

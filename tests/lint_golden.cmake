@@ -77,3 +77,29 @@ function(check_profile_case name expected_exit fixture)
 endfunction()
 
 check_profile_case(profile 0 profile_bad.txt)
+
+# A profile path with a quote and a backslash must come out escaped,
+# so the report parses and the path reads back unchanged.
+set(odd_name "a\"b\\c.txt")
+file(COPY_FILE ${GOLDEN_DIR}/profile_bad.txt "${WORK_DIR}/${odd_name}")
+set(odd_json "${WORK_DIR}/lint_golden_odd_path.json")
+execute_process(COMMAND ${LLL_BIN} lint --profile ${odd_name}
+                        --json ${odd_json}
+                WORKING_DIRECTORY ${WORK_DIR}
+                RESULT_VARIABLE odd_exit
+                OUTPUT_QUIET ERROR_QUIET)
+if(NOT odd_exit EQUAL 0)
+    message(FATAL_ERROR "lll lint --profile '${odd_name}': expected exit "
+                        "0, got ${odd_exit}")
+endif()
+file(READ "${odd_json}" odd_doc)
+string(JSON odd_path ERROR_VARIABLE odd_error
+       GET "${odd_doc}" data profiles 0 path)
+if(odd_error)
+    message(FATAL_ERROR "lll lint --profile '${odd_name}': report is not "
+                        "valid JSON (${odd_error}):\n${odd_doc}")
+endif()
+if(NOT odd_path STREQUAL odd_name)
+    message(FATAL_ERROR "lll lint --profile '${odd_name}': path read "
+                        "back as '${odd_path}'")
+endif()

@@ -111,7 +111,7 @@ TEST(AuditTest, FixtureTreeFiresEveryFileLevelCheck)
     const std::set<std::string> ids(all.begin(), all.end());
     for (const char *want :
          {"LLL-SRC-101", "LLL-SRC-103", "LLL-SRC-110", "LLL-SRC-111",
-          "LLL-SRC-120", "LLL-SRC-121", "LLL-SRC-122"}) {
+          "LLL-SRC-120", "LLL-SRC-121", "LLL-SRC-122", "LLL-SRC-123"}) {
         EXPECT_TRUE(ids.count(want)) << "missing " << want;
     }
     // Fixture stats double as a lexer regression net.
@@ -175,6 +175,34 @@ TEST(AuditTest, DuplicateDiagIdWithSameMeaningIsFine)
     AuditReport report;
     audit::checkNameRegistry({}, config, report);
     EXPECT_TRUE(report.clean());
+}
+
+TEST(AuditTest, JsonMemberLiteralsOutsideTheWriterAreReported)
+{
+    auto findings = [](const std::string &rel, const std::string &module,
+                       const std::string &text) {
+        audit::SourceFile f;
+        f.relPath = rel;
+        f.module = module;
+        f.tokens = audit::lexTokens(text);
+        AuditReport report;
+        audit::checkApiHygiene({f}, report);
+        return idsOf(report);
+    };
+    const std::vector<std::string> one{"LLL-SRC-123"};
+    EXPECT_EQ(findings("src/a/a.cc", "a", "f(\"{\\\"k\\\": 1}\");"), one);
+    EXPECT_EQ(findings("src/a/a.cc", "a", "f(R\"({\"k.v\": 1})\");"), one);
+    EXPECT_TRUE(findings("src/a/a.cc", "a", "f(\"\\\"k\\\" = 1\");").empty());
+    EXPECT_TRUE(
+        findings("src/util/json.cc", "util", "f(\"\\\"k\\\": \");").empty());
+    // A truncated frame in the fault injector is exempt; a whole
+    // document there is not.
+    EXPECT_TRUE(findings("src/faultinject/n.cc", "faultinject",
+                         "f(\"{\\\"k\\\":\");")
+                    .empty());
+    EXPECT_EQ(findings("src/faultinject/n.cc", "faultinject",
+                       "f(\"{\\\"k\\\": 1}\");"),
+              one);
 }
 
 TEST(AuditTest, FindRepoRootWalksUp)

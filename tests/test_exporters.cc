@@ -75,11 +75,16 @@ populatedRegistry()
 
 } // namespace
 
-TEST(JsonNumber, NonFiniteBecomesNull)
+TEST(ExportJson, NonFiniteGaugeBecomesNull)
 {
-    EXPECT_EQ(obs::jsonNumber(1.5), "1.5");
-    EXPECT_EQ(obs::jsonNumber(std::nan("")), "null");
-    EXPECT_EQ(obs::jsonNumber(1.0 / 0.0), "null");
+    obs::MetricRegistry reg;
+    reg.setGauge("g.half", 1.5);
+    reg.setGauge("g.nan", std::nan(""));
+    reg.setGauge("g.inf", 1.0 / 0.0);
+    const std::string json = obs::exportJson(reg);
+    EXPECT_NE(json.find("\"g.half\": 1.5"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"g.nan\": null"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"g.inf\": null"), std::string::npos) << json;
 }
 
 TEST(ExportJson, ContainsAllSections)

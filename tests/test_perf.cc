@@ -12,6 +12,7 @@
 
 #include "perf/bench_report.hh"
 #include "perf/microbench.hh"
+#include "util/json.hh"
 
 using namespace lll;
 
@@ -139,6 +140,24 @@ TEST(BenchReport, RoundTripsThroughJson)
     ASSERT_EQ(k.trialEventsPerSec.size(), 3u);
     EXPECT_DOUBLE_EQ(k.trialEventsPerSec[2], 2000000.0);
     EXPECT_DOUBLE_EQ(k.p90ItemNs, 128.0);
+}
+
+TEST(BenchReport, QuotesAndBackslashesInNamesRoundTrip)
+{
+    // `lll bench --rev 'a"b'` must still write a report that --compare
+    // can read back.
+    perf::BenchReport report = syntheticReport();
+    report.rev = "a\"b\\c";
+    report.kernels[0].name = "k\"\\";
+    util::Result<util::JsonValue> doc =
+        util::parseJson(perf::benchReportJson(report));
+    ASSERT_TRUE(doc.ok()) << doc.status().toString();
+    util::Result<perf::BenchReport> back =
+        perf::parseBenchReport(perf::benchReportJson(report));
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(back->rev, report.rev);
+    ASSERT_EQ(back->kernels.size(), 1u);
+    EXPECT_EQ(back->kernels[0].name, report.kernels[0].name);
 }
 
 TEST(BenchReport, ParsesFullEnvelopeToo)

@@ -21,6 +21,7 @@
 #include "search/space.hh"
 #include "test_common.hh"
 #include "util/status.hh"
+#include "workloads/spec_workload.hh"
 
 namespace lll::search
 {
@@ -340,6 +341,41 @@ TEST_F(SearcherTest, OversizedSpaceIsRefusedUpFront)
     util::Result<SearchResult> r = searcher.run(s);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument);
+}
+
+TEST_F(SearcherTest, CostModelBoundsAreCheckedForEveryFrontEnd)
+{
+    // `lll search --bank-weight` and a serve search's "bank_weight"
+    // both land here; so does a zero candidate cap.
+    struct Case
+    {
+        double bankWeight;
+        size_t maxCandidates;
+        const char *needle;
+    };
+    const Case cases[] = {
+        {1e12, 4096, "bank weight"},
+        {1e9 * (1 + 1e-15), 4096, "bank weight"},
+        {-0.5, 4096, "bank weight"},
+        {0.5, 0, "max candidates"},
+    };
+    for (const Case &c : cases) {
+        SearchSpec s = spec();
+        s.bankWeight = c.bankWeight;
+        s.maxCandidates = c.maxCandidates;
+        util::Result<SearchResult> r = Searcher(Searcher::Params{}).run(s);
+        ASSERT_FALSE(r.ok()) << c.bankWeight;
+        EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument);
+        EXPECT_NE(r.status().message().find(c.needle), std::string::npos)
+            << r.status().toString();
+    }
+    SearchSpec edge = spec();
+    edge.bankWeight = 1e9;
+    const workloads::WorkloadPtr w =
+        workloads::inlineSpecWorkload(edge.spec, false);
+    util::Result<std::vector<Candidate>> ok =
+        enumerateSpace(edge, edge.basePlatform, *w);
+    EXPECT_TRUE(ok.ok()) << ok.status().toString();
 }
 
 TEST_F(SearcherTest, UnknownPlatformAndEmptySpaceAreStructuralErrors)

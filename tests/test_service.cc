@@ -273,6 +273,95 @@ TEST(ParseRunRequest, RejectsV2Abuses)
     }
 }
 
+TEST(ParseRunRequest, IntegerFieldsAreRangeCheckedBeforeConversion)
+{
+    // Each integer field at its type's maximum parses to exactly that
+    // value; one past it fails naming the field instead of wrapping
+    // ("window": 2^32 + 1 used to run as window 1).  2^64 - 1 is not a
+    // double, so the 64-bit fields are checked at the largest double
+    // below 2^64.
+    const std::string u32_max = "4294967295";
+    const std::string u32_over = "4294967296";
+    const std::string i32_max = "2147483647";
+    const std::string i32_over = "2147483648";
+    const std::string u64_max = "18446744073709549568";
+    const std::string u64_over = "18446744073709551616";
+    auto run = [](const std::string &top) {
+        return "{\"schema_version\": 1, \"platform\": \"skl\", "
+               "\"workload\": \"isx\", " + top + "}";
+    };
+    auto search = [](const std::string &top) {
+        return "{\"schema_version\": 2, \"kind\": \"search\", "
+               "\"platform\": \"skl\", \"workload\": \"isx\", "
+               "\"axes\": [\"l2_mshrs=8,16\"], " + top + "}";
+    };
+    auto spec = [](const std::string &spec_field,
+                   const std::string &stream_field) {
+        return "{\"schema_version\": 1, \"platform\": \"skl\", "
+               "\"spec\": {\"streams\": [{\"kind\": \"strided\"" +
+               (stream_field.empty() ? "" : ", " + stream_field) + "}]" +
+               (spec_field.empty() ? "" : ", " + spec_field) + "}}";
+    };
+    auto parse = [](const std::string &line) {
+        util::Result<RunRequest> r = parseRunRequest(line, 1);
+        EXPECT_TRUE(r.ok()) << line << ": " << r.status().toString();
+        return r.ok() ? r.take() : RunRequest();
+    };
+    EXPECT_EQ(parse(run("\"cores\": " + i32_max)).cores, 2147483647);
+    EXPECT_EQ(parse(run("\"seed\": " + u64_max)).seed,
+              18446744073709549568ull);
+    EXPECT_EQ(parse(search("\"max_candidates\": " + u64_max))
+                  .search.maxCandidates,
+              18446744073709549568ull);
+    EXPECT_EQ(parse(spec("\"window\": " + u32_max, "")).spec.window,
+              4294967295u);
+    EXPECT_EQ(parse(spec("\"sw_prefetch_distance\": " + u32_max, ""))
+                  .spec.swPrefetchDistance,
+              4294967295u);
+    EXPECT_EQ(parse(spec("", "\"footprint_lines\": " + u64_max))
+                  .spec.streams[0]
+                  .footprintLines,
+              18446744073709549568ull);
+    EXPECT_EQ(parse(spec("", "\"reuse_window\": " + u32_max))
+                  .spec.streams[0]
+                  .reuseWindow,
+              4294967295u);
+    EXPECT_EQ(parse(spec("", "\"stride_lines\": " + i32_max))
+                  .spec.streams[0]
+                  .strideLines,
+              2147483647);
+    EXPECT_EQ(parse(spec("", "\"stride_lines\": -2147483648"))
+                  .spec.streams[0]
+                  .strideLines,
+              -2147483647 - 1);
+
+    const std::pair<std::string, const char *> rejected[] = {
+        {run("\"cores\": " + i32_over), "\"cores\""},
+        {run("\"cores\": 1e12"), "\"cores\""},
+        {run("\"cores\": -1"), "\"cores\""},
+        {run("\"seed\": " + u64_over), "\"seed\""},
+        {run("\"seed\": 1e30"), "\"seed\""},
+        {run("\"seed\": 1.5"), "\"seed\""},
+        {search("\"max_candidates\": " + u64_over), "\"max_candidates\""},
+        {spec("\"window\": " + u32_over, ""), "\"window\""},
+        {spec("\"window\": 4294967297", ""), "\"window\""},
+        {spec("\"sw_prefetch_distance\": " + u32_over, ""),
+         "\"sw_prefetch_distance\""},
+        {spec("", "\"footprint_lines\": " + u64_over),
+         "\"footprint_lines\""},
+        {spec("", "\"reuse_window\": " + u32_over), "\"reuse_window\""},
+        {spec("", "\"stride_lines\": " + i32_over), "\"stride_lines\""},
+        {spec("", "\"stride_lines\": -2147483649"), "\"stride_lines\""},
+    };
+    for (const auto &[line, field] : rejected) {
+        util::Result<RunRequest> r = parseRunRequest(line, 1);
+        ASSERT_FALSE(r.ok()) << line;
+        EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument) << line;
+        EXPECT_NE(r.status().message().find(field), std::string::npos)
+            << line << ": " << r.status().toString();
+    }
+}
+
 TEST(ParseRunRequest, V1LinesDoNotSpeakV2Fields)
 {
     // A v1 line must behave exactly as on a v1-only build: the v2

@@ -58,7 +58,9 @@ TEST(DiagnosticTest, JsonEscapesAndListsFindings)
 {
     util::DiagnosticList diags;
     diags.error("LLL-TST-001", "a\"b", "say \"hi\"\n");
-    std::string json = diags.renderJson();
+    std::string json;
+    util::JsonWriter w(json);
+    diags.writeJson(w);
     EXPECT_NE(json.find("\"id\": \"LLL-TST-001\""), std::string::npos);
     EXPECT_NE(json.find("\\\"hi\\\"\\n"), std::string::npos);
 }
@@ -188,7 +190,9 @@ TEST(SpecLintTest, BoundsJsonCarriesEveryField)
     platforms::Platform tiny = test::tinyPlatform();
     sim::SystemParams sys = tiny.sysParams(tiny.totalCores, 1);
     SpecBounds b = deriveBounds(sys, test::randomKernel(32, 4.0));
-    std::string json = boundsJson(b);
+    std::string json;
+    util::JsonWriter w(json);
+    writeBounds(w, b);
     for (const char *key :
          {"exposed_mlp_per_core", "idle_latency_ns", "peak_gbs",
           "l1_ceiling_gbs", "l2_ceiling_gbs", "mlp_ceiling_gbs",

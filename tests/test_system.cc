@@ -262,7 +262,7 @@ TEST(SystemTest, TrueLatencyNearIdleWhenUnloaded)
 // simulated number untouched, so this file changes only with a
 // deliberate change to the model.
 
-/** Every RunResult field as "name=value", fmtG17 for doubles. */
+/** Every RunResult field as "name=value", %.17g for doubles. */
 std::string
 goldenLine(const std::string &stage, const RunResult &r)
 {
@@ -271,7 +271,7 @@ goldenLine(const std::string &stage, const RunResult &r)
         line += ' ';
         line += name;
         line += '=';
-        line += util::fmtG17(v);
+        util::appendG17(line, v);
     };
     auto addU = [&](const char *name, uint64_t v) {
         line += ' ';

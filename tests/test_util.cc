@@ -666,20 +666,149 @@ TEST(JsonParseTest, TypedAccessorsNameTheOffendingField)
 
 TEST(JsonEscape, HandlesSpecials)
 {
-    EXPECT_EQ(util::jsonEscape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
-    EXPECT_EQ(util::jsonEscape("plain"), "plain");
-    EXPECT_EQ(util::jsonEscape("\r\x01"), "\\r\\u0001");
+    auto escaped = [](const std::string &in) {
+        std::string out;
+        util::appendJsonEscaped(out, in);
+        return out;
+    };
+    EXPECT_EQ(escaped("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
+    EXPECT_EQ(escaped("plain"), "plain");
+    EXPECT_EQ(escaped("\r\x01"), "\\r\\u0001");
 }
 
-TEST(JsonEscape, ParserReadsEveryByteBack)
+using Layout = util::JsonWriter::Layout;
+
+TEST(JsonWriter, InlineLayoutAndScalarSpellings)
+{
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject()
+        .member("s", "a\"b\\c\n")
+        .member("i", -3)
+        .member("u", uint64_t(18446744073709551615ull))
+        .member("d", 0.1)
+        .member("t", true)
+        .member("nan", std::nan(""))
+        .member("inf", -INFINITY)
+        .key("n")
+        .null()
+        .key("a")
+        .beginArray()
+        .value(1)
+        .beginArray()
+        .end()
+        .end()
+        .key("raw")
+        .raw("{\"x\": 1}")
+        .end();
+    EXPECT_EQ(out, "{\"s\": \"a\\\"b\\\\c\\n\", \"i\": -3, "
+                   "\"u\": 18446744073709551615, "
+                   "\"d\": 0.10000000000000001, \"t\": true, "
+                   "\"nan\": null, \"inf\": null, \"n\": null, "
+                   "\"a\": [1, []], \"raw\": {\"x\": 1}}");
+}
+
+TEST(JsonWriter, BlockIndentCountsOnlyBlockContainers)
+{
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject(Layout::Block)
+        .key("rows")
+        .beginArray(Layout::Block)
+        .beginObject()
+        .member("k", 1)
+        .key("inner")
+        .beginArray(Layout::Block)
+        .value("x")
+        .end()
+        .end()
+        .end()
+        .key("empty")
+        .beginArray(Layout::Block)
+        .end()
+        .key("flat")
+        .beginObject()
+        .member("a", 1)
+        .end()
+        .end();
+    EXPECT_EQ(out, "{\n"
+                   "  \"rows\": [\n"
+                   "    {\"k\": 1, \"inner\": [\n"
+                   "      \"x\"\n"
+                   "    ]}\n"
+                   "  ],\n"
+                   "  \"empty\": [],\n"
+                   "  \"flat\": {\"a\": 1}\n"
+                   "}");
+}
+
+TEST(JsonWriter, PrecisionLastsUntilItsContainerEnds)
+{
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginArray()
+        .value(1.0 / 3.0)
+        .beginArray()
+        .precision(6)
+        .value(1.0 / 3.0)
+        .beginArray()
+        .value(2.0 / 3.0)
+        .end()
+        .end()
+        .value(2.0 / 3.0)
+        .end();
+    EXPECT_EQ(out, "[0.33333333333333331, [0.333333, [0.666667]], "
+                   "0.66666666666666663]");
+}
+
+TEST(JsonWriter, WrapAlignsPastTheOpeningBracket)
+{
+    std::string out = "x";
+    util::JsonWriter w(out);
+    w.beginArray(Layout::Block)
+        .beginObject()
+        .member("a", 1)
+        .wrap()
+        .member("b", 2)
+        .end()
+        .end();
+    EXPECT_EQ(out, "x[\n  {\"a\": 1,\n   \"b\": 2}\n]");
+}
+
+TEST(JsonWriter, ParserReadsEveryDocumentBack)
 {
     std::string all;
     for (int c = 1; c < 256; ++c)
         all.push_back(static_cast<char>(c));
-    util::Result<util::JsonValue> doc =
-        util::parseJson("\"" + util::jsonEscape(all) + "\"");
-    ASSERT_TRUE(doc.ok()) << doc.status().toString();
-    EXPECT_EQ(doc->string, all);
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject(Layout::Block)
+        .member(all, all)
+        .key("v")
+        .beginArray()
+        .value(0x1p-1074)
+        .value(DBL_MAX)
+        .value(-0.0)
+        .end()
+        .end();
+    util::Result<util::JsonValue> doc = util::parseJson(out);
+    ASSERT_TRUE(doc.ok()) << doc.status().toString() << "\n" << out;
+    ASSERT_EQ(doc->object.size(), 2u);
+    EXPECT_EQ(doc->object[0].first, all);
+    EXPECT_EQ(doc->object[0].second.string, all);
+    const util::JsonValue *v = doc->find("v");
+    ASSERT_NE(v, nullptr);
+    ASSERT_EQ(v->array.size(), 3u);
+    EXPECT_EQ(v->array[0].number, 0x1p-1074);
+    EXPECT_EQ(v->array[1].number, DBL_MAX);
+}
+
+std::string
+fmtG17(double v)
+{
+    std::string out;
+    util::appendG17(out, v);
+    return out;
 }
 
 std::string
@@ -721,7 +850,19 @@ TEST(FmtG17, MatchesPrintfOnEdgeValues)
         2.5,
     };
     for (double v : edges)
-        EXPECT_EQ(util::fmtG17(v), printfG17(v)) << printfG17(v);
+        EXPECT_EQ(fmtG17(v), printfG17(v)) << printfG17(v);
+    // The writer's shorter spellings come from the same formatter.
+    for (int digits : {6, 9}) {
+        for (double v : edges) {
+            if (!std::isfinite(v))
+                continue;
+            char want[64];
+            std::snprintf(want, sizeof(want), "%.*g", digits, v);
+            std::string got;
+            util::JsonWriter(got).precision(digits).value(v);
+            EXPECT_EQ(got, want) << digits;
+        }
+    }
 }
 
 TEST(FmtG17, MatchesPrintfOnRandomBitPatterns)
@@ -733,7 +874,7 @@ TEST(FmtG17, MatchesPrintfOnRandomBitPatterns)
         double v;
         std::memcpy(&v, &bits, sizeof(v));
         const std::string want = printfG17(v);
-        if (util::fmtG17(v) != want && ++mismatches <= 5)
+        if (fmtG17(v) != want && ++mismatches <= 5)
             ADD_FAILURE() << "bits " << bits << ": want " << want;
     }
     EXPECT_EQ(mismatches, 0);

@@ -100,6 +100,7 @@ using namespace lll;
 using util::ArgParser;
 using util::ErrorCode;
 using util::Status;
+using Layout = util::JsonWriter::Layout;
 using workloads::Opt;
 using workloads::OptSet;
 
@@ -430,6 +431,21 @@ writeExportChecked(const std::string &path, const std::string &content)
     return Status::okStatus();
 }
 
+/** The `--json` envelope for @p command written to @p path, with
+ *  @p registry's export (and the global spans) as its telemetry when
+ *  one is given. */
+Status
+writeEnvelope(const std::string &path, const char *command,
+              const Status &status, int exit_code, const std::string &data,
+              const obs::MetricRegistry *registry)
+{
+    const std::string telemetry =
+        registry ? obs::exportJson(*registry, &obs::SpanTracker::global())
+                 : std::string();
+    return writeExportChecked(
+        path, obs::jsonEnvelope(command, status, exit_code, data, telemetry));
+}
+
 int
 cmdAnalyze(int argc, char **argv)
 {
@@ -497,12 +513,8 @@ cmdAnalyze(int argc, char **argv)
         const std::string data = service::stageDataJson(
             m, va.platform.name, va.workload->name(),
             va.opts.label());
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            va.jsonPath, obs::jsonEnvelope("analyze",
-                                           Status::okStatus(), 0, data,
-                                           telemetry));
+        Status s = writeEnvelope(va.jsonPath, "analyze", Status::okStatus(),
+                                 0, data, &registry);
         if (!s.ok())
             return failWith(s);
     }
@@ -570,12 +582,8 @@ cmdTrace(int argc, char **argv)
                           "export)\n");
 
     if (!va.jsonPath.empty()) {
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            va.jsonPath, obs::jsonEnvelope("trace", Status::okStatus(),
-                                           0, tracer.toJson(),
-                                           telemetry));
+        Status s = writeEnvelope(va.jsonPath, "trace", Status::okStatus(),
+                                 0, tracer.toJson(), &registry);
         if (!s.ok())
             return failWith(s);
     }
@@ -759,15 +767,17 @@ printPaperTable(std::span<const core::SweepRunner::UnitResult> units)
 }
 
 /** The ResultCache counters as a JSON object (shared by sweep/serve). */
-std::string
-cacheStatsJson(const core::ResultCache::Stats &cs)
+void
+writeCacheStats(util::JsonWriter &w, const core::ResultCache::Stats &cs)
 {
-    std::ostringstream out;
-    out << "{\"hits\": " << cs.hits << ", \"misses\": " << cs.misses
-        << ", \"disk_loads\": " << cs.diskLoads << ", \"spills\": "
-        << cs.spills << ", \"evictions\": " << cs.evictions
-        << ", \"spill_evictions\": " << cs.spillEvictions << "}";
-    return out.str();
+    w.beginObject()
+        .member("hits", cs.hits)
+        .member("misses", cs.misses)
+        .member("disk_loads", cs.diskLoads)
+        .member("spills", cs.spills)
+        .member("evictions", cs.evictions)
+        .member("spill_evictions", cs.spillEvictions)
+        .end();
 }
 
 int
@@ -867,37 +877,34 @@ cmdSweep(int argc, char **argv)
                  static_cast<unsigned long long>(cs.spills));
 
     if (!json->empty()) {
-        std::ostringstream out;
-        out.precision(17);
-        out << "{\n  \"units\": [";
-        bool first_unit = true;
+        std::string out;
+        util::JsonWriter w(out);
+        w.beginObject(Layout::Block).key("units").beginArray(Layout::Block);
         for (const core::SweepRunner::UnitResult &u : *res) {
-            out << (first_unit ? "" : ",") << "\n    {\"workload\": \""
-                << u.workload << "\", \"platform\": \"" << u.platform
-                << "\", \"rows\": [";
-            bool first_row = true;
+            w.beginObject()
+                .member("workload", u.workload)
+                .member("platform", u.platform)
+                .key("rows")
+                .beginArray(Layout::Block);
             for (const core::TableRow &row : u.rows) {
-                out << (first_row ? "" : ",")
-                    << "\n      {\"source\": \"" << row.source
-                    << "\", \"bw_gbs\": " << row.bwGBs
-                    << ", \"pct_peak\": " << row.pctPeak
-                    << ", \"latency_ns\": " << row.latencyNs
-                    << ", \"n_avg\": " << row.nAvg << ", \"opt\": \""
-                    << row.optLabel << "\", \"speedup\": " << row.speedup
-                    << ", \"paper_speedup\": " << row.paperSpeedup
-                    << "}";
-                first_row = false;
+                w.beginObject()
+                    .member("source", row.source)
+                    .member("bw_gbs", row.bwGBs)
+                    .member("pct_peak", row.pctPeak)
+                    .member("latency_ns", row.latencyNs)
+                    .member("n_avg", row.nAvg)
+                    .member("opt", row.optLabel)
+                    .member("speedup", row.speedup)
+                    .member("paper_speedup", row.paperSpeedup)
+                    .end();
             }
-            out << (first_row ? "" : "\n    ") << "]}";
-            first_unit = false;
+            w.end().end();
         }
-        out << (first_unit ? "" : "\n  ") << "],\n  \"cache\": "
-            << cacheStatsJson(cs) << "\n}";
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("sweep", Status::okStatus(), 0,
-                                     out.str(), telemetry));
+        w.end().key("cache");
+        writeCacheStats(w, cs);
+        w.end();
+        Status s = writeEnvelope(*json, "sweep", Status::okStatus(), 0, out,
+                                 &registry);
         if (!s.ok())
             return failWith(s);
     }
@@ -1083,13 +1090,9 @@ cmdSearch(int argc, char **argv)
     std::fputs(search::renderSearchText(*result, *all).c_str(), rep);
 
     if (!json->empty()) {
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            *json,
-            obs::jsonEnvelope("search", Status::okStatus(), 0,
-                              search::searchDataJson(*result, true),
-                              telemetry));
+        Status s = writeEnvelope(*json, "search", Status::okStatus(), 0,
+                                 search::searchDataJson(*result, true),
+                                 &registry);
         if (!s.ok())
             return failWith(s);
     }
@@ -1119,15 +1122,16 @@ fmtPercentilesMs(const obs::Log2Histogram &h)
 }
 
 /** The same percentiles as a JSON object (ms). */
-std::string
-percentilesMsJson(const obs::Log2Histogram &h)
+void
+writePercentilesMs(util::JsonWriter &w, const obs::Log2Histogram &h)
 {
-    std::ostringstream out;
-    out << "{\"p50\": " << h.percentile(0.50) / 1e6
-        << ", \"p90\": " << h.percentile(0.90) / 1e6
-        << ", \"p99\": " << h.percentile(0.99) / 1e6
-        << ", \"samples\": " << h.total() << "}";
-    return out.str();
+    w.beginObject()
+        .precision(6)
+        .member("p50", h.percentile(0.50) / 1e6)
+        .member("p90", h.percentile(0.90) / 1e6)
+        .member("p99", h.percentile(0.99) / 1e6)
+        .member("samples", h.total())
+        .end();
 }
 
 /**
@@ -1266,40 +1270,40 @@ cmdServeListen(ArgParser &ap, const std::string &listen,
 
     const int exit_code = ran.ok() ? 0 : util::exitCodeFor(ran.code());
     if (!json_path.empty()) {
-        std::ostringstream data;
-        data << "{\n  \"requests\": "
-             << count(util::names::kNetRequestsReceivedTotal)
-             << ",\n  \"admitted\": "
-             << count(util::names::kNetRequestsAdmittedTotal)
-             << ",\n  \"shed\": " << count(util::names::kNetRequestsShedTotal)
-             << ",\n  \"malformed\": "
-             << count(util::names::kNetRequestsMalformedTotal)
-             << ",\n  \"failed\": "
-             << count(util::names::kNetRequestsFailedTotal)
-             << ",\n  \"responses\": " << count(util::names::kNetResponsesTotal)
-             << ",\n  \"connections\": {\"accepted\": "
-             << count(util::names::kNetConnsAcceptedTotal) << ", \"rejected\": "
-             << count(util::names::kNetConnsRejectedTotal) << ", \"closed\": "
-             << count(util::names::kNetConnsClosedTotal) << "}"
-             << ",\n  \"watchdog_trips\": "
-             << count(util::names::kNetWatchdogTripsTotal)
-             << ",\n  \"latency_ms\": {\"request\": "
-             << percentilesMsJson(
-                    registry.histogram(util::names::kNetLatencyRequestNs))
-             << ", \"queue_wait\": "
-             << percentilesMsJson(
-                    registry.histogram(util::names::kNetLatencyQueueWaitNs))
-             << ", \"handler\": "
-             << percentilesMsJson(
-                    registry.histogram(util::names::kNetLatencyHandlerNs))
-             << "}"
-             << ",\n  \"cache\": " << cacheStatsJson(cache.stats())
-             << "\n}";
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            json_path, obs::jsonEnvelope("serve", ran, exit_code,
-                                         data.str(), telemetry));
+        std::string data;
+        util::JsonWriter w(data);
+        w.beginObject(Layout::Block)
+            .member("requests", count(util::names::kNetRequestsReceivedTotal))
+            .member("admitted", count(util::names::kNetRequestsAdmittedTotal))
+            .member("shed", count(util::names::kNetRequestsShedTotal))
+            .member("malformed",
+                    count(util::names::kNetRequestsMalformedTotal))
+            .member("failed", count(util::names::kNetRequestsFailedTotal))
+            .member("responses", count(util::names::kNetResponsesTotal))
+            .key("connections")
+            .beginObject()
+            .member("accepted", count(util::names::kNetConnsAcceptedTotal))
+            .member("rejected", count(util::names::kNetConnsRejectedTotal))
+            .member("closed", count(util::names::kNetConnsClosedTotal))
+            .end()
+            .member("watchdog_trips",
+                    count(util::names::kNetWatchdogTripsTotal))
+            .key("latency_ms")
+            .beginObject()
+            .key("request");
+        writePercentilesMs(
+            w, registry.histogram(util::names::kNetLatencyRequestNs));
+        w.key("queue_wait");
+        writePercentilesMs(
+            w, registry.histogram(util::names::kNetLatencyQueueWaitNs));
+        w.key("handler");
+        writePercentilesMs(
+            w, registry.histogram(util::names::kNetLatencyHandlerNs));
+        w.end().key("cache");
+        writeCacheStats(w, cache.stats());
+        w.end();
+        Status s = writeEnvelope(json_path, "serve", ran, exit_code, data,
+                                 &registry);
         if (!s.ok())
             return failWith(s);
     }
@@ -1465,16 +1469,18 @@ cmdServe(int argc, char **argv)
         verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
 
     if (!json->empty()) {
-        std::ostringstream data;
-        data << "{\n  \"requests\": " << responses.size()
-             << ",\n  \"failed\": " << failed << ",\n  \"units\": "
-             << units << ",\n  \"coalesced\": " << coalesced
-             << ",\n  \"cache\": " << cacheStatsJson(cs) << "\n}";
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("serve", verdict, exit_code,
-                                     data.str(), telemetry));
+        std::string data;
+        util::JsonWriter w(data);
+        w.beginObject(Layout::Block)
+            .member("requests", responses.size())
+            .member("failed", failed)
+            .member("units", units)
+            .member("coalesced", coalesced)
+            .key("cache");
+        writeCacheStats(w, cs);
+        w.end();
+        Status s = writeEnvelope(*json, "serve", verdict, exit_code, data,
+                                 &registry);
         if (!s.ok())
             return failWith(s);
     }
@@ -1574,10 +1580,17 @@ cmdBenchServe(int argc, char **argv)
     } else {
         // A small, fast request so the default run exercises the
         // server rather than one giant simulation.
-        lg.requestLines = {
-            "{\"schema_version\": 1, \"platform\": \"skl\", "
-            "\"workload\": \"isx\", \"cores\": 6, \"warmup_us\": 5, "
-            "\"measure_us\": 10}"};
+        std::string request;
+        util::JsonWriter(request)
+            .beginObject()
+            .member("schema_version", 1)
+            .member("platform", "skl")
+            .member("workload", "isx")
+            .member("cores", 6)
+            .member("warmup_us", 5)
+            .member("measure_us", 10)
+            .end();
+        lg.requestLines = {request};
     }
 
     std::signal(SIGPIPE, SIG_IGN);
@@ -1618,26 +1631,36 @@ cmdBenchServe(int argc, char **argv)
         verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
 
     if (!json->empty()) {
-        std::ostringstream data;
-        data << "{\n  \"sent\": " << rep->sent << ",\n  \"received\": "
-             << rep->received << ",\n  \"ok\": " << rep->ok
-             << ",\n  \"unavailable\": " << rep->unavailable
-             << ",\n  \"failed\": " << rep->failed
-             << ",\n  \"connection_errors\": " << rep->connectionErrors
-             << ",\n  \"wall_s\": " << rep->wallS
-             << ",\n  \"achieved_qps\": " << rep->achievedQps
-             << ",\n  \"littles_law\": {\"l\": " << rep->inflightAvg
-             << ", \"lambda_rps\": " << rep->achievedQps
-             << ", \"w_ms\": " << rep->meanLatencyS * 1e3
-             << ", \"residual\": " << rep->littlesResidual << "}"
-             << ",\n  \"latency_ms\": {\"all\": "
-             << percentilesMsJson(rep->latencyNs)
-             << ", \"ok\": " << percentilesMsJson(rep->okLatencyNs)
-             << ", \"unavailable\": "
-             << percentilesMsJson(rep->shedLatencyNs) << "}\n}";
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("bench-serve", verdict, exit_code,
-                                     data.str(), "null"));
+        std::string data;
+        util::JsonWriter w(data);
+        w.beginObject(Layout::Block)
+            .precision(6)
+            .member("sent", rep->sent)
+            .member("received", rep->received)
+            .member("ok", rep->ok)
+            .member("unavailable", rep->unavailable)
+            .member("failed", rep->failed)
+            .member("connection_errors", rep->connectionErrors)
+            .member("wall_s", rep->wallS)
+            .member("achieved_qps", rep->achievedQps)
+            .key("littles_law")
+            .beginObject()
+            .member("l", rep->inflightAvg)
+            .member("lambda_rps", rep->achievedQps)
+            .member("w_ms", rep->meanLatencyS * 1e3)
+            .member("residual", rep->littlesResidual)
+            .end()
+            .key("latency_ms")
+            .beginObject()
+            .key("all");
+        writePercentilesMs(w, rep->latencyNs);
+        w.key("ok");
+        writePercentilesMs(w, rep->okLatencyNs);
+        w.key("unavailable");
+        writePercentilesMs(w, rep->shedLatencyNs);
+        w.end().end();
+        Status s = writeEnvelope(*json, "bench-serve", verdict, exit_code,
+                                 data, nullptr);
         if (!s.ok())
             return failWith(s);
     }
@@ -1778,12 +1801,8 @@ cmdBench(int argc, char **argv)
         verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
 
     if (!json->empty()) {
-        const std::string telemetry =
-            obs::exportJson(registry, &obs::SpanTracker::global());
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("bench", verdict, exit_code,
-                                     perf::benchReportJson(report),
-                                     telemetry));
+        Status s = writeEnvelope(*json, "bench", verdict, exit_code,
+                                 perf::benchReportJson(report), &registry);
         if (!s.ok())
             return failWith(s);
     }
@@ -1902,16 +1921,26 @@ cmdLint(int argc, char **argv)
         const int exit_code =
             verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
         if (!json->empty()) {
-            std::ostringstream out;
-            out << "{\n  \"profiles\": [\n    {\"path\": \"" << *profile
-                << "\", \"diagnostics\": " << diags.renderJson(4)
-                << "}\n  ],\n  \"summary\": {\"errors\": "
-                << diags.errorCount() << ", \"warnings\": "
-                << diags.warningCount() << ", \"notes\": "
-                << diags.noteCount() << "}\n}";
-            Status s = writeExportChecked(
-                *json, obs::jsonEnvelope("lint", verdict, exit_code,
-                                         out.str(), std::string()));
+            std::string out;
+            util::JsonWriter w(out);
+            w.beginObject(Layout::Block)
+                .key("profiles")
+                .beginArray(Layout::Block)
+                .beginObject()
+                .member("path", *profile)
+                .key("diagnostics");
+            diags.writeJson(w);
+            w.end()
+                .end()
+                .key("summary")
+                .beginObject()
+                .member("errors", diags.errorCount())
+                .member("warnings", diags.warningCount())
+                .member("notes", diags.noteCount())
+                .end()
+                .end();
+            Status s = writeEnvelope(*json, "lint", verdict, exit_code, out,
+                                     nullptr);
             if (!s.ok())
                 return failWith(s);
         }
@@ -2003,11 +2032,12 @@ cmdLint(int argc, char **argv)
 
     FILE *rep = *json == "-" ? stderr : stdout;
     size_t errors = 0, warnings = 0, notes = 0, det_failures = 0;
-    std::ostringstream jplat, jconf, jdet;
+    std::string data;
+    util::JsonWriter w(data);
+    w.beginObject(Layout::Block).key("platforms").beginArray(Layout::Block);
 
     // Platform-level findings once per distinct platform, in job order.
     std::vector<std::string> seen_platforms;
-    bool first_jplat = true;
     for (const LintJob &job : jobs) {
         const std::string &name = job.platform.name;
         if (std::find(seen_platforms.begin(), seen_platforms.end(),
@@ -2021,13 +2051,12 @@ cmdLint(int argc, char **argv)
         errors += diags.errorCount();
         warnings += diags.warningCount();
         notes += diags.noteCount();
-        jplat << (first_jplat ? "" : ",") << "\n    {\"name\": \""
-              << name << "\", \"diagnostics\": "
-              << diags.renderJson(4) << "}";
-        first_jplat = false;
+        w.beginObject().member("name", name).key("diagnostics");
+        diags.writeJson(w);
+        w.end();
     }
 
-    bool first_jconf = true;
+    w.end().key("configs").beginArray(Layout::Block);
     for (const LintJob &job : jobs) {
         analysis::ConfigLint cl = analysis::lintConfig(
             job.platform, *job.workload, job.opts);
@@ -2042,17 +2071,20 @@ cmdLint(int argc, char **argv)
         errors += cl.diagnostics.errorCount();
         warnings += cl.diagnostics.warningCount();
         notes += cl.diagnostics.noteCount();
-        jconf << (first_jconf ? "" : ",") << "\n    {\"subject\": \""
-              << cl.subject << "\", \"feasible\": "
-              << (cl.feasible() ? "true" : "false") << ", \"bounds\": "
-              << (cl.boundsValid ? analysis::boundsJson(cl.bounds, 4)
-                                 : std::string("null"))
-              << ", \"diagnostics\": " << cl.diagnostics.renderJson(4)
-              << "}";
-        first_jconf = false;
+        w.beginObject()
+            .member("subject", cl.subject)
+            .member("feasible", cl.feasible())
+            .key("bounds");
+        if (cl.boundsValid)
+            analysis::writeBounds(w, cl.bounds);
+        else
+            w.null();
+        w.key("diagnostics");
+        cl.diagnostics.writeJson(w);
+        w.end();
     }
 
-    bool first_jdet = true;
+    w.end().key("determinism").beginArray(Layout::Block);
     if (*determinism) {
         for (const LintJob &job : jobs) {
             // A variant the platform cannot even build was already
@@ -2080,15 +2112,17 @@ cmdLint(int argc, char **argv)
                          r->seedsRun, r->metricsCompared);
             if (!r->deterministic)
                 ++det_failures;
-            jdet << (first_jdet ? "" : ",") << "\n    {\"subject\": \""
-                 << subject << "\", \"deterministic\": "
-                 << (r->deterministic ? "true" : "false")
-                 << ", \"seeds\": " << r->seedsRun << ", \"metrics\": "
-                 << r->metricsCompared << ", \"diagnostics\": "
-                 << r->diagnostics.renderJson(4) << "}";
-            first_jdet = false;
+            w.beginObject()
+                .member("subject", subject)
+                .member("deterministic", r->deterministic)
+                .member("seeds", r->seedsRun)
+                .member("metrics", r->metricsCompared)
+                .key("diagnostics");
+            r->diagnostics.writeJson(w);
+            w.end();
         }
     }
+    w.end();
 
     std::fprintf(rep,
                  "lint: %zu configs on %zu platforms — %zu errors, %zu "
@@ -2114,21 +2148,17 @@ cmdLint(int argc, char **argv)
         verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
 
     if (!json->empty()) {
-        std::ostringstream out;
-        out << "{\n  \"platforms\": [" << jplat.str()
-            << (jplat.str().empty() ? "" : "\n  ") << "],\n"
-            << "  \"configs\": [" << jconf.str()
-            << (jconf.str().empty() ? "" : "\n  ") << "],\n"
-            << "  \"determinism\": [" << jdet.str()
-            << (jdet.str().empty() ? "" : "\n  ") << "],\n"
-            << "  \"summary\": {\"configs\": " << jobs.size()
-            << ", \"errors\": " << errors << ", \"warnings\": "
-            << warnings << ", \"notes\": " << notes
-            << ", \"determinism_failures\": " << det_failures
-            << "}\n}";
-        Status s = writeExportChecked(
-            *json, obs::jsonEnvelope("lint", verdict, exit_code,
-                                     out.str(), std::string()));
+        w.key("summary")
+            .beginObject()
+            .member("configs", jobs.size())
+            .member("errors", errors)
+            .member("warnings", warnings)
+            .member("notes", notes)
+            .member("determinism_failures", det_failures)
+            .end()
+            .end();
+        Status s = writeEnvelope(*json, "lint", verdict, exit_code, data,
+                                 nullptr);
         if (!s.ok())
             return failWith(s);
     }
@@ -2192,10 +2222,8 @@ cmdAudit(int argc, char **argv)
     const int exit_code =
         verdict.ok() ? 0 : util::exitCodeFor(verdict.code());
     if (!json->empty()) {
-        Status s = writeExportChecked(
-            *json,
-            obs::jsonEnvelope("audit", verdict, exit_code,
-                              report->renderJson(), std::string()));
+        Status s = writeEnvelope(*json, "audit", verdict, exit_code,
+                                 report->renderJson(), nullptr);
         if (!s.ok())
             return failWith(s);
     }
@@ -2352,15 +2380,16 @@ cmdProfile(int argc, char **argv)
     std::fputs(obs::Profiler::renderText(report, top).c_str(), stderr);
 
     if (!out.empty()) {
-        std::ostringstream data;
-        data << "{\n  \"profiled_command\": \"" << util::jsonEscape(inner)
-             << "\",\n  \"inner_exit\": " << inner_exit
-             << ",\n  \"profile\": "
-             << obs::Profiler::renderJson(report, top) << "\n}";
-        Status s = writeExportChecked(
-            out, obs::jsonEnvelope("profile", Status::okStatus(),
-                                   inner_exit, data.str(),
-                                   std::string()));
+        std::string data;
+        util::JsonWriter w(data);
+        w.beginObject(Layout::Block)
+            .member("profiled_command", inner)
+            .member("inner_exit", inner_exit)
+            .key("profile")
+            .raw(obs::Profiler::renderJson(report, top))
+            .end();
+        Status s = writeEnvelope(out, "profile", Status::okStatus(),
+                                 inner_exit, data, nullptr);
         if (!s.ok())
             return failWith(s);
     }
