@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "analysis/determinism.hh"
 #include "sim/event_queue.hh"
 #include "test_common.hh"
@@ -117,6 +120,30 @@ TEST(DeterminismCheckerTest, RespectsRelativeTolerance)
     DeterminismOptions loose;
     loose.relTolerance = 1e-3;
     EXPECT_TRUE(checkDeterminism(runner, loose).deterministic);
+}
+
+TEST(RunMetrics, NamesMatchThePerfbenchStageReference)
+{
+    // perfbench's reproduce_stages.ref spells each stage as
+    // "<label> name=value ..." in runMetrics() order; its first line
+    // pins the names and their order.
+    std::ifstream in(std::string(LLL_REPO_ROOT) +
+                     "/perfbench/ref/reproduce_stages.ref");
+    ASSERT_TRUE(in.good());
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    std::istringstream tokens(line);
+    std::vector<std::string> want;
+    std::string token;
+    while (tokens >> token) {
+        const size_t eq = token.find('=');
+        if (eq != std::string::npos)
+            want.push_back(token.substr(0, eq));
+    }
+    std::vector<std::string> got;
+    for (const Metric &m : runMetrics(sim::RunResult{}))
+        got.push_back(m.name);
+    EXPECT_EQ(got, want);
 }
 
 TEST(DeterminismCheckerTest, RealSimulatorIsOrderRobust)
