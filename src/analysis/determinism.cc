@@ -92,41 +92,14 @@ checkDeterminism(const Runner &runner, const DeterminismOptions &options,
 MetricVector
 runMetrics(const sim::RunResult &r)
 {
-    auto u = [](uint64_t v) { return static_cast<double>(v); };
-    return {
-        {"measure_seconds", r.measureSeconds},
-        {"work_done", r.workDone},
-        {"throughput", r.throughput},
-        {"ops_issued", u(r.opsIssued)},
-        {"read_gbs", r.readGBs},
-        {"write_gbs", r.writeGBs},
-        {"total_gbs", r.totalGBs},
-        {"demand_fraction", r.demandFraction},
-        {"mem_utilization", r.memUtilization},
-        {"avg_mem_latency_ns", r.avgMemLatencyNs},
-        {"p50_mem_latency_ns", r.p50MemLatencyNs},
-        {"p95_mem_latency_ns", r.p95MemLatencyNs},
-        {"p99_mem_latency_ns", r.p99MemLatencyNs},
-        {"avg_mem_outstanding", r.avgMemOutstanding},
-        {"avg_l1_mshr_occupancy", r.avgL1MshrOccupancy},
-        {"avg_l2_mshr_occupancy", r.avgL2MshrOccupancy},
-        {"max_l1_mshr_occupancy", r.maxL1MshrOccupancy},
-        {"max_l2_mshr_occupancy", r.maxL2MshrOccupancy},
-        {"l1_full_stalls", u(r.l1FullStalls)},
-        {"l2_full_stalls", u(r.l2FullStalls)},
-        {"l1_demand_misses", u(r.l1DemandMisses)},
-        {"l1_demand_hits", u(r.l1DemandHits)},
-        {"l2_demand_misses", u(r.l2DemandMisses)},
-        {"l2_demand_hits", u(r.l2DemandHits)},
-        {"hw_pref_issued", u(r.hwPrefIssued)},
-        {"hw_pref_useful", u(r.hwPrefUseful)},
-        {"sw_pref_issued", u(r.swPrefIssued)},
-        {"l2_prefetch_dropped", u(r.l2PrefetchDropped)},
-        {"mem_read_lines", u(r.memReadLines)},
-        {"mem_write_lines", u(r.memWriteLines)},
-        {"mem_hw_prefetch_lines", u(r.memHwPrefetchLines)},
-        {"mem_sw_prefetch_lines", u(r.memSwPrefetchLines)},
+    MetricVector out;
+    auto collect = [&out](const char *name, auto v,
+                          const util::FieldOpts &o = {}) {
+        if ((o.tags & sim::kNotAMetric) == 0)
+            out.push_back({name, static_cast<double>(v)});
     };
+    visitFields(collect, r);
+    return out;
 }
 
 util::Result<DeterminismReport>

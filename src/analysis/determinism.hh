@@ -96,7 +96,8 @@ checkDeterminism(const Runner &runner,
                  const DeterminismOptions &options = {},
                  const std::string &subject = "run");
 
-/** Flatten a RunResult into named metrics (every scalar field). */
+/** Flatten a RunResult into named metrics: every field of its list
+ *  but those tagged sim::kNotAMetric, by wire name, in list order. */
 MetricVector runMetrics(const sim::RunResult &result);
 
 /**

@@ -9,26 +9,6 @@
 namespace lll::core
 {
 
-const char *
-accessClassName(AccessClass c)
-{
-    switch (c) {
-      case AccessClass::Random:    return "random";
-      case AccessClass::Streaming: return "streaming";
-    }
-    return "?";
-}
-
-const char *
-mshrLevelName(MshrLevel level)
-{
-    switch (level) {
-      case MshrLevel::L1: return "L1";
-      case MshrLevel::L2: return "L2";
-    }
-    return "?";
-}
-
 Analyzer::Analyzer(const platforms::Platform &platform,
                    xmem::LatencyProfile profile)
     : Analyzer(platform, std::move(profile), Params())

@@ -14,12 +14,14 @@
 #define LLL_CORE_ANALYZER_HH
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "counters/counter_bank.hh"
 #include "obs/registry.hh"
 #include "platforms/platform.hh"
+#include "util/fields.hh"
 #include "util/status.hh"
 #include "xmem/latency_profile.hh"
 
@@ -33,7 +35,19 @@ enum class AccessClass
     Streaming,   //!< prefetcher effective; L2 MSHRQ is the limiter
 };
 
-const char *accessClassName(AccessClass c);
+constexpr const char *kAccessClassNames[] = {"random", "streaming"};
+
+constexpr std::span<const char *const>
+enumNames(AccessClass)
+{
+    return kAccessClassNames;
+}
+
+inline const char *
+accessClassName(AccessClass c)
+{
+    return util::enumName(c);
+}
 
 /** Which MSHR queue bounds the routine's MLP. */
 enum class MshrLevel
@@ -42,7 +56,19 @@ enum class MshrLevel
     L2,
 };
 
-const char *mshrLevelName(MshrLevel level);
+constexpr const char *kMshrLevelNames[] = {"L1", "L2"};
+
+constexpr std::span<const char *const>
+enumNames(MshrLevel)
+{
+    return kMshrLevelNames;
+}
+
+inline const char *
+mshrLevelName(MshrLevel level)
+{
+    return util::enumName(level);
+}
 
 /**
  * Everything the recipe needs to know about one routine on one platform.
@@ -87,6 +113,39 @@ struct Analysis
      *  counter input...), also exported via the metric registry. */
     std::vector<std::string> warnings;
 };
+
+/** Tag of the Analysis entries a stage's "data" object carries
+ *  (`lll analyze --json`, serve responses), in list order. */
+constexpr unsigned kStageData = 1u << 0;
+
+/** Analysis's field list (util/fields.hh). */
+template <class V, util::RecordOf<Analysis> R>
+void
+visitFields(V &v, R &a)
+{
+    v("routine", a.routine);
+    v("platform", a.platform);
+    v("bw_gbs", a.bwGBs, {.tags = kStageData});
+    v("pct_peak", a.pctPeak, {.tags = kStageData});
+    v("latency_ns", a.latencyNs, {.tags = kStageData});
+    v("idle_latency_ns", a.idleLatencyNs);
+    v("n_avg", a.nAvg, {.tags = kStageData});
+    v("access_class", a.accessClass, {.tags = kStageData});
+    v("limiting_level", a.limitingLevel, {.tags = kStageData});
+    v("limiting_mshrs", a.limitingMshrs, {.tags = kStageData});
+    v("headroom", a.headroom, {.tags = kStageData});
+    v("near_mshr_limit", a.nearMshrLimit);
+    v("near_bandwidth_limit", a.nearBandwidthLimit);
+    v("max_achievable_gbs", a.maxAchievableGBs, {.tags = kStageData});
+    v("demand_fraction", a.demandFraction);
+    v("demand_fraction_known", a.demandFractionKnown);
+    v("active_streams", a.activeStreams);
+    v("active_streams_known", a.activeStreamsKnown);
+    v("cores_used", a.coresUsed, {.tags = kStageData});
+    v("bw_below_profile_range", a.bwBelowProfileRange);
+    v("bw_above_profile_range", a.bwAboveProfileRange);
+    v("warnings", a.warnings, {.tags = kStageData});
+}
 
 /**
  * Derives an Analysis from a routine profile.

@@ -126,9 +126,7 @@ Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
                       "caller's stage key for '%s' is not this stage's",
                       label.c_str());
         StageMetrics cached;
-        ++cacheLookups_;
-        if (params_.resultCache->lookup(key, &cached)) {
-            ++cacheHits_;
+        if (params_.resultCache->lookup(key, &cached, &cacheStats_)) {
             if (params_.registry) {
                 params_.registry->setGauge(
                     "analyzer.variant." + label + ".n_avg",
@@ -183,7 +181,7 @@ Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
     m.throughput = run.throughput;
 
     if (params_.resultCache)
-        params_.resultCache->insert(key, m);
+        params_.resultCache->insert(key, m, &cacheStats_);
 
     if (params_.registry) {
         params_.registry->setGauge("analyzer.variant." + label + ".n_avg",

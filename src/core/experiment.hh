@@ -31,6 +31,19 @@ namespace lll::core
 
 class ResultCache;
 
+/** ResultCache counters: the whole cache's, or one caller's share. */
+struct CacheStats
+{
+    uint64_t hits = 0;      //!< lookups served (memory or disk)
+    uint64_t misses = 0;    //!< lookups that had to simulate
+    uint64_t diskLoads = 0; //!< hits satisfied from the spill dir
+    uint64_t spills = 0;    //!< entries written to the spill dir
+    uint64_t evictions = 0; //!< in-memory entries LRU-evicted
+    uint64_t spillEvictions = 0; //!< spill files GC-deleted
+
+    CacheStats &operator+=(const CacheStats &o);
+};
+
 /** One simulated optimization state of a workload. */
 struct StageMetrics
 {
@@ -151,10 +164,12 @@ class Experiment
     const Analyzer &analyzer() const { return analyzer_; }
     int coresUsed() const { return coresUsed_; }
 
-    /** ResultCache lookups this experiment's stages made, and how many
-     *  of them hit (0 and 0 without a cache). */
-    uint64_t resultCacheLookups() const { return cacheLookups_; }
-    uint64_t resultCacheHits() const { return cacheHits_; }
+    /** This experiment's own ResultCache traffic (all 0 without a
+     *  cache). */
+    const CacheStats &resultCacheStats() const
+    {
+        return cacheStats_;
+    }
 
   private:
     platforms::Platform platform_;
@@ -163,8 +178,7 @@ class Experiment
     Params params_;
     int coresUsed_;
     std::map<std::string, StageMetrics> cache_;
-    uint64_t cacheLookups_ = 0;
-    uint64_t cacheHits_ = 0;
+    CacheStats cacheStats_;
 };
 
 } // namespace lll::core

@@ -11,6 +11,7 @@
 
 #include "obs/executor.hh"
 #include "obs/timer.hh"
+#include "util/fields.hh"
 #include "util/json.hh"
 #include "xmem/xmem_harness.hh"
 
@@ -26,13 +27,14 @@ namespace
 {
 
 /**
- * On-disk spill format generation.  v2 marks the capacity-managed
- * cache (entries participate in the spill-dir byte accounting and GC);
- * v1 files written by earlier releases parse as FailedPrecondition,
- * which lookup() treats as a plain miss — the stage re-simulates and
- * overwrites the stale file in the current format.
+ * On-disk spill format generation.  v3 spells every member by its
+ * field-list wire name ("run.measure_seconds"); v2 (camelCase members)
+ * and v1 files written by earlier releases parse as
+ * FailedPrecondition, which lookup() treats as a plain miss — the
+ * stage re-simulates and overwrites the stale file in the current
+ * format.
  */
-constexpr int kSpillFormatVersion = 2;
+constexpr int kSpillFormatVersion = 3;
 
 uint64_t
 fnv1a(const void *data, size_t len, uint64_t h = 1469598103934665603ULL)
@@ -78,94 +80,30 @@ optsToken(const OptSet &opts)
     return out;
 }
 
-/**
- * Typed reads from a parsed spill file.  The file is flat JSON: every
- * value sits at top level under a dotted key.  A field that is absent
- * or has the wrong shape reads as zero/empty and is recorded, so the
- * caller reports the first problem once every field has been read.
- */
-class SpillReader
+/** Mixes each visited field into an FNV-1a hash: doubles by their
+ *  bits, strings with their length, integers, bools and enums as
+ *  64-bit values, vectors as their size and then each element. */
+struct SpecHasher
 {
-  public:
-    using Type = util::JsonValue::Type;
+    uint64_t h = 1469598103934665603ULL;
 
-    explicit SpillReader(const util::JsonValue &doc) : doc_(doc) {}
-
-    std::vector<std::string> missing; //!< fields asked for but absent
-    std::vector<std::string> bad;     //!< fields that failed to parse
-
-    double
-    getD(const char *key)
+    template <class T>
+    void
+    operator()(const char *, const T &v, const util::FieldOpts & = {})
     {
-        const util::JsonValue *v = field(key, Type::Number);
-        return v ? v->number : 0.0;
-    }
-
-    /** A non-negative integer; anything else is malformed. */
-    uint64_t
-    getU(const char *key)
-    {
-        const util::JsonValue *v = field(key, Type::Number);
-        if (!v)
-            return 0;
-        const double d = v->number;
-        if (!(d >= 0.0 && d < 0x1p64 && d == std::floor(d))) {
-            bad.push_back(key);
-            return 0;
+        if constexpr (std::is_same_v<T, double>) {
+            h = mixD(h, v);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            h = mixStr(h, v);
+        } else if constexpr (util::Vector<T>) {
+            h = mixU64(h, v.size());
+            for (const auto &item : v)
+                visitFields(*this, item);
+        } else {
+            static_assert(std::is_integral_v<T> || std::is_enum_v<T>);
+            h = mixU64(h, static_cast<uint64_t>(v));
         }
-        return static_cast<uint64_t>(d);
     }
-
-    int
-    getI(const char *key)
-    {
-        return static_cast<int>(getU(key));
-    }
-
-    bool
-    getB(const char *key)
-    {
-        const util::JsonValue *v = field(key, Type::Bool);
-        return v && v->boolean;
-    }
-
-    std::string
-    getS(const char *key)
-    {
-        const util::JsonValue *v = field(key, Type::String);
-        return v ? v->string : std::string();
-    }
-
-    std::vector<std::string>
-    getStrings(const char *key)
-    {
-        std::vector<std::string> out;
-        const util::JsonValue *v = field(key, Type::Array);
-        if (!v)
-            return out;
-        for (const util::JsonValue &item : v->array) {
-            if (!item.isString()) {
-                bad.push_back(key);
-                return {};
-            }
-            out.push_back(item.string);
-        }
-        return out;
-    }
-
-  private:
-    const util::JsonValue *
-    field(const char *key, Type type)
-    {
-        const util::JsonValue *v = doc_.find(key);
-        if (!v)
-            missing.push_back(key);
-        else if (v->type != type)
-            bad.push_back(key);
-        return v && v->type == type ? v : nullptr;
-    }
-
-    const util::JsonValue &doc_;
 };
 
 } // namespace
@@ -173,27 +111,23 @@ class SpillReader
 uint64_t
 hashKernelSpec(const sim::KernelSpec &spec)
 {
-    uint64_t h = 1469598103934665603ULL;
-    h = mixStr(h, spec.name);
-    h = mixU64(h, spec.streams.size());
-    for (const sim::StreamDesc &s : spec.streams) {
-        h = mixU64(h, static_cast<uint64_t>(s.kind));
-        h = mixU64(h, s.footprintLines);
-        h = mixD(h, s.weight);
-        h = mixU64(h, static_cast<uint64_t>(s.strideLines));
-        h = mixU64(h, s.store);
-        h = mixU64(h, s.sharedAcrossThreads);
-        h = mixD(h, s.reuseFraction);
-        h = mixU64(h, s.reuseWindow);
-        h = mixU64(h, s.swPrefetchable);
-    }
-    h = mixD(h, spec.computeCyclesPerOp);
-    h = mixU64(h, spec.window);
-    h = mixD(h, spec.workPerOp);
-    h = mixU64(h, spec.swPrefetchL2);
-    h = mixU64(h, spec.swPrefetchDistance);
-    h = mixD(h, spec.swPrefetchOverheadCycles);
-    return h;
+    SpecHasher hasher;
+    visitFields(hasher, spec);
+    return hasher.h;
+}
+
+std::string
+requestLine(const StageRequest &r, const std::string &id)
+{
+    std::string out;
+    util::JsonWriter w(out);
+    w.beginObject().member("schema_version", 1);
+    if (!id.empty())
+        w.member("id", id);
+    util::FieldWriter fields(w);
+    visitFields(fields, r);
+    w.end();
+    return out;
 }
 
 std::string
@@ -208,76 +142,13 @@ stageMetricsJson(const StageMetrics &m, const std::string &key)
     w.member("opts", optsToken(m.opts));
     w.member("throughput", m.throughput);
 
-    const sim::RunResult &r = m.run;
-    w.member("run.measureSeconds", r.measureSeconds);
-    w.member("run.workDone", r.workDone);
-    w.member("run.throughput", r.throughput);
-    w.member("run.opsIssued", r.opsIssued);
-    w.member("run.readGBs", r.readGBs);
-    w.member("run.writeGBs", r.writeGBs);
-    w.member("run.totalGBs", r.totalGBs);
-    w.member("run.demandFraction", r.demandFraction);
-    w.member("run.memUtilization", r.memUtilization);
-    w.member("run.avgMemLatencyNs", r.avgMemLatencyNs);
-    w.member("run.p50MemLatencyNs", r.p50MemLatencyNs);
-    w.member("run.p95MemLatencyNs", r.p95MemLatencyNs);
-    w.member("run.p99MemLatencyNs", r.p99MemLatencyNs);
-    w.member("run.avgMemOutstanding", r.avgMemOutstanding);
-    w.member("run.avgL1MshrOccupancy", r.avgL1MshrOccupancy);
-    w.member("run.avgL2MshrOccupancy", r.avgL2MshrOccupancy);
-    w.member("run.maxL1MshrOccupancy", r.maxL1MshrOccupancy);
-    w.member("run.maxL2MshrOccupancy", r.maxL2MshrOccupancy);
-    w.member("run.l1FullStalls", r.l1FullStalls);
-    w.member("run.l2FullStalls", r.l2FullStalls);
-    w.member("run.l1DemandMisses", r.l1DemandMisses);
-    w.member("run.l1DemandHits", r.l1DemandHits);
-    w.member("run.l2DemandMisses", r.l2DemandMisses);
-    w.member("run.l2DemandHits", r.l2DemandHits);
-    w.member("run.hwPrefIssued", r.hwPrefIssued);
-    w.member("run.hwPrefUseful", r.hwPrefUseful);
-    w.member("run.swPrefIssued", r.swPrefIssued);
-    w.member("run.l2PrefetchDropped", r.l2PrefetchDropped);
-    w.member("run.memReadLines", r.memReadLines);
-    w.member("run.memWriteLines", r.memWriteLines);
-    w.member("run.memHwPrefetchLines", r.memHwPrefetchLines);
-    w.member("run.memSwPrefetchLines", r.memSwPrefetchLines);
-    w.member("run.eventsProcessed", r.eventsProcessed);
-
-    const counters::RoutineProfile &p = m.profile;
-    w.member("profile.routine", p.routine);
-    w.member("profile.seconds", p.seconds);
-    w.member("profile.readGBs", p.readGBs);
-    w.member("profile.writeGBs", p.writeGBs);
-    w.member("profile.totalGBs", p.totalGBs);
-    w.member("profile.demandFraction", p.demandFraction);
-    w.member("profile.demandFractionKnown", p.demandFractionKnown);
-
-    const Analysis &a = m.analysis;
-    w.member("analysis.routine", a.routine);
-    w.member("analysis.platform", a.platform);
-    w.member("analysis.bwGBs", a.bwGBs);
-    w.member("analysis.pctPeak", a.pctPeak);
-    w.member("analysis.latencyNs", a.latencyNs);
-    w.member("analysis.idleLatencyNs", a.idleLatencyNs);
-    w.member("analysis.nAvg", a.nAvg);
-    w.member("analysis.accessClass", accessClassName(a.accessClass));
-    w.member("analysis.limitingLevel", mshrLevelName(a.limitingLevel));
-    w.member("analysis.limitingMshrs", a.limitingMshrs);
-    w.member("analysis.headroom", a.headroom);
-    w.member("analysis.nearMshrLimit", a.nearMshrLimit);
-    w.member("analysis.nearBandwidthLimit", a.nearBandwidthLimit);
-    w.member("analysis.maxAchievableGBs", a.maxAchievableGBs);
-    w.member("analysis.demandFraction", a.demandFraction);
-    w.member("analysis.demandFractionKnown", a.demandFractionKnown);
-    w.member("analysis.activeStreams", a.activeStreams);
-    w.member("analysis.activeStreamsKnown", a.activeStreamsKnown);
-    w.member("analysis.coresUsed", static_cast<uint64_t>(a.coresUsed));
-    w.member("analysis.bwBelowProfileRange", a.bwBelowProfileRange);
-    w.member("analysis.bwAboveProfileRange", a.bwAboveProfileRange);
-    w.key("analysis.warnings").beginArray();
-    for (const std::string &warning : a.warnings)
-        w.value(warning);
-    w.end().end();
+    util::FieldWriter run(w, "run.");
+    visitFields(run, m.run);
+    util::FieldWriter profile(w, "profile.");
+    visitFields(profile, m.profile);
+    util::FieldWriter analysis(w, "analysis.");
+    visitFields(analysis, m.analysis);
+    w.end();
     out += '\n';
     return out;
 }
@@ -294,13 +165,16 @@ parseStageMetricsJson(const std::string &text,
                              "spill file: top level is a %s, not an "
                              "object", doc->typeName());
     }
-    SpillReader f(*doc);
-
-    if (f.getU("version") != kSpillFormatVersion) {
+    using util::FieldReader;
+    FieldReader f(*doc, FieldReader::Policy::Strict);
+    int version = 0;
+    std::string key;
+    f("version", version);
+    f("key", key);
+    if (version != kSpillFormatVersion) {
         return Status::error(ErrorCode::FailedPrecondition,
                              "spill file: unsupported format version");
     }
-    const std::string key = f.getS("key");
     if (!expect_key.empty() && key != expect_key) {
         return Status::error(ErrorCode::FailedPrecondition,
                              "spill file: key mismatch (stored \"%s\")",
@@ -308,15 +182,23 @@ parseStageMetricsJson(const std::string &text,
     }
 
     StageMetrics m;
-    m.label = f.getS("label");
-    for (const std::string &token : [&f] {
-             std::vector<std::string> toks;
-             std::istringstream in(f.getS("opts"));
-             std::string t;
-             while (in >> t)
-                 toks.push_back(t);
-             return toks;
-         }()) {
+    std::string opts;
+    f("label", m.label);
+    f("opts", opts);
+    f("throughput", m.throughput);
+    FieldReader run(*doc, FieldReader::Policy::Strict, "run.");
+    visitFields(run, m.run);
+    FieldReader profile(*doc, FieldReader::Policy::Strict, "profile.");
+    visitFields(profile, m.profile);
+    FieldReader analysis(*doc, FieldReader::Policy::Strict, "analysis.");
+    visitFields(analysis, m.analysis);
+    for (const FieldReader *r : {&f, &run, &profile, &analysis}) {
+        Status s = r->status();
+        if (!s.ok())
+            return s.withContext("spill file");
+    }
+    std::istringstream tokens(opts);
+    for (std::string token; tokens >> token;) {
         std::optional<Opt> opt = workloads::optFromShortName(token);
         if (!opt) {
             return Status::error(ErrorCode::CorruptData,
@@ -324,108 +206,6 @@ parseStageMetricsJson(const std::string &text,
                                  "\"%s\"", token.c_str());
         }
         m.opts = m.opts.with(*opt);
-    }
-    m.throughput = f.getD("throughput");
-
-    sim::RunResult &r = m.run;
-    r.measureSeconds = f.getD("run.measureSeconds");
-    r.workDone = f.getD("run.workDone");
-    r.throughput = f.getD("run.throughput");
-    r.opsIssued = f.getU("run.opsIssued");
-    r.readGBs = f.getD("run.readGBs");
-    r.writeGBs = f.getD("run.writeGBs");
-    r.totalGBs = f.getD("run.totalGBs");
-    r.demandFraction = f.getD("run.demandFraction");
-    r.memUtilization = f.getD("run.memUtilization");
-    r.avgMemLatencyNs = f.getD("run.avgMemLatencyNs");
-    r.p50MemLatencyNs = f.getD("run.p50MemLatencyNs");
-    r.p95MemLatencyNs = f.getD("run.p95MemLatencyNs");
-    r.p99MemLatencyNs = f.getD("run.p99MemLatencyNs");
-    r.avgMemOutstanding = f.getD("run.avgMemOutstanding");
-    r.avgL1MshrOccupancy = f.getD("run.avgL1MshrOccupancy");
-    r.avgL2MshrOccupancy = f.getD("run.avgL2MshrOccupancy");
-    r.maxL1MshrOccupancy = f.getD("run.maxL1MshrOccupancy");
-    r.maxL2MshrOccupancy = f.getD("run.maxL2MshrOccupancy");
-    r.l1FullStalls = f.getU("run.l1FullStalls");
-    r.l2FullStalls = f.getU("run.l2FullStalls");
-    r.l1DemandMisses = f.getU("run.l1DemandMisses");
-    r.l1DemandHits = f.getU("run.l1DemandHits");
-    r.l2DemandMisses = f.getU("run.l2DemandMisses");
-    r.l2DemandHits = f.getU("run.l2DemandHits");
-    r.hwPrefIssued = f.getU("run.hwPrefIssued");
-    r.hwPrefUseful = f.getU("run.hwPrefUseful");
-    r.swPrefIssued = f.getU("run.swPrefIssued");
-    r.l2PrefetchDropped = f.getU("run.l2PrefetchDropped");
-    r.memReadLines = f.getU("run.memReadLines");
-    r.memWriteLines = f.getU("run.memWriteLines");
-    r.memHwPrefetchLines = f.getU("run.memHwPrefetchLines");
-    r.memSwPrefetchLines = f.getU("run.memSwPrefetchLines");
-    r.eventsProcessed = f.getU("run.eventsProcessed");
-
-    counters::RoutineProfile &p = m.profile;
-    p.routine = f.getS("profile.routine");
-    p.seconds = f.getD("profile.seconds");
-    p.readGBs = f.getD("profile.readGBs");
-    p.writeGBs = f.getD("profile.writeGBs");
-    p.totalGBs = f.getD("profile.totalGBs");
-    p.demandFraction = f.getD("profile.demandFraction");
-    p.demandFractionKnown = f.getB("profile.demandFractionKnown");
-
-    Analysis &a = m.analysis;
-    a.routine = f.getS("analysis.routine");
-    a.platform = f.getS("analysis.platform");
-    a.bwGBs = f.getD("analysis.bwGBs");
-    a.pctPeak = f.getD("analysis.pctPeak");
-    a.latencyNs = f.getD("analysis.latencyNs");
-    a.idleLatencyNs = f.getD("analysis.idleLatencyNs");
-    a.nAvg = f.getD("analysis.nAvg");
-    const std::string cls = f.getS("analysis.accessClass");
-    if (cls == "random") {
-        a.accessClass = AccessClass::Random;
-    } else if (cls == "streaming") {
-        a.accessClass = AccessClass::Streaming;
-    } else {
-        return Status::error(ErrorCode::CorruptData,
-                             "spill file: unknown access class \"%s\"",
-                             cls.c_str());
-    }
-    const std::string level = f.getS("analysis.limitingLevel");
-    if (level == "L1") {
-        a.limitingLevel = MshrLevel::L1;
-    } else if (level == "L2") {
-        a.limitingLevel = MshrLevel::L2;
-    } else {
-        return Status::error(ErrorCode::CorruptData,
-                             "spill file: unknown MSHR level \"%s\"",
-                             level.c_str());
-    }
-    a.limitingMshrs = static_cast<unsigned>(
-        f.getU("analysis.limitingMshrs"));
-    a.headroom = f.getD("analysis.headroom");
-    a.nearMshrLimit = f.getB("analysis.nearMshrLimit");
-    a.nearBandwidthLimit = f.getB("analysis.nearBandwidthLimit");
-    a.maxAchievableGBs = f.getD("analysis.maxAchievableGBs");
-    a.demandFraction = f.getD("analysis.demandFraction");
-    a.demandFractionKnown = f.getB("analysis.demandFractionKnown");
-    a.activeStreams = static_cast<unsigned>(
-        f.getU("analysis.activeStreams"));
-    a.activeStreamsKnown = f.getB("analysis.activeStreamsKnown");
-    a.coresUsed = f.getI("analysis.coresUsed");
-    a.bwBelowProfileRange = f.getB("analysis.bwBelowProfileRange");
-    a.bwAboveProfileRange = f.getB("analysis.bwAboveProfileRange");
-    a.warnings = f.getStrings("analysis.warnings");
-
-    if (!f.missing.empty()) {
-        return Status::error(ErrorCode::CorruptData,
-                             "spill file: missing field \"%s\" (%zu "
-                             "missing in total)",
-                             f.missing.front().c_str(),
-                             f.missing.size());
-    }
-    if (!f.bad.empty()) {
-        return Status::error(ErrorCode::CorruptData,
-                             "spill file: malformed value for \"%s\"",
-                             f.bad.front().c_str());
     }
     return m;
 }
@@ -500,15 +280,43 @@ ResultCache::enforceEntryCapLocked()
     }
 }
 
+CacheStats &
+CacheStats::operator+=(const CacheStats &o)
+{
+    hits += o.hits;
+    misses += o.misses;
+    diskLoads += o.diskLoads;
+    spills += o.spills;
+    evictions += o.evictions;
+    spillEvictions += o.spillEvictions;
+    return *this;
+}
+
+void
+ResultCache::reportLocked(Stats *mine, const Stats &before) const
+{
+    if (!mine)
+        return;
+    mine->hits += stats_.hits - before.hits;
+    mine->misses += stats_.misses - before.misses;
+    mine->diskLoads += stats_.diskLoads - before.diskLoads;
+    mine->spills += stats_.spills - before.spills;
+    mine->evictions += stats_.evictions - before.evictions;
+    mine->spillEvictions += stats_.spillEvictions - before.spillEvictions;
+}
+
 bool
-ResultCache::lookup(const std::string &key, StageMetrics *out)
+ResultCache::lookup(const std::string &key, StageMetrics *out,
+                    Stats *mine)
 {
     std::lock_guard<std::mutex> lock(mu_);
+    const Stats before = stats_;
     auto it = entries_.find(key);
     if (it != entries_.end()) {
         *out = it->second.metrics;
         touchLocked(it->second);
         ++stats_.hits;
+        reportLocked(mine, before);
         return true;
     }
     if (!spillDir_.empty()) {
@@ -525,20 +333,24 @@ ResultCache::lookup(const std::string &key, StageMetrics *out)
                 insertLocked(key, parsed.take());
                 ++stats_.hits;
                 ++stats_.diskLoads;
+                reportLocked(mine, before);
                 return true;
             }
         }
     }
     ++stats_.misses;
+    reportLocked(mine, before);
     return false;
 }
 
 void
-ResultCache::insert(const std::string &key, const StageMetrics &m)
+ResultCache::insert(const std::string &key, const StageMetrics &m,
+                    Stats *mine)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (entries_.count(key))
         return;
+    const Stats before = stats_;
     insertLocked(key, m);
     if (!spillDir_.empty()) {
         const std::string path = spillPath(key);
@@ -555,6 +367,7 @@ ResultCache::insert(const std::string &key, const StageMetrics &m)
             gcSpillLocked();
         }
     }
+    reportLocked(mine, before);
 }
 
 util::Status
@@ -872,8 +685,7 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
                     u.workload->name().c_str());
             } else {
                 out.metrics = exp->stage(u.opts, u.stageKey);
-                out.cacheLookups = exp->resultCacheLookups();
-                out.cacheHits = exp->resultCacheHits();
+                out.cache = exp->resultCacheStats();
             }
         }
         out.simulateNs = fanout.elapsedNs() - picked_up_ns;

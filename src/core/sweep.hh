@@ -35,6 +35,7 @@
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
 #include "platforms/platform.hh"
+#include "util/fields.hh"
 #include "util/status.hh"
 #include "workloads/workload.hh"
 
@@ -73,15 +74,7 @@ parseStageMetricsJson(const std::string &text,
 class ResultCache
 {
   public:
-    struct Stats
-    {
-        uint64_t hits = 0;      //!< lookups served (memory or disk)
-        uint64_t misses = 0;    //!< lookups that had to simulate
-        uint64_t diskLoads = 0; //!< hits satisfied from the spill dir
-        uint64_t spills = 0;    //!< entries written to the spill dir
-        uint64_t evictions = 0; //!< in-memory entries LRU-evicted
-        uint64_t spillEvictions = 0; //!< spill files GC-deleted
-    };
+    using Stats = CacheStats;
 
     /**
      * The memo key for one simulated stage: every input the simulated
@@ -94,11 +87,17 @@ class ResultCache
                                 double measureUs, int coresUsed);
 
     /** Fetch @p key into @p out; false (and a miss counted) when the
-     *  stage has to be simulated. */
-    bool lookup(const std::string &key, StageMetrics *out);
+     *  stage has to be simulated.  @p mine, when set, also receives
+     *  every count this call adds to stats() — its hit or miss, and
+     *  what a reload from the spill dir evicted — so concurrent
+     *  callers can account for their own traffic. */
+    bool lookup(const std::string &key, StageMetrics *out,
+                Stats *mine = nullptr);
 
-    /** Memoize @p m under @p key (and spill it when configured). */
-    void insert(const std::string &key, const StageMetrics &m);
+    /** Memoize @p m under @p key (and spill it when configured);
+     *  @p mine as for lookup(): the spill and what it evicted. */
+    void insert(const std::string &key, const StageMetrics &m,
+                Stats *mine = nullptr);
 
     /**
      * Persist entries under @p dir (created if missing) and serve
@@ -137,6 +136,8 @@ class ResultCache
     };
 
     std::string spillPath(const std::string &key) const;
+    /** Adds to @p mine what stats_ gained since @p before. */
+    void reportLocked(Stats *mine, const Stats &before) const;
     void insertLocked(const std::string &key, const StageMetrics &m);
     void touchLocked(Entry &e);
     void enforceEntryCapLocked();
@@ -152,6 +153,50 @@ class ResultCache
     uint64_t spillBytes_ = 0;
     Stats stats_;
 };
+
+/**
+ * The request fields every stage-shaped front end shares: a serve run
+ * or search line and `lll search`.  service::RunRequest and
+ * search::SearchSpec derive from it.
+ */
+struct StageRequest
+{
+    std::string platformName;
+    /** Exactly one of workloadName / (hasSpec, spec) is set. */
+    std::string workloadName;
+    bool hasSpec = false;
+    sim::KernelSpec spec;
+    bool randomDominated = false; //!< inline-spec analyzer class
+    workloads::OptSet opts;
+    int cores = 0;          //!< 0 = all of the platform's cores
+    uint64_t seed = 7;
+    double warmupUs = 0.0;  //!< 0 = the workload's default window
+    double measureUs = 0.0; //!< 0 = the workload's default window
+};
+
+/** StageRequest's field list (util/fields.hh); the entries with help
+ *  are also `lll search` flags. */
+template <class V, util::RecordOf<StageRequest> R>
+void
+visitFields(V &v, R &r)
+{
+    v("platform", r.platformName, {.required = true});
+    v("workload", r.workloadName, {.oneOf = true});
+    v("spec", util::Optional{r.spec, r.hasSpec}, {.oneOf = true});
+    v("random_dominated", r.randomDominated);
+    v("opts", r.opts);
+    v("cores", r.cores,
+      {.lo = 0, .help = "cores driving the load (default: all)"});
+    v("seed", r.seed, {.help = "simulation tie-break seed"});
+    v("warmup_us", r.warmupUs,
+      {.lo = 0, .help = "warmup window (default: workload's)"});
+    v("measure_us", r.measureUs,
+      {.lo = 0, .help = "measure window (default: workload's)"});
+}
+
+/** @p r as one schema-1 `lll serve` request line (no newline), every
+ *  field spelled by the list; @p id is left out when empty. */
+std::string requestLine(const StageRequest &r, const std::string &id = {});
 
 /** One experiment of a sweep. @p workload must outlive the runner. */
 struct SweepUnit
@@ -237,10 +282,10 @@ class SweepRunner
          *  (Experiment creation + simulated stage). */
         double simulateNs = 0.0;
 
-        /** This unit's own ResultCache outcome: lookups made and how
-         *  many hit (both 0 without a cache). */
-        uint64_t cacheLookups = 0;
-        uint64_t cacheHits = 0;
+        /** This unit's own ResultCache traffic: its hits and misses
+         *  and what its lookups and inserts evicted (all 0 without a
+         *  cache). */
+        ResultCache::Stats cache;
     };
 
     explicit SweepRunner(Params params) : params_(params) {}

@@ -20,6 +20,7 @@
 #include "counters/vendor_matrix.hh"
 #include "platforms/platform.hh"
 #include "sim/system.hh"
+#include "util/fields.hh"
 
 namespace lll::counters
 {
@@ -70,6 +71,20 @@ struct RoutineProfile
     double demandFraction = 1.0;
     bool demandFractionKnown = false;
 };
+
+/** RoutineProfile's field list (util/fields.hh). */
+template <class V, util::RecordOf<RoutineProfile> R>
+void
+visitFields(V &v, R &p)
+{
+    v("routine", p.routine);
+    v("seconds", p.seconds);
+    v("read_gbs", p.readGBs);
+    v("write_gbs", p.writeGBs);
+    v("total_gbs", p.totalGBs);
+    v("demand_fraction", p.demandFraction);
+    v("demand_fraction_known", p.demandFractionKnown);
+}
 
 /**
  * Builds RoutineProfiles for a platform, mimicking CrayPat's default

@@ -30,22 +30,18 @@ using net::BlockingClient;
 using util::ErrorCode;
 using util::Status;
 
-/** The same fast request shape the service tests use, as one line. */
+/** The same fast request shape the service tests use, as one line;
+ *  an unknown @p workload is answered `not-found` without simulating. */
 std::string
-quickRequestLine()
+quickRequestLine(const char *workload = "isx")
 {
-    std::string line;
-    util::JsonWriter(line)
-        .beginObject()
-        .member("schema_version", 1)
-        .member("id", "ctl")
-        .member("platform", "skl")
-        .member("workload", "isx")
-        .member("cores", 6)
-        .member("warmup_us", 5)
-        .member("measure_us", 10)
-        .end();
-    return line + "\n";
+    core::StageRequest req;
+    req.platformName = "skl";
+    req.workloadName = workload;
+    req.cores = 6;
+    req.warmupUs = 5;
+    req.measureUs = 10;
+    return core::requestLine(req, "ctl") + "\n";
 }
 
 /** An in-process listener on an ephemeral loopback port. */
@@ -96,7 +92,9 @@ class NetServer
 
 /** The cross-scenario invariant: a fresh, polite connection is still
  *  answered (any structured response line counts — with admission
- *  disabled the answer is a well-formed `unavailable`). */
+ *  disabled the answer is a well-formed `unavailable`).  The control
+ *  request names no workload, so the handler answers it `not-found`
+ *  without a simulation that could outlast the wait. */
 bool
 controlStillServed(NetServer &server, std::string *detail)
 {
@@ -107,7 +105,7 @@ controlStillServed(NetServer &server, std::string *detail)
                   client.status().toString();
         return false;
     }
-    Status sent = client->sendAll(quickRequestLine());
+    Status sent = client->sendAll(quickRequestLine("no-such-workload"));
     if (!sent.ok()) {
         *detail = "control send failed: " + sent.toString();
         return false;
@@ -257,7 +255,12 @@ midRequestDisconnectScenario()
 {
     ScenarioResult r;
     r.scenario = "listener-mid-request-disconnect";
-    NetServer server((net::ListenerParams()));
+    // The orphaned request simulates (and may first characterize a
+    // profile) on one worker; a second worker answers the control line
+    // meanwhile instead of queueing it behind that simulation.
+    net::ListenerParams params;
+    params.workers = 2;
+    NetServer server(params);
     if (!server.startStatus().ok()) {
         r.detail = server.startStatus().toString();
         return r;

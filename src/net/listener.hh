@@ -34,6 +34,7 @@
 #ifndef LLL_NET_LISTENER_HH
 #define LLL_NET_LISTENER_HH
 
+#include <climits>
 #include <functional>
 #include <map>
 #include <memory>
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "obs/registry.hh"
+#include "util/fields.hh"
 #include "util/status.hh"
 
 namespace lll::net
@@ -135,6 +137,25 @@ struct ListenerParams
      *  run() returns. */
     obs::MetricRegistry *registry = nullptr;
 };
+
+/** ListenerParams' command-line flags (util/fields.hh), as `lll serve
+ *  --listen` reads them. */
+template <class V, util::RecordOf<ListenerParams> R>
+void
+visitFields(V &v, R &p)
+{
+    constexpr util::FieldOpts kCount{.lo = 1, .hi = INT_MAX, .help = ""};
+    constexpr util::FieldOpts kMs{.lo = 1, .help = ""};
+    v("max_inflight", p.maxInflight, kCount);
+    v("max_pipelined", p.maxPipelined, kCount);
+    v("max_conns", p.maxConns, kCount);
+    v("max_line_bytes", p.maxFrameBytes, {.help = ""});
+    v("max_write_buffer", p.maxWriteBuffer, {.help = ""});
+    v("idle_timeout_ms", p.idleTimeoutMs, kMs);
+    v("read_timeout_ms", p.readTimeoutMs, kMs);
+    v("watchdog_ms", p.watchdogMs, kMs);
+    v("drain_grace_ms", p.drainGraceMs, kMs);
+}
 
 class Listener
 {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "obs/metric.hh"
+#include "util/fields.hh"
 #include "util/status.hh"
 
 namespace lll::net
@@ -59,6 +60,21 @@ struct LoadGenParams
     /** After the sending phase, wait this long for stragglers. */
     int drainTimeoutMs = 5000;
 };
+
+/** LoadGenParams' command-line flags (util/fields.hh), as `lll
+ *  bench-serve` reads them. */
+template <class V, util::RecordOf<LoadGenParams> R>
+void
+visitFields(V &v, R &p)
+{
+    constexpr util::FieldOpts kCount{.lo = 1, .help = ""};
+    constexpr util::FieldOpts kAmount{.lo = 0, .hi = 1e300, .help = ""};
+    v("connections", p.connections, kCount);
+    v("pipeline", p.pipeline, kCount);
+    v("qps", p.qps, kAmount);
+    v("duration_s", p.durationS, kAmount);
+    v("drain_timeout_ms", p.drainTimeoutMs, kCount);
+}
 
 struct LoadGenReport
 {

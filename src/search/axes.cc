@@ -26,28 +26,43 @@ struct AxisImpl
 {
     AxisDef def;
     ValueKind kind;
+    /** Sets the (checked) axis value on a platform. */
+    void (*apply)(platforms::Platform &p, double value);
 };
 
 const std::vector<AxisImpl> &
 axisImpls()
 {
+    using P = platforms::Platform;
     static const std::vector<AxisImpl> impls = {
-        {{"l1_mshrs", "per-core L1 MSHR entries"}, ValueKind::Count},
-        {{"l2_mshrs", "per-core L2 MSHR entries"}, ValueKind::Count},
+        // Both layers for MSHRs: the analyzer reads the table-level
+        // count, the simulator the prototype's.
+        {{"l1_mshrs", "per-core L1 MSHR entries"}, ValueKind::Count,
+         [](P &p, double v) { p.proto.l1.mshrs = p.l1Mshrs = unsigned(v); }},
+        {{"l2_mshrs", "per-core L2 MSHR entries"}, ValueKind::Count,
+         [](P &p, double v) { p.proto.l2.mshrs = p.l2Mshrs = unsigned(v); }},
         {{"banks", "memory controller banks (0 = derive from peak)"},
-         ValueKind::Count},
+         ValueKind::Count,
+         [](P &p, double v) { p.proto.mem.banksOverride = unsigned(v); }},
         {{"pf_degree", "L2 prefetcher max issues per trigger"},
-         ValueKind::Count},
+         ValueKind::Count,
+         [](P &p, double v) { p.proto.pf.degree = unsigned(v); }},
         {{"pf_distance", "L2 prefetcher run-ahead distance (lines)"},
-         ValueKind::Count},
+         ValueKind::Count,
+         [](P &p, double v) { p.proto.pf.distance = unsigned(v); }},
         {{"pf_table", "L2 prefetcher tracked-stream table size"},
-         ValueKind::Count},
-        {{"l2_sets", "L2 sets (power of two)"}, ValueKind::PowerOf2},
-        {{"l2_ways", "L2 associativity"}, ValueKind::Count},
+         ValueKind::Count,
+         [](P &p, double v) { p.proto.pf.tableSize = unsigned(v); }},
+        {{"l2_sets", "L2 sets (power of two)"}, ValueKind::PowerOf2,
+         [](P &p, double v) { p.proto.l2.sets = unsigned(v); }},
+        {{"l2_ways", "L2 associativity"}, ValueKind::Count,
+         [](P &p, double v) { p.proto.l2.ways = unsigned(v); }},
         {{"mem_front_ns", "memory request-path latency (ns)"},
-         ValueKind::Nanos},
+         ValueKind::Nanos,
+         [](P &p, double v) { p.proto.mem.frontLatencyNs = v; }},
         {{"bank_service_ns", "per-line bank occupancy (ns)"},
-         ValueKind::Nanos},
+         ValueKind::Nanos,
+         [](P &p, double v) { p.proto.mem.bankServiceNs = v; }},
     };
     return impls;
 }
@@ -305,6 +320,39 @@ parsePoint(const std::string &text)
     return a;
 }
 
+std::string
+toWire(const Axis &axis)
+{
+    std::string out = axis.name + "=";
+    for (size_t i = 0; i < axis.values.size(); ++i)
+        out += (i ? "," : "") + fmtValue(axis.values[i]);
+    return out;
+}
+
+util::Status
+fromWire(const std::string &text, Axis &axis)
+{
+    util::Result<Axis> parsed = parseAxis(text);
+    if (parsed.ok())
+        axis = parsed.take();
+    return parsed.status();
+}
+
+std::string
+toWire(const Assignment &point)
+{
+    return point.label();
+}
+
+util::Status
+fromWire(const std::string &text, Assignment &point)
+{
+    util::Result<Assignment> parsed = parsePoint(text);
+    if (parsed.ok())
+        point = parsed.take();
+    return parsed.status();
+}
+
 util::Status
 applyAxisValue(platforms::Platform &platform, const std::string &axis,
                double value)
@@ -315,37 +363,7 @@ applyAxisValue(platforms::Platform &platform, const std::string &axis,
                              "unknown axis '%s'", axis.c_str());
     }
     LLL_RETURN_IF_ERROR(checkValue(*impl, value));
-    const auto n = static_cast<unsigned>(value);
-    sim::SystemParams &proto = platform.proto;
-    if (axis == "l1_mshrs") {
-        // Both layers: the analyzer reads the table-level count, the
-        // simulator the prototype's.
-        proto.l1.mshrs = n;
-        platform.l1Mshrs = n;
-    } else if (axis == "l2_mshrs") {
-        proto.l2.mshrs = n;
-        platform.l2Mshrs = n;
-    } else if (axis == "banks") {
-        proto.mem.banksOverride = n;
-    } else if (axis == "pf_degree") {
-        proto.pf.degree = n;
-    } else if (axis == "pf_distance") {
-        proto.pf.distance = n;
-    } else if (axis == "pf_table") {
-        proto.pf.tableSize = n;
-    } else if (axis == "l2_sets") {
-        proto.l2.sets = n;
-    } else if (axis == "l2_ways") {
-        proto.l2.ways = n;
-    } else if (axis == "mem_front_ns") {
-        proto.mem.frontLatencyNs = value;
-    } else if (axis == "bank_service_ns") {
-        proto.mem.bankServiceNs = value;
-    } else {
-        return Status::error(ErrorCode::Internal,
-                             "axis '%s' registered but not applied",
-                             axis.c_str());
-    }
+    impl->apply(platform, value);
     return Status::okStatus();
 }
 

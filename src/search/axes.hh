@@ -77,6 +77,14 @@ struct Assignment
  */
 [[nodiscard]] util::Result<Assignment> parsePoint(const std::string &text);
 
+/** Axes and points on the wire (util/fields.hh): the text parseAxis()
+ *  and parsePoint() read. */
+std::string toWire(const Axis &axis);
+[[nodiscard]] util::Status fromWire(const std::string &text, Axis &axis);
+std::string toWire(const Assignment &point);
+[[nodiscard]] util::Status fromWire(const std::string &text,
+                                    Assignment &point);
+
 /**
  * Apply one axis value to @p platform, mutating the simulator
  * prototype and whatever paper-level metadata mirrors it (MSHR counts)

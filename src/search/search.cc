@@ -162,8 +162,7 @@ Searcher::run(const SearchSpec &spec)
             row.fate = CandidateFate::Simulated;
             ++result.simulated;
             const core::SweepRunner::StageOutcome &out = outcomes[u];
-            result.cacheLookups += out.cacheLookups;
-            result.cacheHits += out.cacheHits;
+            result.cache += out.cache;
             row.status = out.status;
             if (!out.status.ok())
                 continue;

@@ -72,9 +72,8 @@ struct SearchResult
     size_t simulated = 0;
     size_t waves = 0; //!< cost classes that reached the runner
 
-    /** Stage-memo lookups the waves made, and how many hit. */
-    uint64_t cacheLookups = 0;
-    uint64_t cacheHits = 0;
+    /** The waves' own stage-memo traffic. */
+    core::CacheStats cache;
 
     std::vector<SearchRow> rows;  //!< enumeration order
     std::vector<size_t> frontier; //!< row indices, cost-ascending

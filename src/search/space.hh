@@ -17,9 +17,11 @@
 #include <vector>
 
 #include "core/bounds.hh"
+#include "core/sweep.hh"
 #include "platforms/platform.hh"
 #include "search/axes.hh"
 #include "sim/kernel_spec.hh"
+#include "util/fields.hh"
 #include "util/status.hh"
 #include "workloads/optimization.hh"
 #include "workloads/workload.hh"
@@ -27,17 +29,10 @@
 namespace lll::search
 {
 
-/** Everything `lll search` / a `kind:"search"` request needs. */
-struct SearchSpec
+/** Everything `lll search` / a `kind:"search"` request needs: the
+ *  shared stage fields plus the space and the search knobs. */
+struct SearchSpec : core::StageRequest
 {
-    std::string platformName;
-
-    /** Exactly one of workloadName / (hasSpec, spec) is set. */
-    std::string workloadName;
-    bool hasSpec = false;
-    sim::KernelSpec spec;
-    bool randomDominated = false;
-
     /** Tests inject a custom base platform here (hasBasePlatform);
      *  the CLI and the service always resolve platformName. */
     bool hasBasePlatform = false;
@@ -45,12 +40,6 @@ struct SearchSpec
 
     std::vector<Axis> axes;          //!< cross product
     std::vector<Assignment> points;  //!< explicit extra points
-
-    workloads::OptSet opts;
-    int cores = 0;       //!< 0 = all of the platform's cores
-    uint64_t seed = 7;
-    double warmupUs = 0.0;  //!< 0 = the workload's default window
-    double measureUs = 0.0; //!< 0 = the workload's default window
 
     /** Cost model: cost = l1_mshrs + l2_mshrs + bankWeight * banks
      *  (per core MSHRs; banks as built by the memory controller).
@@ -61,10 +50,30 @@ struct SearchSpec
      *  (at least 1). */
     size_t maxCandidates = 4096;
 
-    /** Simulate everything (tests compare against this brute force;
-     *  `--no-prune` exposes it on the CLI). */
+    /** Simulate everything (tests compare against this brute force). */
     bool disablePruning = false;
 };
+
+/** SearchSpec's own field list (util/fields.hh), all of it `lll
+ *  search` flags.  The knobs' ranges are checked by enumerateSpace(),
+ *  once for both front ends. */
+template <class V, util::RecordOf<SearchSpec> R>
+void
+visitFields(V &v, R &s)
+{
+    v("axes", s.axes,
+      {.help = "one axis: name=lo:hi:*k | lo:hi:+s | a,b,c",
+       .flag = "--axis"});
+    v("points", s.points,
+      {.help = "one explicit extra point: name=v,name=v,...",
+       .flag = "--point"});
+    v("bank_weight", s.bankWeight,
+      {.help = "cost = L1 + L2 MSHRs + W x banks"});
+    v("max_candidates", s.maxCandidates,
+      {.help = "refuse larger spaces up front"});
+    v("no_prune", s.disablePruning,
+      {.help = "simulate everything (skip analytic pruning)"});
+}
 
 /** How one candidate left the pipeline. */
 enum class CandidateFate

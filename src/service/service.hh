@@ -95,26 +95,15 @@ constexpr int kMaxRequestDepth = 16;
 util::JsonLimits requestJsonLimits();
 
 /**
- * One normalized request.  Exactly one of workloadName / spec is set
- * (hasSpec discriminates).  isSearch (v2 kind "search") carries the
- * fully-resolved design-space spec; the shared fields (platform,
- * workload/spec, opts, cores, seed, windows) are mirrored into it at
- * parse time so the searcher sees one coherent object.
+ * One normalized request: the shared stage fields (core::StageRequest,
+ * exactly one of workloadName / spec set) plus the line's envelope.
+ * isSearch (v2 kind "search") carries the fully-resolved design-space
+ * spec, whose stage fields are this request's.
  */
-struct RunRequest
+struct RunRequest : core::StageRequest
 {
     int schemaVersion = kServiceSchemaVersionV1; //!< echoed back
     std::string id;           //!< echoes back; defaults to "#<line>"
-    std::string platformName;
-    std::string workloadName; //!< empty for inline-spec requests
-    bool hasSpec = false;
-    sim::KernelSpec spec;
-    bool randomDominated = false; //!< inline-spec analyzer class
-    workloads::OptSet opts;
-    int cores = 0;      //!< 0 = all of the platform's cores
-    uint64_t seed = 7;
-    double warmupUs = 0.0;  //!< 0 = the workload's default window
-    double measureUs = 0.0; //!< 0 = the workload's default window
 
     bool isSearch = false;    //!< v2 kind "search"
     search::SearchSpec search; //!< meaningful only when isSearch

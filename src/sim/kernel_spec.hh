@@ -15,8 +15,11 @@
 #define LLL_SIM_KERNEL_SPEC_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "util/fields.hh"
 
 namespace lll::sim
 {
@@ -62,6 +65,32 @@ struct StreamDesc
     bool swPrefetchable = false;
 };
 
+constexpr const char *kStreamKindNames[] = {"sequential", "strided",
+                                            "random"};
+
+constexpr std::span<const char *const>
+enumNames(StreamDesc::Kind)
+{
+    return kStreamKindNames;
+}
+
+/** StreamDesc's field list (util/fields.hh); its order is the spec
+ *  hash's mix order, so appending is the only hash-stable edit. */
+template <class V, util::RecordOf<StreamDesc> R>
+void
+visitFields(V &v, R &s)
+{
+    v("kind", s.kind);
+    v("footprint_lines", s.footprintLines);
+    v("weight", s.weight);
+    v("stride_lines", s.strideLines);
+    v("store", s.store);
+    v("shared_across_threads", s.sharedAcrossThreads);
+    v("reuse_fraction", s.reuseFraction);
+    v("reuse_window", s.reuseWindow);
+    v("sw_prefetchable", s.swPrefetchable);
+}
+
 /**
  * A complete routine model.
  */
@@ -87,6 +116,21 @@ struct KernelSpec
     unsigned swPrefetchDistance = 24;   //!< ops ahead of the demand op
     double swPrefetchOverheadCycles = 1.0;
 };
+
+/** KernelSpec's field list (util/fields.hh), in spec-hash mix order. */
+template <class V, util::RecordOf<KernelSpec> R>
+void
+visitFields(V &v, R &k)
+{
+    v("name", k.name);
+    v("streams", k.streams, {.lo = 1, .required = true});
+    v("compute_cycles_per_op", k.computeCyclesPerOp);
+    v("window", k.window);
+    v("work_per_op", k.workPerOp);
+    v("sw_prefetch_l2", k.swPrefetchL2);
+    v("sw_prefetch_distance", k.swPrefetchDistance);
+    v("sw_prefetch_overhead_cycles", k.swPrefetchOverheadCycles);
+}
 
 } // namespace lll::sim
 

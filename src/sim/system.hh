@@ -19,6 +19,7 @@
 
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
+#include "util/fields.hh"
 #include "util/status.hh"
 #include "sim/cache.hh"
 #include "sim/core_model.hh"
@@ -136,6 +137,50 @@ struct RunResult
 
     uint64_t eventsProcessed = 0;
 };
+
+/** Tag of the RunResult entries analysis::runMetrics() leaves out. */
+constexpr unsigned kNotAMetric = 1u << 0;
+
+/** RunResult's field list (util/fields.hh): spill keys, determinism
+ *  metric names and their order. */
+template <class V, util::RecordOf<RunResult> R>
+void
+visitFields(V &v, R &r)
+{
+    v("measure_seconds", r.measureSeconds);
+    v("work_done", r.workDone);
+    v("throughput", r.throughput);
+    v("ops_issued", r.opsIssued);
+    v("read_gbs", r.readGBs);
+    v("write_gbs", r.writeGBs);
+    v("total_gbs", r.totalGBs);
+    v("demand_fraction", r.demandFraction);
+    v("mem_utilization", r.memUtilization);
+    v("avg_mem_latency_ns", r.avgMemLatencyNs);
+    v("p50_mem_latency_ns", r.p50MemLatencyNs);
+    v("p95_mem_latency_ns", r.p95MemLatencyNs);
+    v("p99_mem_latency_ns", r.p99MemLatencyNs);
+    v("avg_mem_outstanding", r.avgMemOutstanding);
+    v("avg_l1_mshr_occupancy", r.avgL1MshrOccupancy);
+    v("avg_l2_mshr_occupancy", r.avgL2MshrOccupancy);
+    v("max_l1_mshr_occupancy", r.maxL1MshrOccupancy);
+    v("max_l2_mshr_occupancy", r.maxL2MshrOccupancy);
+    v("l1_full_stalls", r.l1FullStalls);
+    v("l2_full_stalls", r.l2FullStalls);
+    v("l1_demand_misses", r.l1DemandMisses);
+    v("l1_demand_hits", r.l1DemandHits);
+    v("l2_demand_misses", r.l2DemandMisses);
+    v("l2_demand_hits", r.l2DemandHits);
+    v("hw_pref_issued", r.hwPrefIssued);
+    v("hw_pref_useful", r.hwPrefUseful);
+    v("sw_pref_issued", r.swPrefIssued);
+    v("l2_prefetch_dropped", r.l2PrefetchDropped);
+    v("mem_read_lines", r.memReadLines);
+    v("mem_write_lines", r.memWriteLines);
+    v("mem_hw_prefetch_lines", r.memHwPrefetchLines);
+    v("mem_sw_prefetch_lines", r.memSwPrefetchLines);
+    v("events_processed", r.eventsProcessed, {.tags = kNotAMetric});
+}
 
 /**
  * A simulated node running one kernel.

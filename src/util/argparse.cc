@@ -67,7 +67,14 @@ util::Result<std::string> ArgParser::extractValue(const std::string &flag)
 util::Result<std::string> ArgParser::stringFlag(const std::string &flag,
                                                 const char *help)
 {
-    record(flag, "S", help, false);
+    return valueFlag(flag, "S", help);
+}
+
+util::Result<std::string> ArgParser::valueFlag(const std::string &flag,
+                                               const char *metavar,
+                                               const char *help)
+{
+    record(flag, metavar, help, false);
     if (helpRequested_)
         return std::string();
     return extractValue(flag);

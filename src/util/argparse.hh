@@ -33,9 +33,13 @@
 #ifndef LLL_UTIL_ARGPARSE_HH
 #define LLL_UTIL_ARGPARSE_HH
 
+#include <charconv>
+#include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "util/fields.hh"
 #include "util/status.hh"
 
 namespace lll::util
@@ -73,6 +77,11 @@ class ArgParser
      */
     [[nodiscard]] util::Result<std::string> stringFlag(const std::string &flag,
                                          const char *help = nullptr);
+
+    /** stringFlag() with the value's help metavar ("N", "X", ...). */
+    [[nodiscard]] util::Result<std::string>
+    valueFlag(const std::string &flag, const char *metavar,
+              const char *help);
 
     /**
      * Extract every `FLAG VALUE` occurrence, in argument order
@@ -147,6 +156,92 @@ class ArgParser
     std::vector<std::string> args_;
     std::vector<FlagInfo> flags_;
     bool helpRequested_ = false;
+};
+
+/** @p raw as a value of @p T within inRange<T>(@p o) — the check the
+ *  JSON decoder applies — or "FLAG wants <range>, got 'raw'". */
+template <class T>
+[[nodiscard]] util::Status
+parseFlagValue(const std::string &flag, const std::string &raw,
+               const FieldOpts &o, T &out)
+{
+    const char *end = raw.data() + raw.size();
+    T v{};
+    bool ok = false;
+    if constexpr (std::is_integral_v<T>) {
+        // from_chars is exact for every width, where a detour through
+        // double would round 64-bit values.
+        const std::from_chars_result r = std::from_chars(raw.data(), end, v);
+        ok = r.ec == std::errc() && r.ptr == end && double(v) >= o.lo &&
+             double(v) <= o.hi;
+    } else {
+        char *stop = nullptr;
+        v = std::strtod(raw.c_str(), &stop);
+        ok = !raw.empty() && stop == end && inRange<T>(v, o);
+    }
+    if (!ok) {
+        return Status::error(ErrorCode::InvalidArgument,
+                             "%s wants %s, got '%s'", flag.c_str(),
+                             rangeText<T>(o).c_str(), raw.c_str());
+    }
+    out = v;
+    return Status::okStatus();
+}
+
+/**
+ * Reads a record's flag fields from an ArgParser: the field-list
+ * entries with help (util/fields.hh), each as FieldOpts::flag or `--`
+ * + its wire name with `_` spelled `-` — a bare flag for a bool, a
+ * checked value for a number, a repeated one for a vector of wire-
+ * adapted values.  Absent flags keep the record's values; the first
+ * problem is kept in status().
+ */
+class FlagReader
+{
+  public:
+    explicit FlagReader(ArgParser &ap) : ap_(ap) {}
+
+    template <class T>
+    void
+    operator()(const char *name, T &&v, const FieldOpts &o = {})
+    {
+        using U = std::remove_cvref_t<T>;
+        if (o.help == nullptr || !status_.ok())
+            return;
+        std::string flag = o.flag ? o.flag : "--";
+        for (const char *c = name; !o.flag && *c; ++c)
+            flag += *c == '_' ? '-' : *c;
+        if constexpr (std::is_same_v<U, bool>) {
+            util::Result<bool> set = ap_.boolFlag(flag, o.help);
+            if (!set.ok())
+                status_ = set.status();
+            else if (*set)
+                v = true;
+        } else if constexpr (std::is_arithmetic_v<U>) {
+            util::Result<std::string> raw = ap_.valueFlag(
+                flag, std::is_integral_v<U> ? "N" : "X", o.help);
+            if (!raw.ok())
+                status_ = raw.status();
+            else if (!raw->empty())
+                status_ = parseFlagValue(flag, *raw, o, v);
+        } else if constexpr (WireVector<U>) {
+            util::Result<std::vector<std::string>> raw =
+                ap_.stringList(flag, o.help);
+            if (!raw.ok())
+                status_ = raw.status();
+            for (size_t i = 0; raw.ok() && status_.ok() &&
+                               i < raw->size(); ++i) {
+                v.emplace_back();
+                status_ = fromWire((*raw)[i], v.back());
+            }
+        }
+    }
+
+    const Status &status() const { return status_; }
+
+  private:
+    ArgParser &ap_;
+    Status status_;
 };
 
 } // namespace lll::util

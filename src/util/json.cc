@@ -471,7 +471,7 @@ const char *JsonValue::typeName() const
     return "unknown";
 }
 
-const JsonValue *JsonValue::find(const std::string &key) const
+const JsonValue *JsonValue::find(std::string_view key) const
 {
     if (type != Type::Object)
         return nullptr;

@@ -69,7 +69,7 @@ class JsonValue
 
     /** Member lookup on an object; nullptr when absent (or not an
      *  object).  First occurrence wins on duplicate keys. */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
 
     // Typed member accessors: the field as Result, with the offending
     // key in the error message.  *Or variants return @p fallback when

@@ -136,4 +136,30 @@ OptSet::label() const
     return out;
 }
 
+std::vector<std::string>
+toWire(const OptSet &opts)
+{
+    std::vector<std::string> names;
+    for (Opt opt : opts.opts())
+        names.emplace_back(optShortName(opt));
+    return names;
+}
+
+util::Status
+fromWire(const std::vector<std::string> &names, OptSet &opts)
+{
+    OptSet out;
+    for (const std::string &name : names) {
+        std::optional<Opt> opt = optFromShortName(name);
+        if (!opt) {
+            return util::Status::error(util::ErrorCode::InvalidArgument,
+                                       "unknown optimization '%s'",
+                                       name.c_str());
+        }
+        out = out.with(*opt);
+    }
+    opts = out;
+    return util::Status::okStatus();
+}
+
 } // namespace lll::workloads

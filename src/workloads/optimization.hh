@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "util/status.hh"
+
 namespace lll::workloads
 {
 
@@ -77,6 +79,13 @@ class OptSet
   private:
     std::vector<Opt> opts_;   //!< in application order, no duplicates
 };
+
+/** An OptSet on the wire (util/fields.hh): its short names, in order. */
+std::vector<std::string> toWire(const OptSet &opts);
+
+/** The OptSet @p names spell; InvalidArgument on an unknown name. */
+[[nodiscard]] util::Status fromWire(const std::vector<std::string> &names,
+                                   OptSet &opts);
 
 } // namespace lll::workloads
 

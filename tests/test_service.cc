@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include <string>
 #include <vector>
 
@@ -525,6 +527,46 @@ TEST(RunService, EvictionCountersSurfaceCachePressure)
     EXPECT_EQ(
         registry.counter("service.cache_evictions_total").value(),
         cache.stats().evictions);
+}
+
+TEST(RunService, ConcurrentBatchesCountOnlyTheirOwnCacheTraffic)
+{
+    // Two listener workers share one cache: each batch's counters must
+    // hold its own lookups and evictions, so they sum to the cache's.
+    warmProfileCache();
+    core::ResultCache cache;
+    cache.setMaxEntries(1);
+    obs::MetricRegistry reg_a;
+    obs::MetricRegistry reg_b;
+    RunService::Params pa;
+    pa.cache = &cache;
+    pa.registry = &reg_a;
+    RunService::Params pb = pa;
+    pb.registry = &reg_b;
+    std::thread ta([&] {
+        RunService(pa).serveLines({quickRequest("a1", "isx"),
+                                   quickRequest("a2", "hpcg"),
+                                   quickRequest("a3", "isx")});
+    });
+    std::thread tb([&] {
+        RunService(pb).serveLines(
+            {quickRequest("b1", "hpcg", ", \"seed\": 8"),
+             quickRequest("b2", "isx", ", \"seed\": 8"),
+             quickRequest("b3", "hpcg", ", \"seed\": 8")});
+    });
+    ta.join();
+    tb.join();
+
+    auto sum = [&](const char *name) {
+        return reg_a.counter(name).value() + reg_b.counter(name).value();
+    };
+    const core::ResultCache::Stats s = cache.stats();
+    EXPECT_GT(s.evictions, 0u);
+    EXPECT_EQ(sum("service.cache_evictions_total"), s.evictions);
+    EXPECT_EQ(sum("service.cache_spill_evictions_total"),
+              s.spillEvictions);
+    EXPECT_EQ(sum("service.cache_hits_total"), s.hits);
+    EXPECT_EQ(sum("service.cache_misses_total"), s.misses);
 }
 
 TEST(RunService, StageTimingsArePresentAndMonotonic)

@@ -197,31 +197,17 @@ failWith(const Status &status)
 util::Result<OptSet>
 parseOpts(const std::vector<std::string> &args)
 {
-    OptSet set;
     for (const std::string &s : args) {
-        if (s == "vect")
-            set = set.with(Opt::Vectorize);
-        else if (s == "2-ht")
-            set = set.with(Opt::Smt2);
-        else if (s == "4-ht")
-            set = set.with(Opt::Smt4);
-        else if (s == "l2-pref")
-            set = set.with(Opt::SwPrefetchL2);
-        else if (s == "tiling")
-            set = set.with(Opt::Tiling);
-        else if (s == "unroll-jam")
-            set = set.with(Opt::UnrollJam);
-        else if (s == "fusion")
-            set = set.with(Opt::Fusion);
-        else if (s == "distr")
-            set = set.with(Opt::Distribution);
-        else if (!s.empty() && s[0] == '-')
+        if (!workloads::optFromShortName(s)) {
             return Status::error(ErrorCode::InvalidArgument,
-                                 "unknown flag '%s'", s.c_str());
-        else
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "unknown optimization '%s'", s.c_str());
+                                 !s.empty() && s[0] == '-'
+                                     ? "unknown flag '%s'"
+                                     : "unknown optimization '%s'",
+                                 s.c_str());
+        }
     }
+    OptSet set;
+    LLL_RETURN_IF_ERROR(fromWire(args, set));
     return set;
 }
 
@@ -967,14 +953,12 @@ cmdSearch(int argc, char **argv)
     ArgParser ap(argc, argv, 2);
     search::SearchSpec spec;
 
-    util::Result<std::vector<std::string>> axis_flags = ap.stringList(
-        "--axis", "one axis: name=lo:hi:*k | lo:hi:+s | a,b,c");
-    if (!axis_flags.ok())
-        return failWith(axis_flags.status());
-    util::Result<std::vector<std::string>> point_flags = ap.stringList(
-        "--point", "one explicit extra point: name=v,name=v,...");
-    if (!point_flags.ok())
-        return failWith(point_flags.status());
+    // The space, the knobs and the shared stage fields come off their
+    // field lists, with the JSON decoder's ranges.
+    util::FlagReader flags(ap);
+    visitFields(flags, spec);
+    if (!flags.status().ok())
+        return failWith(flags.status());
     util::Result<bool> list_axes =
         ap.boolFlag("--list-axes", "list the known axes and exit");
     if (!list_axes.ok())
@@ -983,50 +967,16 @@ cmdSearch(int argc, char **argv)
         "--json", "write the envelope report to FILE (\"-\" = stdout)");
     if (!json.ok())
         return failWith(json.status());
-    util::Result<int> cores = ap.intFlag(
-        "--cores", 0, "cores driving the load (default: all)");
-    if (!cores.ok())
-        return failWith(cores.status());
-    spec.cores = *cores;
+    visitFields(flags, static_cast<core::StageRequest &>(spec));
+    if (!flags.status().ok())
+        return failWith(flags.status());
     util::Result<core::SweepRunner::Params> sp = parseSweepFlags(ap);
     if (!sp.ok())
         return failWith(sp.status());
-    util::Result<uint64_t> seed =
-        ap.uint64Flag("--seed", spec.seed, "simulation tie-break seed");
-    if (!seed.ok())
-        return failWith(seed.status());
-    spec.seed = *seed;
-    util::Result<double> warmup = ap.doubleFlag(
-        "--warmup-us", 0.0, "warmup window (default: workload's)");
-    if (!warmup.ok())
-        return failWith(warmup.status());
-    spec.warmupUs = *warmup;
-    util::Result<double> measure = ap.doubleFlag(
-        "--measure-us", 0.0, "measure window (default: workload's)");
-    if (!measure.ok())
-        return failWith(measure.status());
-    spec.measureUs = *measure;
-    util::Result<double> bank_weight = ap.doubleFlag(
-        "--bank-weight", spec.bankWeight,
-        "cost = L1 + L2 MSHRs + W x banks");
-    if (!bank_weight.ok())
-        return failWith(bank_weight.status());
-    spec.bankWeight = *bank_weight;
-    util::Result<int> max_candidates =
-        ap.intFlag("--max-candidates", int(spec.maxCandidates),
-                   "refuse larger spaces up front");
-    if (!max_candidates.ok())
-        return failWith(max_candidates.status());
-    spec.maxCandidates = size_t(*max_candidates);
     util::Result<bool> all = ap.boolFlag(
         "--all", "print every candidate row, not just the frontier");
     if (!all.ok())
         return failWith(all.status());
-    util::Result<bool> no_prune = ap.boolFlag(
-        "--no-prune", "simulate everything (skip analytic pruning)");
-    if (!no_prune.ok())
-        return failWith(no_prune.status());
-    spec.disablePruning = *no_prune;
 
     if (helpOut(ap,
                 "search <workload> <platform> [opts ...] --axis "
@@ -1056,19 +1006,6 @@ cmdSearch(int argc, char **argv)
         return failWith(opts.status());
     spec.opts = opts.take();
 
-    for (const std::string &text : *axis_flags) {
-        util::Result<search::Axis> axis = search::parseAxis(text);
-        if (!axis.ok())
-            return failWith(axis.status());
-        spec.axes.push_back(axis.take());
-    }
-    for (const std::string &text : *point_flags) {
-        util::Result<search::Assignment> point =
-            search::parsePoint(text);
-        if (!point.ok())
-            return failWith(point.status());
-        spec.points.push_back(point.take());
-    }
     if (spec.axes.empty() && spec.points.empty()) {
         return failWith(Status::error(
             ErrorCode::InvalidArgument,
@@ -1159,51 +1096,10 @@ cmdServeListen(ArgParser &ap, const std::string &listen,
     lp.workers = jobs < 1 ? 1 : jobs;
     lp.statsIntervalResponses = stats_interval;
 
-    util::Result<int> max_inflight =
-        ap.intFlag("--max-inflight", int(lp.maxInflight));
-    if (!max_inflight.ok())
-        return failWith(max_inflight.status());
-    lp.maxInflight = size_t(*max_inflight < 0 ? 0 : *max_inflight);
-    util::Result<int> max_pipelined =
-        ap.intFlag("--max-pipelined", int(lp.maxPipelined));
-    if (!max_pipelined.ok())
-        return failWith(max_pipelined.status());
-    lp.maxPipelined = size_t(*max_pipelined < 1 ? 1 : *max_pipelined);
-    util::Result<int> max_conns =
-        ap.intFlag("--max-conns", int(lp.maxConns));
-    if (!max_conns.ok())
-        return failWith(max_conns.status());
-    lp.maxConns = size_t(*max_conns < 1 ? 1 : *max_conns);
-    util::Result<uint64_t> max_line =
-        ap.uint64Flag("--max-line-bytes", lp.maxFrameBytes);
-    if (!max_line.ok())
-        return failWith(max_line.status());
-    lp.maxFrameBytes = size_t(*max_line);
-    util::Result<uint64_t> max_write =
-        ap.uint64Flag("--max-write-buffer", lp.maxWriteBuffer);
-    if (!max_write.ok())
-        return failWith(max_write.status());
-    lp.maxWriteBuffer = size_t(*max_write);
-    util::Result<int> idle_ms =
-        ap.intFlag("--idle-timeout-ms", lp.idleTimeoutMs);
-    if (!idle_ms.ok())
-        return failWith(idle_ms.status());
-    lp.idleTimeoutMs = *idle_ms;
-    util::Result<int> read_ms =
-        ap.intFlag("--read-timeout-ms", lp.readTimeoutMs);
-    if (!read_ms.ok())
-        return failWith(read_ms.status());
-    lp.readTimeoutMs = *read_ms;
-    util::Result<int> watchdog_ms =
-        ap.intFlag("--watchdog-ms", lp.watchdogMs);
-    if (!watchdog_ms.ok())
-        return failWith(watchdog_ms.status());
-    lp.watchdogMs = *watchdog_ms;
-    util::Result<int> drain_ms =
-        ap.intFlag("--drain-grace-ms", lp.drainGraceMs);
-    if (!drain_ms.ok())
-        return failWith(drain_ms.status());
-    lp.drainGraceMs = *drain_ms;
+    util::FlagReader flags(ap);
+    visitFields(flags, lp);
+    if (!flags.status().ok())
+        return failWith(flags.status());
     Status extra = ap.finish();
     if (!extra.ok())
         return failWith(extra);
@@ -1347,15 +1243,9 @@ cmdServe(int argc, char **argv)
         // Register the --listen-mode flags too, so the one help page
         // covers both serve modes (they normally register inside
         // cmdServeListen, which only runs with --listen given).
-        (void)ap.intFlag("--max-inflight", 1);
-        (void)ap.intFlag("--max-pipelined", 1);
-        (void)ap.intFlag("--max-conns", 1);
-        (void)ap.uint64Flag("--max-line-bytes", 0);
-        (void)ap.uint64Flag("--max-write-buffer", 0);
-        (void)ap.intFlag("--idle-timeout-ms", 1);
-        (void)ap.intFlag("--read-timeout-ms", 1);
-        (void)ap.intFlag("--watchdog-ms", 1);
-        (void)ap.intFlag("--drain-grace-ms", 1);
+        net::ListenerParams listen_flags;
+        util::FlagReader help(ap);
+        visitFields(help, listen_flags);
         if (helpOut(ap,
                     "serve [--batch FILE] [flags]  |  serve --listen "
                     "HOST:PORT | --listen-unix PATH [flags]",
@@ -1510,24 +1400,10 @@ cmdBenchServe(int argc, char **argv)
         ap.stringFlag("--connect-unix");
     if (!connect_unix.ok())
         return failWith(connect_unix.status());
-    util::Result<int> connections =
-        ap.intFlag("--connections", lg.connections);
-    if (!connections.ok())
-        return failWith(connections.status());
-    util::Result<int> pipeline = ap.intFlag("--pipeline", lg.pipeline);
-    if (!pipeline.ok())
-        return failWith(pipeline.status());
-    util::Result<double> qps = ap.doubleFlag("--qps", lg.qps);
-    if (!qps.ok())
-        return failWith(qps.status());
-    util::Result<double> duration =
-        ap.doubleFlag("--duration-s", lg.durationS);
-    if (!duration.ok())
-        return failWith(duration.status());
-    util::Result<int> drain_ms =
-        ap.intFlag("--drain-timeout-ms", lg.drainTimeoutMs);
-    if (!drain_ms.ok())
-        return failWith(drain_ms.status());
+    util::FlagReader flags(ap);
+    visitFields(flags, lg);
+    if (!flags.status().ok())
+        return failWith(flags.status());
     util::Result<std::string> requests = ap.stringFlag("--requests");
     if (!requests.ok())
         return failWith(requests.status());
@@ -1555,11 +1431,6 @@ cmdBenchServe(int argc, char **argv)
             return failWith(hp);
     }
     lg.unixPath = *connect_unix;
-    lg.connections = *connections;
-    lg.pipeline = *pipeline;
-    lg.qps = *qps;
-    lg.durationS = *duration;
-    lg.drainTimeoutMs = *drain_ms;
     if (!requests->empty()) {
         std::ifstream in(*requests);
         if (!in) {
@@ -1580,17 +1451,13 @@ cmdBenchServe(int argc, char **argv)
     } else {
         // A small, fast request so the default run exercises the
         // server rather than one giant simulation.
-        std::string request;
-        util::JsonWriter(request)
-            .beginObject()
-            .member("schema_version", 1)
-            .member("platform", "skl")
-            .member("workload", "isx")
-            .member("cores", 6)
-            .member("warmup_us", 5)
-            .member("measure_us", 10)
-            .end();
-        lg.requestLines = {request};
+        core::StageRequest request;
+        request.platformName = "skl";
+        request.workloadName = "isx";
+        request.cores = 6;
+        request.warmupUs = 5;
+        request.measureUs = 10;
+        lg.requestLines = {core::requestLine(request)};
     }
 
     std::signal(SIGPIPE, SIG_IGN);
