@@ -1,59 +1,47 @@
-# Asserts the unified `--help` contract (DESIGN.md §17.5): every
-# subcommand answers `lll <cmd> --help` with exit 0, the shared
-# "usage: lll" header, and the flags it registered on its ArgParser —
-# even when the surrounding arguments would otherwise be a usage error.
-# Run via: cmake -DLLL_BIN=<path-to-lll> -P cli_help.cmake
+# Pins the CLI's help surface byte for byte (DESIGN.md §17.5): `lll
+# --help`, every command's `lll <cmd> --help` page and the stdout of the
+# three static tables (platforms, workloads, vendors) must equal
+# tests/golden/cli_help.txt.  A deliberate change regenerates the golden
+# from the file this script writes on a mismatch.
+# Run via: cmake -DLLL_BIN=... -DGOLDEN_DIR=... -DWORK_DIR=... -P cli_help.cmake
 
-# expect_help(<cmd> [needle ...]): `lll <cmd> --help` exits 0, prints
-# the shared usage header, and mentions every needle.
-function(expect_help cmd)
-    execute_process(COMMAND ${LLL_BIN} ${cmd} --help
+set(text "")
+
+# capture(<arg> ...): `lll <arg> ...` exits 0; append "$ lll <args>"
+# and its stdout to text.
+macro(capture)
+    execute_process(COMMAND ${LLL_BIN} ${ARGN}
                     RESULT_VARIABLE got
                     OUTPUT_VARIABLE out
                     ERROR_VARIABLE err)
     if(NOT got EQUAL 0)
         message(FATAL_ERROR
-                "lll ${cmd} --help: expected exit 0, got ${got}\n"
-                "${out}${err}")
+                "lll ${ARGN}: expected exit 0, got ${got}\n${out}${err}")
     endif()
-    if(NOT out MATCHES "usage: lll")
-        message(FATAL_ERROR
-                "lll ${cmd} --help: missing shared usage header:\n"
-                "${out}")
-    endif()
-    foreach(needle ${ARGN})
-        string(FIND "${out}" "${needle}" at)
-        if(at EQUAL -1)
-            message(FATAL_ERROR
-                    "lll ${cmd} --help: registered flag "
-                    "\"${needle}\" not documented:\n${out}")
-        endif()
-    endforeach()
-endfunction()
+    string(JOIN " " line ${ARGN})
+    string(APPEND text "$ lll ${line}\n${out}")
+endmacro()
 
-# Every dispatched subcommand answers --help, with its registered
-# flags present in the rendered text.
-expect_help(platforms)
-expect_help(workloads)
-expect_help(vendors)
-expect_help(characterize --fresh --jobs)
-expect_help(analyze --cores --json --metrics)
-expect_help(trace --cores --json --metrics)
-expect_help(walk)
-expect_help(table --jobs --cache-dir --spill-budget)
-expect_help(sweep --jobs --cache-dir --max-entries --json)
-expect_help(reproduce --jobs --cache-dir)
-expect_help(roofline)
-expect_help(selftest --iterations --seed --verbose)
-expect_help(lint --profile --json --determinism --seeds)
-expect_help(audit --root --json --fix-plan)
-expect_help(serve --batch --jobs --listen --listen-unix
-            --max-inflight --watchdog-ms)
-expect_help(search --axis --point --list-axes --no-prune
-            --bank-weight --max-candidates --jobs --json)
-expect_help(bench --trials --json --compare)
-expect_help(bench-serve --connect --qps --json)
-expect_help(profile --out --top)
+capture(--help)
+foreach(cmd platforms workloads vendors characterize analyze trace walk
+            table sweep reproduce roofline selftest lint audit serve
+            search bench bench-serve profile)
+    capture(${cmd} --help)
+endforeach()
+foreach(cmd platforms workloads vendors)
+    capture(${cmd})
+endforeach()
+
+set(actual "${WORK_DIR}/cli_help.txt")
+file(WRITE ${actual} "${text}")
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${GOLDEN_DIR}/cli_help.txt ${actual}
+                RESULT_VARIABLE differs)
+if(differs)
+    message(FATAL_ERROR
+            "CLI help drifted from ${GOLDEN_DIR}/cli_help.txt; compare "
+            "with ${actual}:\n${text}")
+endif()
 
 # -h is the short spelling, and help mode wins over what would
 # otherwise be usage errors around it.
