@@ -16,10 +16,12 @@
  *  - name registry (LLL-SRC-110..112): every metric/span-shaped string
  *    literal and every `LLL-XXX-NNN` diagnostic-ID literal must match
  *    the checked-in registry (util/names.hh) exactly;
- *  - API hygiene (LLL-SRC-120..122): Status/Result-returning header
+ *  - API hygiene (LLL-SRC-120..124): Status/Result-returning header
  *    declarations must carry [[nodiscard]]; raw clocks, rand/time and
  *    exit are banned outside their one sanctioned home; [[deprecated]]
- *    symbols must not be referenced from non-test code.
+ *    symbols must not be referenced from non-test code; JSON is
+ *    written by util::JsonWriter and flags are read by
+ *    util::FlagReader only.
  *
  * Everything is a pure function of the file bytes — no compiler, no
  * network, no environment — so audit output is byte-deterministic and

@@ -1,9 +1,10 @@
 /**
  * @file
- * API-hygiene checks (LLL-SRC-120..123): [[nodiscard]] on every
+ * API-hygiene checks (LLL-SRC-120..124): [[nodiscard]] on every
  * Status/Result-returning header declaration, banned raw time/rand/exit
- * APIs, no non-test references to [[deprecated]] symbols, and no JSON
- * member spelled by hand outside util::JsonWriter.
+ * APIs, no non-test references to [[deprecated]] symbols, no JSON
+ * member spelled by hand outside util::JsonWriter, and no flag read
+ * outside util::FlagReader.
  */
 
 #include <map>
@@ -241,6 +242,40 @@ checkJsonLiterals(const SourceFile &f, AuditReport &report)
     }
 }
 
+const std::set<std::string> kFlagAccessors = {"valueFlag", "boolFlag",
+                                               "stringList"};
+
+/**
+ * Flag reads by hand (LLL-SRC-124).  A command reads its flags through
+ * util::FlagReader walking its request's field list, so each flag gets
+ * the JSON decoder's range check and its help line; a call to the
+ * ArgParser accessors FlagReader wraps, outside src/util, is a second
+ * decoder in the making.
+ */
+void
+checkFlagReads(const SourceFile &f, AuditReport &report)
+{
+    if (f.relPath.rfind("src/util/", 0) == 0)
+        return;
+    const std::vector<Token> &toks = f.tokens;
+    for (size_t i = 2; i + 1 < toks.size(); ++i) {
+        // A member call: `ap.boolFlag(` or `p->boolFlag(`.
+        const bool member = toks[i - 1].isPunct(".") ||
+                            (toks[i - 1].isPunct(">") &&
+                             toks[i - 2].isPunct("-"));
+        if (!member || toks[i].kind != Token::Kind::Ident ||
+            kFlagAccessors.count(toks[i].text) == 0 ||
+            !toks[i + 1].isPunct("("))
+            continue;
+        report.add({"LLL-SRC-124", util::Severity::Error,
+                    at(f, toks[i].line),
+                    "flag read by hand: ArgParser::" + toks[i].text +
+                        "() outside src/util"},
+                   "give the command's request a field list and read it "
+                   "with util::FlagReader");
+    }
+}
+
 /** A symbol marked [[deprecated]] and where it lives. */
 struct DeprecatedSymbol
 {
@@ -332,8 +367,10 @@ checkApiHygiene(const std::vector<SourceFile> &files,
         checkBannedApis(f, report);
     }
     checkDeprecatedRefs(files, report);
-    for (const SourceFile &f : files)
+    for (const SourceFile &f : files) {
         checkJsonLiterals(f, report);
+        checkFlagReads(f, report);
+    }
 }
 
 } // namespace lll::audit

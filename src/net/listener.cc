@@ -717,19 +717,15 @@ struct Listener::Impl
         if (responsesWritten %
                 uint64_t(params.statsIntervalResponses) != 0)
             return;
-        const obs::Log2Histogram &req = m->requestNs;
-        const obs::Log2Histogram &queue = m->queueWaitNs;
         std::fprintf(
             stderr,
             "serve net stats: %llu responses (%llu admitted, %llu "
-            "shed) — request p50/p90/p99 %.2f/%.2f/%.2f ms, queue "
-            "%.2f/%.2f/%.2f ms\n",
+            "shed) — request p50/p90/p99 %s ms, queue %s ms\n",
             static_cast<unsigned long long>(responsesWritten),
             static_cast<unsigned long long>(m->admitted.value()),
             static_cast<unsigned long long>(m->shed.value()),
-            req.percentile(0.50) / 1e6, req.percentile(0.90) / 1e6,
-            req.percentile(0.99) / 1e6, queue.percentile(0.50) / 1e6,
-            queue.percentile(0.90) / 1e6, queue.percentile(0.99) / 1e6);
+            obs::percentilesMs(m->requestNs).c_str(),
+            obs::percentilesMs(m->queueWaitNs).c_str());
     }
 
     void watchdogSnapshot(WallClock::time_point now)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 namespace lll::obs
 {
@@ -92,6 +93,16 @@ Log2Histogram::reset()
     sum_ = 0.0;
     min_ = 0.0;
     max_ = 0.0;
+}
+
+std::string
+percentilesMs(const Log2Histogram &h)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.2f/%.2f/%.2f",
+                  h.percentile(0.50) / 1e6, h.percentile(0.90) / 1e6,
+                  h.percentile(0.99) / 1e6);
+    return buf;
 }
 
 void

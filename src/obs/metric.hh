@@ -184,6 +184,10 @@ class Log2Histogram
     double max_ = 0.0;
 };
 
+/** p50/p90/p99 of @p h (nanosecond samples) as "a/b/c" in ms, two
+ *  decimals each — the one spelling of every latency stat line. */
+std::string percentilesMs(const Log2Histogram &h);
+
 /**
  * Bounded ring of (tick, value) samples; the sampler pushes one entry
  * per snapshot and the oldest entries fall off once capacity is hit, so

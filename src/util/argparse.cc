@@ -1,10 +1,6 @@
 #include "util/argparse.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <sstream>
 
 namespace lll::util
@@ -64,12 +60,6 @@ util::Result<std::string> ArgParser::extractValue(const std::string &flag)
     return value;
 }
 
-util::Result<std::string> ArgParser::stringFlag(const std::string &flag,
-                                                const char *help)
-{
-    return valueFlag(flag, "S", help);
-}
-
 util::Result<std::string> ArgParser::valueFlag(const std::string &flag,
                                                const char *metavar,
                                                const char *help)
@@ -101,77 +91,6 @@ ArgParser::stringList(const std::string &flag, const char *help)
                     args_.begin() + static_cast<long>(i) + 2);
     }
     return values;
-}
-
-util::Result<int> ArgParser::intFlag(const std::string &flag, int fallback,
-                                     const char *help)
-{
-    record(flag, "N", help, false);
-    if (helpRequested_)
-        return fallback;
-    util::Result<std::string> raw = extractValue(flag);
-    if (!raw.ok())
-        return raw.status();
-    if (raw->empty())
-        return fallback;
-    // strtol saturates to LONG_MAX on overflow, which the INT_MAX bound
-    // rejects; a plain cast would wrap 2^32 + 10 to 10.
-    char *end = nullptr;
-    const long n = std::strtol(raw->c_str(), &end, 10);
-    if (*end != '\0' || n < 1 || n > INT_MAX) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "%s wants a positive integer, got '%s'",
-                             flag.c_str(), raw->c_str());
-    }
-    return static_cast<int>(n);
-}
-
-util::Result<uint64_t> ArgParser::uint64Flag(const std::string &flag,
-                                             uint64_t fallback,
-                                             const char *help)
-{
-    record(flag, "N", help, false);
-    if (helpRequested_)
-        return fallback;
-    util::Result<std::string> raw = extractValue(flag);
-    if (!raw.ok())
-        return raw.status();
-    if (raw->empty())
-        return fallback;
-    // strtoull negates a leading '-' and saturates past 2^64; accept
-    // plain digits only and reject the overflow.
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(raw->c_str(), &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(raw->front())) ||
-        *end != '\0' || errno == ERANGE) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "%s wants an unsigned integer, got '%s'",
-                             flag.c_str(), raw->c_str());
-    }
-    return static_cast<uint64_t>(n);
-}
-
-util::Result<double> ArgParser::doubleFlag(const std::string &flag,
-                                           double fallback,
-                                           const char *help)
-{
-    record(flag, "X", help, false);
-    if (helpRequested_)
-        return fallback;
-    util::Result<std::string> raw = extractValue(flag);
-    if (!raw.ok())
-        return raw.status();
-    if (raw->empty())
-        return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(raw->c_str(), &end);
-    if (*end != '\0' || !(v >= 0.0) || v > 1e300) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "%s wants a non-negative number, got '%s'",
-                             flag.c_str(), raw->c_str());
-    }
-    return v;
 }
 
 util::Result<bool> ArgParser::boolFlag(const std::string &flag,

@@ -2,32 +2,32 @@
  * @file
  * Shared subcommand flag parsing for the `lll` CLI.
  *
- * Before this header every subcommand hand-rolled its own flag loop,
- * and the edges drifted: some rejected a repeated `--json`, some kept
- * the first, some the last; unknown flags exited through three
- * different messages.  ArgParser centralizes the contract once:
+ * ArgParser holds one command's arguments and the contract every
+ * command shares:
  *
  *   - flags are extracted destructively in any order, leaving
  *     positional operands (workload names, optimization tokens) behind
- *     for the subcommand to interpret;
+ *     for the command to interpret;
  *   - a valued flag without its value is "FLAG needs an argument";
  *   - a flag given twice is "FLAG given more than once" (never a
  *     silent first/last-wins);
- *   - finish() rejects anything left over that the subcommand did not
+ *   - finish() rejects anything left over that the command did not
  *     claim: "unknown flag '-x'" / "unexpected argument 'x'".
  *
  * All failures are InvalidArgument, which util::exitCodeFor maps to
- * the CLI's usage exit code (2) — so `--jobs`, `--cache-dir`,
- * `--json`, `--cores` behave identically across every subcommand.
+ * the CLI's usage exit code (2).
+ *
+ * Commands read their flags only through FlagReader, which walks a
+ * request's field list (util/fields.hh) and checks each number with
+ * the range the JSON decoder uses; the audit (LLL-SRC-124) refuses a
+ * direct accessor call outside src/util.
  *
  * The parser is also the single source of `--help` truth: the
  * constructor strips `--help` / `-h`, every accessor registers its
  * flag (name, value shape, one-line help), and helpText() renders the
- * one usage format every subcommand shares.  In help mode accessors
- * return their fallbacks without validating anything — the command
- * checks helpRequested() once its flags are registered, prints, and
- * exits 0 — so `lll <cmd> --help` never fails on the arguments around
- * it.
+ * one usage format every command shares.  In help mode accessors
+ * return their fallbacks without validating anything, so `lll <cmd>
+ * --help` never fails on the arguments around it.
  */
 
 #ifndef LLL_UTIL_ARGPARSE_HH
@@ -57,28 +57,17 @@ struct FlagInfo
 class ArgParser
 {
   public:
-    /** Parse over @p args (typically argv[first..argc)).  `--help` /
-     *  `-h` anywhere in the list is stripped and latched. */
+    /** Parse over @p args (a command's arguments).  `--help` / `-h`
+     *  anywhere in the list is stripped and latched. */
     explicit ArgParser(std::vector<std::string> args)
         : args_(std::move(args))
     {
         stripHelp();
     }
 
-    ArgParser(int argc, char **argv, int first)
-        : args_(argv + (first < argc ? first : argc), argv + argc)
-    {
-        stripHelp();
-    }
-
-    /**
-     * Extract `FLAG VALUE`; empty string when the flag is absent.
-     * Errors on a missing value or a repeated flag.
-     */
-    [[nodiscard]] util::Result<std::string> stringFlag(const std::string &flag,
-                                         const char *help = nullptr);
-
-    /** stringFlag() with the value's help metavar ("N", "X", ...). */
+    /** Extract `FLAG VALUE`; empty string when the flag is absent.
+     *  Errors on a missing value or a repeated flag.  @p metavar is
+     *  the value's help spelling ("N", "X", "S"). */
     [[nodiscard]] util::Result<std::string>
     valueFlag(const std::string &flag, const char *metavar,
               const char *help);
@@ -88,34 +77,11 @@ class ArgParser
      * (repeatable flags: "--axis a=1,2 --axis b=3,4").
      */
     [[nodiscard]] util::Result<std::vector<std::string>>
-    stringList(const std::string &flag, const char *help = nullptr);
-
-    /**
-     * Extract `FLAG N` as a strictly positive integer; @p fallback
-     * when absent ("--jobs", "--cores", "--iterations"...).
-     */
-    [[nodiscard]] util::Result<int> intFlag(const std::string &flag, int fallback,
-                              const char *help = nullptr);
-
-    /**
-     * Extract `FLAG N` as an unsigned 64-bit value; @p fallback when
-     * absent ("--seed").
-     */
-    [[nodiscard]] util::Result<uint64_t> uint64Flag(const std::string &flag,
-                                      uint64_t fallback,
-                                      const char *help = nullptr);
-
-    /**
-     * Extract `FLAG X` as a finite non-negative double; @p fallback
-     * when absent ("--tolerance", "--measure-ms").
-     */
-    [[nodiscard]] util::Result<double> doubleFlag(const std::string &flag,
-                                    double fallback,
-                                    const char *help = nullptr);
+    stringList(const std::string &flag, const char *help);
 
     /** Extract a bare `FLAG`; false when absent, error on repeats. */
     [[nodiscard]] util::Result<bool> boolFlag(const std::string &flag,
-                                const char *help = nullptr);
+                                              const char *help);
 
     /** Positional operands left after flag extraction. */
     const std::vector<std::string> &rest() const { return args_; }
@@ -134,9 +100,6 @@ class ArgParser
     /** `--help` / `-h` was present.  Check once every flag accessor
      *  has run (registration is what fills the help text). */
     bool helpRequested() const { return helpRequested_; }
-
-    /** Every flag registered so far, in registration order. */
-    const std::vector<FlagInfo> &flags() const { return flags_; }
 
     /**
      * The one shared help format: "usage: lll <usage_tail>" plus one
@@ -224,6 +187,12 @@ class FlagReader
                 status_ = raw.status();
             else if (!raw->empty())
                 status_ = parseFlagValue(flag, *raw, o, v);
+        } else if constexpr (std::is_same_v<U, std::string>) {
+            util::Result<std::string> raw = ap_.valueFlag(flag, "S", o.help);
+            if (!raw.ok())
+                status_ = raw.status();
+            else if (!raw->empty())
+                v = raw.take();
         } else if constexpr (WireVector<U>) {
             util::Result<std::vector<std::string>> raw =
                 ap_.stringList(flag, o.help);

@@ -313,6 +313,7 @@ inline constexpr DiagId kDiagIds[] = {
     {"LLL-SRC-121", "banned API (raw clock, rand, time, exit)"},
     {"LLL-SRC-122", "deprecated symbol referenced from non-test code"},
     {"LLL-SRC-123", "JSON member spelled by hand outside util::JsonWriter"},
+    {"LLL-SRC-124", "command-line flag read outside a field list"},
 };
 
 } // namespace lll::util::names

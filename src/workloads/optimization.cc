@@ -42,11 +42,7 @@ optShortName(Opt opt)
 std::optional<Opt>
 optFromShortName(const std::string &name)
 {
-    static constexpr Opt kAll[] = {
-        Opt::Vectorize,  Opt::Smt2,      Opt::Smt4,   Opt::SwPrefetchL2,
-        Opt::Tiling,     Opt::UnrollJam, Opt::Fusion, Opt::Distribution,
-    };
-    for (Opt o : kAll) {
+    for (Opt o : kAllOpts) {
         if (name == optShortName(o))
             return o;
     }

@@ -35,6 +35,12 @@ enum class Opt : uint8_t
     Distribution,   //!< loop distribution (anti-fusion)
 };
 
+/** Every Opt, in declaration order. */
+inline constexpr Opt kAllOpts[] = {
+    Opt::Vectorize, Opt::Smt2,      Opt::Smt4,   Opt::SwPrefetchL2,
+    Opt::Tiling,    Opt::UnrollJam, Opt::Fusion, Opt::Distribution,
+};
+
 const char *optName(Opt opt);
 
 /** Short label used in table rows ("vect", "2-ht", "l2-pref", ...). */

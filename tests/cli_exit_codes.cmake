@@ -72,6 +72,8 @@ file(MAKE_DIRECTORY "${_serve_dir}")
 file(WRITE "${_serve_dir}/empty.jsonl" "")
 expect_exit(0 serve --batch "${_serve_dir}/empty.jsonl")
 expect_exit(2 serve --batch "${_serve_dir}/empty.jsonl" --spill-budget -1)
+# The socket front-end's flags are refused in batch mode.
+expect_exit(2 serve --batch "${_serve_dir}/empty.jsonl" --max-inflight 3)
 file(WRITE "${_serve_dir}/bad.jsonl"
      "{\"schema_version\": 1, \"platform\": \"nope\", \"workload\": \"isx\"}\n")
 expect_exit(3 serve --batch "${_serve_dir}/bad.jsonl")
@@ -88,3 +90,12 @@ expect_exit(3 lint isx nope)                 # unknown platform
 expect_exit(3 lint nope skl)                 # unknown workload
 expect_exit(3 lint isx skl 4-ht)             # statically infeasible
 expect_exit(0 lint isx skl)                  # feasible spec lints clean
+
+# --seeds takes unsigned integers: "-1" used to wrap to 2^64 - 1 and a
+# leading space passed.
+expect_exit(2 lint isx skl --determinism --seeds -1)
+expect_exit(2 lint isx skl --determinism --seeds " 3")
+
+# Two exports on stdout would interleave two documents.
+expect_exit(2 analyze isx skl --json - --metrics -)
+expect_exit(2 trace isx skl --json - --metrics -)

@@ -16,5 +16,6 @@ shutDown()
 }
 
 const char *kBody = "{\"id\": 1}"; // hand-written JSON (LLL-SRC-123)
+bool kFresh = ap.boolFlag("--fresh", ""); // flag read by hand (LLL-SRC-124)
 
 } // namespace demo

@@ -111,7 +111,8 @@ TEST(AuditTest, FixtureTreeFiresEveryFileLevelCheck)
     const std::set<std::string> ids(all.begin(), all.end());
     for (const char *want :
          {"LLL-SRC-101", "LLL-SRC-103", "LLL-SRC-110", "LLL-SRC-111",
-          "LLL-SRC-120", "LLL-SRC-121", "LLL-SRC-122", "LLL-SRC-123"}) {
+          "LLL-SRC-120", "LLL-SRC-121", "LLL-SRC-122", "LLL-SRC-123",
+          "LLL-SRC-124"}) {
         EXPECT_TRUE(ids.count(want)) << "missing " << want;
     }
     // Fixture stats double as a lexer regression net.
@@ -203,6 +204,32 @@ TEST(AuditTest, JsonMemberLiteralsOutsideTheWriterAreReported)
     EXPECT_EQ(findings("src/faultinject/n.cc", "faultinject",
                        "f(\"{\\\"k\\\": 1}\");"),
               one);
+}
+
+TEST(AuditTest, FlagReadsOutsideTheFieldListsAreReported)
+{
+    auto findings = [](const std::string &rel, const std::string &text) {
+        audit::SourceFile f;
+        f.relPath = rel;
+        f.module = "cli";
+        f.tokens = audit::lexTokens(text);
+        AuditReport report;
+        audit::checkApiHygiene({f}, report);
+        return idsOf(report);
+    };
+    const std::vector<std::string> one{"LLL-SRC-124"};
+    EXPECT_EQ(findings("tools/cli/a.cc", "ap.boolFlag(\"--x\", \"\");"), one);
+    EXPECT_EQ(findings("src/a/a.cc", "p->valueFlag(\"--x\", \"N\", h);"),
+              one);
+    EXPECT_EQ(findings("tools/cli/a.cc", "ap.stringList(\"--x\", h);"), one);
+    // FlagReader itself, declarations and mere mentions are fine.
+    EXPECT_TRUE(
+        findings("src/util/argparse.hh", "ap_.boolFlag(flag, o.help);")
+            .empty());
+    EXPECT_TRUE(findings("tools/cli/a.cc",
+                         "util::FlagReader flags(ap); visitFields(flags, r);")
+                    .empty());
+    EXPECT_TRUE(findings("src/a/a.hh", "Result<bool> boolFlag(int);").empty());
 }
 
 TEST(AuditTest, FindRepoRootWalksUp)

@@ -404,19 +404,46 @@ TEST(FmtTest, Speedup)
 
 // --- argparse -----------------------------------------------------------
 
+/** One field of every shape FlagReader reads off the command line. */
+struct FlagProbe
+{
+    std::string json;
+    int jobs = 1;
+    int cores = 0;
+    uint64_t budget = 11;
+    bool verbose = false;
+};
+
+template <class V, util::RecordOf<FlagProbe> R>
+void
+visitFields(V &v, R &r)
+{
+    v("json", r.json, {.help = ""});
+    v("jobs", r.jobs, {.lo = 1, .help = ""});
+    v("cores", r.cores, {.lo = 1, .help = ""});
+    v("spill_budget", r.budget, {.help = ""});
+    v("verbose", r.verbose, {.help = ""});
+}
+
+/** Reads @p probe's flags off @p ap: the first problem, if any. */
+util::Status
+readFlags(util::ArgParser &ap, FlagProbe &probe)
+{
+    util::FlagReader flags(ap);
+    visitFields(flags, probe);
+    return flags.status();
+}
+
 TEST(ArgParserTest, ExtractsFlagsInAnyOrderLeavingPositionals)
 {
     util::ArgParser ap({"isx", "--jobs", "4", "skl", "--json", "out",
-                        "vect", "--cores", "8"});
-    util::Result<std::string> json = ap.stringFlag("--json");
-    ASSERT_TRUE(json.ok());
-    EXPECT_EQ(*json, "out");
-    util::Result<int> jobs = ap.intFlag("--jobs", 1);
-    ASSERT_TRUE(jobs.ok());
-    EXPECT_EQ(*jobs, 4);
-    util::Result<int> cores = ap.intFlag("--cores", 0);
-    ASSERT_TRUE(cores.ok());
-    EXPECT_EQ(*cores, 8);
+                        "vect", "--cores", "8", "--verbose"});
+    FlagProbe probe;
+    ASSERT_TRUE(readFlags(ap, probe).ok());
+    EXPECT_EQ(probe.json, "out");
+    EXPECT_EQ(probe.jobs, 4);
+    EXPECT_EQ(probe.cores, 8);
+    EXPECT_TRUE(probe.verbose);
     ASSERT_EQ(ap.rest().size(), 3u);
     EXPECT_EQ(ap.rest()[0], "isx");
     EXPECT_EQ(ap.rest()[1], "skl");
@@ -428,76 +455,46 @@ TEST(ArgParserTest, ExtractsFlagsInAnyOrderLeavingPositionals)
 TEST(ArgParserTest, AbsentFlagsFallBack)
 {
     util::ArgParser ap({});
-    util::Result<std::string> s = ap.stringFlag("--batch");
-    ASSERT_TRUE(s.ok());
-    EXPECT_TRUE(s->empty());
-    util::Result<int> i = ap.intFlag("--jobs", 7);
-    ASSERT_TRUE(i.ok());
-    EXPECT_EQ(*i, 7);
-    util::Result<uint64_t> u = ap.uint64Flag("--seed", 11);
-    ASSERT_TRUE(u.ok());
-    EXPECT_EQ(*u, 11u);
-    util::Result<bool> b = ap.boolFlag("--json");
-    ASSERT_TRUE(b.ok());
-    EXPECT_FALSE(*b);
+    FlagProbe probe;
+    ASSERT_TRUE(readFlags(ap, probe).ok());
+    EXPECT_TRUE(probe.json.empty());
+    EXPECT_EQ(probe.jobs, 1);
+    EXPECT_EQ(probe.budget, 11u);
+    EXPECT_FALSE(probe.verbose);
     EXPECT_TRUE(ap.finish().ok());
 }
 
 TEST(ArgParserTest, MissingValueRepeatsAndLeftoversAreUsageErrors)
 {
-    {
-        util::ArgParser ap({"--json"});
-        util::Result<std::string> r = ap.stringFlag("--json");
-        ASSERT_FALSE(r.ok());
-        EXPECT_EQ(r.status().code(), util::ErrorCode::InvalidArgument);
-        EXPECT_NE(r.status().message().find("--json needs an argument"),
-                  std::string::npos)
-            << r.status().message();
-    }
-    {
-        util::ArgParser ap({"--jobs", "2", "--jobs", "3"});
-        util::Result<int> r = ap.intFlag("--jobs", 1);
-        ASSERT_FALSE(r.ok());
-        EXPECT_NE(r.status().message().find("given more than once"),
-                  std::string::npos);
-    }
-    {
-        util::ArgParser ap({"--jobs", "zero"});
-        util::Result<int> r = ap.intFlag("--jobs", 1);
-        ASSERT_FALSE(r.ok());
-        EXPECT_NE(r.status().message().find("positive integer"),
-                  std::string::npos);
-    }
-    {
-        util::ArgParser ap({"--jobs", "0"});
-        util::Result<int> r = ap.intFlag("--jobs", 1);
-        EXPECT_FALSE(r.ok());
-    }
-    // Values that do not fit the flag's type are refused, not wrapped:
+    auto fails = [](std::vector<std::string> args, const char *needle) {
+        util::ArgParser ap(std::move(args));
+        FlagProbe probe;
+        util::Status s = readFlags(ap, probe);
+        EXPECT_EQ(s.code(), util::ErrorCode::InvalidArgument);
+        EXPECT_NE(s.message().find(needle), std::string::npos)
+            << s.message();
+    };
+    fails({"--json"}, "--json needs an argument");
+    fails({"--jobs", "2", "--jobs", "3"}, "given more than once");
+    fails({"--verbose", "--verbose"}, "given more than once");
+    fails({"--jobs", "zero"}, "--jobs wants an integer in [1, ");
+    fails({"--jobs", "0"}, "--jobs wants an integer in [1, ");
+    // Values that do not fit the field's type are refused, not wrapped:
     // 2^32 + 10 would otherwise truncate to 10, and strtoull negates
     // "-1" and saturates past 2^64.
     for (const char *raw : {"4294967306", "2147483648",
-                            "99999999999999999999"}) {
-        util::ArgParser ap({"--cores", raw});
-        util::Result<int> r = ap.intFlag("--cores", 1);
-        ASSERT_FALSE(r.ok()) << raw;
-        EXPECT_EQ(r.status().code(), util::ErrorCode::InvalidArgument);
-        EXPECT_NE(r.status().message().find("positive integer"),
-                  std::string::npos);
-    }
+                            "99999999999999999999"})
+        fails({"--cores", raw}, "--cores wants an integer in [1, 2147483647]");
     for (const char *raw : {"-1", "+1", " 1", "18446744073709551616"}) {
-        util::ArgParser ap({"--spill-budget", raw});
-        util::Result<uint64_t> r = ap.uint64Flag("--spill-budget", 0);
-        ASSERT_FALSE(r.ok()) << raw;
-        EXPECT_EQ(r.status().code(), util::ErrorCode::InvalidArgument);
-        EXPECT_NE(r.status().message().find("unsigned integer"),
-                  std::string::npos);
+        fails({"--spill-budget", raw},
+              "--spill-budget wants an integer in [0, "
+              "18446744073709551615]");
     }
     {
         util::ArgParser ap({"--spill-budget", "18446744073709551615"});
-        util::Result<uint64_t> r = ap.uint64Flag("--spill-budget", 0);
-        ASSERT_TRUE(r.ok()) << r.status().toString();
-        EXPECT_EQ(*r, UINT64_MAX);
+        FlagProbe probe;
+        ASSERT_TRUE(readFlags(ap, probe).ok());
+        EXPECT_EQ(probe.budget, UINT64_MAX);
     }
     {
         util::ArgParser ap({"--bogus"});
@@ -513,6 +510,19 @@ TEST(ArgParserTest, MissingValueRepeatsAndLeftoversAreUsageErrors)
         EXPECT_NE(s.message().find("unexpected argument 'stray'"),
                   std::string::npos);
     }
+}
+
+TEST(ArgParserTest, HelpModeRegistersFlagsWithoutReadingThem)
+{
+    util::ArgParser ap({"--jobs", "0", "--help"});
+    FlagProbe probe;
+    ASSERT_TRUE(readFlags(ap, probe).ok());
+    EXPECT_TRUE(ap.helpRequested());
+    EXPECT_EQ(probe.jobs, 1);
+    EXPECT_EQ(ap.helpText("probe [flags]"),
+              "usage: lll probe [flags]\n\nflags:\n"
+              "  --json S\n  --jobs N\n  --cores N\n  --spill-budget N\n"
+              "  --verbose\n");
 }
 
 // --- json parser --------------------------------------------------------
