@@ -203,35 +203,4 @@ Experiment::speedup(const workloads::OptSet &from,
     return opt / base;
 }
 
-std::vector<TableRow>
-Experiment::paperTable()
-{
-    const Recipe recipe(platform_);
-    std::vector<TableRow> rows;
-    for (const workloads::ExperimentRow &er :
-         workload_.paperRows(platform_)) {
-        const StageMetrics &src = stage(er.source);
-        TableRow row;
-        row.source = src.label;
-        row.bwGBs = src.analysis.bwGBs;
-        row.pctPeak = src.analysis.pctPeak;
-        row.latencyNs = src.analysis.latencyNs;
-        row.nAvg = src.analysis.nAvg;
-        row.optLabel = er.optLabel;
-        row.paperSpeedup = er.paperSpeedup;
-        if (er.applied) {
-            row.speedup = speedup(er.source, *er.applied);
-            // Was one of the optimizations this row adds on the
-            // recipe's list at the source state?
-            for (workloads::Opt o :
-                 recipe.advise(src.analysis, er.source).recommendedOpts()) {
-                if (er.applied->has(o) && !er.source.has(o))
-                    row.recipeRecommended = true;
-            }
-        }
-        rows.push_back(row);
-    }
-    return rows;
-}
-
 } // namespace lll::core

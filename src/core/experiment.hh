@@ -1,12 +1,14 @@
 /**
  * @file
- * Experiment runner: executes a workload's optimization walk on a
- * platform and produces the rows of the paper's Tables IV–IX.
+ * Experiment runner: simulates a workload's optimization states on a
+ * platform, one stage per state, and analyzes each with Little's law.
  *
  * Each unique optimization state is simulated once (results are cached
- * by label); rows report the paper's columns — observed bandwidth with
- * percent of peak, loaded latency from the X-Mem profile, the Little's-
- * law n_avg — plus the measured speedup of the optimization tried on top.
+ * by label).  The rows of the paper's Tables IV–IX are assembled from
+ * such stages (core/sweep.hh): the paper's columns — observed bandwidth
+ * with percent of peak, loaded latency from the X-Mem profile, the
+ * Little's-law n_avg — plus the measured speedup of the optimization
+ * tried on top.
  */
 
 #ifndef LLL_CORE_EXPERIMENT_HH
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "core/analyzer.hh"
-#include "core/recipe.hh"
 #include "counters/counter_bank.hh"
 #include "obs/registry.hh"
 #include "obs/sampler.hh"
@@ -151,13 +152,6 @@ class Experiment
     /** Measured speedup of @p to over @p from (throughput ratio). */
     double speedup(const workloads::OptSet &from,
                    const workloads::OptSet &to);
-
-    /**
-     * Run the workload's full paper walk and render the rows, each
-     * with the recipe's verdict on the optimization it tried (analytic:
-     * the recipe reads the source stage's analysis, no extra stage).
-     */
-    std::vector<TableRow> paperTable();
 
     const platforms::Platform &platform() const { return platform_; }
     const workloads::Workload &workload() const { return workload_; }

@@ -9,10 +9,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/recipe.hh"
 #include "obs/executor.hh"
 #include "obs/timer.hh"
 #include "util/fields.hh"
 #include "util/json.hh"
+#include "util/logging.hh"
 #include "xmem/xmem_harness.hh"
 
 namespace lll::core
@@ -523,19 +525,6 @@ ResultCache::global()
     return instance;
 }
 
-std::vector<SweepUnit>
-sweepUnits(const std::vector<platforms::Platform> &platforms,
-           const std::vector<workloads::WorkloadPtr> &workloads)
-{
-    std::vector<SweepUnit> units;
-    units.reserve(platforms.size() * workloads.size());
-    for (const workloads::WorkloadPtr &w : workloads) {
-        for (const platforms::Platform &p : platforms)
-            units.push_back(SweepUnit{p, w.get()});
-    }
-    return units;
-}
-
 namespace
 {
 
@@ -548,100 +537,27 @@ using ProfileMap =
  * unit order before the unit fan-out starts.  A profile that must be
  * characterized first fans its operating points out over @p jobs
  * workers (the caller plus helpers), so no more than @p jobs threads
- * ever run.  With @p stop_at_error the walk ends at the first platform
- * that fails.
+ * ever run.
  */
-template <typename Unit>
 ProfileMap
-loadProfiles(const std::vector<Unit> &units, int jobs, bool stop_at_error)
+loadProfiles(const std::vector<SweepRunner::StageUnit> &units, int jobs)
 {
     xmem::XMemHarness::Params hp;
     hp.jobs = jobs;
     const xmem::XMemHarness harness(hp);
     ProfileMap profiles;
-    for (const Unit &u : units) {
-        if (profiles.count(u.platform.name))
-            continue;
-        const auto it =
-            profiles
-                .emplace(u.platform.name,
-                         harness.measureCachedChecked(
-                             u.platform,
-                             xmem::defaultProfilePath(u.platform)))
-                .first;
-        if (stop_at_error && !it->second.ok())
-            break;
+    for (const SweepRunner::StageUnit &u : units) {
+        if (!profiles.count(u.platform.name)) {
+            profiles.emplace(u.platform.name,
+                             harness.measureCachedChecked(
+                                 u.platform,
+                                 xmem::defaultProfilePath(u.platform)));
+        }
     }
     return profiles;
 }
 
-/** One unit's Experiment parameters; @p registry is the unit's
- *  private registry, or nullptr when the caller wants no telemetry. */
-Experiment::Params
-experimentParams(const SweepRunner::Params &rp, double warmup_us,
-                 double measure_us, int cores_used, uint64_t seed,
-                 obs::MetricRegistry *registry)
-{
-    Experiment::Params ep;
-    ep.warmupUs = warmup_us;
-    ep.measureUs = measure_us;
-    ep.coresUsed = cores_used;
-    ep.seed = seed;
-    ep.resultCache = rp.cache;
-    ep.sampler = rp.sampler;
-    ep.registry = registry;
-    return ep;
-}
-
 } // namespace
-
-util::Result<std::vector<SweepRunner::UnitResult>>
-SweepRunner::run(const std::vector<SweepUnit> &units)
-{
-    const ProfileMap profiles = loadProfiles(units, params_.jobs, true);
-    for (const SweepUnit &u : units) {
-        const util::Result<xmem::LatencyProfile> &prof =
-            profiles.at(u.platform.name);
-        if (!prof.ok()) {
-            return prof.status().withContext("sweep: profile for '%s'",
-                                             u.platform.name.c_str());
-        }
-    }
-
-    const size_t n = units.size();
-    std::vector<UnitResult> results(n);
-    std::vector<Status> statuses(n);
-    std::vector<obs::MetricRegistry> registries(
-        params_.registry ? n : 0);
-    obs::Executor(params_.jobs).run(n, [&](size_t i) {
-        const SweepUnit &u = units[i];
-        UnitResult &res = results[i];
-        res.platform = u.platform.name;
-        res.workload = u.workload->name();
-        util::Result<Experiment> exp = Experiment::create(
-            u.platform, *u.workload, *profiles.at(u.platform.name),
-            experimentParams(params_, params_.warmupUs, params_.measureUs,
-                             params_.coresUsed, params_.seed,
-                             params_.registry ? &registries[i] : nullptr));
-        if (!exp.ok()) {
-            statuses[i] = exp.status().withContext(
-                "sweep unit %s/%s", res.platform.c_str(),
-                res.workload.c_str());
-        } else {
-            res.rows = exp->paperTable();
-        }
-    });
-
-    // Merge-after-join, in unit order regardless of completion order
-    // (registries is empty when the caller wants no telemetry).
-    for (const obs::MetricRegistry &r : registries)
-        params_.registry->mergeFrom(r);
-    for (const Status &s : statuses) {
-        if (!s.ok())
-            return s;
-    }
-    return results;
-}
 
 std::vector<SweepRunner::StageOutcome>
 SweepRunner::runStages(const std::vector<StageUnit> &units)
@@ -653,7 +569,7 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
 
     // A platform whose profile cannot be loaded fails *its* units, not
     // the batch: the service contract is one status per request.
-    const ProfileMap profiles = loadProfiles(units, params_.jobs, false);
+    const ProfileMap profiles = loadProfiles(units, params_.jobs);
     std::vector<obs::MetricRegistry> registries(
         params_.registry ? n : 0);
     const obs::Executor executor(params_.jobs);
@@ -673,12 +589,16 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
             out.status = prof.status().withContext(
                 "profile for '%s'", u.platform.name.c_str());
         } else {
+            Experiment::Params ep;
+            ep.warmupUs = u.warmupUs;
+            ep.measureUs = u.measureUs;
+            ep.coresUsed = u.coresUsed;
+            ep.seed = u.seed;
+            ep.resultCache = params_.cache;
+            ep.sampler = params_.sampler;
+            ep.registry = params_.registry ? &registries[i] : nullptr;
             util::Result<Experiment> exp = Experiment::create(
-                u.platform, *u.workload, *prof,
-                experimentParams(params_, u.warmupUs, u.measureUs,
-                                 u.coresUsed, u.seed,
-                                 params_.registry ? &registries[i]
-                                                  : nullptr));
+                u.platform, *u.workload, *prof, ep);
             if (!exp.ok()) {
                 out.status = exp.status().withContext(
                     "stage unit %s/%s", u.platform.name.c_str(),
@@ -697,8 +617,8 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
         params_.registry->mergeFrom(r);
 
     // Worker-utilization gauges: busy time over workers x wall.  Wall-
-    // clock valued, so they live only on this (service) path — run()'s
-    // merged telemetry is byte-compared across --jobs values.
+    // clock valued, so a byte comparison of merged telemetry across
+    // --jobs values zeroes them first.
     const double workers = static_cast<double>(executor.workers(n));
     double busy_ns = 0.0;
     for (const StageOutcome &o : outcomes)
@@ -710,6 +630,79 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
         "sweep.worker_utilization",
         wall_ns > 0.0 ? busy_ns / (workers * wall_ns) : 0.0);
     return outcomes;
+}
+
+PaperPlan
+planPaperTables(std::span<const platforms::Platform> platforms,
+                std::span<const workloads::WorkloadPtr> workloads)
+{
+    PaperPlan plan;
+    for (const workloads::WorkloadPtr &w : workloads) {
+        for (const platforms::Platform &p : platforms) {
+            // A variant several rows name is one stage of this table.
+            std::map<std::string, size_t> index;
+            auto stageOf = [&](const OptSet &opts) {
+                const auto [it, fresh] =
+                    index.try_emplace(opts.label(), plan.stages.size());
+                if (fresh)
+                    plan.stages.push_back({p, w.get(), opts});
+                return it->second;
+            };
+            plan.tables.push_back({p, w.get(), {}});
+            for (const workloads::ExperimentRow &er : w->paperRows(p)) {
+                plan.tables.back().rows.push_back(
+                    {er, stageOf(er.source),
+                     er.applied ? stageOf(*er.applied) : 0});
+            }
+        }
+    }
+    return plan;
+}
+
+util::Result<std::vector<PaperTable>>
+assemblePaperTables(const PaperPlan &plan,
+                    const std::vector<SweepRunner::StageOutcome> &outcomes)
+{
+    lll_assert(outcomes.size() == plan.stages.size(),
+               "%zu outcomes for %zu planned stages", outcomes.size(),
+               plan.stages.size());
+    for (const SweepRunner::StageOutcome &o : outcomes) {
+        if (!o.status.ok())
+            return o.status.withContext("sweep");
+    }
+    std::vector<PaperTable> tables;
+    tables.reserve(plan.tables.size());
+    for (const PaperPlan::Table &pt : plan.tables) {
+        const Recipe recipe(pt.platform);
+        PaperTable &t = tables.emplace_back(
+            PaperTable{pt.platform.name, pt.workload->name(), {}});
+        for (const PaperPlan::Row &pr : pt.rows) {
+            const workloads::ExperimentRow &er = pr.walk;
+            const StageMetrics &src = outcomes[pr.source].metrics;
+            TableRow row;
+            row.source = src.label;
+            row.bwGBs = src.analysis.bwGBs;
+            row.pctPeak = src.analysis.pctPeak;
+            row.latencyNs = src.analysis.latencyNs;
+            row.nAvg = src.analysis.nAvg;
+            row.optLabel = er.optLabel;
+            row.paperSpeedup = er.paperSpeedup;
+            if (er.applied) {
+                lll_assert(src.throughput > 0.0, "zero baseline throughput");
+                row.speedup =
+                    outcomes[pr.applied].metrics.throughput / src.throughput;
+                // Was one of the optimizations this row adds on the
+                // recipe's list at the source state?
+                for (Opt o :
+                     recipe.advise(src.analysis, er.source).recommendedOpts()) {
+                    if (er.applied->has(o) && !er.source.has(o))
+                        row.recipeRecommended = true;
+                }
+            }
+            t.rows.push_back(std::move(row));
+        }
+    }
+    return tables;
 }
 
 } // namespace lll::core

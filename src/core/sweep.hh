@@ -3,15 +3,17 @@
  * The parallel sweep runner and the process-wide result cache behind
  * `lll sweep` / `lll table` / `lll reproduce` (DESIGN.md §11).
  *
- * A sweep fans platform x workload experiment *units* out through the
- * obs::Executor: the calling thread plus `jobs - 1` helpers.  Units
- * share nothing mutable: each builds its own Experiment (own System,
- * event queue, RNG state) and, when the caller wants telemetry, records
- * into a private MetricRegistry and a task-private SpanTracker.  After
- * join, the runner folds per-unit registries and span stats into the
- * caller's, in unit order — the merge-after-join contract — so a
- * `--jobs 4` run is byte-identical to `--jobs 1`, including every
- * exporter.
+ * A sweep fans simulated *stages* — one (platform, workload, opts)
+ * variant each — out through the obs::Executor: the calling thread plus
+ * `jobs - 1` helpers.  Stages share nothing mutable: each builds its own
+ * Experiment (own System, event queue, RNG state) and, when the caller
+ * wants telemetry, records into a private MetricRegistry and a
+ * task-private SpanTracker.  After join, the runner folds per-stage
+ * registries and span stats into the caller's, in stage order — the
+ * merge-after-join contract — so a `--jobs 4` run is byte-identical to
+ * `--jobs 1`, including every exporter.  A paper table is a plan of
+ * stages (planPaperTables), one runStages() batch and the rows read
+ * back off its outcomes (assemblePaperTables).
  *
  * The ResultCache memoizes simulated stages across experiments and
  * processes: the key captures everything the simulation is a pure
@@ -28,6 +30,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -198,15 +201,8 @@ visitFields(V &v, R &r)
  *  field spelled by the list; @p id is left out when empty. */
 std::string requestLine(const StageRequest &r, const std::string &id = {});
 
-/** One experiment of a sweep. @p workload must outlive the runner. */
-struct SweepUnit
-{
-    platforms::Platform platform;
-    const workloads::Workload *workload = nullptr;
-};
-
 /**
- * Experiment fan-out over the obs::Executor with deterministic merge.
+ * Stage fan-out over the obs::Executor with deterministic merge.
  */
 class SweepRunner
 {
@@ -216,14 +212,9 @@ class SweepRunner
         /** Threads working on the units, the caller included
          *  (clamped to [1, #units]), and on the operating points of a
          *  profile that must be characterized first.  Results and
-         *  merged telemetry are identical for every value. */
+         *  merged telemetry (bar the wall-clock `sweep.*` gauges) are
+         *  identical for every value. */
         int jobs = 1;
-
-        /** Forwarded to each unit's Experiment. */
-        double warmupUs = 0.0;
-        double measureUs = 0.0;
-        int coresUsed = 0;
-        uint64_t seed = 7;
 
         /** Stage memo table; nullptr runs uncached. */
         ResultCache *cache = nullptr;
@@ -238,20 +229,11 @@ class SweepRunner
         obs::Sampler::Params sampler;
     };
 
-    /** The rendered paper walk of one unit. */
-    struct UnitResult
-    {
-        std::string platform;
-        std::string workload;
-        std::vector<TableRow> rows;
-    };
-
     /**
      * One *stage* of a sweep: a single (platform, workload, opts)
      * variant with its own windows/cores/seed.  This is the unit the
-     * run service shards after coalescing duplicate requests — unlike
-     * SweepUnit, which walks a whole paper table per entry.
-     * @p workload must outlive the runner.
+     * run service shards after coalescing duplicate requests and a
+     * paper table plans.  @p workload must outlive the runner.
      */
     struct StageUnit
     {
@@ -291,21 +273,13 @@ class SweepRunner
     explicit SweepRunner(Params params) : params_(params) {}
 
     /**
-     * Run every unit and return results in unit order (never in
-     * completion order).  Latency profiles are fetched from the
-     * xmem::ProfileStore (and measured when missing) once per distinct
-     * platform *before* the fan-out.  Fails with the first failing
-     * unit's Status, in unit order.
-     */
-    [[nodiscard]] util::Result<std::vector<UnitResult>>
-    run(const std::vector<SweepUnit> &units);
-
-    /**
-     * Run one simulated stage per unit with the same share-nothing
-     * fan-out and merge-after-join contract as run(), but report
-     * failures *per unit*: a unit whose profile cannot be loaded or
-     * whose Experiment fails gets its error in its StageOutcome while
-     * the rest of the batch proceeds.  Results are in unit order.
+     * Run one simulated stage per unit and return the outcomes in unit
+     * order (never in completion order).  Latency profiles are fetched
+     * from the xmem::ProfileStore (and measured when missing) once per
+     * distinct platform *before* the fan-out.  Failures are reported
+     * *per unit*: a unit whose profile cannot be loaded or whose
+     * Experiment fails gets its error in its StageOutcome while the
+     * rest of the batch proceeds.
      */
     std::vector<StageOutcome>
     runStages(const std::vector<StageUnit> &units);
@@ -314,13 +288,59 @@ class SweepRunner
     Params params_;
 };
 
-/** The registry-wide unit list (every workload x every platform,
- *  workload-major so each paper table's units are contiguous), shared
- *  by `lll sweep` and `lll reproduce`.  The units borrow the
- *  workloads: @p workloads must outlive the returned vector. */
-std::vector<SweepUnit>
-sweepUnits(const std::vector<platforms::Platform> &platforms,
-           const std::vector<workloads::WorkloadPtr> &workloads);
+/** One rendered paper table (Tables IV–IX): a workload's walk on one
+ *  platform. */
+struct PaperTable
+{
+    std::string platform;
+    std::string workload;
+    std::vector<TableRow> rows;
+};
+
+/**
+ * The stages some paper walks need and the rows that read them.  Each
+ * distinct (platform, workload, opts) variant is one stage, however
+ * many rows name it; the stages of a walk do not depend on each other,
+ * so the whole plan runs as one runStages() batch.
+ */
+struct PaperPlan
+{
+    struct Row
+    {
+        workloads::ExperimentRow walk; //!< the workload's paper row
+        size_t source = 0;  //!< stage of walk.source
+        size_t applied = 0; //!< stage of *walk.applied (when set)
+    };
+    struct Table
+    {
+        platforms::Platform platform;
+        const workloads::Workload *workload = nullptr;
+        std::vector<Row> rows;
+    };
+    std::vector<SweepRunner::StageUnit> stages;
+    std::vector<Table> tables;
+};
+
+/**
+ * Plan the paper walk of every workload on every platform: one table
+ * per pair, workload-major so each workload's tables are contiguous,
+ * and each table's stages, with default windows, cores and seed, in
+ * the order its rows first name them.  The plan borrows the workloads:
+ * @p workloads must outlive it.
+ */
+PaperPlan planPaperTables(std::span<const platforms::Platform> platforms,
+                          std::span<const workloads::WorkloadPtr> workloads);
+
+/**
+ * The plan's tables, read off runStages(plan.stages): a row shows its
+ * source stage's analysis, the measured speedup of its applied stage
+ * (throughput ratio) and whether the recipe, advising at the source,
+ * recommended an optimization the row adds.  Fails with the first
+ * failing stage's Status, in plan order.
+ */
+[[nodiscard]] util::Result<std::vector<PaperTable>>
+assemblePaperTables(const PaperPlan &plan,
+                    const std::vector<SweepRunner::StageOutcome> &outcomes);
 
 } // namespace lll::core
 

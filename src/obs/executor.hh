@@ -1,9 +1,9 @@
 /**
  * @file
  * The one fork-join engine behind every fan-out in the program
- * (DESIGN.md §11): SweepRunner::run(), SweepRunner::runStages() and,
- * through them, the run service, the searcher and `lll sweep`; and
- * the operating points of an X-Mem characterization
+ * (DESIGN.md §11): SweepRunner::runStages() and, through it, the paper
+ * tables (`lll table`, `sweep`, `reproduce`), the run service and the
+ * searcher; and the operating points of an X-Mem characterization
  * (XMemHarness::measure()).  It lives in obs, beside the SpanTracker
  * it depends on, so both the xmem and core layers can use it.
  *

@@ -1,7 +1,8 @@
 # Asserts the CLI exit-code contract documented in README "Robustness":
 #   2 = usage error (unknown command/flag/malformed request)
 #   3 = bad input data (unknown workload/platform, corrupt profile)
-# Run via: cmake -DLLL_BIN=<path-to-lll> -P cli_exit_codes.cmake
+# Run via: cmake -DLLL_BIN=<path-to-lll> -DREPO_ROOT=<source dir>
+#                -P cli_exit_codes.cmake
 
 function(expect_exit code)
     execute_process(COMMAND ${LLL_BIN} ${ARGN}
@@ -49,6 +50,27 @@ expect_exit(2 sweep --jobs)
 expect_exit(2 reproduce --jobs nope)
 expect_exit(2 reproduce extra)
 expect_exit(2 table isx --jobs 0)
+
+# A corrupt skl profile beside intact knl/a64fx ones is bad input data
+# for the paper tables: the first failing stage's status (exit 3).
+set(_corrupt_dir "${CMAKE_CURRENT_BINARY_DIR}/corrupt_profiles")
+file(REMOVE_RECURSE "${_corrupt_dir}")
+file(COPY "${REPO_ROOT}/data/profiles/knl.profile"
+          "${REPO_ROOT}/data/profiles/a64fx.profile"
+     DESTINATION "${_corrupt_dir}")
+file(WRITE "${_corrupt_dir}/skl.profile"
+     "platform skl\npeak_gbs 100\npoint 10")
+foreach(cmd "table;isx" "sweep")
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env
+                            LLL_PROFILE_DIR=${_corrupt_dir}
+                            ${LLL_BIN} ${cmd} --jobs 2
+                    RESULT_VARIABLE got
+                    OUTPUT_QUIET ERROR_QUIET)
+    if(NOT got EQUAL 3)
+        message(FATAL_ERROR "lll ${cmd} with a corrupt skl profile: "
+                            "expected exit 3, got ${got}")
+    endif()
+endforeach()
 
 # lint --profile: flag errors exit 2, an unreadable file is bad input
 # data (LLL-PROF-101, exit 3).

@@ -12,6 +12,7 @@
 
 #include "core/experiment.hh"
 #include "core/littles_law.hh"
+#include "core/sweep.hh"
 #include "core/tma.hh"
 #include "sim/system.hh"
 #include "test_common.hh"
@@ -30,6 +31,24 @@ committedProfile(const std::string &platform)
     return xmem::LatencyProfile::load(std::string(LLL_REPO_ROOT) +
                                       "/data/profiles/" + platform +
                                       ".profile");
+}
+
+/** The paper table of @p w on @p exp's platform: the planned stages,
+ *  simulated through @p exp, read back by the assembler. */
+std::vector<TableRow>
+paperTable(Experiment &exp, const workloads::WorkloadPtr &w)
+{
+    const PaperPlan plan = planPaperTables({&exp.platform(), 1}, {&w, 1});
+    std::vector<SweepRunner::StageOutcome> outcomes(plan.stages.size());
+    for (size_t i = 0; i < plan.stages.size(); ++i)
+        outcomes[i].metrics = exp.stage(plan.stages[i].opts);
+    util::Result<std::vector<PaperTable>> tables =
+        assemblePaperTables(plan, outcomes);
+    if (!tables.ok() || tables->size() != 1) {
+        ADD_FAILURE() << tables.status().toString();
+        return {};
+    }
+    return tables->front().rows;
 }
 
 class ExperimentTest : public ::testing::Test
@@ -81,7 +100,7 @@ TEST_F(ExperimentTest, StageCarriesAnalysisAndProfile)
 TEST_F(ExperimentTest, PaperTableMatchesRows)
 {
     Experiment exp(plat_, *isx_, profile_, params_);
-    auto rows = exp.paperTable();
+    auto rows = paperTable(exp, isx_);
     auto expected = isx_->paperRows(plat_);
     ASSERT_EQ(rows.size(), expected.size());
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -119,7 +138,7 @@ TEST(PaperTableRecipe, IsxVerdictsArePinned)
         ASSERT_TRUE(profile.ok()) << profile.status().toString();
         Experiment exp(p, *isx, profile.take());
         Verdicts got;
-        for (const TableRow &row : exp.paperTable()) {
+        for (const TableRow &row : paperTable(exp, isx)) {
             if (row.speedup > 0.0)
                 got.emplace_back(row.optLabel, row.recipeRecommended);
         }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -34,20 +35,24 @@ namespace
 using workloads::Opt;
 using workloads::OptSet;
 
-/** Short windows and a partial core count keep each unit fast while
- *  still exercising every stage of the paper walk. */
-SweepRunner::Params
-fastParams()
+/** The paper walks of @p wls on @p platforms, each stage on short
+ *  windows and a partial core count: fast, while still exercising
+ *  every stage of the walk. */
+PaperPlan
+fastPlan(const std::vector<workloads::WorkloadPtr> &wls,
+         const std::vector<platforms::Platform> &platforms)
 {
-    SweepRunner::Params sp;
-    sp.warmupUs = 5.0;
-    sp.measureUs = 10.0;
-    sp.coresUsed = 6;
-    return sp;
+    PaperPlan plan = planPaperTables(platforms, wls);
+    for (SweepRunner::StageUnit &u : plan.stages) {
+        u.warmupUs = 5.0;
+        u.measureUs = 10.0;
+        u.coresUsed = 6;
+    }
+    return plan;
 }
 
 /** Two high-bandwidth workloads: both stay non-vacuous (LLL-LINT-102)
- *  on every platform at the reduced fastParams() core count, unlike
+ *  on every platform at the reduced fastPlan() core count, unlike
  *  e.g. comd/pennant on knl. */
 std::vector<workloads::WorkloadPtr>
 twoWorkloads()
@@ -64,7 +69,7 @@ twoPlatforms()
     return {platforms::skl(), platforms::knl()};
 }
 
-/** Ensure the on-disk profile cache exists before any run() under
+/** Ensure the on-disk profile cache exists before any run under
  *  comparison.  Profile files store points as %.4f, so the very first
  *  measurement in a fresh directory hands the runner an in-memory
  *  profile that differs from its disk round-trip in the low digits —
@@ -81,9 +86,16 @@ warmProfileCache()
     }
 }
 
+/** @p plan as one runStages() batch, assembled into its tables. */
+util::Result<std::vector<PaperTable>>
+runTables(const SweepRunner::Params &sp, const PaperPlan &plan)
+{
+    return assemblePaperTables(plan, SweepRunner(sp).runStages(plan.stages));
+}
+
 void
-expectSameRows(const std::vector<SweepRunner::UnitResult> &a,
-               const std::vector<SweepRunner::UnitResult> &b)
+expectSameRows(const std::vector<PaperTable> &a,
+               const std::vector<PaperTable> &b)
 {
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
@@ -157,36 +169,67 @@ distinctiveMetrics()
     return m;
 }
 
-TEST(SweepUnits, WorkloadMajorOrder)
+TEST(PaperPlan, WorkloadMajorOrder)
 {
     std::vector<workloads::WorkloadPtr> wls = twoWorkloads();
-    std::vector<SweepUnit> units = sweepUnits(twoPlatforms(), wls);
-    ASSERT_EQ(units.size(), 4u);
-    EXPECT_EQ(units[0].workload->name(), units[1].workload->name());
-    EXPECT_EQ(units[2].workload->name(), units[3].workload->name());
-    EXPECT_NE(units[0].workload->name(), units[2].workload->name());
-    EXPECT_EQ(units[0].platform.name, units[2].platform.name);
+    const PaperPlan plan = planPaperTables(twoPlatforms(), wls);
+    ASSERT_EQ(plan.tables.size(), 4u);
+    const std::vector<PaperPlan::Table> &t = plan.tables;
+    EXPECT_EQ(t[0].workload->name(), t[1].workload->name());
+    EXPECT_EQ(t[2].workload->name(), t[3].workload->name());
+    EXPECT_NE(t[0].workload->name(), t[2].workload->name());
+    EXPECT_EQ(t[0].platform.name, t[2].platform.name);
+
+    // Each table's stages are its own, contiguous and in plan order,
+    // on the default windows, cores and seed.
+    size_t next = 0;
+    for (const PaperPlan::Table &table : plan.tables) {
+        const size_t first = next;
+        for (const PaperPlan::Row &row : table.rows) {
+            std::vector<size_t> named = {row.source};
+            if (row.walk.applied)
+                named.push_back(row.applied);
+            for (size_t i : named) {
+                ASSERT_LT(i, plan.stages.size());
+                EXPECT_GE(i, first);
+                EXPECT_LE(i, next);
+                next = std::max(next, i + 1);
+                const SweepRunner::StageUnit &u = plan.stages[i];
+                EXPECT_EQ(u.platform.name, table.platform.name);
+                EXPECT_EQ(u.workload, table.workload);
+                EXPECT_DOUBLE_EQ(u.warmupUs, 0.0);
+                EXPECT_DOUBLE_EQ(u.measureUs, 0.0);
+                EXPECT_EQ(u.coresUsed, 0);
+                EXPECT_EQ(u.seed, 7u);
+            }
+            EXPECT_EQ(plan.stages[row.source].opts.label(),
+                      row.walk.source.label());
+            if (row.walk.applied) {
+                EXPECT_EQ(plan.stages[row.applied].opts.label(),
+                          row.walk.applied->label());
+            }
+        }
+    }
+    EXPECT_EQ(next, plan.stages.size());
 }
 
 TEST(SweepRunner, ParallelRowsMatchSerial)
 {
     ASSERT_NO_FATAL_FAILURE(warmProfileCache());
     std::vector<workloads::WorkloadPtr> wls = twoWorkloads();
-    std::vector<SweepUnit> units = sweepUnits(twoPlatforms(), wls);
+    const PaperPlan plan = fastPlan(wls, twoPlatforms());
 
-    SweepRunner::Params serial = fastParams();
+    SweepRunner::Params serial;
     serial.jobs = 1;
-    util::Result<std::vector<SweepRunner::UnitResult>> a =
-        SweepRunner(serial).run(units);
+    util::Result<std::vector<PaperTable>> a = runTables(serial, plan);
     ASSERT_TRUE(a.ok()) << a.status().toString();
 
-    SweepRunner::Params parallel = fastParams();
+    SweepRunner::Params parallel;
     parallel.jobs = 4;
-    util::Result<std::vector<SweepRunner::UnitResult>> b =
-        SweepRunner(parallel).run(units);
+    util::Result<std::vector<PaperTable>> b = runTables(parallel, plan);
     ASSERT_TRUE(b.ok()) << b.status().toString();
 
-    ASSERT_EQ(a->size(), units.size());
+    ASSERT_EQ(a->size(), plan.tables.size());
     expectSameRows(*a, *b);
 }
 
@@ -194,27 +237,32 @@ TEST(SweepRunner, MergedTelemetryIsDeterministic)
 {
     ASSERT_NO_FATAL_FAILURE(warmProfileCache());
     std::vector<workloads::WorkloadPtr> wls = twoWorkloads();
-    std::vector<SweepUnit> units = sweepUnits(twoPlatforms(), wls);
+    const PaperPlan plan = fastPlan(wls, twoPlatforms());
 
     obs::MetricRegistry serial_reg;
-    SweepRunner::Params serial = fastParams();
+    SweepRunner::Params serial;
     serial.jobs = 1;
     serial.registry = &serial_reg;
-    ASSERT_TRUE(SweepRunner(serial).run(units).ok());
+    ASSERT_TRUE(runTables(serial, plan).ok());
 
     obs::MetricRegistry parallel_reg;
-    SweepRunner::Params parallel = fastParams();
+    SweepRunner::Params parallel;
     parallel.jobs = 4;
     parallel.registry = &parallel_reg;
-    ASSERT_TRUE(SweepRunner(parallel).run(units).ok());
+    ASSERT_TRUE(runTables(parallel, plan).ok());
 
-    // Merge-after-join in unit order: the exporters must not be able to
-    // tell the two runs apart, byte for byte.  (Span stats carry wall
-    // time, so they stay out of this comparison — and the sampler's
-    // obs.self.overhead_ns counter is wall-clock-valued by design, so
-    // it is zeroed on both sides the same way span stats are excluded.)
-    serial_reg.counter(obs::kSelfOverheadCounter).reset();
-    parallel_reg.counter(obs::kSelfOverheadCounter).reset();
+    // Merge-after-join in stage order: the exporters must not be able
+    // to tell the two runs apart, byte for byte.  (Span stats carry
+    // wall time, so they stay out of this comparison — and the
+    // sampler's obs.self.overhead_ns counter and the runner's sweep.*
+    // worker gauges are wall-clock-valued by design, so they are
+    // zeroed on both sides the same way span stats are excluded.)
+    for (obs::MetricRegistry *reg : {&serial_reg, &parallel_reg}) {
+        reg->counter(obs::kSelfOverheadCounter).reset();
+        for (const char *g : {"sweep.workers", "sweep.wall_ns",
+                              "sweep.busy_ns", "sweep.worker_utilization"})
+            reg->setGauge(g, 0.0);
+    }
     EXPECT_EQ(obs::exportJson(serial_reg, nullptr),
               obs::exportJson(parallel_reg, nullptr));
     EXPECT_EQ(obs::exportCsv(serial_reg), obs::exportCsv(parallel_reg));
@@ -224,15 +272,14 @@ TEST(SweepRunner, ResultCacheSkipsResimulation)
 {
     ASSERT_NO_FATAL_FAILURE(warmProfileCache());
     std::vector<workloads::WorkloadPtr> wls = twoWorkloads();
-    std::vector<SweepUnit> units = sweepUnits(twoPlatforms(), wls);
+    const PaperPlan plan = fastPlan(wls, twoPlatforms());
 
     ResultCache cache;
-    SweepRunner::Params sp = fastParams();
+    SweepRunner::Params sp;
     sp.cache = &cache;
 
     obs::SpanTracker::global().reset();
-    util::Result<std::vector<SweepRunner::UnitResult>> cold =
-        SweepRunner(sp).run(units);
+    util::Result<std::vector<PaperTable>> cold = runTables(sp, plan);
     ASSERT_TRUE(cold.ok()) << cold.status().toString();
     EXPECT_GT(simulateSpanCount(), 0u);
 
@@ -244,8 +291,7 @@ TEST(SweepRunner, ResultCacheSkipsResimulation)
     // Warm run: every stage is served from the cache, so the simulate
     // span never opens and the miss count does not move.
     obs::SpanTracker::global().reset();
-    util::Result<std::vector<SweepRunner::UnitResult>> warm =
-        SweepRunner(sp).run(units);
+    util::Result<std::vector<PaperTable>> warm = runTables(sp, plan);
     ASSERT_TRUE(warm.ok()) << warm.status().toString();
     EXPECT_EQ(simulateSpanCount(), 0u);
 
@@ -254,6 +300,102 @@ TEST(SweepRunner, ResultCacheSkipsResimulation)
     EXPECT_EQ(after_warm.hits, after_cold.misses);
 
     expectSameRows(*cold, *warm);
+}
+
+TEST(SweepRunner, SharedSourceStageSimulatesOnce)
+{
+    ASSERT_NO_FATAL_FAILURE(warmProfileCache());
+    std::vector<workloads::WorkloadPtr> wls;
+    wls.push_back(workloads::findWorkload("isx").take());
+    const std::vector<platforms::Platform> knl = {platforms::knl()};
+    const PaperPlan plan = fastPlan(wls, knl);
+    ASSERT_EQ(plan.tables.size(), 1u);
+
+    // Table IV on knl tries both 4-way HT and the L2 prefetch on top of
+    // the vect + 2-way HT state: one stage is the source of two rows.
+    std::map<size_t, int> sourced;
+    for (const PaperPlan::Row &row : plan.tables[0].rows)
+        ++sourced[row.source];
+    size_t shared = plan.stages.size();
+    for (const auto &[stage, rows] : sourced) {
+        if (rows >= 2)
+            shared = stage;
+    }
+    ASSERT_LT(shared, plan.stages.size());
+    const std::string label = plan.stages[shared].opts.label();
+
+    ResultCache cache;
+    SweepRunner::Params sp;
+    sp.cache = &cache;
+    obs::SpanTracker::global().reset();
+    const std::vector<SweepRunner::StageOutcome> outcomes =
+        SweepRunner(sp).runStages(plan.stages);
+
+    // Every planned stage simulates once (its stage[...]/simulate span
+    // opens once); the shared one is no exception, and it looks the
+    // cache up once.
+    uint64_t simulations = 0, shared_simulations = 0;
+    for (const obs::SpanTracker::Stat &st :
+         obs::SpanTracker::global().stats()) {
+        if (!st.path.ends_with("]/simulate"))
+            continue;
+        simulations += st.count;
+        if (st.path == "stage[" + label + "]/simulate")
+            shared_simulations += st.count;
+    }
+    EXPECT_EQ(simulations, plan.stages.size());
+    EXPECT_EQ(shared_simulations, 1u);
+    EXPECT_EQ(outcomes[shared].cache.misses, 1u);
+    EXPECT_EQ(outcomes[shared].cache.hits, 0u);
+    EXPECT_EQ(cache.stats().misses, plan.stages.size());
+    EXPECT_EQ(cache.stats().hits, 0u);
+
+    // Both rows read the one stage's analysis.
+    util::Result<std::vector<PaperTable>> tables =
+        assemblePaperTables(plan, outcomes);
+    ASSERT_TRUE(tables.ok()) << tables.status().toString();
+    const std::vector<TableRow> &rows = tables->front().rows;
+    ASSERT_EQ(rows.size(), plan.tables[0].rows.size());
+    int reads = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+        if (plan.tables[0].rows[i].source != shared)
+            continue;
+        ++reads;
+        EXPECT_EQ(rows[i].source, label);
+        EXPECT_DOUBLE_EQ(rows[i].nAvg,
+                         outcomes[shared].metrics.analysis.nAvg);
+    }
+    EXPECT_EQ(reads, sourced[shared]);
+}
+
+TEST(PaperPlan, AssemblerReturnsFirstFailingStageInPlanOrder)
+{
+    std::vector<workloads::WorkloadPtr> wls = twoWorkloads();
+    const PaperPlan plan = fastPlan(wls, twoPlatforms());
+    ASSERT_GT(plan.stages.size(), 5u);
+    std::vector<SweepRunner::StageOutcome> outcomes(plan.stages.size());
+    for (SweepRunner::StageOutcome &o : outcomes)
+        o.metrics.throughput = 1.0;
+    // Later in plan order but listed first here: order is the plan's.
+    outcomes[5].status = util::Status::error(util::ErrorCode::Internal,
+                                             "stage five failed");
+    outcomes[2].status = util::Status::error(
+        util::ErrorCode::CorruptData, "profile for 'skl': bad");
+    util::Result<std::vector<PaperTable>> tables =
+        assemblePaperTables(plan, outcomes);
+    ASSERT_FALSE(tables.ok());
+    EXPECT_EQ(tables.status().code(), util::ErrorCode::CorruptData);
+    EXPECT_EQ(tables.status().message(), "sweep: profile for 'skl': bad");
+
+    outcomes[2].status = util::Status::okStatus();
+    tables = assemblePaperTables(plan, outcomes);
+    ASSERT_FALSE(tables.ok());
+    EXPECT_EQ(tables.status().code(), util::ErrorCode::Internal);
+
+    outcomes[5].status = util::Status::okStatus();
+    tables = assemblePaperTables(plan, outcomes);
+    ASSERT_TRUE(tables.ok()) << tables.status().toString();
+    EXPECT_EQ(tables->size(), plan.tables.size());
 }
 
 TEST(ResultCache, SpillJsonRoundTrips)
@@ -764,18 +906,16 @@ TEST(SweepRunner, EntryCapHonoredUnderSweepLargerThanCap)
 {
     warmProfileCache();
     std::vector<workloads::WorkloadPtr> wls = twoWorkloads();
-    const std::vector<SweepUnit> units = sweepUnits(twoPlatforms(), wls);
+    const PaperPlan plan = fastPlan(wls, twoPlatforms());
 
     ResultCache cache;
     cache.setMaxEntries(3);
-    SweepRunner::Params sp = fastParams();
+    SweepRunner::Params sp;
     sp.cache = &cache;
-    SweepRunner runner(sp);
-    util::Result<std::vector<SweepRunner::UnitResult>> res =
-        runner.run(units);
+    util::Result<std::vector<PaperTable>> res = runTables(sp, plan);
     ASSERT_TRUE(res.ok()) << res.status().toString();
 
-    // Each unit stages several variants, so the sweep saw far more
+    // Each table stages several variants, so the sweep saw far more
     // distinct stages than the cap: the table must have been pinned at
     // the cap with the overflow evicted (and counted).
     EXPECT_LE(cache.size(), 3u);

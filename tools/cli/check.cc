@@ -350,10 +350,10 @@ visitFields(V &v, R &r)
 }
 
 util::Result<Outcome>
-runSelftest(const SelftestRequest &r, const Context &)
+runSelftest(const SelftestRequest &r, const Context &ctx)
 {
     const faultinject::Report report = faultinject::runAll(r.options);
-    std::fputs(report.render(r.options.verbose).c_str(), stdout);
+    std::fputs(report.render(r.options.verbose).c_str(), ctx.report);
     Outcome out;
     if (!report.allPassed()) {
         out.verdict = Status::error(ErrorCode::Internal,

@@ -181,7 +181,7 @@ decodeOperands(util::ArgParser &ap, WalkRequest &r, const char *command)
 }
 
 util::Result<Outcome>
-runWalk(const WalkRequest &r, const Context &)
+runWalk(const WalkRequest &r, const Context &ctx)
 {
     const platforms::Platform &p = r.variant.platform;
     util::Result<xmem::LatencyProfile> prof = profileFor(p);
@@ -198,14 +198,16 @@ runWalk(const WalkRequest &r, const Context &)
     for (int step = 0; step < 8; ++step) {
         const core::StageMetrics &m = exp->stage(state);
         core::RecipeDecision d = recipe.advise(m.analysis, state);
-        std::printf("[%s] n_avg %.2f/%u, BW %.0f%%, cum %.2fx — %s\n",
-                    state.label().c_str(), m.analysis.nAvg,
-                    m.analysis.limitingMshrs, m.analysis.pctPeak * 100.0,
-                    m.throughput / base, d.summary.c_str());
+        std::fprintf(ctx.report,
+                     "[%s] n_avg %.2f/%u, BW %.0f%%, cum %.2fx — %s\n",
+                     state.label().c_str(), m.analysis.nAvg,
+                     m.analysis.limitingMshrs, m.analysis.pctPeak * 100.0,
+                     m.throughput / base, d.summary.c_str());
         bool moved = false;
         for (workloads::Opt opt : d.recommendedOpts()) {
             double s = exp->speedup(state, state.with(opt));
-            std::printf("  %s -> %.2fx\n", workloads::optName(opt), s);
+            std::fprintf(ctx.report, "  %s -> %.2fx\n",
+                         workloads::optName(opt), s);
             if (s >= 1.02) {
                 state = state.with(opt);
                 moved = true;
@@ -215,8 +217,8 @@ runWalk(const WalkRequest &r, const Context &)
         if (!moved || d.stop)
             break;
     }
-    std::printf("final: [%s] %.2fx\n", state.label().c_str(),
-                exp->stage(state).throughput / base);
+    std::fprintf(ctx.report, "final: [%s] %.2fx\n", state.label().c_str(),
+                 exp->stage(state).throughput / base);
     return Outcome{};
 }
 

@@ -354,7 +354,7 @@ decodeOperands(util::ArgParser &, BenchServeRequest &r, const char *)
  * connection errors exit 3.
  */
 util::Result<Outcome>
-runBenchServe(const BenchServeRequest &r, const Context &)
+runBenchServe(const BenchServeRequest &r, const Context &ctx)
 {
     net::LoadGenParams lg = r.load;
     if (!r.connect.empty())
@@ -390,24 +390,26 @@ runBenchServe(const BenchServeRequest &r, const Context &)
     if (!rep.ok())
         return rep.status();
 
-    std::printf("bench-serve: %llu sent, %llu received in %.2f s — "
-                "%.1f req/s achieved\n",
-                static_cast<unsigned long long>(rep->sent),
-                static_cast<unsigned long long>(rep->received),
-                rep->wallS, rep->achievedQps);
-    std::printf("  ok          %8llu  p50/p90/p99 %s ms\n",
-                static_cast<unsigned long long>(rep->ok),
-                obs::percentilesMs(rep->okLatencyNs).c_str());
-    std::printf("  unavailable %8llu  p50/p90/p99 %s ms\n",
-                static_cast<unsigned long long>(rep->unavailable),
-                obs::percentilesMs(rep->shedLatencyNs).c_str());
-    std::printf("  failed      %8llu\n",
-                static_cast<unsigned long long>(rep->failed));
-    std::printf("  Little's law: L %.3f in flight vs λW %.3f (λ %.1f "
-                "req/s, W %.3f ms), residual %.4f\n",
-                rep->inflightAvg, rep->achievedQps * rep->meanLatencyS,
-                rep->achievedQps, rep->meanLatencyS * 1e3,
-                rep->littlesResidual);
+    std::fprintf(ctx.report,
+                 "bench-serve: %llu sent, %llu received in %.2f s — "
+                 "%.1f req/s achieved\n",
+                 static_cast<unsigned long long>(rep->sent),
+                 static_cast<unsigned long long>(rep->received),
+                 rep->wallS, rep->achievedQps);
+    std::fprintf(ctx.report, "  ok          %8llu  p50/p90/p99 %s ms\n",
+                 static_cast<unsigned long long>(rep->ok),
+                 obs::percentilesMs(rep->okLatencyNs).c_str());
+    std::fprintf(ctx.report, "  unavailable %8llu  p50/p90/p99 %s ms\n",
+                 static_cast<unsigned long long>(rep->unavailable),
+                 obs::percentilesMs(rep->shedLatencyNs).c_str());
+    std::fprintf(ctx.report, "  failed      %8llu\n",
+                 static_cast<unsigned long long>(rep->failed));
+    std::fprintf(ctx.report,
+                 "  Little's law: L %.3f in flight vs λW %.3f (λ %.1f "
+                 "req/s, W %.3f ms), residual %.4f\n",
+                 rep->inflightAvg, rep->achievedQps * rep->meanLatencyS,
+                 rep->achievedQps, rep->meanLatencyS * 1e3,
+                 rep->littlesResidual);
     for (const std::string &e : rep->errors)
         std::fprintf(stderr, "bench-serve: %s\n", e.c_str());
 

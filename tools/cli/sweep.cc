@@ -1,10 +1,10 @@
 /**
  * @file
  * The commands that fan stages out through the parallel SweepRunner:
- * table, sweep and reproduce (the paper's tables), and search (the
- * bounds-pruned design-space autotuner, DESIGN.md §17).  Their output
- * is byte-identical for any `--jobs N` and across warm `--cache-dir`
- * reruns.
+ * table, sweep and reproduce (the paper's tables: plan, one runStages()
+ * batch, assemble), and search (the bounds-pruned design-space
+ * autotuner, DESIGN.md §17).  Their output is byte-identical for any
+ * `--jobs N` and across warm `--cache-dir` reruns.
  */
 
 #include <cstdio>
@@ -52,24 +52,26 @@ visitFields(V &v, R &r)
     visitFields(v, r.cache);
 }
 
-/** Run @p wls on every platform. */
-util::Result<std::vector<core::SweepRunner::UnitResult>>
-runUnits(const RunnerFlags &flags,
-         const std::vector<workloads::WorkloadPtr> &wls,
-         obs::MetricRegistry *registry = nullptr)
+/** The paper tables of @p wls on every platform. */
+util::Result<std::vector<core::PaperTable>>
+runTables(const RunnerFlags &flags,
+          const std::vector<workloads::WorkloadPtr> &wls,
+          obs::MetricRegistry *registry = nullptr)
 {
     util::Result<core::SweepRunner::Params> sp = flags.params();
     if (!sp.ok())
         return sp.status();
     sp->registry = registry;
-    core::SweepRunner runner(*sp);
-    return runner.run(core::sweepUnits(platforms::allPlatforms(), wls));
+    const core::PaperPlan plan =
+        core::planPaperTables(platforms::allPlatforms(), wls);
+    return core::assemblePaperTables(
+        plan, core::SweepRunner(*sp).runStages(plan.stages));
 }
 
-/** One unit's rows as paper-table cells: Proc, Source, BW_obs,
- *  lat_avg, n_avg, "Opt: measured" and the paper's speedup. */
+/** One table's rows as cells: Proc, Source, BW_obs, lat_avg, n_avg,
+ *  "Opt: measured" and the paper's speedup. */
 std::vector<std::vector<std::string>>
-unitRowCells(const core::SweepRunner::UnitResult &u)
+tableRowCells(const core::PaperTable &u)
 {
     double peak = 0.0;
     util::Result<platforms::Platform> p =
@@ -94,20 +96,20 @@ unitRowCells(const core::SweepRunner::UnitResult &u)
 }
 
 /**
- * Print one paper table (Tables IV-IX) from one workload's units: the
+ * Print one paper table (Tables IV-IX) from one workload's tables: the
  * rows of every platform with the recipe's verdict on each tried
  * optimization, then how often that verdict matched the outcome
  * (recommended and helped, or not recommended and did not help) --
  * the paper's core claim.
  */
 void
-printPaperTable(std::span<const core::SweepRunner::UnitResult> units)
+printPaperTable(std::span<const core::PaperTable> tables, FILE *report)
 {
     Table t({"Proc", "Source", "BW_obs (GB/s)", "lat_avg (ns)", "n_avg",
              "Opt: measured", "paper", "recipe"});
     int agree = 0, total = 0;
-    for (const core::SweepRunner::UnitResult &u : units) {
-        std::vector<std::vector<std::string>> cells = unitRowCells(u);
+    for (const core::PaperTable &u : tables) {
+        std::vector<std::vector<std::string>> cells = tableRowCells(u);
         for (size_t i = 0; i < cells.size(); ++i) {
             const core::TableRow &row = u.rows[i];
             std::string recipe = "-";
@@ -123,10 +125,11 @@ printPaperTable(std::span<const core::SweepRunner::UnitResult> units)
         }
         t.addSeparator();
     }
-    std::fputs(t.render().c_str(), stdout);
-    std::printf("recipe/outcome agreement: %d of %d tried "
-                "optimizations (recommended<->helped)\n",
-                agree, total);
+    std::fputs(t.render().c_str(), report);
+    std::fprintf(report,
+                 "recipe/outcome agreement: %d of %d tried "
+                 "optimizations (recommended<->helped)\n",
+                 agree, total);
 }
 
 struct TableRequest
@@ -155,13 +158,13 @@ decodeOperands(util::ArgParser &ap, TableRequest &r, const char *command)
 }
 
 util::Result<Outcome>
-runTable(const TableRequest &r, const Context &)
+runTable(const TableRequest &r, const Context &ctx)
 {
-    util::Result<std::vector<core::SweepRunner::UnitResult>> res =
-        runUnits(r.runner, r.workloads);
+    util::Result<std::vector<core::PaperTable>> res =
+        runTables(r.runner, r.workloads);
     if (!res.ok())
         return res.status();
-    printPaperTable(*res);
+    printPaperTable(*res, ctx.report);
     return Outcome{};
 }
 
@@ -182,9 +185,9 @@ visitFields(V &v, R &r)
 util::Result<Outcome>
 runSweep(const SweepRequest &r, const Context &ctx)
 {
-    util::Result<std::vector<core::SweepRunner::UnitResult>> res =
-        runUnits(r.runner, workloads::allWorkloadsAndExtensions(),
-                 r.json.empty() ? nullptr : &ctx.registry);
+    util::Result<std::vector<core::PaperTable>> res =
+        runTables(r.runner, workloads::allWorkloadsAndExtensions(),
+                  r.json.empty() ? nullptr : &ctx.registry);
     if (!res.ok())
         return res.status();
 
@@ -192,11 +195,11 @@ runSweep(const SweepRequest &r, const Context &ctx)
              "lat_avg (ns)", "n_avg", "Opt: measured", "paper"});
     size_t rows = 0;
     std::string last_workload;
-    for (const core::SweepRunner::UnitResult &u : *res) {
+    for (const core::PaperTable &u : *res) {
         if (!last_workload.empty() && u.workload != last_workload)
             t.addSeparator();
         last_workload = u.workload;
-        for (std::vector<std::string> &cells : unitRowCells(u)) {
+        for (std::vector<std::string> &cells : tableRowCells(u)) {
             cells.insert(cells.begin(), u.workload);
             t.addRow(std::move(cells));
         }
@@ -218,7 +221,7 @@ runSweep(const SweepRequest &r, const Context &ctx)
     Outcome out;
     util::JsonWriter w(out.data);
     w.beginObject(Layout::Block).key("units").beginArray(Layout::Block);
-    for (const core::SweepRunner::UnitResult &u : *res) {
+    for (const core::PaperTable &u : *res) {
         w.beginObject()
             .member("workload", u.workload)
             .member("platform", u.platform)
@@ -246,26 +249,25 @@ runSweep(const SweepRequest &r, const Context &ctx)
 }
 
 util::Result<Outcome>
-runReproduce(const RunnerFlags &r, const Context &)
+runReproduce(const RunnerFlags &r, const Context &ctx)
 {
     const std::vector<workloads::WorkloadPtr> wls = workloads::allWorkloads();
-    util::Result<std::vector<core::SweepRunner::UnitResult>> res =
-        runUnits(r, wls);
+    util::Result<std::vector<core::PaperTable>> res = runTables(r, wls);
     if (!res.ok())
         return res.status();
 
-    // sweepUnits() is workload-major, so each paper table's units are a
+    // The plan is workload-major, so each workload's tables are a
     // contiguous run of the result vector.
-    const std::span<const core::SweepRunner::UnitResult> all(*res);
+    const std::span<const core::PaperTable> all(*res);
     size_t i = 0;
     for (const workloads::WorkloadPtr &w : wls) {
-        std::printf("== %s: %s ==\n", w->name().c_str(),
-                    w->routine().c_str());
+        std::fprintf(ctx.report, "== %s: %s ==\n", w->name().c_str(),
+                     w->routine().c_str());
         const size_t first = i;
         while (i < all.size() && all[i].workload == w->name())
             ++i;
-        printPaperTable(all.subspan(first, i - first));
-        std::printf("\n");
+        printPaperTable(all.subspan(first, i - first), ctx.report);
+        std::fputs("\n", ctx.report);
     }
     return Outcome{};
 }
@@ -324,7 +326,7 @@ runSearch(const SearchRequest &r, const Context &ctx)
         Table t({"axis", "values"});
         for (const search::AxisDef &def : search::knownAxes())
             t.addRow({def.name, def.help});
-        std::fputs(t.render().c_str(), stdout);
+        std::fputs(t.render().c_str(), ctx.report);
         return Outcome{};
     }
 

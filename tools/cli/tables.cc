@@ -27,7 +27,7 @@ struct NoRequest
 };
 
 util::Result<Outcome>
-runPlatforms(const NoRequest &, const Context &)
+runPlatforms(const NoRequest &, const Context &ctx)
 {
     Table t({"id", "Platform", "# Cores @ Rate", "Peak BW",
              "L1 MSHRs/core", "L2 MSHRs/core", "Line", "SMT", "Peak DP"});
@@ -45,12 +45,12 @@ runPlatforms(const NoRequest &, const Context &)
                   std::to_string(p.maxSmtWays) + "-way",
                   fmtDouble(p.peakGFlops / 1000.0, 2) + " TF"});
     }
-    std::fputs(t.render().c_str(), stdout);
+    std::fputs(t.render().c_str(), ctx.report);
     return Outcome{};
 }
 
 util::Result<Outcome>
-runWorkloads(const NoRequest &, const Context &)
+runWorkloads(const NoRequest &, const Context &ctx)
 {
     Table t({"id", "description", "routine", "problem size", "pattern"});
     for (const workloads::WorkloadPtr &w :
@@ -59,12 +59,12 @@ runWorkloads(const NoRequest &, const Context &)
                   w->problemSize(),
                   w->randomDominated() ? "random" : "streaming"});
     }
-    std::fputs(t.render().c_str(), stdout);
+    std::fputs(t.render().c_str(), ctx.report);
     return Outcome{};
 }
 
 util::Result<Outcome>
-runVendors(const NoRequest &, const Context &)
+runVendors(const NoRequest &, const Context &ctx)
 {
     Table t({"Processor", "Breakdown of stalls", "L1-MSHRQ-full stalls",
              "L2-MSHRQ-full stalls", "Memory latency", "Memory traffic"});
@@ -79,7 +79,7 @@ runVendors(const NoRequest &, const Context &)
                   counters::visibilityName(v.memoryLatency),
                   counters::visibilityName(v.memoryTraffic)});
     }
-    std::fputs(t.render().c_str(), stdout);
+    std::fputs(t.render().c_str(), ctx.report);
     return Outcome{};
 }
 
@@ -107,7 +107,7 @@ decodeOperands(util::ArgParser &ap, CharacterizeRequest &r,
 }
 
 util::Result<Outcome>
-runCharacterize(const CharacterizeRequest &r, const Context &)
+runCharacterize(const CharacterizeRequest &r, const Context &ctx)
 {
     std::vector<platforms::Platform> plats;
     if (r.platform == "all") {
@@ -130,10 +130,11 @@ runCharacterize(const CharacterizeRequest &r, const Context &)
             harness.measureCachedChecked(p, path);
         if (!prof.ok())
             return prof.status();
-        std::printf("%s: idle %.0f ns, peak achievable %.0f GB/s "
-                    "(profile: %s)\n",
-                    p.name.c_str(), prof->idleLatencyNs(),
-                    prof->maxMeasuredGBs(), path.c_str());
+        std::fprintf(ctx.report,
+                     "%s: idle %.0f ns, peak achievable %.0f GB/s "
+                     "(profile: %s)\n",
+                     p.name.c_str(), prof->idleLatencyNs(),
+                     prof->maxMeasuredGBs(), path.c_str());
     }
     return Outcome{};
 }
@@ -157,20 +158,21 @@ decodeOperands(util::ArgParser &ap, RooflineRequest &r,
 }
 
 util::Result<Outcome>
-runRoofline(const RooflineRequest &r, const Context &)
+runRoofline(const RooflineRequest &r, const Context &ctx)
 {
     const platforms::Platform &p = r.platform;
     util::Result<xmem::LatencyProfile> prof = profileFor(p);
     if (!prof.ok())
         return prof.status();
     core::Roofline roof(p, prof.take());
-    std::printf("%s: peak %.0f GFlop/s, BW roof %.0f GB/s, L1-MSHR "
-                "ceiling %.0f GB/s, L2-MSHR ceiling %.0f GB/s, ridge "
-                "%.2f flop/B\n",
-                p.name.c_str(), roof.peakGFlops(), roof.peakGBs(),
-                roof.mshrCeilingGBs(core::MshrLevel::L1, p.totalCores),
-                roof.mshrCeilingGBs(core::MshrLevel::L2, p.totalCores),
-                roof.ridgeIntensity());
+    std::fprintf(ctx.report,
+                 "%s: peak %.0f GFlop/s, BW roof %.0f GB/s, L1-MSHR "
+                 "ceiling %.0f GB/s, L2-MSHR ceiling %.0f GB/s, ridge "
+                 "%.2f flop/B\n",
+                 p.name.c_str(), roof.peakGFlops(), roof.peakGBs(),
+                 roof.mshrCeilingGBs(core::MshrLevel::L1, p.totalCores),
+                 roof.mshrCeilingGBs(core::MshrLevel::L2, p.totalCores),
+                 roof.ridgeIntensity());
     return Outcome{};
 }
 
