@@ -33,10 +33,10 @@
  * bound-member-plus-pointer closures every component schedules — and
  * each one is built once, in place, in a cell of a chunked arena whose
  * cells never move; it runs in that cell and the cell is recycled.
- * The wheels chain the cells themselves, and the heap and the
- * dispatch batch hold trivially-copyable keys that point at cells, so
- * no sort, sift or relink ever moves a closure.
- * The ordering structure is a two-level timing wheel over a heap,
+ * The wheels chain the cells themselves, the far level holds cell
+ * pointers and the dispatch batch trivially-copyable keys that point
+ * at cells, so no sort or relink ever moves a closure.
+ * The ordering structure is a two-level timing wheel over a far list,
  * following the calendar-queue literature.  Time is cut into
  * kWheelTicks-aligned slots.  The fine wheel has one bucket per tick
  * and spans two slots: the one holding now and the next.  An event
@@ -47,9 +47,9 @@
  * bucket per slot, kCoarseSlots of them, a few microseconds in all,
  * which takes memory responses and compute gaps.  When now enters a
  * slot, the coarse bucket of the slot after it moves into the fine
- * wheel whole.  Only events past the coarse horizon (housekeeping,
- * long watchdog periods) wait in a flat 4-ary min-heap keyed by
- * (tick, priority) packed into one 128-bit word, and move to the
+ * wheel whole.  Only events past the coarse horizon (the watchdog
+ * tick, long housekeeping periods) wait on the far level, a vector
+ * sorted by tick that rarely holds more than one cell, and move to the
  * wheels as the horizon reaches them.  Within one tick, dispatch sorts
  * the tick's bucket by (priority, tie) and invokes it as a batch,
  * re-merging whenever a callback schedules new same-tick work that
@@ -321,7 +321,7 @@ class EventQueue
     static constexpr Tick kWheelTicks = 16384;
 
     /** Coarse wheel slots: a kCoarseSlots * kWheelTicks horizon
-     *  (~4.2 µs) before events fall back to the heap. */
+     *  (~4.2 µs) before events fall back to the far level. */
     static constexpr size_t kCoarseSlots = 256;
 
     EventQueue() : fineHead_(std::make_unique<Cell *[]>(kFineTicks)) {}
@@ -416,8 +416,8 @@ class EventQueue
      * now_ fast-forwards: the occupancy bitmap's count-trailing-zeros
      * scan jumps straight to the next busy tick, and an empty fine
      * wheel jumps straight to the first occupied coarse slot (or the
-     * heap's earliest event), so a sparse schedule costs per *event*,
-     * never per idle tick.  Crossing into a new slot is the one
+     * far level's earliest event), so a sparse schedule costs per
+     * *event*, never per idle tick.  Crossing into a new slot is the one
      * compare per event against boundary_.  Within one
      * tick, the bucket is sorted by (priority, tie) and dispatched as
      * a batch; new same-tick work landing during the batch is merged
@@ -449,13 +449,13 @@ class EventQueue
         for (;;) {
             if (wheelCount_ == 0) {
                 // Idle fast-forward: to the first occupied coarse slot,
-                // else to the heap's earliest event; advancing there
-                // moves it into the fine wheel.
+                // else to the far level's earliest event; advancing
+                // there moves it into the fine wheel.
                 Tick next;
                 if (coarseCount_ != 0) {
                     next = firstCoarseStart();
-                } else if (!heap_.empty()) {
-                    next = keyWhen(heap_.front().wp);
+                } else if (!far_.empty()) {
+                    next = far_.back()->when;
                 } else {
                     // Drained: nothing to move, so re-anchor the slots
                     // at the new now without a branch on the boundary.
@@ -508,59 +508,13 @@ class EventQueue
     size_t
     pending() const
     {
-        return wheelCount_ + coarseCount_ + heap_.size();
+        return wheelCount_ + coarseCount_ + far_.size();
     }
 
     /** Events scheduled kWheelTicks or more ahead (test aid). */
     uint64_t farRouted() const { return farRouted_; }
 
   private:
-#if defined(__SIZEOF_INT128__)
-    /** (when << 64) | prio: one wide compare orders time, then band. */
-    using WhenPrio = unsigned __int128;
-
-    static constexpr WhenPrio
-    packKey(Tick when, uint64_t prio)
-    {
-        return (static_cast<WhenPrio>(when) << 64) | prio;
-    }
-
-    static constexpr Tick
-    keyWhen(WhenPrio wp)
-    {
-        return static_cast<Tick>(wp >> 64);
-    }
-#else
-    struct WhenPrio
-    {
-        uint64_t when;
-        uint64_t prio;
-
-        bool
-        operator==(const WhenPrio &o) const
-        {
-            return when == o.when && prio == o.prio;
-        }
-
-        bool
-        operator!=(const WhenPrio &o) const { return !(*this == o); }
-
-        bool
-        operator<(const WhenPrio &o) const
-        {
-            return when != o.when ? when < o.when : prio < o.prio;
-        }
-    };
-
-    static constexpr WhenPrio
-    packKey(Tick when, uint64_t prio)
-    {
-        return WhenPrio{when, prio};
-    }
-
-    static constexpr Tick keyWhen(WhenPrio wp) { return wp.when; }
-#endif
-
     static constexpr Tick kWheelMask = kWheelTicks - 1;
     static_assert((kWheelTicks & kWheelMask) == 0,
                   "slot width must be a power of two: slots are "
@@ -607,23 +561,6 @@ class EventQueue
         uint64_t tie;
         Cell *cell;
     };
-
-    /** Heap node: the full ordering key, copied out of the cell so the
-     *  sift compares touch only the heap array. */
-    struct Node
-    {
-        WhenPrio wp;
-        uint64_t tie;
-        Cell *cell;
-    };
-
-    static bool
-    nodeBefore(const Node &a, const Node &b)
-    {
-        if (a.wp != b.wp)
-            return a.wp < b.wp;
-        return a.tie < b.tie;
-    }
 
     uint64_t
     tieKey(uint64_t seq) const
@@ -673,7 +610,7 @@ class EventQueue
     /** First tick past the fine wheel: the start of the coarse range. */
     Tick fineEnd() const { return boundary_ + kWheelTicks; }
 
-    /** First tick past the coarse horizon: the start of the heap range. */
+    /** First tick past the coarse horizon: the start of the far range. */
     Tick
     coarseEnd() const
     {
@@ -686,7 +623,7 @@ class EventQueue
         return static_cast<size_t>(when / kWheelTicks) & (kCoarseSlots - 1);
     }
 
-    /** Place an event at least a window ahead (or one the heap
+    /** Place an event at least a window ahead (or one the far level
      *  releases) on whichever level covers its tick.  Tie keys ride
      *  along, so no level can change the total order. */
     void
@@ -701,7 +638,13 @@ class EventQueue
             coarseBits_[i >> 6] |= uint64_t{1} << (i & 63);
             ++coarseCount_;
         } else {
-            pushNode(Node{packKey(c->when, c->prio), c->tie, c});
+            // Latest first, so the earliest pops off the back; the
+            // list is short (the watchdog tick), so insertion is too.
+            far_.insert(std::upper_bound(far_.begin(), far_.end(), c,
+                                         [](const Cell *a, const Cell *b) {
+                                             return a->when > b->when;
+                                         }),
+                        c);
         }
     }
 
@@ -719,7 +662,7 @@ class EventQueue
      * Now is about to enter @p t's slot (t >= boundary_): the fine
      * wheel then covers up to the end of the slot after it.  Every
      * coarse slot that range now takes moves into fine buckets whole,
-     * and heap events inside the new coarse horizon move to the
+     * and far events inside the new coarse horizon move to the
      * wheels.  No event lies before @p t, so every moved event still
      * lies ahead of now.  Once per slot at most, so kept out of
      * runUntil()'s inlined loop.
@@ -744,9 +687,9 @@ class EventQueue
             coarseBits_[i >> 6] &= ~(uint64_t{1} << (i & 63));
         }
         const Tick horizon = coarseEnd();
-        while (!heap_.empty() && keyWhen(heap_.front().wp) < horizon) {
-            Cell *c = heap_.front().cell;
-            popTop();
+        while (!far_.empty() && far_.back()->when < horizon) {
+            Cell *c = far_.back();
+            far_.pop_back();
             route(c);
         }
     }
@@ -770,52 +713,6 @@ class EventQueue
         const size_t c =
             (word << 6) + static_cast<size_t>(__builtin_ctzll(bits));
         return from + ((c - first) & (kCoarseSlots - 1)) * kWheelTicks;
-    }
-
-    // 4-ary min-heap over heap_: children of i live at 4i+1..4i+4.
-    // Half the depth of a binary heap and the four-way sibling compare
-    // runs over one cache line of adjacent nodes.
-    void
-    pushNode(Node v)
-    {
-        size_t i = heap_.size();
-        heap_.push_back(v);
-        while (i > 0) {
-            const size_t parent = (i - 1) / 4;
-            if (!nodeBefore(v, heap_[parent]))
-                break;
-            heap_[i] = heap_[parent];
-            i = parent;
-        }
-        heap_[i] = v;
-    }
-
-    void
-    popTop()
-    {
-        const Node last = heap_.back();
-        heap_.pop_back();
-        if (heap_.empty())
-            return;
-        // Sift the former last element down from the root.
-        const size_t n = heap_.size();
-        size_t i = 0;
-        for (;;) {
-            size_t child = 4 * i + 1;
-            if (child >= n)
-                break;
-            const size_t end = std::min(child + 4, n);
-            size_t best = child;
-            for (size_t k = child + 1; k < end; ++k) {
-                if (nodeBefore(heap_[k], heap_[best]))
-                    best = k;
-            }
-            if (!nodeBefore(heap_[best], last))
-                break;
-            heap_[i] = heap_[best];
-            i = best;
-        }
-        heap_[i] = last;
     }
 
     void
@@ -943,7 +840,8 @@ class EventQueue
     /** Start of the slot after now's: reaching it moves the next
      *  coarse slot into the fine wheel. */
     Tick boundary_ = kWheelTicks;
-    std::vector<Node> heap_;         //!< beyond the coarse horizon
+    /** Past the coarse horizon, sorted latest first. */
+    std::vector<Cell *> far_;
     std::vector<Key> batch_;         //!< tick currently dispatching
     /** Closure arena: fixed-size chunks, so a cell never moves while
      *  its event is pending or running. */

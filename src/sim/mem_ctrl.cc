@@ -100,8 +100,6 @@ MemCtrl::tryAccess(MemRequest *req)
 
     Tick resp = done + backLat_;
     double lat_ns = ticksToNs(resp - now);
-    LLL_DEBUG(memctrl, "read line %llu bank %u lat %.1f ns",
-              static_cast<unsigned long long>(req->lineAddr), bank, lat_ns);
     stats_.readLatencyNs.sample(lat_ns);
     stats_.readLatencyHist.sample(lat_ns);
     if (tracer_)

@@ -92,8 +92,6 @@ MshrQueue::allocate(uint64_t lineAddr, ReqType origin, Tick now)
                   "%s: index lost line %llu on insert", name_.c_str(),
                   static_cast<unsigned long long>(lineAddr));
     occupancy_.set(now, used_);
-    LLL_DEBUG(mshr, "%s: allocate line %llu (%u/%u in use)", name_.c_str(),
-              static_cast<unsigned long long>(lineAddr), used_, size_);
     return &mshr;
 }
 

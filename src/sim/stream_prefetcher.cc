@@ -99,9 +99,6 @@ StreamPrefetcher::observe(uint64_t lineAddr, int core)
         }
         if (out != PrefetchOutcome::Covered)
             ++stats_.issued;
-        LLL_DEBUG(prefetch, "stream pf line %llu dir %d (%s)",
-                  static_cast<unsigned long long>(next), match->dir,
-                  out == PrefetchOutcome::Covered ? "covered" : "issued");
         match->issuedUpTo = next;
         --budget;
     }

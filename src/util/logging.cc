@@ -11,7 +11,6 @@ namespace
 
 std::atomic<LogSink> g_sink{nullptr};
 std::atomic<unsigned long> g_warn_count{0};
-std::atomic<bool> g_debug_cats[static_cast<int>(DebugCat::NumCats)]{};
 
 const char *
 levelName(LogLevel level)
@@ -21,38 +20,11 @@ levelName(LogLevel level)
       case LogLevel::Fatal:  return "fatal";
       case LogLevel::Warn:   return "warn";
       case LogLevel::Inform: return "info";
-      case LogLevel::Debug:  return "debug";
     }
     return "?";
 }
 
 } // namespace
-
-void
-setDebugCategory(DebugCat cat, bool enabled)
-{
-    g_debug_cats[static_cast<int>(cat)].store(enabled);
-}
-
-void
-setDebugCategory(const std::string &name, bool enabled)
-{
-    if (name == "mshr")
-        setDebugCategory(DebugCat::mshr, enabled);
-    else if (name == "memctrl")
-        setDebugCategory(DebugCat::memctrl, enabled);
-    else if (name == "prefetch")
-        setDebugCategory(DebugCat::prefetch, enabled);
-    else
-        lll_fatal("unknown debug category '%s'", name.c_str());
-}
-
-bool
-debugEnabled(DebugCat cat)
-{
-    return g_debug_cats[static_cast<int>(cat)].load(
-        std::memory_order_relaxed);
-}
 
 LogSink
 setLogSink(LogSink sink)

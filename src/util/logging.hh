@@ -29,29 +29,7 @@ enum class LogLevel
     Fatal,
     Warn,
     Inform,
-    Debug,
 };
-
-/**
- * Debug-log categories for LLL_DEBUG.  Lower-case names so call sites
- * read `LLL_DEBUG(mshr, ...)`.
- */
-enum class DebugCat
-{
-    mshr,
-    memctrl,
-    prefetch,
-    NumCats,
-};
-
-/** Enable/disable a debug category at runtime (all start disabled). */
-void setDebugCategory(DebugCat cat, bool enabled);
-
-/** By-name variant ("mshr", "memctrl", "prefetch"); fatal if unknown. */
-void setDebugCategory(const std::string &name, bool enabled);
-
-/** Whether @p cat is currently enabled. */
-bool debugEnabled(DebugCat cat);
 
 namespace detail
 {
@@ -100,31 +78,6 @@ unsigned long warnCount();
 #define lll_inform(...)                                                     \
     ::lll::detail::emit(::lll::LogLevel::Inform,                            \
                         ::lll::detail::format(__VA_ARGS__))
-
-/**
- * Category-gated debug logging, routed through the LogSink so tests can
- * assert on it:
- *
- *     LLL_DEBUG(mshr, "%s: allocate line %llu", name, line);
- *
- * Categories (lll::DebugCat) are runtime toggles; the whole statement
- * compiles away when the build defines LLL_DEBUG_DISABLED (CMake option
- * -DLLL_DEBUG_LOG=OFF).
- */
-#ifdef LLL_DEBUG_DISABLED
-#define LLL_DEBUG(cat, ...)                                                 \
-    do {                                                                    \
-    } while (0)
-#else
-#define LLL_DEBUG(cat, ...)                                                 \
-    do {                                                                    \
-        if (::lll::debugEnabled(::lll::DebugCat::cat)) {                    \
-            ::lll::detail::emit(::lll::LogLevel::Debug,                     \
-                                std::string("[" #cat "] ") +                \
-                                    ::lll::detail::format(__VA_ARGS__));    \
-        }                                                                   \
-    } while (0)
-#endif
 
 /** Panic when an internal invariant fails. */
 #define lll_assert(cond, ...)                                               \

@@ -82,43 +82,6 @@ TEST_F(LoggingTest, FormatHandlesLongStrings)
     EXPECT_EQ(g_captured[0].second.size(), 300u);
 }
 
-TEST_F(LoggingTest, DebugSilentWhenCategoryDisabled)
-{
-    LLL_DEBUG(mshr, "invisible %d", 1);
-    EXPECT_TRUE(g_captured.empty());
-}
-
-TEST_F(LoggingTest, DebugEmitsWhenCategoryEnabled)
-{
-    setDebugCategory(DebugCat::mshr, true);
-    LLL_DEBUG(mshr, "line %d allocated", 7);
-    LLL_DEBUG(memctrl, "still off");
-    setDebugCategory(DebugCat::mshr, false);
-    LLL_DEBUG(mshr, "off again");
-#ifdef LLL_DEBUG_DISABLED
-    EXPECT_TRUE(g_captured.empty());
-#else
-    ASSERT_EQ(g_captured.size(), 1u);
-    EXPECT_EQ(g_captured[0].first, LogLevel::Debug);
-    EXPECT_EQ(g_captured[0].second, "[mshr] line 7 allocated");
-#endif
-}
-
-TEST_F(LoggingTest, DebugCategoryByName)
-{
-    setDebugCategory("prefetch", true);
-    EXPECT_TRUE(debugEnabled(DebugCat::prefetch));
-    EXPECT_FALSE(debugEnabled(DebugCat::memctrl));
-    setDebugCategory("prefetch", false);
-    EXPECT_FALSE(debugEnabled(DebugCat::prefetch));
-}
-
-TEST(LoggingDeathTest, UnknownDebugCategoryIsFatal)
-{
-    EXPECT_DEATH({ setDebugCategory("bogus", true); },
-                 "unknown debug category");
-}
-
 TEST(LoggingDeathTest, AssertFiresOnFalse)
 {
     EXPECT_DEATH({ lll_assert(1 == 2, "impossible %d", 7); },
