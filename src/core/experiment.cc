@@ -145,7 +145,7 @@ Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
     sp.seed = params_.seed;
     sim::System sys(sp, spec);
     if (params_.registry)
-        sys.attachObservability(*params_.registry, params_.sampler);
+        sys.attachObservability(*params_.registry);
     sim::RunResult run;
     {
         obs::ScopedSpan sim_span("simulate");

@@ -21,7 +21,6 @@
 #include "core/analyzer.hh"
 #include "counters/counter_bank.hh"
 #include "obs/registry.hh"
-#include "obs/sampler.hh"
 #include "platforms/platform.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
@@ -102,7 +101,6 @@ class Experiment
          * nested inside.
          */
         obs::MetricRegistry *registry = nullptr;
-        obs::Sampler::Params sampler;
 
         /**
          * Cross-experiment memo table (core/sweep.hh).  A stage whose

@@ -525,42 +525,34 @@ ResultCache::global()
     return instance;
 }
 
-namespace
+SweepRunner::Profiles
+SweepRunner::loadProfiles(const std::vector<StageUnit> &units) const
 {
-
-using ProfileMap =
-    std::map<std::string, util::Result<xmem::LatencyProfile>>;
-
-/**
- * Each distinct platform's latency profile, or the error that kept it
- * from loading, fetched through the profile store once per platform in
- * unit order before the unit fan-out starts.  A profile that must be
- * characterized first fans its operating points out over @p jobs
- * workers (the caller plus helpers), so no more than @p jobs threads
- * ever run.
- */
-ProfileMap
-loadProfiles(const std::vector<SweepRunner::StageUnit> &units, int jobs)
-{
+    // A profile that must be characterized first fans its operating
+    // points out over the runner's jobs (the caller plus helpers), so
+    // no more than that many threads ever run.
     xmem::XMemHarness::Params hp;
-    hp.jobs = jobs;
+    hp.jobs = params_.jobs;
     const xmem::XMemHarness harness(hp);
-    ProfileMap profiles;
-    for (const SweepRunner::StageUnit &u : units) {
-        if (!profiles.count(u.platform.name)) {
-            profiles.emplace(u.platform.name,
-                             harness.measureCachedChecked(
-                                 u.platform,
-                                 xmem::defaultProfilePath(u.platform)));
+    Profiles profiles;
+    for (const StageUnit &u : units) {
+        if (profiles.count(u.platform.name))
+            continue;
+        util::Result<xmem::LatencyProfile> prof =
+            harness.measureCachedChecked(
+                u.platform, xmem::defaultProfilePath(u.platform));
+        if (!prof.ok()) {
+            prof = prof.status().withContext("profile for '%s'",
+                                             u.platform.name.c_str());
         }
+        profiles.emplace(u.platform.name, std::move(prof));
     }
     return profiles;
 }
 
-} // namespace
-
 std::vector<SweepRunner::StageOutcome>
-SweepRunner::runStages(const std::vector<StageUnit> &units)
+SweepRunner::runStages(const std::vector<StageUnit> &units,
+                       const Profiles &profiles)
 {
     const size_t n = units.size();
     std::vector<StageOutcome> outcomes(n);
@@ -569,7 +561,6 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
 
     // A platform whose profile cannot be loaded fails *its* units, not
     // the batch: the service contract is one status per request.
-    const ProfileMap profiles = loadProfiles(units, params_.jobs);
     std::vector<obs::MetricRegistry> registries(
         params_.registry ? n : 0);
     const obs::Executor executor(params_.jobs);
@@ -586,8 +577,7 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
         const util::Result<xmem::LatencyProfile> &prof =
             profiles.at(u.platform.name);
         if (!prof.ok()) {
-            out.status = prof.status().withContext(
-                "profile for '%s'", u.platform.name.c_str());
+            out.status = prof.status();
         } else {
             Experiment::Params ep;
             ep.warmupUs = u.warmupUs;
@@ -595,7 +585,6 @@ SweepRunner::runStages(const std::vector<StageUnit> &units)
             ep.coresUsed = u.coresUsed;
             ep.seed = u.seed;
             ep.resultCache = params_.cache;
-            ep.sampler = params_.sampler;
             ep.registry = params_.registry ? &registries[i] : nullptr;
             util::Result<Experiment> exp = Experiment::create(
                 u.platform, *u.workload, *prof, ep);

@@ -36,7 +36,6 @@
 
 #include "core/experiment.hh"
 #include "obs/registry.hh"
-#include "obs/sampler.hh"
 #include "platforms/platform.hh"
 #include "util/fields.hh"
 #include "util/status.hh"
@@ -226,7 +225,6 @@ class SweepRunner
          * SpanTracker the same way.
          */
         obs::MetricRegistry *registry = nullptr;
-        obs::Sampler::Params sampler;
     };
 
     /**
@@ -270,19 +268,38 @@ class SweepRunner
         ResultCache::Stats cache;
     };
 
+    /** Each distinct platform's latency profile, or the error (in
+     *  "profile for '<platform>'" context) that keeps it unusable. */
+    using Profiles =
+        std::map<std::string, util::Result<xmem::LatencyProfile>>;
+
     explicit SweepRunner(Params params) : params_(params) {}
 
     /**
+     * runStages()' first step on its own: every distinct platform's
+     * profile, fetched from the xmem::ProfileStore (and measured when
+     * missing) once, in unit order.  A caller that must refuse a whole
+     * batch over one unusable profile checks these, then hands them to
+     * runStages() so nothing loads twice.
+     */
+    Profiles loadProfiles(const std::vector<StageUnit> &units) const;
+
+    /**
      * Run one simulated stage per unit and return the outcomes in unit
-     * order (never in completion order).  Latency profiles are fetched
-     * from the xmem::ProfileStore (and measured when missing) once per
-     * distinct platform *before* the fan-out.  Failures are reported
-     * *per unit*: a unit whose profile cannot be loaded or whose
-     * Experiment fails gets its error in its StageOutcome while the
-     * rest of the batch proceeds.
+     * order (never in completion order), loading the profiles first.
+     * Failures are reported *per unit*: a unit whose profile cannot be
+     * loaded or whose Experiment fails gets its error in its
+     * StageOutcome while the rest of the batch proceeds.
      */
     std::vector<StageOutcome>
-    runStages(const std::vector<StageUnit> &units);
+    runStages(const std::vector<StageUnit> &units)
+    {
+        return runStages(units, loadProfiles(units));
+    }
+
+    /** runStages() over profiles loadProfiles(@p units) returned. */
+    std::vector<StageOutcome>
+    runStages(const std::vector<StageUnit> &units, const Profiles &profiles);
 
   private:
     Params params_;

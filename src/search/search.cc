@@ -111,11 +111,7 @@ Searcher::run(const SearchSpec &spec)
     const double measure = spec.measureUs > 0.0 ? spec.measureUs
                                                 : workload->measureUs();
 
-    core::SweepRunner::Params rp;
-    rp.jobs = params_.jobs;
-    rp.cache = params_.cache;
-    rp.registry = params_.registry;
-    core::SweepRunner runner(rp);
+    core::SweepRunner runner(params_);
 
     // Both ceiling terms (DESIGN.md §17.2) cap the *sustained* rate,
     // but a finite measurement window can overshoot them by a fraction

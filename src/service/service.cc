@@ -339,12 +339,7 @@ RunService::serveLines(const std::vector<std::string> &lines,
     std::vector<core::SweepRunner::StageOutcome> outcomes;
     {
         obs::ScopedSpan span("serve.run");
-        core::SweepRunner::Params rp;
-        rp.jobs = params_.jobs;
-        rp.cache = params_.cache;
-        rp.registry = params_.registry;
-        core::SweepRunner runner(rp);
-        outcomes = runner.runStages(units);
+        outcomes = core::SweepRunner(params_).runStages(units);
 
         // Search requests run after the stage units, in request order,
         // each through its own bounds-pruned wave pipeline (the
@@ -354,10 +349,8 @@ RunService::serveLines(const std::vector<std::string> &lines,
             if (!slot.status.ok() || !slot.req.isSearch)
                 continue;
             obs::WallTimer search_timer;
-            search::Searcher searcher(
-                {params_.jobs, params_.cache, params_.registry});
             util::Result<search::SearchResult> result =
-                searcher.run(slot.req.search);
+                search::Searcher(params_).run(slot.req.search);
             slot.timing.simulateNs = search_timer.elapsedNs();
             if (result.ok())
                 slot.search = result.take();

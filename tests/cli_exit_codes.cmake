@@ -52,23 +52,36 @@ expect_exit(2 reproduce extra)
 expect_exit(2 table isx --jobs 0)
 
 # A corrupt skl profile beside intact knl/a64fx ones is bad input data
-# for the paper tables: the first failing stage's status (exit 3).
+# for the paper tables (exit 3), and refuses the plan before any stage
+# simulates: the spill directory stays empty.
 set(_corrupt_dir "${CMAKE_CURRENT_BINARY_DIR}/corrupt_profiles")
-file(REMOVE_RECURSE "${_corrupt_dir}")
+set(_corrupt_spill "${CMAKE_CURRENT_BINARY_DIR}/corrupt_spill")
+file(REMOVE_RECURSE "${_corrupt_dir}" "${_corrupt_spill}")
 file(COPY "${REPO_ROOT}/data/profiles/knl.profile"
           "${REPO_ROOT}/data/profiles/a64fx.profile"
      DESTINATION "${_corrupt_dir}")
 file(WRITE "${_corrupt_dir}/skl.profile"
      "platform skl\npeak_gbs 100\npoint 10")
-foreach(cmd "table;isx" "sweep")
+foreach(cmd "table;isx" "sweep" "reproduce")
     execute_process(COMMAND ${CMAKE_COMMAND} -E env
                             LLL_PROFILE_DIR=${_corrupt_dir}
                             ${LLL_BIN} ${cmd} --jobs 2
+                            --cache-dir ${_corrupt_spill}
                     RESULT_VARIABLE got
-                    OUTPUT_QUIET ERROR_QUIET)
+                    OUTPUT_QUIET
+                    ERROR_VARIABLE err)
     if(NOT got EQUAL 3)
         message(FATAL_ERROR "lll ${cmd} with a corrupt skl profile: "
                             "expected exit 3, got ${got}")
+    endif()
+    if(NOT err MATCHES "lll: corrupt-data: sweep: profile for 'skl': ")
+        message(FATAL_ERROR "lll ${cmd} with a corrupt skl profile: "
+                            "unexpected error line: ${err}")
+    endif()
+    file(GLOB _spilled "${_corrupt_spill}/*")
+    if(_spilled)
+        message(FATAL_ERROR "lll ${cmd} with a corrupt skl profile "
+                            "simulated before refusing: ${_spilled}")
     endif()
 endforeach()
 

@@ -52,7 +52,9 @@ visitFields(V &v, R &r)
     visitFields(v, r.cache);
 }
 
-/** The paper tables of @p wls on every platform. */
+/** The paper tables of @p wls on every platform.  Every table needs
+ *  its platform's profile, so an unusable one refuses the plan before
+ *  any stage simulates. */
 util::Result<std::vector<core::PaperTable>>
 runTables(const RunnerFlags &flags,
           const std::vector<workloads::WorkloadPtr> &wls,
@@ -64,8 +66,17 @@ runTables(const RunnerFlags &flags,
     sp->registry = registry;
     const core::PaperPlan plan =
         core::planPaperTables(platforms::allPlatforms(), wls);
-    return core::assemblePaperTables(
-        plan, core::SweepRunner(*sp).runStages(plan.stages));
+    core::SweepRunner runner(*sp);
+    const core::SweepRunner::Profiles profiles =
+        runner.loadProfiles(plan.stages);
+    for (const core::SweepRunner::StageUnit &u : plan.stages) {
+        const util::Result<xmem::LatencyProfile> &prof =
+            profiles.at(u.platform.name);
+        if (!prof.ok())
+            return prof.status().withContext("sweep");
+    }
+    return core::assemblePaperTables(plan,
+                                     runner.runStages(plan.stages, profiles));
 }
 
 /** One table's rows as cells: Proc, Source, BW_obs, lat_avg, n_avg,
@@ -333,12 +344,9 @@ runSearch(const SearchRequest &r, const Context &ctx)
     util::Result<core::SweepRunner::Params> sp = r.runner.params();
     if (!sp.ok())
         return sp.status();
-    search::Searcher::Params pp;
-    pp.jobs = sp->jobs;
-    pp.cache = sp->cache;
-    pp.registry = &ctx.registry;
-    search::Searcher searcher(pp);
-    util::Result<search::SearchResult> result = searcher.run(r.spec);
+    sp->registry = &ctx.registry;
+    util::Result<search::SearchResult> result =
+        search::Searcher(*sp).run(r.spec);
     if (!result.ok())
         return result.status();
 
