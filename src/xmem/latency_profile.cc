@@ -155,6 +155,14 @@ LatencyProfile::parse(const std::string &text)
                                  "line %d: unknown profile key: '%s'",
                                  lineno, key.c_str());
         }
+        // A line cut short and glued to the next one parses as a
+        // plausible value followed by garbage: refuse the rest.
+        std::string rest;
+        if (ls >> rest) {
+            return Status::error(ErrorCode::CorruptData,
+                                 "line %d: trailing '%s' after %s", lineno,
+                                 rest.c_str(), key.c_str());
+        }
     }
     if (name.empty())
         return Status::error(ErrorCode::CorruptData,

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "xmem/latency_profile.hh"
 
@@ -164,6 +166,77 @@ TEST(LatencyProfileTest, NegativePointIsCorruptData)
         "platform x\npeak_gbs 100\npoint 10 -5\n");
     ASSERT_FALSE(p.ok());
     EXPECT_EQ(p.status().code(), util::ErrorCode::CorruptData);
+}
+
+TEST(LatencyProfileTest, TrailingTokensAreCorruptData)
+{
+    // A value glued to garbage must not load as the value alone.
+    for (const char *bad :
+         {"point 51.9520 88.6garbage line", "point 10 80zz",
+          "point 10 80 90", "peak_gbs 100 GB/s", "platform skl knl"}) {
+        const std::string text =
+            std::string("platform skl\npeak_gbs 128\n") + bad + "\n";
+        util::Result<LatencyProfile> p = LatencyProfile::parse(text);
+        ASSERT_FALSE(p.ok()) << bad;
+        EXPECT_EQ(p.status().code(), util::ErrorCode::CorruptData) << bad;
+        EXPECT_NE(p.status().message().find("line 3"), std::string::npos)
+            << p.status().message();
+    }
+}
+
+TEST(LatencyProfileTest, CrlfLineEndsParse)
+{
+    std::string crlf;
+    for (char c : simple().serialize()) {
+        if (c == '\n')
+            crlf += '\r';
+        crlf += c;
+    }
+    util::Result<LatencyProfile> p = LatencyProfile::parse(crlf);
+    ASSERT_TRUE(p.ok()) << p.status().toString();
+    EXPECT_EQ(p->platformName(), "tst");
+    EXPECT_EQ(p->points().size(), 3u);
+    EXPECT_EQ(p->serialize(), simple().serialize());
+}
+
+/** The committed profile of @p platform, as text. */
+std::string
+committedProfile(const std::string &platform)
+{
+    std::ifstream in(std::string(LLL_TEST_GOLDEN_DIR) +
+                     "/../../data/profiles/" + platform + ".profile");
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(LatencyProfileTest, CommittedProfilesLoadAndRoundTrip)
+{
+    for (const char *plat : {"skl", "knl", "a64fx"}) {
+        const std::string text = committedProfile(plat);
+        util::Result<LatencyProfile> p = LatencyProfile::parse(text);
+        ASSERT_TRUE(p.ok()) << plat << ": " << p.status().toString();
+        EXPECT_EQ(p->platformName(), plat);
+        util::Result<LatencyProfile> again =
+            LatencyProfile::parse(p->serialize());
+        ASSERT_TRUE(again.ok()) << again.status().toString();
+        EXPECT_EQ(again->serialize(), p->serialize());
+    }
+}
+
+TEST(LatencyProfileTest, ProfileCutMidLineIsCorruptData)
+{
+    // A write cut mid-line, then appended to: the cut point line must
+    // not load as a shorter value.
+    const std::string text = committedProfile("skl");
+    const size_t cut = text.find("\npoint ", text.size() / 2);
+    ASSERT_NE(cut, std::string::npos);
+    const size_t mid = text.find('.', text.find(' ', cut + 7) + 1) + 2;
+    util::Result<LatencyProfile> p =
+        LatencyProfile::parse(text.substr(0, mid) + "garbage line\n");
+    ASSERT_FALSE(p.ok());
+    EXPECT_EQ(p.status().code(), util::ErrorCode::CorruptData);
+    EXPECT_NE(p.status().message().find("garbage"), std::string::npos);
 }
 
 TEST(LatencyProfileTest, LoadCorruptFileCarriesPathContext)
