@@ -29,7 +29,6 @@ defaultLayers()
         {"counters", {"util", "sim", "platforms"}},
         {"xmem", {"util", "obs", "sim", "platforms"}},
         {"workloads", {"util", "obs", "sim", "platforms"}},
-        {"perf", {"util", "obs", "sim", "platforms"}},
         {"core",
          {"util", "obs", "sim", "platforms", "counters", "workloads",
           "xmem"}},
@@ -53,7 +52,7 @@ defaultLayers()
         // The CLI (tools/) is the top of the stack and may see it all.
         {"cli",
          {"util", "obs", "sim", "platforms", "counters", "workloads",
-          "xmem", "perf", "core", "analysis", "search", "service",
+          "xmem", "core", "analysis", "search", "service",
           "net", "faultinject", "audit", "lll"}},
     };
 }

@@ -3,7 +3,7 @@
  * The observability layer's one host-time source.
  *
  * Every wall-clock measurement in the repo — span trackers, the
- * profiler, `lll bench` trials, per-request serve latencies — reads
+ * profiler, per-request serve latencies — reads
  * this monotonic clock, so numbers from different subsystems are
  * directly comparable and a future clock swap (e.g. rdtsc fast path)
  * happens in exactly one place.

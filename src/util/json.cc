@@ -68,7 +68,7 @@ JsonWriter::begin(char open, char close, Layout layout)
                kMaxDepth);
     separate();
     const bool block = layout == Layout::Block;
-    frames_[depth_++] = {out_.size(), digits_, close, block, true, false};
+    frames_[depth_++] = {digits_, close, block, true};
     blockDepth_ += block;
     out_ += open;
     return *this;
@@ -100,14 +100,6 @@ JsonWriter::precision(int digits)
     return *this;
 }
 
-JsonWriter &
-JsonWriter::wrap()
-{
-    lll_assert(depth_ > 0, "JSON wrap() outside a container");
-    frames_[depth_ - 1].wrapNext = true;
-    return *this;
-}
-
 void
 JsonWriter::separate()
 {
@@ -123,13 +115,6 @@ JsonWriter::separate()
     if (f.block) {
         out_ += '\n';
         out_.append(2 * size_t(blockDepth_), ' ');
-    } else if (f.wrapNext) {
-        const size_t line = out_.rfind('\n', f.open);
-        const size_t column =
-            line == std::string::npos ? f.open : f.open - line - 1;
-        out_ += '\n';
-        out_.append(column + 1, ' ');
-        f.wrapNext = false;
     } else if (!f.empty) {
         out_ += ' ';
     }
@@ -481,20 +466,6 @@ const JsonValue *JsonValue::find(std::string_view key) const
     return nullptr;
 }
 
-util::Result<std::string> JsonValue::getString(const std::string &key) const
-{
-    const JsonValue *v = find(key);
-    if (!v)
-        return util::Status::error(util::ErrorCode::InvalidArgument,
-                                   "missing required field \"%s\"",
-                                   key.c_str());
-    if (!v->isString())
-        return util::Status::error(util::ErrorCode::InvalidArgument,
-                                   "field \"%s\" must be a string, got %s",
-                                   key.c_str(), v->typeName());
-    return v->string;
-}
-
 util::Result<std::string>
 JsonValue::getStringOr(const std::string &key, std::string fallback) const
 {
@@ -520,32 +491,6 @@ util::Result<double> JsonValue::getNumber(const std::string &key) const
                                    "field \"%s\" must be a number, got %s",
                                    key.c_str(), v->typeName());
     return v->number;
-}
-
-util::Result<double>
-JsonValue::getNumberOr(const std::string &key, double fallback) const
-{
-    const JsonValue *v = find(key);
-    if (!v)
-        return fallback;
-    if (!v->isNumber())
-        return util::Status::error(util::ErrorCode::InvalidArgument,
-                                   "field \"%s\" must be a number, got %s",
-                                   key.c_str(), v->typeName());
-    return v->number;
-}
-
-util::Result<bool> JsonValue::getBoolOr(const std::string &key,
-                                        bool fallback) const
-{
-    const JsonValue *v = find(key);
-    if (!v)
-        return fallback;
-    if (!v->isBool())
-        return util::Status::error(util::ErrorCode::InvalidArgument,
-                                   "field \"%s\" must be a bool, got %s",
-                                   key.c_str(), v->typeName());
-    return v->boolean;
 }
 
 util::Result<JsonValue> parseJson(const std::string &text,

@@ -72,16 +72,11 @@ class JsonValue
     const JsonValue *find(std::string_view key) const;
 
     // Typed member accessors: the field as Result, with the offending
-    // key in the error message.  *Or variants return @p fallback when
-    // the key is absent (but still fail on a type mismatch).
-    [[nodiscard]] util::Result<std::string> getString(const std::string &key) const;
+    // key in the error message.  getStringOr returns @p fallback when
+    // the key is absent (but still fails on a type mismatch).
     [[nodiscard]] util::Result<std::string> getStringOr(const std::string &key,
                                           std::string fallback) const;
     [[nodiscard]] util::Result<double> getNumber(const std::string &key) const;
-    [[nodiscard]] util::Result<double> getNumberOr(const std::string &key,
-                                     double fallback) const;
-    [[nodiscard]] util::Result<bool> getBoolOr(const std::string &key,
-                                 bool fallback) const;
 };
 
 /**
@@ -143,10 +138,6 @@ class JsonWriter
      *  open container (the whole document at top level) until it ends. */
     JsonWriter &precision(int digits);
 
-    /** Start the next member of the innermost (inline) container on a
-     *  new line, one column past its opening bracket. */
-    JsonWriter &wrap();
-
     JsonWriter &key(std::string_view name);
 
     JsonWriter &value(std::string_view s);
@@ -175,12 +166,10 @@ class JsonWriter
   private:
     struct Frame
     {
-        size_t open = 0;      //!< offset of the opening bracket in out_
         int outerDigits = 17; //!< precision to restore on end()
         char close = '}';
         bool block = false;
         bool empty = true;
-        bool wrapNext = false;
     };
 
     JsonWriter &begin(char open, char close, Layout layout);

@@ -148,14 +148,9 @@ inline constexpr char kNetLatencyQueueWaitNs[] =
 inline constexpr char kNetLatencyHandlerNs[] = "net.latency.handler_ns";
 
 // ---------------------------------------------------------------------
-// perf / CLI span families.
+// CLI span families.
 // ---------------------------------------------------------------------
 
-/** `lll bench` per-kernel item-latency histograms: kPerfKernelPrefix +
- *  kernel + ".item_ns". */
-inline constexpr char kPerfKernelPrefix[] = "perf.";
-/** `lll bench` per-kernel spans: kBenchSpanPrefix + kernel. */
-inline constexpr char kBenchSpanPrefix[] = "bench.";
 /** `lll profile` root spans: kCmdSpanPrefix + subcommand. */
 inline constexpr char kCmdSpanPrefix[] = "cmd.";
 
@@ -224,8 +219,6 @@ inline constexpr const char *kRegisteredNames[] = {
     kNetLatencyRequestNs,
     kNetLatencyQueueWaitNs,
     kNetLatencyHandlerNs,
-    kPerfKernelPrefix,
-    kBenchSpanPrefix,
     kCmdSpanPrefix,
 };
 

@@ -119,11 +119,12 @@ LatencyProfile::parse(const std::string &text)
     int lineno = 0;
     while (std::getline(in, line)) {
         ++lineno;
-        if (line.empty() || line[0] == '#')
+        if (line.starts_with('#'))
             continue;
         std::istringstream ls(line);
         std::string key;
-        ls >> key;
+        if (!(ls >> key))
+            continue; // blank or whitespace-only, e.g. a CRLF file's "\r"
         if (key == "platform") {
             ls >> name;
             if (name.empty()) {

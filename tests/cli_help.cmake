@@ -25,7 +25,7 @@ endmacro()
 capture(--help)
 foreach(cmd platforms workloads vendors characterize analyze trace walk
             table sweep reproduce roofline selftest lint audit serve
-            search bench bench-serve profile)
+            search bench-serve profile)
     capture(${cmd} --help)
 endforeach()
 foreach(cmd platforms workloads vendors)

@@ -192,11 +192,18 @@ TEST(LatencyProfileTest, CrlfLineEndsParse)
             crlf += '\r';
         crlf += c;
     }
-    util::Result<LatencyProfile> p = LatencyProfile::parse(crlf);
-    ASSERT_TRUE(p.ok()) << p.status().toString();
-    EXPECT_EQ(p->platformName(), "tst");
-    EXPECT_EQ(p->points().size(), 3u);
-    EXPECT_EQ(p->serialize(), simple().serialize());
+    // A CRLF file with a trailing blank line ends in "\r\n\r\n", and a
+    // line of spaces carries no key either: both are skipped like an
+    // empty line.
+    std::string spaces = simple().serialize();
+    spaces.insert(spaces.find("point"), "   \n");
+    for (const std::string &text : {crlf, crlf + "\r\n", spaces}) {
+        util::Result<LatencyProfile> p = LatencyProfile::parse(text);
+        ASSERT_TRUE(p.ok()) << p.status().toString();
+        EXPECT_EQ(p->platformName(), "tst");
+        EXPECT_EQ(p->points().size(), 3u);
+        EXPECT_EQ(p->serialize(), simple().serialize());
+    }
 }
 
 /** The committed profile of @p platform, as text. */

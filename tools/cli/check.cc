@@ -2,8 +2,7 @@
  * @file
  * The commands that check the model and the tree rather than run the
  * paper's method: lint (static analyzer, determinism check), audit
- * (source auditor), selftest (fault injection) and bench (perf
- * microbenchmarks and their ratchet).
+ * (source auditor) and selftest (fault injection).
  */
 
 #include <algorithm>
@@ -18,11 +17,7 @@
 #include "audit/audit.hh"
 #include "cli.hh"
 #include "faultinject/faultinject.hh"
-#include "obs/span.hh"
-#include "perf/bench_report.hh"
-#include "perf/microbench.hh"
 #include "util/diagnostic.hh"
-#include "util/names.hh"
 
 namespace lll::cli
 {
@@ -364,135 +359,10 @@ runSelftest(const SelftestRequest &r, const Context &ctx)
     return out;
 }
 
-struct BenchRequest
-{
-    perf::TrialParams trials;
-    std::string kernel; //!< empty: every kernel
-    std::string rev;
-    std::string json;
-    std::string compare; //!< baseline report to ratchet against
-    double tolerance = 0.15;
-};
-
-template <class V, util::RecordOf<BenchRequest> R>
-void
-visitFields(V &v, R &r)
-{
-    constexpr util::FieldOpts kAmount{.lo = 0, .help = ""};
-    v("trials", r.trials.trials, kCount);
-    v("warmup_ms", r.trials.warmupMs, kAmount);
-    v("measure_ms", r.trials.measureMs, kAmount);
-    v("kernel", r.kernel, kFlag);
-    v("rev", r.rev, kFlag);
-    v("json", r.json, kFlag);
-    v("compare", r.compare, kFlag);
-    v("tolerance", r.tolerance, kAmount);
-}
-
-Status
-decodeOperands(util::ArgParser &, BenchRequest &r, const char *)
-{
-    if (r.tolerance >= 1.0) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "--tolerance wants a fraction below 1 (e.g. "
-                             "0.15)");
-    }
-    return Status::okStatus();
-}
-
-/**
- * `lll bench`: run the perf microbenchmark kernels (src/perf) for
- * repeated trials and report events/sec (min/median/IQR across trials)
- * plus per-item latency quantiles.  `--json FILE` writes the versioned
- * BENCH report; `--compare BASELINE` applies the perf ratchet and
- * fails (exit 3) on a regression beyond `--tolerance`.
- */
-util::Result<Outcome>
-runBench(const BenchRequest &r, const Context &ctx)
-{
-    std::vector<const perf::KernelInfo *> selected;
-    if (r.kernel.empty()) {
-        for (const perf::KernelInfo &k : perf::kernels())
-            selected.push_back(&k);
-    } else {
-        const perf::KernelInfo *k = perf::findKernel(r.kernel);
-        if (!k) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "unknown bench kernel '%s'",
-                                 r.kernel.c_str());
-        }
-        selected.push_back(k);
-    }
-
-    perf::BenchReport report;
-    report.rev = r.rev.empty() ? "dev" : r.rev;
-    report.trials = r.trials.trials;
-    report.warmupMs = r.trials.warmupMs;
-    report.measureMs = r.trials.measureMs;
-
-    // Per-kernel latency histograms land in the registry so the
-    // envelope telemetry shares the exporter schema with every other
-    // command.
-    FILE *rep = ctx.report;
-    std::fprintf(rep, "%-12s %12s %12s %12s %8s %8s %8s\n", "kernel",
-                 "median ev/s", "min ev/s", "IQR ev/s", "p50 ns",
-                 "p90 ns", "p99 ns");
-    for (const perf::KernelInfo *k : selected) {
-        obs::ScopedSpan span(util::names::kBenchSpanPrefix + k->name);
-        perf::KernelStats stats = perf::runKernel(*k, r.trials);
-        std::fprintf(rep,
-                     "%-12s %12.4g %12.4g %12.4g %8.1f %8.1f %8.1f\n",
-                     stats.name.c_str(), stats.medianEps, stats.minEps,
-                     stats.iqrEps, stats.p50ItemNs, stats.p90ItemNs,
-                     stats.p99ItemNs);
-        ctx.registry
-            .histogram(util::names::kPerfKernelPrefix + k->name + ".item_ns")
-            .merge(stats.itemNs);
-        report.kernels.push_back(std::move(stats));
-    }
-
-    Outcome out;
-    if (!r.compare.empty()) {
-        util::Result<perf::BenchReport> baseline =
-            perf::parseBenchReportFile(r.compare);
-        if (!baseline.ok())
-            return baseline.status();
-        if (!r.kernel.empty()) {
-            // A single-kernel run gates only that kernel: drop the
-            // other baseline entries so they do not read as lost
-            // coverage (CI uses this for a dedicated tighter ratchet
-            // on the event-queue kernel).
-            std::vector<perf::KernelStats> &ks = baseline->kernels;
-            std::erase_if(ks, [&](const perf::KernelStats &s) {
-                return s.name != r.kernel;
-            });
-            if (ks.empty()) {
-                return Status::error(ErrorCode::InvalidArgument,
-                                     "baseline %s has no entry for "
-                                     "kernel '%s'",
-                                     r.compare.c_str(), r.kernel.c_str());
-            }
-        }
-        perf::BenchComparison cmp =
-            perf::compareBenchReports(*baseline, report, r.tolerance);
-        std::fputs(cmp.render().c_str(), rep);
-        if (!cmp.ok()) {
-            out.verdict = Status::error(
-                ErrorCode::FailedPrecondition,
-                "events/sec regressed beyond %.0f%% of baseline %s",
-                r.tolerance * 100.0, r.compare.c_str());
-        }
-    }
-    out.data = perf::benchReportJson(report);
-    out.telemetry = true;
-    return out;
-}
-
 } // namespace
 
 const Runner cmdLint = runner<runLint>;
 const Runner cmdAudit = runner<runAudit>;
 const Runner cmdSelftest = runner<runSelftest>;
-const Runner cmdBench = runner<runBench>;
 
 } // namespace lll::cli

@@ -220,7 +220,7 @@ extern const Runner cmdPlatforms, cmdWorkloads, cmdVendors, cmdCharacterize,
 extern const Runner cmdAnalyze, cmdTrace, cmdWalk;
 extern const Runner cmdTable, cmdSweep, cmdReproduce, cmdSearch;
 extern const Runner cmdServe, cmdBenchServe;
-extern const Runner cmdLint, cmdAudit, cmdSelftest, cmdBench;
+extern const Runner cmdLint, cmdAudit, cmdSelftest;
 
 } // namespace lll::cli
 

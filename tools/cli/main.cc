@@ -213,9 +213,6 @@ const Command kCommands[] = {
     {"profile", "profile [--out FILE] [--top N] <command> [args ...]",
      "Self-profile any subcommand under a wall-clock span tree.",
      profileRunner},
-    {"bench", "bench [flags]",
-     "Microbenchmark harness; --compare applies the perf ratchet.",
-     cmdBench},
 };
 
 const Command *
