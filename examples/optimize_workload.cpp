@@ -45,18 +45,33 @@ main(int argc, char **argv)
                      profile_r.status().toString().c_str());
         return 1;
     }
-    xmem::LatencyProfile profile = profile_r.take();
-    core::Experiment exp(plat, *work, profile);
+    // Each stage runs through the runner behind every `lll` command; a
+    // failed one (a watchdog trip, say) ends the walk with its status.
+    core::SweepRunner runner({});
+    const core::SweepRunner::Profiles profiles = {{plat.name,
+                                                   profile_r.take()}};
+    auto stage = [&](const OptSet &opts) {
+        return runner.runStages({{plat, work.get(), opts}}, profiles)
+            .front();
+    };
+    auto fail = [](const util::Status &status) {
+        std::fprintf(stderr, "optimize_workload: %s\n",
+                     status.toString().c_str());
+        return 1;
+    };
     core::Recipe recipe(plat);
 
     std::printf("Optimizing %s (%s) on %s\n\n", work->routine().c_str(),
                 work->name().c_str(), plat.description.c_str());
 
     OptSet state;
-    const double base_throughput = exp.stage(state).throughput;
+    core::SweepRunner::StageOutcome out = stage(state);
+    if (!out.status.ok())
+        return fail(out.status);
+    core::StageMetrics m = out.metrics;
+    const double base_throughput = m.throughput;
 
     for (int step = 1; step <= 8; ++step) {
-        const core::StageMetrics &m = exp.stage(state);
         const core::Analysis &a = m.analysis;
         std::printf("step %d: [%s]\n", step, state.label().c_str());
         std::printf("  BW %.1f GB/s (%.0f%%), lat %.0f ns, n_avg %.2f "
@@ -78,12 +93,16 @@ main(int argc, char **argv)
         bool improved = false;
         for (Opt opt : d.recommendedOpts()) {
             OptSet candidate = state.with(opt);
-            double s = exp.speedup(state, candidate);
+            core::SweepRunner::StageOutcome next = stage(candidate);
+            if (!next.status.ok())
+                return fail(next.status);
+            double s = next.metrics.throughput / m.throughput;
             std::printf("  try %-20s -> %.2fx %s\n",
                         workloads::optName(opt), s,
                         s >= 1.02 ? "(kept)" : "(reverted)");
             if (s >= 1.02) {
                 state = candidate;
+                m = next.metrics;
                 improved = true;
                 break;
             }
@@ -96,11 +115,10 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    const core::StageMetrics &fin = exp.stage(state);
     std::printf("\nfinal variant [%s]: %.2fx over base, BW %.1f GB/s "
                 "(%.0f%%), n_avg %.2f\n",
-                state.label().c_str(), fin.throughput / base_throughput,
-                fin.analysis.bwGBs, fin.analysis.pctPeak * 100.0,
-                fin.analysis.nAvg);
+                state.label().c_str(), m.throughput / base_throughput,
+                m.analysis.bwGBs, m.analysis.pctPeak * 100.0,
+                m.analysis.nAvg);
     return 0;
 }

@@ -59,12 +59,23 @@ main(int argc, char **argv)
                 profile.latencyAt(profile.maxMeasuredGBs()),
                 profile.maxMeasuredGBs());
 
-    // 3. Run the routine on a loaded node and profile it.
-    core::Experiment exp(plat, *work, profile);
-    const core::StageMetrics &m = exp.stage(workloads::OptSet{});
+    // 3. Run the routine on a loaded node and profile it: one stage
+    //    through the runner behind every `lll` command.
+    core::SweepRunner runner({});
+    auto stage = [&](const workloads::OptSet &opts) {
+        return runner.runStages({{plat, work.get(), opts}},
+                                {{plat.name, profile}})
+            .front();
+    };
+    const core::SweepRunner::StageOutcome base = stage({});
+    if (!base.status.ok()) {
+        std::fprintf(stderr, "quickstart: %s\n",
+                     base.status.toString().c_str());
+        return 1;
+    }
 
     // 4. The metric: observed MLP via Little's law (Equation 2).
-    const core::Analysis &a = m.analysis;
+    const core::Analysis &a = base.metrics.analysis;
     std::printf("Measured : BW %.1f GB/s (%.0f%% of peak) -> loaded "
                 "latency %.0f ns\n",
                 a.bwGBs, a.pctPeak * 100.0, a.latencyNs);
@@ -88,8 +99,14 @@ main(int argc, char **argv)
     // Validate the top recommendation end to end.
     auto recs = d.recommendedOpts();
     if (!recs.empty()) {
-        workloads::OptSet next = workloads::OptSet{}.with(recs.front());
-        double s = exp.speedup({}, next);
+        const core::SweepRunner::StageOutcome next =
+            stage(workloads::OptSet{}.with(recs.front()));
+        if (!next.status.ok()) {
+            std::fprintf(stderr, "quickstart: %s\n",
+                         next.status.toString().c_str());
+            return 1;
+        }
+        double s = next.metrics.throughput / base.metrics.throughput;
         std::printf("\nApplying %s: measured speedup %.2fx\n",
                     workloads::optName(recs.front()), s);
     }

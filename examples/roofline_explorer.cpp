@@ -37,7 +37,7 @@ main(int argc, char **argv)
                      profile_r.status().toString().c_str());
         return 1;
     }
-    xmem::LatencyProfile profile = profile_r.take();
+    const xmem::LatencyProfile profile = profile_r.take();
     core::Roofline roof(plat, profile);
 
     const int cores = plat.totalCores;
@@ -55,10 +55,22 @@ main(int argc, char **argv)
     Table t({"workload", "routine", "BW (GB/s)", "n_avg", "pattern",
              "pinned by"});
     t.setCaption("Base variants on the roofline");
-    for (const workloads::WorkloadPtr &w : workloads::allWorkloads()) {
-        core::Experiment exp(plat, *w, profile);
-        const core::StageMetrics &m = exp.stage(workloads::OptSet{});
-        const core::Analysis &a = m.analysis;
+    // Every base variant is one stage of one runStages batch.
+    const std::vector<workloads::WorkloadPtr> workloads =
+        workloads::allWorkloads();
+    std::vector<core::SweepRunner::StageUnit> units;
+    for (const workloads::WorkloadPtr &w : workloads)
+        units.push_back({plat, w.get(), {}});
+    const std::vector<core::SweepRunner::StageOutcome> outcomes =
+        core::SweepRunner({}).runStages(units, {{plat.name, profile}});
+    for (size_t i = 0; i < workloads.size(); ++i) {
+        const workloads::WorkloadPtr &w = workloads[i];
+        if (!outcomes[i].status.ok()) {
+            std::fprintf(stderr, "roofline_explorer: %s\n",
+                         outcomes[i].status.toString().c_str());
+            return 1;
+        }
+        const core::Analysis &a = outcomes[i].metrics.analysis;
 
         const char *pinned = "core/compute";
         double ceiling = a.limitingLevel == core::MshrLevel::L1 ? l1_bw

@@ -50,7 +50,14 @@ main(int argc, char **argv)
 
     sys.mem().setTracer(&tracer);
     sys.attachObservability(registry);
-    sim::RunResult r = sys.run(work->warmupUs(), work->measureUs());
+    util::Result<sim::RunResult> run =
+        sys.runChecked(work->warmupUs(), work->measureUs());
+    if (!run.ok()) {
+        std::fprintf(stderr, "trace_memory: %s\n",
+                     run.status().toString().c_str());
+        return 1;
+    }
+    const sim::RunResult &r = *run;
 
     uint64_t demand = 0, hwpf = 0, swpf = 0, wb = 0;
     for (const sim::RequestTracer::Event &ev : tracer.events()) {

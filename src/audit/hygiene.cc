@@ -1,10 +1,10 @@
 /**
  * @file
  * API-hygiene checks (LLL-SRC-120..124): [[nodiscard]] on every
- * Status/Result-returning header declaration, banned raw time/rand/exit
- * APIs, no non-test references to [[deprecated]] symbols, no JSON
- * member spelled by hand outside util::JsonWriter, and no flag read
- * outside util::FlagReader.
+ * Status/Result-returning header declaration, banned raw
+ * time/rand/exit/lll_fatal APIs, no non-test references to
+ * [[deprecated]] symbols, no JSON member spelled by hand outside
+ * util::JsonWriter, and no flag read outside util::FlagReader.
  */
 
 #include <map>
@@ -129,6 +129,7 @@ const std::set<std::string> kRandIdents = {
 const std::set<std::string> kCallOnlyIdents = {
     "time",      "clock",    "gettimeofday", "clock_gettime",
     "localtime", "gmtime",   "exit",         "abort",
+    "lll_fatal",
 };
 
 const std::set<std::string> kBannedHeaders = {"random", "ctime",
@@ -137,9 +138,11 @@ const std::set<std::string> kBannedHeaders = {"random", "ctime",
 /**
  * Banned-API scan.  Raw clocks live only in src/obs/timer.hh (that is
  * what obs::WallClock is *for*); the rand family is banned everywhere
- * in favour of the seeded lll::Rng; time/exit/abort are banned as
- * *calls* (member calls like `timer.time()` and unrelated identifiers
- * pass), with exit/abort allowed in the CLI and the fatal-log path.
+ * in favour of the seeded lll::Rng; time/exit/abort/lll_fatal are
+ * banned as *calls* (member calls like `timer.time()` and unrelated
+ * identifiers pass), with exit/abort allowed in the CLI and the
+ * fatal-log path, and lll_fatal only where it is defined and in the
+ * one fatal wrapper left, System::run.
  */
 void
 checkBannedApis(const SourceFile &f, AuditReport &report)
@@ -147,6 +150,8 @@ checkBannedApis(const SourceFile &f, AuditReport &report)
     const bool clock_home = f.relPath == "src/obs/timer.hh";
     const bool exit_home =
         f.module == "cli" || f.relPath == "src/util/logging.cc";
+    const bool fatal_home = f.relPath == "src/util/logging.hh" ||
+                            f.relPath == "src/sim/system.cc";
 
     for (const IncludeDirective &inc : f.includes) {
         if (inc.angled && kBannedHeaders.count(inc.path) != 0) {
@@ -186,6 +191,8 @@ checkBannedApis(const SourceFile &f, AuditReport &report)
         if (kCallOnlyIdents.count(id) != 0) {
             if ((id == "exit" || id == "abort") && exit_home)
                 continue;
+            if (id == "lll_fatal" && fatal_home)
+                continue;
             if (i + 1 >= toks.size() || !toks[i + 1].isPunct("("))
                 continue; // not a call
             if (i > 0 &&
@@ -201,7 +208,7 @@ checkBannedApis(const SourceFile &f, AuditReport &report)
             report.add(
                 {"LLL-SRC-121", util::Severity::Error,
                  at(f, toks[i].line), "banned call '" + id + "()'"},
-                id == "exit" || id == "abort"
+                id == "exit" || id == "abort" || id == "lll_fatal"
                     ? "return a util::Status up to the CLI instead "
                       "of terminating from a library"
                     : "go through obs::WallClock so time stays "

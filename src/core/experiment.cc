@@ -10,13 +10,6 @@ namespace lll::core
 
 Experiment::Experiment(const platforms::Platform &platform,
                        const workloads::Workload &workload,
-                       xmem::LatencyProfile profile)
-    : Experiment(platform, workload, std::move(profile), Params())
-{
-}
-
-Experiment::Experiment(const platforms::Platform &platform,
-                       const workloads::Workload &workload,
                        xmem::LatencyProfile profile, Params params)
     : platform_(platform), workload_(workload),
       analyzer_(platform, std::move(profile)), params_(params),
@@ -24,14 +17,6 @@ Experiment::Experiment(const platforms::Platform &platform,
                                       : platform.totalCores)
 {
     analyzer_.setRegistry(params_.registry);
-}
-
-util::Result<Experiment>
-Experiment::create(const platforms::Platform &platform,
-                   const workloads::Workload &workload,
-                   xmem::LatencyProfile profile)
-{
-    return create(platform, workload, std::move(profile), Params());
 }
 
 util::Result<Experiment>
@@ -94,14 +79,10 @@ Experiment::create(const platforms::Platform &platform,
     return Experiment(platform, workload, std::move(profile), params);
 }
 
-const StageMetrics &
+util::Result<StageMetrics>
 Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
 {
     const std::string label = opts.label();
-    auto it = cache_.find(label);
-    if (it != cache_.end())
-        return it->second;
-
     obs::ScopedSpan stage_span("stage[" + label + "]");
 
     double warmup = params_.warmupUs > 0 ? params_.warmupUs
@@ -135,8 +116,7 @@ Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
                     "analyzer.variant." + label + ".bw_gbps",
                     cached.analysis.bwGBs);
             }
-            return cache_.emplace(label, std::move(cached))
-                .first->second;
+            return cached;
         }
     }
 
@@ -149,7 +129,11 @@ Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
     sim::RunResult run;
     {
         obs::ScopedSpan sim_span("simulate");
-        run = sys.run(warmup, measure);
+        util::Result<sim::RunResult> checked =
+            sys.runChecked(warmup, measure);
+        if (!checked.ok())
+            return checked.status();
+        run = checked.take();
     }
 
     counters::RoutineProfiler profiler(platform_);
@@ -190,17 +174,7 @@ Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
             "analyzer.variant." + label + ".bw_gbps", m.analysis.bwGBs);
     }
 
-    return cache_.emplace(label, std::move(m)).first->second;
-}
-
-double
-Experiment::speedup(const workloads::OptSet &from,
-                    const workloads::OptSet &to)
-{
-    double base = stage(from).throughput;
-    double opt = stage(to).throughput;
-    lll_assert(base > 0.0, "zero baseline throughput");
-    return opt / base;
+    return m;
 }
 
 } // namespace lll::core

@@ -1,20 +1,17 @@
 /**
  * @file
- * Experiment runner: simulates a workload's optimization states on a
- * platform, one stage per state, and analyzes each with Little's law.
- *
- * Each unique optimization state is simulated once (results are cached
- * by label).  The rows of the paper's Tables IV–IX are assembled from
- * such stages (core/sweep.hh): the paper's columns — observed bandwidth
- * with percent of peak, loaded latency from the X-Mem profile, the
- * Little's-law n_avg — plus the measured speedup of the optimization
- * tried on top.
+ * The stage step: simulates one optimization state of a workload on a
+ * platform, profiles it with portable counters and analyzes it with
+ * Little's law.  SweepRunner::runStages (core/sweep.hh) runs one per
+ * stage unit; the rows of the paper's Tables IV–IX are assembled from
+ * such stages: the paper's columns — observed bandwidth with percent of
+ * peak, loaded latency from the X-Mem profile, the Little's-law n_avg —
+ * plus the measured speedup of the optimization tried on top.
  */
 
 #ifndef LLL_CORE_EXPERIMENT_HH
 #define LLL_CORE_EXPERIMENT_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -80,7 +77,8 @@ struct TableRow
 };
 
 /**
- * Runs one (platform, workload) experiment.
+ * One (platform, workload) configuration, checked once by create(),
+ * whose states stage() simulates.
  */
 class Experiment
 {
@@ -111,15 +109,8 @@ class Experiment
         ResultCache *resultCache = nullptr;
     };
 
-    Experiment(const platforms::Platform &platform,
-               const workloads::Workload &workload,
-               xmem::LatencyProfile profile);
-    Experiment(const platforms::Platform &platform,
-               const workloads::Workload &workload,
-               xmem::LatencyProfile profile, Params params);
-
     /**
-     * Checked factory: verifies the profile matches the platform, the
+     * The only way in: verifies the profile matches the platform, the
      * requested core count is within the platform's range, and the
      * window lengths are usable, instead of asserting mid-run.  Also
      * refuses statically vacuous configs — a base variant whose derived
@@ -130,31 +121,20 @@ class Experiment
      */
     [[nodiscard]] static util::Result<Experiment>
     create(const platforms::Platform &platform,
-           const workloads::Workload &workload,
-           xmem::LatencyProfile profile);
-    [[nodiscard]] static util::Result<Experiment>
-    create(const platforms::Platform &platform,
            const workloads::Workload &workload, xmem::LatencyProfile profile,
            Params params);
 
     /**
-     * Simulate (or fetch the cached) state @p opts.  A caller that
-     * already computed the state's ResultCache::stageKey passes it as
+     * Simulate (or fetch from Params::resultCache) the state @p opts.
+     * A run that fails — the forward-progress watchdog trips, say — is
+     * this stage's error, never the process's.  A caller that already
+     * computed the state's ResultCache::stageKey passes it as
      * @p cache_key (empty = compute it here), so a cache hit builds no
      * KernelSpec; LLL_INVARIANTS builds check that it is this state's
      * key.
      */
-    const StageMetrics &stage(const workloads::OptSet &opts,
-                              const std::string &cache_key = {});
-
-    /** Measured speedup of @p to over @p from (throughput ratio). */
-    double speedup(const workloads::OptSet &from,
-                   const workloads::OptSet &to);
-
-    const platforms::Platform &platform() const { return platform_; }
-    const workloads::Workload &workload() const { return workload_; }
-    const Analyzer &analyzer() const { return analyzer_; }
-    int coresUsed() const { return coresUsed_; }
+    [[nodiscard]] util::Result<StageMetrics>
+    stage(const workloads::OptSet &opts, const std::string &cache_key = {});
 
     /** This experiment's own ResultCache traffic (all 0 without a
      *  cache). */
@@ -164,12 +144,15 @@ class Experiment
     }
 
   private:
+    Experiment(const platforms::Platform &platform,
+               const workloads::Workload &workload,
+               xmem::LatencyProfile profile, Params params);
+
     platforms::Platform platform_;
     const workloads::Workload &workload_;
     Analyzer analyzer_;
     Params params_;
     int coresUsed_;
-    std::map<std::string, StageMetrics> cache_;
     CacheStats cacheStats_;
 };
 

@@ -588,13 +588,16 @@ SweepRunner::runStages(const std::vector<StageUnit> &units,
             ep.registry = params_.registry ? &registries[i] : nullptr;
             util::Result<Experiment> exp = Experiment::create(
                 u.platform, *u.workload, *prof, ep);
-            if (!exp.ok()) {
-                out.status = exp.status().withContext(
+            util::Result<StageMetrics> m =
+                exp.ok() ? exp->stage(u.opts, u.stageKey) : exp.status();
+            if (exp.ok())
+                out.cache = exp->resultCacheStats();
+            if (m.ok()) {
+                out.metrics = m.take();
+            } else {
+                out.status = m.status().withContext(
                     "stage unit %s/%s", u.platform.name.c_str(),
                     u.workload->name().c_str());
-            } else {
-                out.metrics = exp->stage(u.opts, u.stageKey);
-                out.cache = exp->resultCacheStats();
             }
         }
         out.simulateNs = fanout.elapsedNs() - picked_up_ns;

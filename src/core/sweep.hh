@@ -288,8 +288,9 @@ class SweepRunner
      * Run one simulated stage per unit and return the outcomes in unit
      * order (never in completion order), loading the profiles first.
      * Failures are reported *per unit*: a unit whose profile cannot be
-     * loaded or whose Experiment fails gets its error in its
-     * StageOutcome while the rest of the batch proceeds.
+     * loaded, whose Experiment is refused or whose run fails (a
+     * watchdog trip) gets its error in its StageOutcome while the rest
+     * of the batch proceeds.
      */
     std::vector<StageOutcome>
     runStages(const std::vector<StageUnit> &units)

@@ -6,7 +6,7 @@
  * but read through the vendor visibility matrix: a request for an event
  * the vendor does not expose returns std::nullopt, exactly like a PMU
  * programming failure on real hardware.  The analyzer layer restricts
- * itself to readOrDie() on portable events only.
+ * itself to the portable events, which every vendor exposes.
  */
 
 #ifndef LLL_COUNTERS_COUNTER_BANK_HH
@@ -40,9 +40,6 @@ class CounterBank
 
     /** Read an event; nullopt when the vendor does not expose it. */
     std::optional<uint64_t> read(EventKind kind) const;
-
-    /** Read an event that must be visible (fatal otherwise). */
-    uint64_t readOrDie(EventKind kind) const;
 
     platforms::Vendor vendor() const { return vendor_; }
 

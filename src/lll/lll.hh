@@ -15,7 +15,7 @@
  *
  *   1. pick a platform            platforms::findPlatform("skl")
  *   2. characterize it once       XMemHarness().measureCachedChecked(...)
- *   3. run/profile a routine      core::Experiment / counters::*
+ *   3. run/profile a routine      core::SweepRunner::runStages
  *   4. derive the MLP             core::Analyzer (Little's law, Eq. 2)
  *   5. ask for guidance           core::Recipe (paper Fig. 1)
  *

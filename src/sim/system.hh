@@ -211,7 +211,8 @@ class System
     [[nodiscard]] util::Result<RunResult> runChecked(double warmup_us,
                                        double measure_us);
 
-    /** Legacy convenience wrapper: fatal when runChecked() errors. */
+    /** runChecked(), fatal on error.  Kept only for the frozen
+     *  benchmark (perfbench); everything else calls runChecked(). */
     RunResult run(double warmup_us, double measure_us);
 
     // Component access for tests and the counters layer.

@@ -303,7 +303,7 @@ inline constexpr DiagId kDiagIds[] = {
     {"LLL-SRC-111", "unregistered diagnostic ID literal"},
     {"LLL-SRC-112", "diagnostic ID registered with conflicting meanings"},
     {"LLL-SRC-120", "Status/Result declaration missing [[nodiscard]]"},
-    {"LLL-SRC-121", "banned API (raw clock, rand, time, exit)"},
+    {"LLL-SRC-121", "banned API (raw clock, rand, time, exit, lll_fatal)"},
     {"LLL-SRC-122", "deprecated symbol referenced from non-test code"},
     {"LLL-SRC-123", "JSON member spelled by hand outside util::JsonWriter"},
     {"LLL-SRC-124", "command-line flag read outside a field list"},

@@ -8,9 +8,8 @@
  *    names, inconsistent configurations) travel as Status / Result<T>
  *    return values so callers — above all the `lll` CLI — can report
  *    them and exit with a meaningful code instead of aborting;
- *  - lll_fatal() remains only as a convenience for quick scripts and
- *    the pre-validated legacy wrappers (e.g. Platform::sysParams)
- *    that prefer to die on bad input;
+ *  - the pre-validated legacy wrappers Platform::sysParams and the
+ *    benchmark-only System::run die on bad input;
  *  - lll_panic()/lll_assert() stay reserved for violated *internal*
  *    invariants — bugs in LLL itself, never reachable from bad input.
  *

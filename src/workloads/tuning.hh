@@ -14,7 +14,9 @@ namespace lll::workloads
 
 /**
  * Pick a per-platform coefficient by platform id.  Workload models keep
- * their calibration knobs in one visible place with this.
+ * their calibration knobs in one visible place with this.  Every
+ * platform derives from one of the three stock ones, so another base
+ * is a bug in LLL (DESIGN §9, regime 3).
  */
 template <typename T>
 T
@@ -25,9 +27,9 @@ pick(const platforms::Platform &p, T skl, T knl, T a64fx)
         return skl;
     if (base == "knl")
         return knl;
-    if (base == "a64fx")
-        return a64fx;
-    lll_fatal("workload has no tuning for platform '%s'", p.name.c_str());
+    lll_assert(base == "a64fx", "workload has no tuning for platform '%s'",
+               p.name.c_str());
+    return a64fx;
 }
 
 } // namespace lll::workloads

@@ -105,12 +105,14 @@ ProfileStore::loadOrMeasure(const platforms::Platform &platform,
             "with --fresh)",
             platform.name.c_str());
     }
-    LatencyProfile fresh = harness.measure(platform);
+    Result<LatencyProfile> fresh = harness.measure(platform);
+    if (!fresh.ok())
+        return fresh.status();
     ++measured_;
     // The saved file rounds every point, so later lookups read it back
     // rather than keep `fresh`: they see what a new process would.
     slot.valid = false;
-    LLL_RETURN_IF_ERROR(fresh.save(path).withContext(
+    LLL_RETURN_IF_ERROR(fresh->save(path).withContext(
         "caching profile for '%s'", platform.name.c_str()));
     return fresh;
 }

@@ -59,7 +59,8 @@ class ProfileStore
      * @p harness and saved there first when the file does not exist or
      * holds another platform's profile.  A file that exists but cannot
      * be read is an error, never silently remeasured (see
-     * XMemHarness::measureCachedChecked()).
+     * XMemHarness::measureCachedChecked()); so is a characterization
+     * that fails, which saves nothing.
      */
     [[nodiscard]] util::Result<LatencyProfile>
     loadOrMeasure(const platforms::Platform &platform,

@@ -90,7 +90,7 @@ loadSpec(const platforms::Platform &platform, const OperatingPoint &op)
 
 } // namespace
 
-LatencyProfile
+util::Result<LatencyProfile>
 XMemHarness::measure(const platforms::Platform &platform) const
 {
     obs::ScopedSpan span("xmem.characterize[" + platform.name + "]");
@@ -100,16 +100,26 @@ XMemHarness::measure(const platforms::Platform &platform) const
     // Every point builds its own System from a fixed seed and shares
     // nothing, so point i lands in slot i identically at any jobs.
     std::vector<LatencyProfile::Point> points(ops.size());
+    std::vector<util::Status> failed(ops.size());
     obs::Executor(params_.jobs).run(ops.size(), [&](size_t i) {
         const OperatingPoint &op = ops[i];
         sim::SystemParams sp = platform.sysParams(platform.totalCores, 1);
         sp.seed = params_.seed;
         sim::System sys(sp, loadSpec(platform, op));
-        const sim::RunResult r =
-            sys.run(params_.warmupUs, params_.measureUs);
-        points[i].bwGBs = r.totalGBs;
-        points[i].latencyNs = path_ns + r.avgMemLatencyNs;
+        util::Result<sim::RunResult> r =
+            sys.runChecked(params_.warmupUs, params_.measureUs);
+        if (!r.ok()) {
+            failed[i] = r.status();
+            return;
+        }
+        points[i].bwGBs = r->totalGBs;
+        points[i].latencyNs = path_ns + r->avgMemLatencyNs;
     });
+    // The first failing point in sweep order, whatever the jobs.
+    for (size_t i = 0; i < ops.size(); ++i) {
+        LLL_RETURN_IF_ERROR(failed[i].withContext(
+            "characterizing '%s' at point %zu", platform.name.c_str(), i));
+    }
 
     return LatencyProfile(platform.name, platform.peakGBs,
                           std::move(points));

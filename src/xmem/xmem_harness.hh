@@ -63,9 +63,12 @@ class XMemHarness
      * (12 of the default 24) are sequential streams that train the
      * prefetcher, like X-Mem's bandwidth threads.  The points fan out
      * over Params::jobs workers; point i is always the profile's i-th,
-     * so the profile does not depend on jobs.
+     * so the profile does not depend on jobs.  A point whose run fails
+     * (the watchdog trips, say) fails the whole profile with that
+     * run's status; the first such point in sweep order decides.
      */
-    LatencyProfile measure(const platforms::Platform &platform) const;
+    [[nodiscard]] util::Result<LatencyProfile>
+    measure(const platforms::Platform &platform) const;
 
     /**
      * Load the profile from @p cache_path, measuring and saving it first

@@ -113,6 +113,49 @@ file(WRITE "${_serve_dir}/bad.jsonl"
      "{\"schema_version\": 1, \"platform\": \"nope\", \"workload\": \"isx\"}\n")
 expect_exit(3 serve --batch "${_serve_dir}/bad.jsonl")
 
+# A request whose stage trips the forward-progress watchdog (an inline
+# random stream that thinks 1e12 cycles between requests) fails alone:
+# its line carries the deadline-exceeded status, the next request gets
+# the answer it gets on its own, the batch exits 3 like any batch with
+# a failed request, and nothing dies with `fatal:`.  Run from the
+# source tree on the committed skl profile.
+set(_control
+    "{\"schema_version\": 1, \"id\": \"control\", \"platform\": \"skl\", \"workload\": \"isx\"}\n")
+file(WRITE "${_serve_dir}/control.jsonl" "${_control}")
+file(WRITE "${_serve_dir}/wedge.jsonl"
+     "{\"schema_version\": 1, \"id\": \"wedge\", \"platform\": \"skl\", \"random_dominated\": true, \"spec\": {\"name\": \"wedge\", \"compute_cycles_per_op\": 1e12, \"streams\": [{\"kind\": \"random\"}]}}\n${_control}")
+foreach(batch control wedge)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env --unset=LLL_PROFILE_DIR
+                            ${LLL_BIN} serve
+                            --batch "${_serve_dir}/${batch}.jsonl"
+                    WORKING_DIRECTORY ${REPO_ROOT}
+                    RESULT_VARIABLE ${batch}_exit
+                    OUTPUT_VARIABLE ${batch}_out
+                    ERROR_VARIABLE ${batch}_err)
+    if("${${batch}_out}${${batch}_err}" MATCHES "fatal:")
+        message(FATAL_ERROR "serve --batch ${batch}.jsonl died:\n"
+                            "${${batch}_err}")
+    endif()
+endforeach()
+if(NOT control_exit EQUAL 0 OR NOT wedge_exit EQUAL 3)
+    message(FATAL_ERROR "serve --batch: expected exits 0 (control) and 3 "
+                        "(wedge), got ${control_exit} and ${wedge_exit}:\n"
+                        "${wedge_err}")
+endif()
+string(FIND "${wedge_out}" "\n" _nl)
+string(SUBSTRING "${wedge_out}" 0 ${_nl} _first)
+math(EXPR _nl "${_nl} + 1")
+string(SUBSTRING "${wedge_out}" ${_nl} -1 _rest)
+if(NOT _first MATCHES "^{\"schema_version\": 1, \"id\": \"wedge\", \"status\": {\"code\": \"deadline-exceeded\"")
+    message(FATAL_ERROR "serve --batch: the wedged request was not "
+                        "answered with deadline-exceeded:\n${_first}")
+endif()
+if(NOT _rest STREQUAL control_out)
+    message(FATAL_ERROR "serve --batch: the request after the wedged one "
+                        "was answered differently than on its own:\n"
+                        "${_rest}\nvs.\n${control_out}")
+endif()
+
 # search: the cost-model bounds a serve search request obeys hold on
 # the CLI too (a huge bank weight used to print a garbled table).
 expect_exit(2 search isx skl --axis l2_mshrs=8:16:*2 --bank-weight 1e12)

@@ -13,6 +13,7 @@ shutDown()
 {
     oldThing(); // cross-module deprecated reference (LLL-SRC-122)
     std::exit(3); // banned call (LLL-SRC-121)
+    lll_fatal("bye"); // fatal outside System::run (LLL-SRC-121)
 }
 
 const char *kBody = "{\"id\": 1}"; // hand-written JSON (LLL-SRC-123)

@@ -1,13 +1,17 @@
 /**
  * @file
  * Shared helpers for the unit/integration tests: a scaled-down platform
- * that keeps simulations fast, synthetic latency profiles, and simple
- * kernel builders.
+ * that keeps simulations fast, synthetic latency profiles, simple
+ * kernel builders, and the checked run and stage paths with their
+ * status asserted.
  */
 
 #ifndef LLL_TESTS_TEST_COMMON_HH
 #define LLL_TESTS_TEST_COMMON_HH
 
+#include <gtest/gtest.h>
+
+#include "core/sweep.hh"
 #include "platforms/platform.hh"
 #include "sim/system.hh"
 #include "xmem/latency_profile.hh"
@@ -76,6 +80,30 @@ streamingKernel(int streams, unsigned window, double compute_cycles)
     k.window = window;
     k.computeCyclesPerOp = compute_cycles;
     return k;
+}
+
+/** @p sys run through runChecked(); a failed run fails the test and
+ *  yields an empty RunResult. */
+inline sim::RunResult
+runOk(sim::System &sys, double warmup_us, double measure_us)
+{
+    util::Result<sim::RunResult> r = sys.runChecked(warmup_us, measure_us);
+    EXPECT_TRUE(r.ok()) << r.status().toString();
+    return r.valueOr(sim::RunResult());
+}
+
+/** @p unit through a one-unit runStages batch on @p profile; a failed
+ *  unit fails the test and yields empty metrics. */
+inline core::StageMetrics
+stageOk(const core::SweepRunner::StageUnit &unit,
+        const xmem::LatencyProfile &profile)
+{
+    const core::SweepRunner::StageOutcome out =
+        core::SweepRunner({})
+            .runStages({unit}, {{unit.platform.name, profile}})
+            .front();
+    EXPECT_TRUE(out.status.ok()) << out.status.toString();
+    return out.metrics;
 }
 
 } // namespace lll::test

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the experiment runner: stage caching, speedup math and
- * paper-table assembly, run on a reduced core count for speed.
+ * Tests for the stage step: what one stage carries, how it fails,
+ * what create() refuses, and paper-table assembly, run on a reduced
+ * core count for speed.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "core/tma.hh"
 #include "sim/system.hh"
 #include "test_common.hh"
+#include "workloads/spec_workload.hh"
 #include "workloads/workload.hh"
 
 namespace lll::core
@@ -33,17 +35,22 @@ committedProfile(const std::string &platform)
                                       ".profile");
 }
 
-/** The paper table of @p w on @p exp's platform: the planned stages,
- *  simulated through @p exp, read back by the assembler. */
+/** The paper table of @p w on @p p: the planned stages at @p knobs'
+ *  windows and cores, one runStages batch on @p profile, read back by
+ *  the assembler. */
 std::vector<TableRow>
-paperTable(Experiment &exp, const workloads::WorkloadPtr &w)
+paperTable(const platforms::Platform &p, const workloads::WorkloadPtr &w,
+           const xmem::LatencyProfile &profile,
+           const SweepRunner::StageUnit &knobs = {})
 {
-    const PaperPlan plan = planPaperTables({&exp.platform(), 1}, {&w, 1});
-    std::vector<SweepRunner::StageOutcome> outcomes(plan.stages.size());
-    for (size_t i = 0; i < plan.stages.size(); ++i)
-        outcomes[i].metrics = exp.stage(plan.stages[i].opts);
-    util::Result<std::vector<PaperTable>> tables =
-        assemblePaperTables(plan, outcomes);
+    PaperPlan plan = planPaperTables({&p, 1}, {&w, 1});
+    for (SweepRunner::StageUnit &u : plan.stages) {
+        u.warmupUs = knobs.warmupUs;
+        u.measureUs = knobs.measureUs;
+        u.coresUsed = knobs.coresUsed;
+    }
+    util::Result<std::vector<PaperTable>> tables = assemblePaperTables(
+        plan, SweepRunner({}).runStages(plan.stages, {{p.name, profile}}));
     if (!tables.ok() || tables->size() != 1) {
         ADD_FAILURE() << tables.status().toString();
         return {};
@@ -56,39 +63,31 @@ class ExperimentTest : public ::testing::Test
   protected:
     ExperimentTest()
         : plat_(platforms::findPlatform("skl").take()),
-          isx_(workloads::findWorkload("isx").take())
+          isx_(workloads::findWorkload("isx").take()),
+          profile_(test::syntheticProfile("skl", plat_.peakGBs)),
+          unit_{plat_, isx_.get(), {}, 5.0, 10.0, 6}
     {
-        params_.coresUsed = 6;
-        params_.warmupUs = 5.0;
-        params_.measureUs = 10.0;
-        profile_ = test::syntheticProfile("skl", plat_.peakGBs);
+    }
+
+    /** unit_'s windows and cores as Experiment::create() takes them. */
+    Experiment::Params
+    params() const
+    {
+        return {.warmupUs = unit_.warmupUs,
+                .measureUs = unit_.measureUs,
+                .coresUsed = unit_.coresUsed};
     }
 
     platforms::Platform plat_;
     workloads::WorkloadPtr isx_;
     xmem::LatencyProfile profile_;
-    Experiment::Params params_;
+    SweepRunner::StageUnit unit_;
 };
-
-TEST_F(ExperimentTest, StageIsCachedByLabel)
-{
-    Experiment exp(plat_, *isx_, profile_, params_);
-    const StageMetrics &a = exp.stage({});
-    const StageMetrics &b = exp.stage({});
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(a.label, "base");
-}
-
-TEST_F(ExperimentTest, SpeedupOfIdentityIsOne)
-{
-    Experiment exp(plat_, *isx_, profile_, params_);
-    EXPECT_DOUBLE_EQ(exp.speedup({}, {}), 1.0);
-}
 
 TEST_F(ExperimentTest, StageCarriesAnalysisAndProfile)
 {
-    Experiment exp(plat_, *isx_, profile_, params_);
-    const StageMetrics &m = exp.stage({});
+    const StageMetrics m = test::stageOk(unit_, profile_);
+    EXPECT_EQ(m.label, "base");
     EXPECT_GT(m.run.totalGBs, 0.0);
     EXPECT_NEAR(m.profile.totalGBs, m.run.totalGBs, 0.01);
     EXPECT_GT(m.analysis.nAvg, 0.0);
@@ -97,10 +96,30 @@ TEST_F(ExperimentTest, StageCarriesAnalysisAndProfile)
     EXPECT_EQ(m.analysis.coresUsed, 6);
 }
 
+TEST_F(ExperimentTest, WatchdogTripFailsOnlyItsUnit)
+{
+    // A random stream that thinks for 1e12 cycles between requests
+    // stops the event queue draining.  The watchdog's DeadlineExceeded
+    // is that unit's status; the unit beside it still completes.
+    const workloads::WorkloadPtr wedge = workloads::inlineSpecWorkload(
+        test::randomKernel(2, 1e12), true);
+    SweepRunner::StageUnit stuck = unit_;
+    stuck.workload = wedge.get();
+    const std::vector<SweepRunner::StageOutcome> out =
+        SweepRunner({}).runStages({stuck, unit_},
+                                  {{plat_.name, profile_}});
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].status.code(), util::ErrorCode::DeadlineExceeded);
+    EXPECT_NE(out[0].status.message().find("stage unit skl/test-random"),
+              std::string::npos)
+        << out[0].status.toString();
+    EXPECT_TRUE(out[1].status.ok()) << out[1].status.toString();
+    EXPECT_GT(out[1].metrics.throughput, 0.0);
+}
+
 TEST_F(ExperimentTest, PaperTableMatchesRows)
 {
-    Experiment exp(plat_, *isx_, profile_, params_);
-    auto rows = paperTable(exp, isx_);
+    auto rows = paperTable(plat_, isx_, profile_, unit_);
     auto expected = isx_->paperRows(plat_);
     ASSERT_EQ(rows.size(), expected.size());
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -136,9 +155,8 @@ TEST(PaperTableRecipe, IsxVerdictsArePinned)
         platforms::Platform p = platforms::findPlatform(name).take();
         util::Result<xmem::LatencyProfile> profile = committedProfile(name);
         ASSERT_TRUE(profile.ok()) << profile.status().toString();
-        Experiment exp(p, *isx, profile.take());
         Verdicts got;
-        for (const TableRow &row : paperTable(exp, isx)) {
+        for (const TableRow &row : paperTable(p, isx, *profile)) {
             if (row.speedup > 0.0)
                 got.emplace_back(row.optLabel, row.recipeRecommended);
         }
@@ -162,16 +180,16 @@ TEST(PaperClaims, TmaHidesWhatMlpShows)
     const Tma tma(skl);
     {
         workloads::WorkloadPtr hpcg = workloads::findWorkload("hpcg").take();
-        Experiment exp(skl, *hpcg, *profile);
-        const StageMetrics &m = exp.stage({});
+        const StageMetrics m =
+            test::stageOk({skl, hpcg.get(), {}}, *profile);
         const TmaReport r = tma.analyze(m.run);
         EXPECT_LT(r.avgLoadLatencyCycles,
                   0.15 * m.analysis.latencyNs * skl.freqGHz);
     }
     {
         workloads::WorkloadPtr snap = workloads::findWorkload("snap").take();
-        Experiment exp(skl, *snap, *profile);
-        const StageMetrics &m = exp.stage({});
+        const StageMetrics m =
+            test::stageOk({skl, snap.get(), {}}, *profile);
         const TmaReport r = tma.analyze(m.run);
         EXPECT_NEAR(r.bandwidthBoundPct, r.latencyBoundPct, 10.0);
         EXPECT_LT(m.analysis.nAvg, 0.5 * m.analysis.limitingMshrs);
@@ -189,11 +207,10 @@ TEST(PaperClaims, IdleLatencyHidesTheFullIsxQueue)
         platforms::Platform p = platforms::findPlatform(name).take();
         util::Result<xmem::LatencyProfile> profile = committedProfile(name);
         ASSERT_TRUE(profile.ok()) << profile.status().toString();
-        Experiment exp(p, *isx, *profile);
-        const Analysis &a = exp.stage({}).analysis;
-        const double n_idle =
-            mlpPerCore(a.bwGBs, profile->idleLatencyNs(), p.lineBytes,
-                       exp.coresUsed());
+        const Analysis a =
+            test::stageOk({p, isx.get(), {}}, *profile).analysis;
+        const double n_idle = mlpPerCore(
+            a.bwGBs, profile->idleLatencyNs(), p.lineBytes, a.coresUsed);
         EXPECT_TRUE(a.nearMshrLimit) << name;
         EXPECT_GE(a.nAvg, full * a.limitingMshrs) << name;
         EXPECT_LT(n_idle, full * a.limitingMshrs) << name;
@@ -212,14 +229,14 @@ TEST(PaperClaims, WholeProgramAveragingHidesThePinnedPhase)
     workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
     workloads::WorkloadPtr comd = workloads::findWorkload("comd").take();
 
-    Experiment exp(skl, *isx, *profile);
-    EXPECT_TRUE(exp.stage({}).analysis.nearMshrLimit);
+    EXPECT_TRUE(test::stageOk({skl, isx.get(), {}}, *profile)
+                    .analysis.nearMshrLimit);
 
     // Op counts give the two routines comparable shares of wall time.
     std::vector<sim::PhaseSpec> phases = {{isx->spec(skl, {}), 6000},
                                           {comd->spec(skl, {}), 2000}};
     sim::System sys(skl.sysParams(skl.totalCores, 1), std::move(phases));
-    const sim::RunResult mixed = sys.run(120.0, 240.0);
+    const sim::RunResult mixed = test::runOk(sys, 120.0, 240.0);
     const double n_mix =
         mlpPerCore(mixed.totalGBs, profile->latencyAt(mixed.totalGBs),
                    skl.lineBytes, skl.totalCores);
@@ -229,21 +246,22 @@ TEST(PaperClaims, WholeProgramAveragingHidesThePinnedPhase)
 
 TEST_F(ExperimentTest, CoresUsedDefaultsToAll)
 {
-    Experiment exp(plat_, *isx_, profile_);
-    EXPECT_EQ(exp.coresUsed(), plat_.totalCores);
+    SweepRunner::StageUnit all = unit_;
+    all.coresUsed = 0;
+    EXPECT_EQ(test::stageOk(all, profile_).analysis.coresUsed,
+              plat_.totalCores);
 }
 
 TEST_F(ExperimentTest, ThroughputBasisIsWorkUnits)
 {
-    Experiment exp(plat_, *isx_, profile_, params_);
-    const StageMetrics &m = exp.stage({});
+    const StageMetrics m = test::stageOk(unit_, profile_);
     EXPECT_NEAR(m.throughput, m.run.throughput, 1e-9);
     EXPECT_GT(m.throughput, 0.0);
 }
 
 TEST_F(ExperimentTest, CreateAcceptsNonVacuousConfig)
 {
-    auto exp = Experiment::create(plat_, *isx_, profile_, params_);
+    auto exp = Experiment::create(plat_, *isx_, profile_, params());
     EXPECT_TRUE(exp.ok()) << exp.status().toString();
 }
 

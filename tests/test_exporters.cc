@@ -278,7 +278,7 @@ TEST(ExportIntegration, SimulatedRunProducesCompleteJson)
         obs::Sampler::Params params;
         params.cadence = 100 * ticksPerNs;
         sys.attachObservability(reg, params);
-        sys.run(2.0, 10.0);
+        test::runOk(sys, 2.0, 10.0);
     }
 
     std::vector<obs::JsonSection> extra{{"trace", tracer.toJson()}};

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hh"
 #include "core/littles_law.hh"
 #include "core/recipe.hh"
 #include "test_common.hh"
@@ -34,33 +33,40 @@ profileFor(const platforms::Platform &p)
         hp.measureUs = 20.0;
         hp.windows = {1, 4, 8, 12};
         hp.delays = {256, 32};
-        it = cache.emplace(p.name,
-                           xmem::XMemHarness(hp).measure(p)).first;
+        util::Result<xmem::LatencyProfile> prof =
+            xmem::XMemHarness(hp).measure(p);
+        EXPECT_TRUE(prof.ok()) << prof.status().toString();
+        it = cache.emplace(p.name, prof.valueOr({})).first;
     }
     return it->second;
 }
 
-Experiment::Params
-fast()
+/** The stage @p opts of @p w on @p p, at short windows. */
+StageMetrics
+stage(const platforms::Platform &p, const workloads::WorkloadPtr &w,
+      const OptSet &opts = {})
 {
-    Experiment::Params ep;
-    ep.warmupUs = 8.0;
-    ep.measureUs = 20.0;
-    return ep;
+    return test::stageOk({p, w.get(), opts, 8.0, 20.0}, profileFor(p));
+}
+
+/** Measured speedup of @p to over @p from (throughput ratio). */
+double
+speedup(const StageMetrics &from, const StageMetrics &to)
+{
+    return to.throughput / from.throughput;
 }
 
 TEST(IntegrationTest, IsxSklPinnedAtL1Mshrs)
 {
     platforms::Platform skl = platforms::findPlatform("skl").take();
     workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
-    Experiment exp(skl, *isx, profileFor(skl), fast());
-    const StageMetrics &m = exp.stage({});
+    const StageMetrics m = stage(skl, isx);
     // Paper Table IV row 1: ~84% of peak, n_avg ~ 10 (the L1 MSHRs).
     EXPECT_GT(m.analysis.pctPeak, 0.75);
     EXPECT_NEAR(m.analysis.nAvg, 10.0, 2.5);
     EXPECT_TRUE(m.analysis.nearMshrLimit);
     // And vectorization indeed buys nothing.
-    double s = exp.speedup({}, OptSet{Opt::Vectorize});
+    double s = speedup(m, stage(skl, isx, OptSet{Opt::Vectorize}));
     EXPECT_NEAR(s, 1.0, 0.05);
 }
 
@@ -68,32 +74,31 @@ TEST(IntegrationTest, IsxKnlPrefetchBreaksL1Ceiling)
 {
     platforms::Platform knl = platforms::findPlatform("knl").take();
     workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
-    Experiment exp(knl, *isx, profileFor(knl), fast());
     OptSet v2 = OptSet{Opt::Vectorize, Opt::Smt2};
-    OptSet v2p = v2.with(Opt::SwPrefetchL2);
-    double s = exp.speedup(v2, v2p);
+    const StageMetrics v2p = stage(knl, isx, v2.with(Opt::SwPrefetchL2));
+    double s = speedup(stage(knl, isx, v2), v2p);
     EXPECT_GT(s, 1.15);   // paper: 1.4x
     // Occupancy moves well past the 12 L1 MSHRs toward the paper's 20.
-    EXPECT_GT(exp.stage(v2p).analysis.nAvg, 15.0);
+    EXPECT_GT(v2p.analysis.nAvg, 15.0);
 }
 
 TEST(IntegrationTest, HpcgSklIsBandwidthWall)
 {
     platforms::Platform skl = platforms::findPlatform("skl").take();
     workloads::WorkloadPtr hpcg = workloads::findWorkload("hpcg").take();
-    Experiment exp(skl, *hpcg, profileFor(skl), fast());
-    const StageMetrics &m = exp.stage({});
+    const StageMetrics m = stage(skl, hpcg);
     EXPECT_GT(m.analysis.pctPeak, 0.8);
     // MLP-raising optimizations are futile (paper: Vect 1x, HT 0.98x).
-    EXPECT_NEAR(exp.speedup({}, OptSet{Opt::Vectorize}), 1.0, 0.06);
+    EXPECT_NEAR(speedup(m, stage(skl, hpcg, OptSet{Opt::Vectorize})), 1.0,
+                0.06);
 }
 
 TEST(IntegrationTest, HpcgA64fxVectorizationPays)
 {
     platforms::Platform a = platforms::findPlatform("a64fx").take();
     workloads::WorkloadPtr hpcg = workloads::findWorkload("hpcg").take();
-    Experiment exp(a, *hpcg, profileFor(a), fast());
-    double s = exp.speedup({}, OptSet{Opt::Vectorize});
+    double s =
+        speedup(stage(a, hpcg), stage(a, hpcg, OptSet{Opt::Vectorize}));
     EXPECT_GT(s, 1.4);   // paper: 1.7x
 }
 
@@ -101,10 +106,12 @@ TEST(IntegrationTest, ComdSmtLadderOnKnl)
 {
     platforms::Platform knl = platforms::findPlatform("knl").take();
     workloads::WorkloadPtr comd = workloads::findWorkload("comd").take();
-    Experiment exp(knl, *comd, profileFor(knl), fast());
     OptSet v = OptSet{Opt::Vectorize};
-    double s2 = exp.speedup(v, v.with(Opt::Smt2));
-    double s4 = exp.speedup(v.with(Opt::Smt2), v.with(Opt::Smt4));
+    const StageMetrics v1 = stage(knl, comd, v);
+    const StageMetrics v2 = stage(knl, comd, v.with(Opt::Smt2));
+    const StageMetrics v4 = stage(knl, comd, v.with(Opt::Smt4));
+    double s2 = speedup(v1, v2);
+    double s4 = speedup(v2, v4);
     EXPECT_GT(s2, 1.3);            // paper: 1.52
     EXPECT_GT(s4, 1.1);            // paper: 1.25
     EXPECT_LT(s4, s2);             // diminishing returns
@@ -114,25 +121,23 @@ TEST(IntegrationTest, MinighostTilingReducesTrafficPerWork)
 {
     platforms::Platform a = platforms::findPlatform("a64fx").take();
     workloads::WorkloadPtr mg = workloads::findWorkload("minighost").take();
-    Experiment exp(a, *mg, profileFor(a), fast());
-    const StageMetrics &base = exp.stage({});
-    const StageMetrics &tiled = exp.stage(OptSet{Opt::Tiling});
+    const StageMetrics base = stage(a, mg);
+    const StageMetrics tiled = stage(a, mg, OptSet{Opt::Tiling});
     double traffic_per_work_base = base.run.totalGBs / base.throughput;
     double traffic_per_work_tiled = tiled.run.totalGBs / tiled.throughput;
     EXPECT_LT(traffic_per_work_tiled, traffic_per_work_base * 0.8);
-    EXPECT_GT(exp.speedup({}, OptSet{Opt::Tiling}), 1.3);  // paper 1.51
+    EXPECT_GT(speedup(base, tiled), 1.3);  // paper 1.51
 }
 
 TEST(IntegrationTest, RecipeEndorsesThePaperWalkForIsxKnl)
 {
     platforms::Platform knl = platforms::findPlatform("knl").take();
     workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
-    Experiment exp(knl, *isx, profileFor(knl), fast());
     Recipe recipe(knl);
     // At the 2-way-HT stage the L1 queue is effectively full and the
     // recipe must point at prefetch-to-L2 (the paper's key move).
     OptSet v2 = OptSet{Opt::Vectorize, Opt::Smt2};
-    RecipeDecision d = recipe.advise(exp.stage(v2).analysis, v2);
+    RecipeDecision d = recipe.advise(stage(knl, isx, v2).analysis, v2);
     auto recs = d.recommendedOpts();
     ASSERT_FALSE(recs.empty());
     EXPECT_EQ(recs.front(), Opt::SwPrefetchL2);
@@ -148,9 +153,8 @@ TEST(IntegrationTest, DerivedMlpTracksTrueOutstandingAcrossWorkloads)
     platforms::Platform skl = platforms::findPlatform("skl").take();
     for (const char *name : {"isx", "hpcg", "minighost", "snap"}) {
         workloads::WorkloadPtr w = workloads::findWorkload(name).take();
-        Experiment exp(skl, *w, profileFor(skl), fast());
-        const StageMetrics &m = exp.stage({});
-        double truth = m.run.avgMemOutstanding / exp.coresUsed();
+        const StageMetrics m = stage(skl, w);
+        double truth = m.run.avgMemOutstanding / m.analysis.coresUsed;
         ASSERT_GT(truth, 0.0) << name;
         EXPECT_NEAR(m.analysis.nAvg / truth, 1.0, 0.45) << name;
     }
@@ -160,9 +164,9 @@ TEST(IntegrationTest, SnapA64fxDistributionBeatsFusion)
 {
     platforms::Platform a = platforms::findPlatform("a64fx").take();
     workloads::WorkloadPtr snap = workloads::findWorkload("snap").take();
-    Experiment exp(a, *snap, profileFor(a), fast());
     OptSet pref = OptSet{Opt::SwPrefetchL2};
-    double s = exp.speedup(pref, pref.with(Opt::Distribution));
+    double s = speedup(stage(a, snap, pref),
+                       stage(a, snap, pref.with(Opt::Distribution)));
     EXPECT_GT(s, 1.1);   // paper: 1.2x overall
 }
 

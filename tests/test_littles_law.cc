@@ -84,7 +84,7 @@ TEST_P(LittlesLawProperty, DerivedMlpMatchesTrueOutstanding)
     platforms::Platform plat = test::tinyPlatform();
     sim::SystemParams sp = plat.sysParams(c.cores, c.smt);
     sim::System sys(sp, spec);
-    sim::RunResult r = sys.run(15.0, 40.0);
+    sim::RunResult r = test::runOk(sys, 15.0, 40.0);
 
     // Derived the paper's way, but with the *true* average latency the
     // memory requests saw (isolating Little's law itself from profile

@@ -327,7 +327,7 @@ TEST(Sampler, SystemDrivesPeriodicSnapshots)
         obs::Sampler::Params params;
         params.cadence = 100 * ticksPerNs;
         sys.attachObservability(reg, params);
-        sys.run(2.0, 10.0);   // 12 us of simulated time, 100 ns cadence
+        test::runOk(sys, 2.0, 10.0);   // 12 us of simulated time, 100 ns cadence
     }
 
     // The acceptance bar: at least 10 MSHR occupancy samples.

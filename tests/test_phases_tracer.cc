@@ -8,7 +8,7 @@
 
 #include <set>
 
-#include "core/experiment.hh"
+#include "core/sweep.hh"
 #include "sim/system.hh"
 #include "sim/tracer.hh"
 #include "test_common.hh"
@@ -35,8 +35,8 @@ TEST(PhasedThreadTest, SinglePhaseMatchesPlainConstruction)
     KernelSpec k = test::randomKernel(8, 4.0);
     System plain(tinyParams(), k);
     System phased(tinyParams(), std::vector<PhaseSpec>{{k, 0}});
-    RunResult a = plain.run(5.0, 10.0);
-    RunResult b = phased.run(5.0, 10.0);
+    RunResult a = test::runOk(plain, 5.0, 10.0);
+    RunResult b = test::runOk(phased, 5.0, 10.0);
     EXPECT_EQ(a.opsIssued, b.opsIssued);
     EXPECT_EQ(a.memReadLines, b.memReadLines);
 }
@@ -49,7 +49,7 @@ TEST(PhasedThreadTest, PhasesAlternate)
     slow.name = "slow";
     System sys(tinyParams(1),
                std::vector<PhaseSpec>{{fast, 200}, {slow, 50}});
-    sys.run(5.0, 10.0);
+    test::runOk(sys, 5.0, 10.0);
     // After enough ops the thread must have cycled phases at least once.
     // (ops in 15 us >> 250.)
     ThreadContext &t = sys.thread(0, 0);
@@ -57,7 +57,7 @@ TEST(PhasedThreadTest, PhasesAlternate)
     // Run more and observe the phase index moving.
     std::set<size_t> seen;
     for (int i = 0; i < 40; ++i) {
-        sys.run(0.0, 2.0);
+        test::runOk(sys, 0.0, 2.0);
         seen.insert(t.currentPhase());
     }
     EXPECT_EQ(seen.size(), 2u);
@@ -71,9 +71,9 @@ TEST(PhasedThreadTest, MixedProgramBlendsBandwidth)
     System l(tinyParams(2), light);
     System m(tinyParams(2),
              std::vector<PhaseSpec>{{heavy, 1000}, {light, 200}});
-    double bw_h = h.run(10.0, 20.0).totalGBs;
-    double bw_l = l.run(10.0, 20.0).totalGBs;
-    double bw_m = m.run(20.0, 60.0).totalGBs;
+    double bw_h = test::runOk(h, 10.0, 20.0).totalGBs;
+    double bw_l = test::runOk(l, 10.0, 20.0).totalGBs;
+    double bw_m = test::runOk(m, 20.0, 60.0).totalGBs;
     EXPECT_GT(bw_m, bw_l);
     EXPECT_LT(bw_m, bw_h);
 }
@@ -92,7 +92,7 @@ TEST(TracerTest, RecordsMemoryRequests)
     System sys(tinyParams(), k);
     RequestTracer tracer(1024);
     sys.mem().setTracer(&tracer);
-    RunResult r = sys.run(5.0, 10.0);
+    RunResult r = test::runOk(sys, 5.0, 10.0);
     EXPECT_GT(tracer.total(), 100u);
     EXPECT_LE(tracer.size(), tracer.capacity());
     // Every recorded read carries a positive latency.
@@ -134,12 +134,12 @@ TEST(TracerTest, LocalitySeparatesRandomFromStreaming)
         System sys(tinyParams(2), test::randomKernel(8, 4.0,
                                                      1 << 20));
         sys.mem().setTracer(&rnd_tracer);
-        sys.run(5.0, 10.0);
+        test::runOk(sys, 5.0, 10.0);
     }
     {
         System sys(tinyParams(2), test::streamingKernel(4, 8, 4.0));
         sys.mem().setTracer(&seq_tracer);
-        sys.run(5.0, 10.0);
+        test::runOk(sys, 5.0, 10.0);
     }
     EXPECT_LT(rnd_tracer.localityScore(), 0.1);
     EXPECT_GT(seq_tracer.localityScore(), 0.6);
@@ -169,7 +169,7 @@ TEST(TracerTest, ClearResets)
 TEST(LatencyPercentileTest, OrderedAndNearMean)
 {
     System sys(tinyParams(4), test::randomKernel(8, 2.0));
-    RunResult r = sys.run(10.0, 20.0);
+    RunResult r = test::runOk(sys, 10.0, 20.0);
     EXPECT_GT(r.p50MemLatencyNs, 0.0);
     EXPECT_LE(r.p50MemLatencyNs, r.p95MemLatencyNs);
     EXPECT_LE(r.p95MemLatencyNs, r.p99MemLatencyNs);
@@ -231,18 +231,16 @@ TEST(DgemmTest, WalkEndsComputeBound)
     // MSHRQ is far from full at modest bandwidth.
     WorkloadPtr d = findWorkload("dgemm").take();
     platforms::Platform p = platforms::findPlatform("skl").take();
-    core::Experiment::Params ep;
-    ep.coresUsed = 6;
-    ep.warmupUs = 20.0;
-    ep.measureUs = 40.0;
-    core::Experiment exp(p, *d,
-                         lll::test::syntheticProfile("skl", p.peakGBs),
-                         ep);
-    OptSet full =
-        OptSet{Opt::Tiling, Opt::UnrollJam, Opt::Vectorize};
-    const core::StageMetrics &m = exp.stage(full);
+    const xmem::LatencyProfile profile =
+        lll::test::syntheticProfile("skl", p.peakGBs);
+    core::SweepRunner::StageUnit tiled{p, d.get(), OptSet{Opt::Tiling},
+                                       20.0, 40.0, 6};
+    core::SweepRunner::StageUnit full = tiled;
+    full.opts = OptSet{Opt::Tiling, Opt::UnrollJam, Opt::Vectorize};
+    const core::StageMetrics m = lll::test::stageOk(full, profile);
     EXPECT_LT(m.analysis.nAvg, 0.7 * m.analysis.limitingMshrs);
-    EXPECT_GT(exp.speedup(OptSet{Opt::Tiling}, full), 1.5);
+    EXPECT_GT(m.throughput / lll::test::stageOk(tiled, profile).throughput,
+              1.5);
 }
 
 } // namespace

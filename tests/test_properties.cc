@@ -38,8 +38,8 @@ TEST_P(LatencyMonotone, MoreConcurrencyNeverLowersLatency)
     unsigned window = GetParam();
     System lo(tinyParams(4), test::randomKernel(window, 4.0));
     System hi(tinyParams(4), test::randomKernel(window + 4, 4.0));
-    double lat_lo = lo.run(10.0, 20.0).avgMemLatencyNs;
-    double lat_hi = hi.run(10.0, 20.0).avgMemLatencyNs;
+    double lat_lo = test::runOk(lo, 10.0, 20.0).avgMemLatencyNs;
+    double lat_hi = test::runOk(hi, 10.0, 20.0).avgMemLatencyNs;
     EXPECT_GE(lat_hi, lat_lo * 0.97);   // small noise allowance
 }
 
@@ -53,7 +53,7 @@ TEST(ClosedLoopProperty, BandwidthMonotoneInWindow)
     double last = 0.0;
     for (unsigned window : {1u, 2u, 4u, 8u}) {
         System sys(tinyParams(2), test::randomKernel(window, 4.0));
-        double bw = sys.run(10.0, 20.0).totalGBs;
+        double bw = test::runOk(sys, 10.0, 20.0).totalGBs;
         EXPECT_GE(bw, last * 0.97) << "window " << window;
         last = bw;
     }
@@ -64,7 +64,7 @@ TEST(ClosedLoopProperty, BandwidthMonotoneDecreasingInComputeGap)
     double last = 1e18;
     for (double gap : {1.0, 8.0, 32.0, 128.0}) {
         System sys(tinyParams(2), test::randomKernel(6, gap));
-        double bw = sys.run(10.0, 20.0).totalGBs;
+        double bw = test::runOk(sys, 10.0, 20.0).totalGBs;
         EXPECT_LE(bw, last * 1.03) << "gap " << gap;
         last = bw;
     }
@@ -76,7 +76,7 @@ TEST(MshrConservation, QueuesDrainAfterRun)
 {
     SystemParams sp = tinyParams(2);
     System sys(sp, test::randomKernel(8, 4.0));
-    sys.run(5.0, 10.0);
+    test::runOk(sys, 5.0, 10.0);
     // Let everything in flight complete: no new work is created beyond
     // what threads keep injecting, so instead check the invariant that
     // occupancy never exceeds capacity and the pool balance stays
@@ -149,7 +149,7 @@ TEST_P(PrefetcherCoverage, MoreStreamsNeedBiggerTables)
         SystemParams sp = tinyParams(1);
         sp.pf.tableSize = table;
         System sys(sp, test::streamingKernel(nstreams, 10, 4.0));
-        RunResult r = sys.run(10.0, 20.0);
+        RunResult r = test::runOk(sys, 10.0, 20.0);
         // Bigger tables never reduce coverage.
         EXPECT_LE(r.demandFraction, last_demand_frac + 0.05)
             << nstreams << " streams, table " << table;
@@ -208,7 +208,7 @@ TEST(SmtProperty, AggregateThroughputMonotoneForComputeBound)
     double last = 0.0;
     for (unsigned smt : {1u, 2u}) {
         System sys(tinyParams(2, smt), test::randomKernel(2, 200.0));
-        double thru = sys.run(10.0, 30.0).throughput;
+        double thru = test::runOk(sys, 10.0, 30.0).throughput;
         EXPECT_GE(thru, last * 0.98) << smt << " ways";
         last = thru;
     }
@@ -226,8 +226,8 @@ TEST(PhaseDeterminism, SameSeedSameMixedResult)
     };
     System a(tinyParams(2), build());
     System b(tinyParams(2), build());
-    RunResult ra = a.run(10.0, 20.0);
-    RunResult rb = b.run(10.0, 20.0);
+    RunResult ra = test::runOk(a, 10.0, 20.0);
+    RunResult rb = test::runOk(b, 10.0, 20.0);
     EXPECT_EQ(ra.opsIssued, rb.opsIssued);
     EXPECT_EQ(ra.memReadLines, rb.memReadLines);
 }

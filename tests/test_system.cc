@@ -35,7 +35,7 @@ tinyParams(int cores = 2, unsigned smt = 1)
 TEST(SystemTest, RunProducesTraffic)
 {
     System sys(tinyParams(), test::randomKernel(8, 4.0));
-    RunResult r = sys.run(5.0, 10.0);
+    RunResult r = test::runOk(sys, 5.0, 10.0);
     EXPECT_GT(r.opsIssued, 100u);
     EXPECT_GT(r.totalGBs, 0.0);
     EXPECT_GT(r.throughput, 0.0);
@@ -47,8 +47,8 @@ TEST(SystemTest, DeterministicForSameSeed)
 {
     System a(tinyParams(), test::randomKernel(8, 4.0));
     System b(tinyParams(), test::randomKernel(8, 4.0));
-    RunResult ra = a.run(5.0, 10.0);
-    RunResult rb = b.run(5.0, 10.0);
+    RunResult ra = test::runOk(a, 5.0, 10.0);
+    RunResult rb = test::runOk(b, 5.0, 10.0);
     EXPECT_EQ(ra.opsIssued, rb.opsIssued);
     EXPECT_EQ(ra.memReadLines, rb.memReadLines);
     EXPECT_DOUBLE_EQ(ra.avgL1MshrOccupancy, rb.avgL1MshrOccupancy);
@@ -61,15 +61,15 @@ TEST(SystemTest, DifferentSeedsDiffer)
     sp2.seed = 1234;
     System a(sp1, test::randomKernel(8, 4.0));
     System b(sp2, test::randomKernel(8, 4.0));
-    EXPECT_NE(a.run(5.0, 10.0).memReadLines,
-              b.run(5.0, 10.0).memReadLines);
+    EXPECT_NE(test::runOk(a, 5.0, 10.0).memReadLines,
+              test::runOk(b, 5.0, 10.0).memReadLines);
 }
 
 TEST(SystemTest, OccupancyNeverExceedsMshrCapacity)
 {
     SystemParams sp = tinyParams();
     System sys(sp, test::randomKernel(32, 1.0));
-    RunResult r = sys.run(5.0, 10.0);
+    RunResult r = test::runOk(sys, 5.0, 10.0);
     EXPECT_LE(r.maxL1MshrOccupancy, sp.l1.mshrs);
     EXPECT_LE(r.maxL2MshrOccupancy, sp.l2.mshrs);
     EXPECT_LE(r.avgL1MshrOccupancy, sp.l1.mshrs);
@@ -80,7 +80,7 @@ TEST(SystemTest, WindowBoundsOccupancyWhenSmall)
     // window=2 per thread, 1 thread: L1 occupancy can't exceed ~2 plus
     // store traffic (none here).
     System sys(tinyParams(1), test::randomKernel(2, 1.0));
-    RunResult r = sys.run(5.0, 10.0);
+    RunResult r = test::runOk(sys, 5.0, 10.0);
     EXPECT_LE(r.maxL1MshrOccupancy, 3.0);
 }
 
@@ -88,7 +88,7 @@ TEST(SystemTest, BandwidthBoundedByPeak)
 {
     SystemParams sp = tinyParams(4);
     System sys(sp, test::streamingKernel(4, 16, 0.5));
-    RunResult r = sys.run(10.0, 20.0);
+    RunResult r = test::runOk(sys, 10.0, 20.0);
     // Bank-count rounding can set the true service peak slightly above
     // the nominal figure; bound against the derived peak.
     double banks = std::round(sp.mem.peakGBs * sp.mem.bankServiceNs /
@@ -100,7 +100,7 @@ TEST(SystemTest, BandwidthBoundedByPeak)
 TEST(SystemTest, RandomKernelIsDemandDominated)
 {
     System sys(tinyParams(4), test::randomKernel(8, 4.0));
-    RunResult r = sys.run(5.0, 15.0);
+    RunResult r = test::runOk(sys, 5.0, 15.0);
     EXPECT_GT(r.demandFraction, 0.9);
     EXPECT_EQ(r.hwPrefIssued, 0u);
 }
@@ -108,7 +108,7 @@ TEST(SystemTest, RandomKernelIsDemandDominated)
 TEST(SystemTest, StreamingKernelEngagesPrefetcher)
 {
     System sys(tinyParams(4), test::streamingKernel(4, 10, 4.0));
-    RunResult r = sys.run(10.0, 20.0);
+    RunResult r = test::runOk(sys, 10.0, 20.0);
     EXPECT_GT(r.hwPrefIssued, 100u);
     EXPECT_LT(r.demandFraction, 0.7);
     EXPECT_GT(r.hwPrefUseful, 0u);
@@ -118,8 +118,8 @@ TEST(SystemTest, MoreCoresMoreBandwidthUntilSaturation)
 {
     System one(tinyParams(1), test::randomKernel(8, 4.0));
     System four(tinyParams(4), test::randomKernel(8, 4.0));
-    double bw1 = one.run(5.0, 15.0).totalGBs;
-    double bw4 = four.run(5.0, 15.0).totalGBs;
+    double bw1 = test::runOk(one, 5.0, 15.0).totalGBs;
+    double bw4 = test::runOk(four, 5.0, 15.0).totalGBs;
     EXPECT_GT(bw4, bw1 * 1.5);
 }
 
@@ -128,7 +128,7 @@ TEST(SystemTest, SmtSharesL1Mshrs)
     // 2 threads x window 8 vs 10 L1 MSHRs: occupancy pegged near the
     // cap, never above.
     System sys(tinyParams(2, 2), test::randomKernel(8, 2.0));
-    RunResult r = sys.run(5.0, 15.0);
+    RunResult r = test::runOk(sys, 5.0, 15.0);
     EXPECT_LE(r.maxL1MshrOccupancy, 10.0);
     EXPECT_GT(r.avgL1MshrOccupancy, 6.0);
     EXPECT_GT(r.l1FullStalls, 0u);
@@ -141,7 +141,7 @@ TEST(SystemTest, SwPrefetchReachesMemoryTyped)
     k.swPrefetchL2 = true;
     k.swPrefetchDistance = 16;
     System sys(tinyParams(2), k);
-    RunResult r = sys.run(5.0, 15.0);
+    RunResult r = test::runOk(sys, 5.0, 15.0);
     EXPECT_GT(r.swPrefIssued, 50u);
     EXPECT_GT(r.memSwPrefetchLines, 50u);
 }
@@ -150,13 +150,13 @@ TEST(SystemTest, SwPrefetchRaisesL2OccupancyAboveL1)
 {
     KernelSpec base = test::randomKernel(8, 3.0);
     System a(tinyParams(4), base);
-    RunResult ra = a.run(5.0, 15.0);
+    RunResult ra = test::runOk(a, 5.0, 15.0);
 
     KernelSpec pref = base;
     pref.streams[0].swPrefetchable = true;
     pref.swPrefetchL2 = true;
     System b(tinyParams(4), pref);
-    RunResult rb = b.run(5.0, 15.0);
+    RunResult rb = test::runOk(b, 5.0, 15.0);
 
     // The paper's ISx mechanism: prefetch-to-L2 moves outstanding lines
     // from the L1 queue to the (larger) L2 queue.
@@ -175,7 +175,7 @@ TEST(SystemTest, StoresGenerateWritebackTraffic)
     sp.hasL3 = false;
     sp.l2.sets = 64;
     System sys(sp, k);
-    RunResult r = sys.run(10.0, 20.0);
+    RunResult r = test::runOk(sys, 10.0, 20.0);
     EXPECT_GT(r.memWriteLines, 100u);
     EXPECT_GT(r.writeGBs, 0.0);
 }
@@ -183,8 +183,8 @@ TEST(SystemTest, StoresGenerateWritebackTraffic)
 TEST(SystemTest, RepeatedWindowsAreConsistent)
 {
     System sys(tinyParams(2), test::randomKernel(8, 4.0));
-    RunResult r1 = sys.run(10.0, 10.0);
-    RunResult r2 = sys.run(0.0, 10.0);
+    RunResult r1 = test::runOk(sys, 10.0, 10.0);
+    RunResult r2 = test::runOk(sys, 0.0, 10.0);
     // Steady state: consecutive windows agree within a few percent.
     EXPECT_NEAR(r2.totalGBs, r1.totalGBs, r1.totalGBs * 0.1);
 }
@@ -192,11 +192,11 @@ TEST(SystemTest, RepeatedWindowsAreConsistent)
 TEST(SystemTest, NoRequestLeakAccumulation)
 {
     System sys(tinyParams(2), test::randomKernel(8, 4.0));
-    sys.run(5.0, 10.0);
+    test::runOk(sys, 5.0, 10.0);
     // Outstanding requests are bounded by in-flight state, not by run
     // length.
     int64_t after_one = sys.pool().outstanding();
-    sys.run(0.0, 10.0);
+    test::runOk(sys, 0.0, 10.0);
     EXPECT_LE(sys.pool().outstanding(), after_one + 200);
 }
 
@@ -216,11 +216,11 @@ TEST(SystemTest, MicrostepWindowsDoNotLeakRequests)
     spec.computeCyclesPerOp = 4.0;
 
     System sys(platforms::skl().sysParams(4, 1), spec);
-    sys.run(2.0, 2.0); // warm start
+    test::runOk(sys, 2.0, 2.0); // warm start
     const int64_t after_warm = sys.pool().outstanding();
     EXPECT_GE(after_warm, 0);
     for (int i = 0; i < 50; ++i)
-        sys.run(0.0001, 1.0);
+        test::runOk(sys, 0.0001, 1.0);
     EXPECT_GE(sys.pool().outstanding(), 0);
     EXPECT_LE(sys.pool().outstanding(), after_warm + 200);
 }
@@ -232,15 +232,15 @@ TEST(SystemTest, ThroughputScalesWithWorkPerOp)
     k2.workPerOp = 2.0;
     System a(tinyParams(2), k1);
     System b(tinyParams(2), k2);
-    double t1 = a.run(5.0, 15.0).throughput;
-    double t2 = b.run(5.0, 15.0).throughput;
+    double t1 = test::runOk(a, 5.0, 15.0).throughput;
+    double t2 = test::runOk(b, 5.0, 15.0).throughput;
     EXPECT_NEAR(t2 / t1, 2.0, 0.1);
 }
 
 TEST(SystemTest, ComputeBoundKernelHasLowOccupancy)
 {
     System sys(tinyParams(4), test::randomKernel(2, 400.0));
-    RunResult r = sys.run(20.0, 40.0);
+    RunResult r = test::runOk(sys, 20.0, 40.0);
     EXPECT_LT(r.avgL1MshrOccupancy, 1.0);
     EXPECT_LT(r.memUtilization, 0.3);
 }
@@ -248,7 +248,7 @@ TEST(SystemTest, ComputeBoundKernelHasLowOccupancy)
 TEST(SystemTest, TrueLatencyNearIdleWhenUnloaded)
 {
     System sys(tinyParams(1), test::randomKernel(1, 200.0));
-    RunResult r = sys.run(10.0, 20.0);
+    RunResult r = test::runOk(sys, 10.0, 20.0);
     // Single in-flight request: the controller sees no queueing.
     MemCtrl::Params mp = test::tinyPlatform().proto.mem;
     double idle = mp.frontLatencyNs + mp.bankServiceNs + mp.backLatencyNs;
@@ -346,7 +346,7 @@ workloadStage(const char *label, const platforms::Platform &p,
     SystemParams sp = p.sysParams(cores, opts.smtWays());
     sp.tieBreakSeed = tie_seed;
     System sys(sp, (*w)->spec(p, opts));
-    return goldenLine(label, sys.run(10.0, 30.0));
+    return goldenLine(label, test::runOk(sys, 10.0, 30.0));
 }
 
 std::string
@@ -375,17 +375,17 @@ simStagesReport()
         sp.l2.sets = 16;
         sp.l3.sets = 64;
         System sys(sp, (*w)->spec(skl, {}));
-        out += goldenLine("skl/isx/small-caches", sys.run(10.0, 30.0));
+        out += goldenLine("skl/isx/small-caches", test::runOk(sys, 10.0, 30.0));
     }
     {
         SystemParams sp = skl.sysParams(skl.totalCores, 1);
         System sys(sp, xmemPointSpec(skl, false, 2, 50.0));
-        out += goldenLine("skl/xmem/random-w2", sys.run(5.0, 10.0));
+        out += goldenLine("skl/xmem/random-w2", test::runOk(sys, 5.0, 10.0));
     }
     {
         SystemParams sp = knl.sysParams(16, 1);
         System sys(sp, xmemPointSpec(knl, true, 8, 8.0));
-        out += goldenLine("knl/xmem/stream-w8", sys.run(5.0, 10.0));
+        out += goldenLine("knl/xmem/stream-w8", test::runOk(sys, 5.0, 10.0));
     }
     return out;
 }
@@ -408,10 +408,13 @@ TEST(SystemGoldenTest, StageStatisticsMatchTheGoldenExactly)
            "sim_stages.actual in the test's working directory";
 }
 
-TEST(SystemDeathTest, ZeroMeasurePanics)
+TEST(SystemTest, ZeroMeasureIsRefused)
 {
     System sys(tinyParams(), test::randomKernel(4, 4.0));
-    EXPECT_DEATH(sys.run(1.0, 0.0), "positive");
+    util::Result<RunResult> r = sys.runChecked(1.0, 0.0);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::ErrorCode::InvalidArgument);
+    EXPECT_NE(r.status().message().find("positive"), std::string::npos);
 }
 
 } // namespace

@@ -98,12 +98,5 @@ TEST(WatchdogTest, DiagnosticSnapshotShape)
     EXPECT_NE(snap.find("l1_mshrs="), std::string::npos);
 }
 
-TEST(WatchdogTest, LegacyRunStillWorks)
-{
-    System sys(tinySys(), test::randomKernel(4, 4.0, 1 << 14));
-    RunResult r = sys.run(2.0, 5.0);
-    EXPECT_GT(r.throughput, 0.0);
-}
-
 } // namespace
 } // namespace lll::sim

@@ -2,8 +2,8 @@
  * @file
  * Tests for the X-Mem-style characterization harness on a small
  * platform: the sweep must produce a monotone curve spanning near-idle
- * to near-saturation, be the same at any jobs count, and the cache
- * round-trip must work.
+ * to near-saturation, be the same at any jobs count, fail (not die)
+ * when a point wedges, and the cache round-trip must work.
  */
 
 #include <gtest/gtest.h>
@@ -35,12 +35,23 @@ fastParams()
 class XmemTest : public ::testing::Test
 {
   protected:
+    /** The profile @p params measure on plat_; a failed measurement
+     *  fails the test and yields an empty profile. */
+    LatencyProfile
+    measured(const XMemHarness::Params &params = fastParams()) const
+    {
+        util::Result<LatencyProfile> prof =
+            XMemHarness(params).measure(plat_);
+        EXPECT_TRUE(prof.ok()) << prof.status().toString();
+        return prof.valueOr(LatencyProfile());
+    }
+
     platforms::Platform plat_ = test::tinyPlatform();
 };
 
 TEST_F(XmemTest, SweepSpansLowToHighBandwidth)
 {
-    LatencyProfile prof = XMemHarness(fastParams()).measure(plat_);
+    LatencyProfile prof = measured();
     ASSERT_FALSE(prof.empty());
     EXPECT_LT(prof.points().front().bwGBs, 0.25 * plat_.peakGBs);
     EXPECT_GT(prof.maxMeasuredGBs(), 0.6 * plat_.peakGBs);
@@ -48,7 +59,7 @@ TEST_F(XmemTest, SweepSpansLowToHighBandwidth)
 
 TEST_F(XmemTest, CurveIsMonotone)
 {
-    LatencyProfile prof = XMemHarness(fastParams()).measure(plat_);
+    LatencyProfile prof = measured();
     double last = 0.0;
     for (const LatencyProfile::Point &pt : prof.points()) {
         EXPECT_GE(pt.latencyNs, last);
@@ -58,7 +69,7 @@ TEST_F(XmemTest, CurveIsMonotone)
 
 TEST_F(XmemTest, IdleLatencyNearControllerIdle)
 {
-    LatencyProfile prof = XMemHarness(fastParams()).measure(plat_);
+    LatencyProfile prof = measured();
     const sim::SystemParams &s = plat_.proto;
     double idle = ticksToNs(s.l1.accessLat + s.l2.accessLat +
                             (s.hasL3 ? s.l3.accessLat : 0)) +
@@ -69,7 +80,7 @@ TEST_F(XmemTest, IdleLatencyNearControllerIdle)
 
 TEST_F(XmemTest, LoadedLatencyExceedsIdle)
 {
-    LatencyProfile prof = XMemHarness(fastParams()).measure(plat_);
+    LatencyProfile prof = measured();
     double at_high = prof.latencyAt(prof.maxMeasuredGBs());
     EXPECT_GT(at_high, prof.idleLatencyNs() * 1.3);
 }
@@ -81,9 +92,8 @@ TEST_F(XmemTest, ProfileIsIdenticalAtAnyJobCount)
     XMemHarness::Params serial_params = fastParams();
     XMemHarness::Params parallel_params = fastParams();
     parallel_params.jobs = 3;
-    const LatencyProfile serial = XMemHarness(serial_params).measure(plat_);
-    const LatencyProfile parallel =
-        XMemHarness(parallel_params).measure(plat_);
+    const LatencyProfile serial = measured(serial_params);
+    const LatencyProfile parallel = measured(parallel_params);
     ASSERT_EQ(parallel.points().size(), serial.points().size());
     for (size_t i = 0; i < serial.points().size(); ++i) {
         EXPECT_EQ(parallel.points()[i].bwGBs, serial.points()[i].bwGBs)
@@ -106,6 +116,30 @@ TEST_F(XmemTest, ProfileIsIdenticalAtAnyJobCount)
     const std::string serial_file = saved(serial, "jobs1.profile");
     EXPECT_FALSE(serial_file.empty());
     EXPECT_EQ(saved(parallel, "jobs3.profile"), serial_file);
+}
+
+TEST_F(XmemTest, WedgedPointFailsTheProfile)
+{
+    // A point that thinks for 1e12 cycles between requests stops the
+    // event queue draining: the watchdog's DeadlineExceeded is the
+    // profile's status, the process lives, and nothing is cached.
+    XMemHarness::Params params = fastParams();
+    params.delays = {1e12};
+    util::Result<LatencyProfile> prof = XMemHarness(params).measure(plat_);
+    ASSERT_FALSE(prof.ok());
+    EXPECT_EQ(prof.status().code(), util::ErrorCode::DeadlineExceeded);
+    EXPECT_NE(prof.status().message().find("characterizing 'tiny' at "
+                                           "point 0"),
+              std::string::npos)
+        << prof.status().toString();
+
+    const std::string path = ::testing::TempDir() + "/wedged.profile";
+    std::remove(path.c_str());
+    util::Result<LatencyProfile> cached =
+        XMemHarness(params).measureCachedChecked(plat_, path);
+    ASSERT_FALSE(cached.ok());
+    EXPECT_EQ(cached.status().code(), util::ErrorCode::DeadlineExceeded);
+    EXPECT_FALSE(LatencyProfile::load(path).ok());
 }
 
 TEST_F(XmemTest, MeasureCachedRoundTrip)

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cli.hh"
-#include "core/experiment.hh"
 #include "core/recipe.hh"
 #include "core/tma.hh"
 #include "obs/export.hh"
@@ -60,26 +59,35 @@ writeMetrics(const VariantRequest &r, const obs::MetricRegistry &registry)
                          r.metrics.c_str());
 }
 
+/** @p unit through a one-unit runStages batch: its metrics, or the
+ *  unit's status. */
+util::Result<core::StageMetrics>
+runStage(const core::SweepRunner::Params &params,
+         const core::SweepRunner::StageUnit &unit)
+{
+    core::SweepRunner::StageOutcome out =
+        std::move(core::SweepRunner(params).runStages({unit}).front());
+    if (!out.status.ok())
+        return out.status;
+    return std::move(out.metrics);
+}
+
 util::Result<Outcome>
 runAnalyze(const VariantRequest &r, const Context &ctx)
 {
     const Variant &va = r.variant;
-    core::Experiment::Params ep;
-    ep.coresUsed = r.cores;
+    core::SweepRunner::Params sp;
     if (!r.json.empty() || !r.metrics.empty())
-        ep.registry = &ctx.registry;
-
-    util::Result<xmem::LatencyProfile> prof = profileFor(va.platform);
-    if (!prof.ok())
-        return prof.status();
+        sp.registry = &ctx.registry;
+    core::SweepRunner::StageUnit unit{va.platform, va.workload.get(),
+                                      va.opts};
+    unit.coresUsed = r.cores;
+    util::Result<core::StageMetrics> m = runStage(sp, unit);
+    if (!m.ok())
+        return m.status();
 
     FILE *rep = ctx.report;
-    util::Result<core::Experiment> exp = core::Experiment::create(
-        va.platform, *va.workload, prof.take(), ep);
-    if (!exp.ok())
-        return exp.status();
-    const core::StageMetrics &m = exp->stage(va.opts);
-    const core::Analysis &a = m.analysis;
+    const core::Analysis &a = m->analysis;
     std::fprintf(rep, "%s [%s] on %s:\n", va.workload->routine().c_str(),
                  va.opts.label().c_str(), va.platform.name.c_str());
     std::fprintf(rep,
@@ -93,7 +101,7 @@ runAnalyze(const VariantRequest &r, const Context &ctx)
     // The TMA view of the same run, for the paper's §I contrast: an
     // ambiguous bandwidth/latency split and a load-latency mean that
     // prefetched hits pull far below the loaded latency above.
-    const core::TmaReport tma = core::Tma(va.platform).analyze(m.run);
+    const core::TmaReport tma = core::Tma(va.platform).analyze(m->run);
     std::fprintf(rep,
                  "  TMA: memory bound %.0f%% (bandwidth %.0f%% / latency "
                  "%.0f%%), avg load latency %.0f cycles (facility view)\n",
@@ -112,7 +120,7 @@ runAnalyze(const VariantRequest &r, const Context &ctx)
 
     LLL_RETURN_IF_ERROR(writeMetrics(r, ctx.registry));
     Outcome out;
-    out.data = service::stageDataJson(m, va.platform.name,
+    out.data = service::stageDataJson(*m, va.platform.name,
                                       va.workload->name(), va.opts.label());
     out.telemetry = true;
     return out;
@@ -184,19 +192,17 @@ util::Result<Outcome>
 runWalk(const WalkRequest &r, const Context &ctx)
 {
     const platforms::Platform &p = r.variant.platform;
-    util::Result<xmem::LatencyProfile> prof = profileFor(p);
-    if (!prof.ok())
-        return prof.status();
-    util::Result<core::Experiment> exp =
-        core::Experiment::create(p, *r.variant.workload, prof.take());
-    if (!exp.ok())
-        return exp.status();
     core::Recipe recipe(p);
-
+    // One unit at a time: each step starts from the candidate the last
+    // one kept, whose metrics it carries, so no state runs twice.
+    core::SweepRunner::StageUnit unit{p, r.variant.workload.get(), {}};
     workloads::OptSet state;
-    double base = exp->stage(state).throughput;
+    util::Result<core::StageMetrics> cur = runStage({}, unit);
+    if (!cur.ok())
+        return cur.status();
+    const double base = cur->throughput;
     for (int step = 0; step < 8; ++step) {
-        const core::StageMetrics &m = exp->stage(state);
+        const core::StageMetrics &m = *cur;
         core::RecipeDecision d = recipe.advise(m.analysis, state);
         std::fprintf(ctx.report,
                      "[%s] n_avg %.2f/%u, BW %.0f%%, cum %.2fx — %s\n",
@@ -205,11 +211,16 @@ runWalk(const WalkRequest &r, const Context &ctx)
                      m.throughput / base, d.summary.c_str());
         bool moved = false;
         for (workloads::Opt opt : d.recommendedOpts()) {
-            double s = exp->speedup(state, state.with(opt));
+            unit.opts = state.with(opt);
+            util::Result<core::StageMetrics> next = runStage({}, unit);
+            if (!next.ok())
+                return next.status();
+            double s = next->throughput / m.throughput;
             std::fprintf(ctx.report, "  %s -> %.2fx\n",
                          workloads::optName(opt), s);
             if (s >= 1.02) {
                 state = state.with(opt);
+                cur = std::move(next);
                 moved = true;
                 break;
             }
@@ -218,7 +229,7 @@ runWalk(const WalkRequest &r, const Context &ctx)
             break;
     }
     std::fprintf(ctx.report, "final: [%s] %.2fx\n", state.label().c_str(),
-                 exp->stage(state).throughput / base);
+                 cur->throughput / base);
     return Outcome{};
 }
 
