@@ -65,7 +65,7 @@ class ThreadContext
                   EventQueue &eq, RequestPool &pool, CoreModel &core,
                   Cache &l1, Cache &l2);
 
-    /** Begin executing; call once before System::run. */
+    /** Begin executing; call once before System::runChecked. */
     void start();
 
     /** Completion callback from the L1 for a demand op. */
