@@ -12,18 +12,12 @@ using util::DiagnosticList;
 namespace
 {
 
+/** Bit-exact compare, except that NaN equals NaN. */
 bool
-valuesDiffer(double baseline, double value, double rel_tolerance)
+valuesDiffer(double baseline, double value)
 {
-    if (baseline == value)
-        return false;
-    if (std::isnan(baseline) && std::isnan(value))
-        return false;
-    if (rel_tolerance <= 0.0)
-        return true;
-    const double scale =
-        std::max(std::fabs(baseline), std::fabs(value));
-    return std::fabs(baseline - value) > rel_tolerance * scale;
+    return baseline != value &&
+           !(std::isnan(baseline) && std::isnan(value));
 }
 
 } // namespace
@@ -69,8 +63,7 @@ checkDeterminism(const Runner &runner, const DeterminismOptions &options,
                     baseline[i].name.c_str());
                 continue;
             }
-            if (valuesDiffer(baseline[i].value, run[i].value,
-                             options.relTolerance)) {
+            if (valuesDiffer(baseline[i].value, run[i].value)) {
                 report.deterministic = false;
                 report.diffs.push_back({run[i].name, seed,
                                         baseline[i].value,

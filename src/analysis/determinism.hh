@@ -59,10 +59,6 @@ struct DeterminismOptions
     std::vector<uint64_t> seeds{0, 0x9e3779b97f4a7c15ULL,
                                 0xc0ffee42c0ffee42ULL};
 
-    /** Relative tolerance when diffing metric values; 0 = bit-exact.
-     *  A deterministic simulator passes at 0. */
-    double relTolerance = 0.0;
-
     /** Simulated warmup/measure window for checkRunDeterminism (kept
      *  short: order sensitivity shows up within microseconds). */
     double warmupUs = 3.0;

@@ -11,13 +11,7 @@ namespace lll::core
 
 Analyzer::Analyzer(const platforms::Platform &platform,
                    xmem::LatencyProfile profile)
-    : Analyzer(platform, std::move(profile), Params())
-{
-}
-
-Analyzer::Analyzer(const platforms::Platform &platform,
-                   xmem::LatencyProfile profile, Params params)
-    : platform_(platform), profile_(std::move(profile)), params_(params)
+    : platform_(platform), profile_(std::move(profile))
 {
     util::Status ok = validateInputs(platform_, profile_);
     lll_assert(ok.ok(), "%s", ok.toString().c_str());
@@ -45,15 +39,8 @@ util::Result<Analyzer>
 Analyzer::create(const platforms::Platform &platform,
                  xmem::LatencyProfile profile)
 {
-    return create(platform, std::move(profile), Params());
-}
-
-util::Result<Analyzer>
-Analyzer::create(const platforms::Platform &platform,
-                 xmem::LatencyProfile profile, Params params)
-{
     LLL_RETURN_IF_ERROR(validateInputs(platform, profile));
-    return Analyzer(platform, std::move(profile), params);
+    return Analyzer(platform, std::move(profile));
 }
 
 Analysis
@@ -107,7 +94,7 @@ Analyzer::analyze(const counters::RoutineProfile &routine, int cores_used,
     if (random_hint.has_value()) {
         random = *random_hint;
     } else if (routine.demandFractionKnown) {
-        random = routine.demandFraction > params_.randomDemandFraction;
+        random = routine.demandFraction > kRandomDemandFraction;
     } else {
         // No counter and no user knowledge: assume streaming, the common
         // case for HPC kernels (documented conservative default).
@@ -118,11 +105,11 @@ Analyzer::analyze(const counters::RoutineProfile &routine, int cores_used,
     a.limitingMshrs = random ? platform_.l1Mshrs : platform_.l2Mshrs;
     a.headroom = static_cast<double>(a.limitingMshrs) - a.nAvg;
     a.nearMshrLimit =
-        a.nAvg >= params_.mshrFullFraction * a.limitingMshrs;
+        a.nAvg >= kMshrFullFraction * a.limitingMshrs;
 
     a.maxAchievableGBs = profile_.maxMeasuredGBs();
     a.nearBandwidthLimit =
-        a.bwGBs >= params_.bwWallFraction * a.maxAchievableGBs;
+        a.bwGBs >= kBwWallFraction * a.maxAchievableGBs;
 
     for (const std::string &w : a.warnings)
         lll_warn("%s", w.c_str());

@@ -147,27 +147,22 @@ visitFields(V &v, R &a)
     v("warnings", a.warnings, {.tags = kStageData});
 }
 
+/** nAvg >= kMshrFullFraction * queue size counts as "full". */
+constexpr double kMshrFullFraction = 0.88;
+/** bw >= kBwWallFraction * max achievable counts as the wall. */
+constexpr double kBwWallFraction = 0.92;
+/** Demand share above which a routine classifies as Random when no
+ *  explicit hint is given. */
+constexpr double kRandomDemandFraction = 0.6;
+
 /**
  * Derives an Analysis from a routine profile.
  */
 class Analyzer
 {
   public:
-    struct Params
-    {
-        /** nAvg >= mshrFullFraction * queue size counts as "full". */
-        double mshrFullFraction = 0.88;
-        /** bw >= bwWallFraction * max achievable counts as the wall. */
-        double bwWallFraction = 0.92;
-        /** Demand share above which a routine classifies as Random when
-         *  no explicit hint is given. */
-        double randomDemandFraction = 0.6;
-    };
-
     Analyzer(const platforms::Platform &platform,
              xmem::LatencyProfile profile);
-    Analyzer(const platforms::Platform &platform,
-             xmem::LatencyProfile profile, Params params);
 
     /**
      * Check that @p profile can drive an analysis of @p platform: it
@@ -180,9 +175,6 @@ class Analyzer
     [[nodiscard]] static util::Result<Analyzer>
     create(const platforms::Platform &platform,
            xmem::LatencyProfile profile);
-    [[nodiscard]] static util::Result<Analyzer>
-    create(const platforms::Platform &platform, xmem::LatencyProfile profile,
-           Params params);
 
     /**
      * Analyze one routine.
@@ -213,7 +205,6 @@ class Analyzer
   private:
     platforms::Platform platform_;
     xmem::LatencyProfile profile_;
-    Params params_;
     obs::MetricRegistry *registry_ = nullptr;
 };
 

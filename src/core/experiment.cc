@@ -120,10 +120,15 @@ Experiment::stage(const workloads::OptSet &opts, const std::string &cache_key)
         }
     }
 
+    // create() checked the cores at one SMT way; the variant's SMT
+    // request is checked here, so an unsupported one fails this unit.
+    util::Result<sim::SystemParams> sp =
+        platform_.trySysParams(coresUsed_, opts.smtWays());
+    if (!sp.ok())
+        return sp.status();
+    sp->seed = params_.seed;
     const sim::KernelSpec spec = workload_.spec(platform_, opts);
-    sim::SystemParams sp = platform_.sysParams(coresUsed_, opts.smtWays());
-    sp.seed = params_.seed;
-    sim::System sys(sp, spec);
+    sim::System sys(*sp, spec);
     if (params_.registry)
         sys.attachObservability(*params_.registry);
     sim::RunResult run;

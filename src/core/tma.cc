@@ -9,12 +9,7 @@ namespace lll::core
 {
 
 Tma::Tma(const platforms::Platform &platform)
-    : Tma(platform, Params())
-{
-}
-
-Tma::Tma(const platforms::Platform &platform, Params params)
-    : platform_(platform), params_(params)
+    : platform_(platform)
 {
 }
 
@@ -84,7 +79,7 @@ Tma::analyze(const sim::RunResult &run) const
     // buckets get populated — the ambiguity the paper calls out.
     double band = 0.30;
     double share = std::clamp(
-        (run.memUtilization - (params_.bandwidthThreshold - band / 2)) /
+        (run.memUtilization - (kTmaBandwidthThreshold - band / 2)) /
             band,
         0.0, 1.0);
     r.bandwidthBoundPct = r.memoryBoundPct * share;

@@ -45,27 +45,22 @@ struct TmaReport
     double memCtrlUtilization = 0.0;
 };
 
+/** Controller utilization above which memory-bound cycles are
+ *  attributed to "bandwidth bound". */
+constexpr double kTmaBandwidthThreshold = 0.45;
+
 /**
  * The baseline analyzer.
  */
 class Tma
 {
   public:
-    struct Params
-    {
-        /** Controller utilization above which memory-bound cycles are
-         *  attributed to "bandwidth bound". */
-        double bandwidthThreshold = 0.45;
-    };
-
     explicit Tma(const platforms::Platform &platform);
-    Tma(const platforms::Platform &platform, Params params);
 
     TmaReport analyze(const sim::RunResult &run) const;
 
   private:
     platforms::Platform platform_;
-    Params params_;
 };
 
 } // namespace lll::core

@@ -359,11 +359,10 @@ runAll(const Options &opts)
     Report report;
     Rng rng(opts.seed);
 
-    std::filesystem::path dir =
-        opts.scratchDir.empty()
-            ? std::filesystem::temp_directory_path() /
-                  ("lll-selftest-" + std::to_string(opts.seed))
-            : std::filesystem::path(opts.scratchDir);
+    // Corrupted profile files go to a seed-keyed temp directory.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("lll-selftest-" + std::to_string(opts.seed));
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
 

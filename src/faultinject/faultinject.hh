@@ -31,9 +31,6 @@ struct Options
      *  byte-fuzz); the deterministic scenarios always run once. */
     int fuzzIterations = 50;
     bool verbose = false;
-    /** Where corrupted profile files are written; empty picks a
-     *  seed-keyed directory under the system temp dir. */
-    std::string scratchDir;
 };
 
 /** Outcome of one scenario. */

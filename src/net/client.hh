@@ -48,7 +48,6 @@ class BlockingClient
     /** Abrupt close (mid-request disconnect scenarios). */
     void close();
 
-    bool connected() const { return fd_ >= 0; }
     int fd() const { return fd_; }
 
   private:

@@ -336,6 +336,14 @@ struct Listener::Impl
                                  "listener needs a TCP port or a unix "
                                  "socket path");
         }
+        for (const int ms : {params.idleTimeoutMs, params.readTimeoutMs,
+                             params.watchdogMs, params.drainGraceMs}) {
+            if (ms <= 0) {
+                return Status::error(ErrorCode::InvalidArgument,
+                                     "listener timeouts must be >= 1 ms "
+                                     "(got %d)", ms);
+            }
+        }
         reg = params.registry ? params.registry : &ownedRegistry;
         m = std::make_unique<RequestMetrics>(*reg);
         if (params.workers < 1)
@@ -485,7 +493,6 @@ struct Listener::Impl
             ++conn.nextSend;
             ++responsesWritten;
             m->responses++;
-            maybePrintStats();
             it = conn.ready.find(conn.nextSend);
         }
     }
@@ -710,24 +717,6 @@ struct Listener::Impl
         }
     }
 
-    void maybePrintStats()
-    {
-        if (params.statsIntervalResponses <= 0)
-            return;
-        if (responsesWritten %
-                uint64_t(params.statsIntervalResponses) != 0)
-            return;
-        std::fprintf(
-            stderr,
-            "serve net stats: %llu responses (%llu admitted, %llu "
-            "shed) — request p50/p90/p99 %s ms, queue %s ms\n",
-            static_cast<unsigned long long>(responsesWritten),
-            static_cast<unsigned long long>(m->admitted.value()),
-            static_cast<unsigned long long>(m->shed.value()),
-            obs::percentilesMs(m->requestNs).c_str(),
-            obs::percentilesMs(m->queueWaitNs).c_str());
-    }
-
     void watchdogSnapshot(WallClock::time_point now)
     {
         counter(util::names::kNetWatchdogTripsTotal)++;
@@ -875,9 +864,8 @@ struct Listener::Impl
             if (draining) {
                 if (drainComplete())
                     break;
-                if (params.drainGraceMs > 0 &&
-                    msSince(drainStart, now) >
-                        double(params.drainGraceMs)) {
+                if (msSince(drainStart, now) >
+                    double(params.drainGraceMs)) {
                     std::fprintf(stderr,
                                  "serve: drain grace of %d ms "
                                  "exceeded with %zu in flight — "
@@ -915,21 +903,19 @@ struct Listener::Impl
         };
         for (const auto &[id, conn] : conns) {
             (void)id;
-            if (params.readTimeoutMs > 0 && conn.partialActive) {
+            if (conn.partialActive) {
                 consider(double(params.readTimeoutMs) -
                          msSince(conn.partialSince, now));
-            }
-            if (params.idleTimeoutMs > 0 && !conn.partialActive &&
-                conn.outstanding == 0) {
+            } else if (conn.outstanding == 0) {
                 consider(double(params.idleTimeoutMs) -
                          msSince(conn.lastActivity, now));
             }
         }
-        if (params.watchdogMs > 0 && inflight > 0) {
+        if (inflight > 0) {
             consider(double(params.watchdogMs) -
                      msSince(lastProgress, now));
         }
-        if (draining && params.drainGraceMs > 0) {
+        if (draining) {
             consider(double(params.drainGraceMs) -
                      msSince(drainStart, now));
         }
@@ -940,7 +926,7 @@ struct Listener::Impl
     {
         std::vector<uint64_t> lorises, idlers;
         for (const auto &[id, conn] : conns) {
-            if (params.readTimeoutMs > 0 && conn.partialActive &&
+            if (conn.partialActive &&
                 msSince(conn.partialSince, now) >
                     double(params.readTimeoutMs)) {
                 lorises.push_back(id);
@@ -950,8 +936,7 @@ struct Listener::Impl
             // say and the stalled writer: a client that stops reading
             // freezes lastActivity (successful writes refresh it), so
             // pending output must NOT exempt a connection here.
-            if (params.idleTimeoutMs > 0 && !conn.partialActive &&
-                conn.outstanding == 0 &&
+            if (!conn.partialActive && conn.outstanding == 0 &&
                 msSince(conn.lastActivity, now) >
                     double(params.idleTimeoutMs)) {
                 idlers.push_back(id);
@@ -961,7 +946,7 @@ struct Listener::Impl
             teardown(id, util::names::kNetConnsClosedReadTimeoutTotal);
         for (uint64_t id : idlers)
             teardown(id, util::names::kNetConnsClosedIdleTotal);
-        if (params.watchdogMs > 0 && inflight > 0 &&
+        if (inflight > 0 &&
             msSince(lastProgress, now) > double(params.watchdogMs))
             watchdogSnapshot(now);
     }

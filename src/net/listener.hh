@@ -107,26 +107,25 @@ struct ListenerParams
      *  of it, the connection is closed (overflow) when it is hit. */
     size_t maxWriteBuffer = 4u << 20;
 
+    // Timeouts are in milliseconds and must be >= 1 (start() refuses
+    // less).
+
     /** Close a connection idle (no buffered partial frame, nothing in
-     *  flight or unflushed) for this long.  <= 0 disables. */
+     *  flight or unflushed) for this long. */
     int idleTimeoutMs = 30000;
 
     /** Close a connection whose frame stays incomplete this long —
-     *  the slow-loris guard.  <= 0 disables. */
+     *  the slow-loris guard. */
     int readTimeoutMs = 10000;
 
     /** Forward-progress watchdog: with admitted work in flight but no
      *  completion for this long, dump a diagnostic snapshot to stderr
-     *  and count net.watchdog_trips_total.  <= 0 disables. */
+     *  and count net.watchdog_trips_total. */
     int watchdogMs = 60000;
 
     /** Drain deadline after requestShutdown(): connections still
-     *  unflushed past it are closed anyway.  <= 0 waits forever. */
+     *  unflushed past it are closed anyway. */
     int drainGraceMs = 5000;
-
-    /** Print a cumulative latency stat line to stderr every N
-     *  responses (0 disables). */
-    int statsIntervalResponses = 0;
 
     /** Required: the request handler (see ServeHandler). */
     Handler handler;

@@ -188,6 +188,9 @@ class Log2Histogram
  *  decimals each — the one spelling of every latency stat line. */
 std::string percentilesMs(const Log2Histogram &h);
 
+/** Ring capacity of each sampled gauge's time series. */
+constexpr size_t kSeriesCapacity = 4096;
+
 /**
  * Bounded ring of (tick, value) samples; the sampler pushes one entry
  * per snapshot and the oldest entries fall off once capacity is hit, so
@@ -202,7 +205,8 @@ class TimeSeries
         double value = 0.0;
     };
 
-    explicit TimeSeries(size_t capacity = 4096) : capacity_(capacity)
+    explicit TimeSeries(size_t capacity = kSeriesCapacity)
+        : capacity_(capacity)
     {
         ring_.reserve(capacity_);
     }
@@ -214,7 +218,6 @@ class TimeSeries
 
     /** Samples currently retained. */
     size_t size() const { return ring_.size(); }
-    size_t capacity() const { return capacity_; }
 
     /** Samples pushed since construction (including evicted ones). */
     uint64_t total() const { return total_; }

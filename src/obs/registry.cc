@@ -1,7 +1,5 @@
 #include "obs/registry.hh"
 
-#include <algorithm>
-
 namespace lll::obs
 {
 
@@ -82,24 +80,13 @@ MetricRegistry::annotate(const std::string &name, const std::string &value)
 }
 
 void
-MetricRegistry::setDefaultSeriesCapacity(size_t capacity)
-{
-    if (capacity > 0)
-        seriesCapacity_ = capacity;
-}
-
-void
 MetricRegistry::sampleAll(Tick now)
 {
     for (auto &[name, gauge] : gauges_) {
         gauge.advance(now);
         if (!gauge.sampled())
             continue;
-        auto it = series_.find(name);
-        if (it == series_.end()) {
-            it = series_.emplace(name, TimeSeries(seriesCapacity_)).first;
-        }
-        it->second.push(now, gauge.read());
+        series_[name].push(now, gauge.read());
     }
     ++snapshots_;
 }
@@ -123,15 +110,9 @@ MetricRegistry::mergeFrom(const MetricRegistry &other)
     for (const auto &[name, hist] : other.histograms_)
         histograms_[name].merge(hist);
     for (const auto &[name, series] : other.series_) {
-        auto it = series_.find(name);
-        if (it == series_.end()) {
-            it = series_
-                     .emplace(name, TimeSeries(std::max(seriesCapacity_,
-                                                        series.capacity())))
-                     .first;
-        }
+        TimeSeries &into = series_[name];
         for (const TimeSeries::Sample &s : series.samples())
-            it->second.push(s.when, s.value);
+            into.push(s.when, s.value);
     }
     for (const auto &[name, value] : other.annotations_)
         annotations_[name] = value;

@@ -88,9 +88,6 @@ class MetricRegistry
     /** Attach a free-form string to a metric name (exported as-is). */
     void annotate(const std::string &name, const std::string &value);
 
-    /** Ring capacity used for time series created by sampleAll(). */
-    void setDefaultSeriesCapacity(size_t capacity);
-
     /**
      * One sampler tick: advance every Rate gauge to @p now and push
      * every sampled gauge's current value into its time series.
@@ -150,7 +147,6 @@ class MetricRegistry
     std::map<std::string, Log2Histogram, std::less<>> histograms_;
     std::map<std::string, TimeSeries> series_;
     std::map<std::string, std::string> annotations_;
-    size_t seriesCapacity_ = 4096;
     uint64_t snapshots_ = 0;
 };
 

@@ -29,15 +29,12 @@ class Sampler
         /** Snapshot period in ticks (default 250 ns of simulated
          *  time — a 40 us measurement window yields 160 samples). */
         Tick cadence = 250 * ticksPerNs;
-        /** Ring capacity of each gauge's time series. */
-        size_t seriesCapacity = 4096;
     };
 
     Sampler(MetricRegistry &registry, Params params)
         : registry_(registry), params_(params)
     {
         lll_assert(params_.cadence > 0, "sampler cadence must be positive");
-        registry_.setDefaultSeriesCapacity(params_.seriesCapacity);
     }
 
     explicit Sampler(MetricRegistry &registry)

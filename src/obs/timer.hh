@@ -44,13 +44,8 @@ class WallTimer
   public:
     WallTimer() : start_(WallClock::now()) {}
 
-    /** Nanoseconds since construction or the last restart(). */
+    /** Nanoseconds since construction. */
     double elapsedNs() const { return wallDeltaNs(start_, WallClock::now()); }
-
-    /** Reset the origin to now. */
-    void restart() { start_ = WallClock::now(); }
-
-    WallClock::time_point startedAt() const { return start_; }
 
   private:
     WallClock::time_point start_;

@@ -70,9 +70,6 @@ class CoreModel
     /** Ticks the shared compute server has been busy since reset. */
     Tick busyTicks() const { return busyTicks_; }
 
-    /** Ticks threads spent waiting on the busy server since reset. */
-    Tick stallTicks() const { return stallTicks_; }
-
     void resetStats();
 
     /**

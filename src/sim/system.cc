@@ -252,7 +252,7 @@ System::runChecked(double warmup_us, double measure_us)
         for (auto &t : threads_)
             t->start();
     }
-    if (params_.watchdog.enabled && !wdScheduled_) {
+    if (!wdScheduled_) {
         wdScheduled_ = true;
         wdLastProcessed_ = eq_.processed();
         scheduleWatchdog();

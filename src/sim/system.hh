@@ -45,7 +45,6 @@ namespace lll::sim
  */
 struct WatchdogParams
 {
-    bool enabled = true;
     /** Check period in simulated microseconds. */
     double cadenceUs = 5.0;
     /** Consecutive no-progress checks before the run is declared

@@ -80,9 +80,6 @@ class ThreadContext
     /** Logical work units completed since the last stats reset. */
     double workDone() const { return workDone_; }
 
-    /** Demand loads currently in flight (test aid). */
-    unsigned inFlight() const { return inFlight_; }
-
     uint64_t swPrefetchesIssued() const { return swPrefIssued_; }
 
     /** Index of the phase currently executing (test aid). */

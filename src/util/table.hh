@@ -41,8 +41,6 @@ class Table
     /** Render the full table to a string. */
     std::string render() const;
 
-    size_t rowCount() const { return rows_.size(); }
-
   private:
     std::vector<std::string> header_;
     /** Empty vector encodes a separator row. */

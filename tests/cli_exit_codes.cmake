@@ -2,7 +2,12 @@
 #   2 = usage error (unknown command/flag/malformed request)
 #   3 = bad input data (unknown workload/platform, corrupt profile)
 # Run via: cmake -DLLL_BIN=<path-to-lll> -DREPO_ROOT=<source dir>
-#                -P cli_exit_codes.cmake
+#                -DWORK_DIR=<scratch dir> -P cli_exit_codes.cmake
+# Every file the script writes goes under WORK_DIR.
+
+if(NOT WORK_DIR)
+    message(FATAL_ERROR "cli_exit_codes.cmake needs -DWORK_DIR=<dir>")
+endif()
 
 function(expect_exit code)
     execute_process(COMMAND ${LLL_BIN} ${ARGN}
@@ -43,6 +48,25 @@ expect_exit(2 trace isx skl --cores 0)
 expect_exit(2 analyze isx skl --cores 4294967306)   # would wrap to 10
 expect_exit(3 analyze isx knl --cores 1)
 
+# An SMT request the platform cannot run fails its stage unit with
+# failed-precondition (exit 3); it must not abort the process.  Run
+# from the source tree on the committed profiles.
+foreach(cmd "comd;a64fx;2-ht" "isx;skl;4-ht")
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env --unset=LLL_PROFILE_DIR
+                            ${LLL_BIN} analyze ${cmd}
+                    WORKING_DIRECTORY ${REPO_ROOT}
+                    RESULT_VARIABLE got
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(NOT got EQUAL 3 OR NOT err MATCHES "lll: failed-precondition: "
+       OR "${out}${err}" MATCHES "panic:")
+        string(REPLACE ";" " " cmd "${cmd}")
+        message(FATAL_ERROR "lll analyze ${cmd}: expected exit 3 with a "
+                            "failed-precondition line, got ${got}:\n"
+                            "${out}${err}")
+    endif()
+endforeach()
+
 # table/sweep/reproduce share the SweepRunner flags.
 expect_exit(2 sweep extra)
 expect_exit(2 sweep --jobs 0)
@@ -54,8 +78,8 @@ expect_exit(2 table isx --jobs 0)
 # A corrupt skl profile beside intact knl/a64fx ones is bad input data
 # for the paper tables (exit 3), and refuses the plan before any stage
 # simulates: the spill directory stays empty.
-set(_corrupt_dir "${CMAKE_CURRENT_BINARY_DIR}/corrupt_profiles")
-set(_corrupt_spill "${CMAKE_CURRENT_BINARY_DIR}/corrupt_spill")
+set(_corrupt_dir "${WORK_DIR}/corrupt_profiles")
+set(_corrupt_spill "${WORK_DIR}/corrupt_spill")
 file(REMOVE_RECURSE "${_corrupt_dir}" "${_corrupt_spill}")
 file(COPY "${REPO_ROOT}/data/profiles/knl.profile"
           "${REPO_ROOT}/data/profiles/a64fx.profile"
@@ -102,7 +126,7 @@ expect_exit(2 serve --max-entries 0)
 expect_exit(2 serve --spill-budget nope)
 expect_exit(2 serve --batch)
 expect_exit(3 serve --batch /nonexistent/batch.jsonl)
-set(_serve_dir "${CMAKE_CURRENT_BINARY_DIR}/serve_exit_codes")
+set(_serve_dir "${WORK_DIR}/serve_exit_codes")
 file(MAKE_DIRECTORY "${_serve_dir}")
 file(WRITE "${_serve_dir}/empty.jsonl" "")
 expect_exit(0 serve --batch "${_serve_dir}/empty.jsonl")

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -109,17 +110,17 @@ TEST(DeterminismCheckerTest, FlagsMetricSetMismatch)
     EXPECT_TRUE(hasDiagnostic(rep.diagnostics, "LLL-DET-002"));
 }
 
-TEST(DeterminismCheckerTest, RespectsRelativeTolerance)
+TEST(DeterminismCheckerTest, ComparesBitExactlyAndNanEqualsNan)
 {
-    auto runner = [](uint64_t seed) -> MetricVector {
+    auto nearly = [](uint64_t seed) -> MetricVector {
         return {{"v", seed == 0 ? 100.0 : 100.0001}};
     };
-    DeterminismOptions strict;
-    EXPECT_FALSE(checkDeterminism(runner, strict).deterministic);
+    EXPECT_FALSE(checkDeterminism(nearly).deterministic);
 
-    DeterminismOptions loose;
-    loose.relTolerance = 1e-3;
-    EXPECT_TRUE(checkDeterminism(runner, loose).deterministic);
+    auto nan = [](uint64_t) -> MetricVector {
+        return {{"v", std::nan("")}};
+    };
+    EXPECT_TRUE(checkDeterminism(nan).deterministic);
 }
 
 TEST(RunMetrics, NamesMatchThePerfbenchStageReference)

@@ -201,7 +201,7 @@ TEST(PaperClaims, IdleLatencyHidesTheFullIsxQueue)
     // "Idle memory latency cannot be used for this purpose": Eq. 2 with
     // the loaded latency calls ISx's L1 queue full, with the idle
     // latency it would not.
-    const double full = Analyzer::Params{}.mshrFullFraction;
+    const double full = kMshrFullFraction;
     workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
     for (const std::string name : {"skl", "knl"}) {
         platforms::Platform p = platforms::findPlatform(name).take();

@@ -537,6 +537,24 @@ TEST(Listener, IdleConnectionIsReaped)
     EXPECT_EQ(server.counter("net.conns_closed_idle_total"), 1u);
 }
 
+TEST(Listener, NonPositiveTimeoutIsRefused)
+{
+    // Every timeout is armed; 0 or less is a bad input, not "off".
+    for (int ListenerParams::*field :
+         {&ListenerParams::idleTimeoutMs, &ListenerParams::readTimeoutMs,
+          &ListenerParams::watchdogMs, &ListenerParams::drainGraceMs}) {
+        ListenerParams params;
+        params.tcpPort = 0;
+        params.handler = [](const std::string &, uint64_t) {
+            return HandlerResult{};
+        };
+        params.*field = 0;
+        Listener listener(std::move(params));
+        Status s = listener.start();
+        EXPECT_EQ(s.code(), ErrorCode::InvalidArgument) << s.toString();
+    }
+}
+
 TEST(Listener, MidRequestDisconnectDoesNotDisturbOthers)
 {
     warmProfileCache();

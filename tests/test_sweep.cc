@@ -368,6 +368,30 @@ TEST(SweepRunner, SharedSourceStageSimulatesOnce)
     EXPECT_EQ(reads, sourced[shared]);
 }
 
+TEST(SweepRunner, UnsupportedSmtFailsOnlyItsUnit)
+{
+    // skl runs two SMT ways; a 4-way request is a bad input for that
+    // unit alone, not an assertion that ends the process.
+    ASSERT_NO_FATAL_FAILURE(warmProfileCache());
+    const workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
+    SweepRunner::StageUnit base{platforms::skl(), isx.get(), {}, 5.0, 10.0,
+                                6};
+    SweepRunner::StageUnit smt4 = base;
+    smt4.opts = OptSet{Opt::Smt4};
+    const std::vector<SweepRunner::StageOutcome> out =
+        SweepRunner({}).runStages({smt4, base});
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].status.code(), util::ErrorCode::FailedPrecondition);
+    EXPECT_NE(out[0].status.message().find("stage unit skl/isx"),
+              std::string::npos)
+        << out[0].status.toString();
+    EXPECT_NE(out[0].status.message().find("SMT ways unsupported"),
+              std::string::npos)
+        << out[0].status.toString();
+    EXPECT_TRUE(out[1].status.ok()) << out[1].status.toString();
+    EXPECT_GT(out[1].metrics.throughput, 0.0);
+}
+
 TEST(PaperPlan, AssemblerReturnsFirstFailingStageInPlanOrder)
 {
     std::vector<workloads::WorkloadPtr> wls = twoWorkloads();

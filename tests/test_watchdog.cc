@@ -80,15 +80,6 @@ TEST(WatchdogTest, HealthyRunLeavesSimErrorsAtZero)
     EXPECT_EQ(reg.counter("sim_errors_total").value(), 0u);
 }
 
-TEST(WatchdogTest, DisabledWatchdogStillRunsHealthyKernels)
-{
-    SystemParams sp = tinySys();
-    sp.watchdog.enabled = false;
-    System sys(sp, test::randomKernel(4, 4.0, 1 << 14));
-    util::Result<RunResult> r = sys.runChecked(2.0, 5.0);
-    ASSERT_TRUE(r.ok()) << r.status().toString();
-}
-
 TEST(WatchdogTest, DiagnosticSnapshotShape)
 {
     System sys(tinySys(), test::randomKernel(4, 4.0, 1 << 14));

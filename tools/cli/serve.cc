@@ -63,7 +63,6 @@ struct ServeRequest
     std::string batch; //!< empty: stdin
     std::string json;
     int jobs = 1;
-    int statsInterval = 0; //!< stderr stat line every N responses
     bool requestTelemetry = false;
     std::string listen;
     std::string listenUnix;
@@ -82,7 +81,6 @@ visitFields(V &v, R &r)
     v("batch", r.batch, kFlag);
     v("json", r.json, kFlag);
     v("jobs", r.jobs, kCount);
-    v("stats_interval", r.statsInterval, kCount);
     v("request_telemetry", r.requestTelemetry, kFlag);
     v("listen", r.listen, kFlag);
     v("listen_unix", r.listenUnix, kFlag);
@@ -121,7 +119,6 @@ runListener(const ServeRequest &r, const Context &ctx,
             net::parseHostPort(r.listen, &lp.tcpHost, &lp.tcpPort));
     lp.unixPath = r.listenUnix;
     lp.workers = r.jobs;
-    lp.statsIntervalResponses = r.statsInterval;
 
     net::ServeHandlerParams hp;
     hp.cache = &cache;
@@ -246,11 +243,8 @@ runServe(const ServeRequest &r, const Context &ctx)
     // else — so a warm rerun is byte-identical and pipeable; the human
     // summary goes to stderr.  --request-telemetry adds the wall-clock
     // "timing" object per line and therefore opts out of byte
-    // identity; --stats-interval N prints a cumulative p50/p90/p99
-    // stat line to stderr every N responses.
+    // identity.
     size_t failed = 0;
-    size_t written = 0;
-    obs::Log2Histogram stat_total, stat_queue, stat_sim;
     for (const service::RunResponse &resp : responses) {
         if (!resp.status.ok())
             ++failed;
@@ -258,21 +252,6 @@ runServe(const ServeRequest &r, const Context &ctx)
             service::renderRunResponse(resp, r.requestTelemetry);
         std::fwrite(rendered.data(), 1, rendered.size(), stdout);
         std::fputc('\n', stdout);
-        ++written;
-        if (r.statsInterval > 0) {
-            stat_total.sample(resp.timing.totalNs);
-            stat_queue.sample(resp.timing.queueWaitNs);
-            stat_sim.sample(resp.timing.simulateNs);
-            if (written % static_cast<size_t>(r.statsInterval) == 0) {
-                std::fprintf(stderr,
-                             "serve stats: %zu responses — total "
-                             "p50/p90/p99 %s ms, queue %s ms, simulate %s "
-                             "ms\n",
-                             written, obs::percentilesMs(stat_total).c_str(),
-                             obs::percentilesMs(stat_queue).c_str(),
-                             obs::percentilesMs(stat_sim).c_str());
-            }
-        }
     }
 
     const uint64_t units =
