@@ -45,9 +45,12 @@ Recipe::advise(const Analysis &a, const OptSet &applied) const
         // Right branch of Figure 1: the wall is the memory system, not
         // the core.  Only traffic reduction can help.
         summary << "bandwidth wall: " << fmtDouble(a.bwGBs, 1)
-                << " GB/s is >= " << fmtDouble(a.maxAchievableGBs, 1)
-                << " GB/s peak achievable; only optimizations that reduce "
-                   "memory traffic can help";
+                << " GB/s is >= "
+                << fmtDouble(kBwWallFraction * a.maxAchievableGBs, 1)
+                << " GB/s (" << fmtDouble(100.0 * kBwWallFraction, 0)
+                << "% of " << fmtDouble(a.maxAchievableGBs, 1)
+                << " GB/s peak achievable); only optimizations that "
+                   "reduce memory traffic can help";
         rec(Opt::Tiling, !applied.has(Opt::Tiling),
             "reduces memory requests per unit work, lowering both "
             "bandwidth demand and MSHRQ occupancy");
