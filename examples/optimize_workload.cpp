@@ -37,22 +37,13 @@ main(int argc, char **argv)
     workloads::WorkloadPtr work = work_r.take();
     platforms::Platform plat = plat_r.take();
 
-    util::Result<xmem::LatencyProfile> profile_r =
-        xmem::XMemHarness().measureCachedChecked(
-            plat, xmem::defaultProfilePath(plat));
-    if (!profile_r.ok()) {
-        std::fprintf(stderr, "optimize_workload: %s\n",
-                     profile_r.status().toString().c_str());
-        return 1;
-    }
-    // Each stage runs through the runner behind every `lll` command; a
-    // failed one (a watchdog trip, say) ends the walk with its status.
+    // Each stage runs through the runner behind every `lll` command,
+    // which loads (or first measures) the platform's profile; a failed
+    // one (an unusable profile, a watchdog trip) ends the walk with its
+    // status.
     core::SweepRunner runner({});
-    const core::SweepRunner::Profiles profiles = {{plat.name,
-                                                   profile_r.take()}};
     auto stage = [&](const OptSet &opts) {
-        return runner.runStages({{plat, work.get(), opts}}, profiles)
-            .front();
+        return runner.runStages({{plat, work.get(), opts}}).front();
     };
     auto fail = [](const util::Status &status) {
         std::fprintf(stderr, "optimize_workload: %s\n",

@@ -63,9 +63,7 @@ main(int argc, char **argv)
     //    through the runner behind every `lll` command.
     core::SweepRunner runner({});
     auto stage = [&](const workloads::OptSet &opts) {
-        return runner.runStages({{plat, work.get(), opts}},
-                                {{plat.name, profile}})
-            .front();
+        return runner.runStages({{plat, work.get(), opts}}).front();
     };
     const core::SweepRunner::StageOutcome base = stage({});
     if (!base.status.ok()) {

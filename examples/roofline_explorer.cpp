@@ -62,7 +62,7 @@ main(int argc, char **argv)
     for (const workloads::WorkloadPtr &w : workloads)
         units.push_back({plat, w.get(), {}});
     const std::vector<core::SweepRunner::StageOutcome> outcomes =
-        core::SweepRunner({}).runStages(units, {{plat.name, profile}});
+        core::SweepRunner({}).runStages(units);
     for (size_t i = 0; i < workloads.size(); ++i) {
         const workloads::WorkloadPtr &w = workloads[i];
         if (!outcomes[i].status.ok()) {

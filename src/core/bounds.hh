@@ -7,10 +7,10 @@
  * analyzer and the lint checks both reason from.
  *
  * This lives in core (not analysis) because the experiment runner
- * consumes the bounds too: Experiment::create refuses configs whose
- * bounds make every downstream conclusion vacuous (LLL-LINT-102/106),
- * and analysis already links core, so the derivation must sit below
- * both.  `lll::analysis` re-exports these names for source
+ * consumes the bounds too: stage admission (core::admitStage) refuses
+ * configs whose bounds make every downstream conclusion vacuous
+ * (LLL-LINT-102/106), and analysis already links core, so the
+ * derivation must sit below both.  `lll::analysis` re-exports these names for source
  * compatibility (analysis/spec_lint.hh).
  *
  * Everything here is a pure function of the static tables — no X-Mem
@@ -74,7 +74,7 @@ struct SpecBounds
      * True when Little's-law analysis of this config cannot say
      * anything: the effective MLP loads the memory system to under 5%
      * of peak (LLL-LINT-102) or the footprint fits in the L1
-     * (LLL-LINT-106).  Experiment::create refuses such configs.
+     * (LLL-LINT-106).  core::admitStage refuses such configs.
      */
     bool vacuous() const
     {

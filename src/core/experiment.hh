@@ -77,19 +77,53 @@ struct TableRow
 };
 
 /**
+ * One stage: a single (platform, workload, opts) variant with its own
+ * windows, cores and seed, the unit a paper table plans and the run
+ * service shards.  @p workload must outlive the run.
+ */
+struct StageUnit
+{
+    platforms::Platform platform;
+    const workloads::Workload *workload = nullptr;
+    workloads::OptSet opts;
+    double warmupUs = 0.0;  //!< 0 = the workload's default window
+    double measureUs = 0.0; //!< 0 = the workload's default window
+    int coresUsed = 0;      //!< 0 = Platform::defaultCores()
+    uint64_t seed = 7;
+    /** The unit's ResultCache::stageKey, set by admitStage(); a caller
+     *  leaves it empty. */
+    std::string stageKey = {};
+};
+
+/** A StageUnit admitStage() accepted: defaults filled in, stageKey
+ *  set, and what the checks built kept for the run. */
+struct AdmittedStage : StageUnit
+{
+    sim::SystemParams sys; //!< at coresUsed and the opts' SMT ways
+    sim::KernelSpec spec;  //!< the applied variant's
+};
+
+/**
+ * Stage admission, the one place a stage's defaults are filled in and
+ * its static checks run, before any profile loads: the cores and SMT
+ * ways must fit the platform, the windows must not be negative, and
+ * the base variant must not be statically vacuous (LLL-LINT-102/106,
+ * core/bounds.hh) — such a config would simulate fine but every
+ * Little's-law conclusion drawn from it would be noise.  A refusal
+ * is in "stage unit <platform>/<workload>" context.
+ */
+[[nodiscard]] util::Result<AdmittedStage> admitStage(StageUnit unit);
+
+/**
  * One (platform, workload) configuration, checked once by create(),
- * whose states stage() simulates.
+ * whose admitted stages stage() simulates.
  */
 class Experiment
 {
   public:
     struct Params
     {
-        /** Zero means "use the workload's own window lengths". */
-        double warmupUs = 0.0;
-        double measureUs = 0.0;
-        int coresUsed = 0;      //!< 0 = all cores (paper's loaded run)
-        uint64_t seed = 7;
+        uint64_t seed = 7; //!< the simulation seed of every stage
 
         /**
          * When set, every simulated stage attaches its telemetry here
@@ -111,13 +145,7 @@ class Experiment
 
     /**
      * The only way in: verifies the profile matches the platform, the
-     * requested core count is within the platform's range, and the
-     * window lengths are usable, instead of asserting mid-run.  Also
-     * refuses statically vacuous configs — a base variant whose derived
-     * bounds (core/bounds.hh) show the memory system barely loaded
-     * (LLL-LINT-102) or an L1-resident footprint (LLL-LINT-106) — with
-     * a FailedPrecondition Status: the experiment would simulate fine
-     * but every Little's-law conclusion drawn from it would be noise.
+     * one check that needs a profile (admitStage() made the others).
      */
     [[nodiscard]] static util::Result<Experiment>
     create(const platforms::Platform &platform,
@@ -125,16 +153,12 @@ class Experiment
            Params params);
 
     /**
-     * Simulate (or fetch from Params::resultCache) the state @p opts.
-     * A run that fails — the forward-progress watchdog trips, say — is
-     * this stage's error, never the process's.  A caller that already
-     * computed the state's ResultCache::stageKey passes it as
-     * @p cache_key (empty = compute it here), so a cache hit builds no
-     * KernelSpec; LLL_INVARIANTS builds check that it is this state's
-     * key.
+     * Simulate (or fetch from Params::resultCache under its stageKey)
+     * the admitted stage @p s of this configuration, built with
+     * Params::seed.  A run that fails — the forward-progress watchdog
+     * trips, say — is this stage's error, never the process's.
      */
-    [[nodiscard]] util::Result<StageMetrics>
-    stage(const workloads::OptSet &opts, const std::string &cache_key = {});
+    [[nodiscard]] util::Result<StageMetrics> stage(const AdmittedStage &s);
 
     /** This experiment's own ResultCache traffic (all 0 without a
      *  cache). */
@@ -152,7 +176,6 @@ class Experiment
     const workloads::Workload &workload_;
     Analyzer analyzer_;
     Params params_;
-    int coresUsed_;
     CacheStats cacheStats_;
 };
 

@@ -15,6 +15,7 @@
 #include "util/fields.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "workloads/spec_workload.hh"
 #include "xmem/xmem_harness.hh"
 
 namespace lll::core
@@ -116,6 +117,24 @@ hashKernelSpec(const sim::KernelSpec &spec)
     SpecHasher hasher;
     visitFields(hasher, spec);
     return hasher.h;
+}
+
+util::Result<ResolvedRequest>
+resolveRequest(const StageRequest &r, const platforms::Platform *platform)
+{
+    util::Result<platforms::Platform> plat =
+        platform ? *platform : platforms::findPlatform(r.platformName);
+    if (!plat.ok())
+        return plat.status();
+    util::Result<workloads::WorkloadPtr> w =
+        r.hasSpec ? workloads::inlineSpecWorkload(r.spec, r.randomDominated)
+                  : workloads::findWorkload(r.workloadName);
+    if (!w.ok())
+        return w.status();
+    const workloads::Workload *wl = w->get();
+    return ResolvedRequest{{plat.take(), wl, r.opts, r.warmupUs, r.measureUs,
+                            r.cores, r.seed},
+                           w.take()};
 }
 
 std::string
@@ -526,7 +545,7 @@ ResultCache::global()
 }
 
 SweepRunner::Profiles
-SweepRunner::loadProfiles(const std::vector<StageUnit> &units) const
+SweepRunner::loadProfiles(const std::vector<AdmittedStage> &stages) const
 {
     // A profile that must be characterized first fans its operating
     // points out over the runner's jobs (the caller plus helpers), so
@@ -535,26 +554,47 @@ SweepRunner::loadProfiles(const std::vector<StageUnit> &units) const
     hp.jobs = params_.jobs;
     const xmem::XMemHarness harness(hp);
     Profiles profiles;
-    for (const StageUnit &u : units) {
-        if (profiles.count(u.platform.name))
+    for (const AdmittedStage &s : stages) {
+        if (profiles.count(s.platform.name))
             continue;
         util::Result<xmem::LatencyProfile> prof =
             harness.measureCachedChecked(
-                u.platform, xmem::defaultProfilePath(u.platform));
+                s.platform, xmem::defaultProfilePath(s.platform));
         if (!prof.ok()) {
             prof = prof.status().withContext("profile for '%s'",
-                                             u.platform.name.c_str());
+                                             s.platform.name.c_str());
         }
-        profiles.emplace(u.platform.name, std::move(prof));
+        profiles.emplace(s.platform.name, std::move(prof));
     }
     return profiles;
 }
 
 std::vector<SweepRunner::StageOutcome>
-SweepRunner::runStages(const std::vector<StageUnit> &units,
-                       const Profiles &profiles)
+SweepRunner::runStages(const std::vector<StageUnit> &units)
 {
-    const size_t n = units.size();
+    std::vector<StageOutcome> outcomes(units.size());
+    std::vector<AdmittedStage> admitted;
+    std::vector<size_t> unit_of; //!< each admitted stage's unit
+    for (size_t i = 0; i < units.size(); ++i) {
+        util::Result<AdmittedStage> a = admitStage(units[i]);
+        if (a.ok()) {
+            admitted.push_back(a.take());
+            unit_of.push_back(i);
+        } else {
+            outcomes[i].status = a.status();
+        }
+    }
+    std::vector<StageOutcome> ran = runAdmitted(admitted);
+    for (size_t j = 0; j < ran.size(); ++j)
+        outcomes[unit_of[j]] = std::move(ran[j]);
+    return outcomes;
+}
+
+std::vector<SweepRunner::StageOutcome>
+SweepRunner::runAdmitted(const std::vector<AdmittedStage> &stages,
+                         const Profiles &profiles)
+{
+    const size_t n = stages.size();
     std::vector<StageOutcome> outcomes(n);
     if (n == 0)
         return outcomes;
@@ -569,35 +609,32 @@ SweepRunner::runStages(const std::vector<StageUnit> &units,
     // start so the service can attribute end-to-end request latency.
     obs::WallTimer fanout;
     executor.run(n, [&](size_t i) {
-        const StageUnit &u = units[i];
+        const AdmittedStage &s = stages[i];
         StageOutcome &out = outcomes[i];
         const double picked_up_ns = fanout.elapsedNs();
         out.queueWaitNs = picked_up_ns;
 
         const util::Result<xmem::LatencyProfile> &prof =
-            profiles.at(u.platform.name);
+            profiles.at(s.platform.name);
         if (!prof.ok()) {
             out.status = prof.status();
         } else {
             Experiment::Params ep;
-            ep.warmupUs = u.warmupUs;
-            ep.measureUs = u.measureUs;
-            ep.coresUsed = u.coresUsed;
-            ep.seed = u.seed;
+            ep.seed = s.seed;
             ep.resultCache = params_.cache;
             ep.registry = params_.registry ? &registries[i] : nullptr;
-            util::Result<Experiment> exp = Experiment::create(
-                u.platform, *u.workload, *prof, ep);
+            util::Result<Experiment> exp =
+                Experiment::create(s.platform, *s.workload, *prof, ep);
             util::Result<StageMetrics> m =
-                exp.ok() ? exp->stage(u.opts, u.stageKey) : exp.status();
+                exp.ok() ? exp->stage(s) : exp.status();
             if (exp.ok())
                 out.cache = exp->resultCacheStats();
             if (m.ok()) {
                 out.metrics = m.take();
             } else {
                 out.status = m.status().withContext(
-                    "stage unit %s/%s", u.platform.name.c_str(),
-                    u.workload->name().c_str());
+                    "stage unit %s/%s", s.platform.name.c_str(),
+                    s.workload->name().c_str());
             }
         }
         out.simulateNs = fanout.elapsedNs() - picked_up_ns;

@@ -196,6 +196,20 @@ visitFields(V &v, R &r)
       {.lo = 0, .help = "measure window (default: workload's)"});
 }
 
+/** A StageRequest as a stage unit and the workload it points to. */
+struct ResolvedRequest
+{
+    StageUnit unit;
+    workloads::WorkloadPtr workload; //!< built for an inline spec
+};
+
+/** The StageRequest -> (platform, workload) lookup the run service and
+ *  the searcher share: @p r's names looked up (@p platform, when set,
+ *  stands in for r's) and its other fields copied as they are. */
+[[nodiscard]] util::Result<ResolvedRequest>
+resolveRequest(const StageRequest &r,
+               const platforms::Platform *platform = nullptr);
+
 /** @p r as one schema-1 `lll serve` request line (no newline), every
  *  field spelled by the list; @p id is left out when empty. */
 std::string requestLine(const StageRequest &r, const std::string &id = {});
@@ -227,26 +241,8 @@ class SweepRunner
         obs::MetricRegistry *registry = nullptr;
     };
 
-    /**
-     * One *stage* of a sweep: a single (platform, workload, opts)
-     * variant with its own windows/cores/seed.  This is the unit the
-     * run service shards after coalescing duplicate requests and a
-     * paper table plans.  @p workload must outlive the runner.
-     */
-    struct StageUnit
-    {
-        platforms::Platform platform;
-        const workloads::Workload *workload = nullptr;
-        workloads::OptSet opts;
-        double warmupUs = 0.0;  //!< 0 = the workload's default window
-        double measureUs = 0.0; //!< 0 = the workload's default window
-        int coresUsed = 0;      //!< 0 = all of the platform's cores
-        uint64_t seed = 7;
-        /** The unit's ResultCache::stageKey when the caller already
-         *  has it (the run service coalesces on it); empty = the
-         *  stage computes it. */
-        std::string stageKey = {};
-    };
+    /** One stage of a sweep (core/experiment.hh). */
+    using StageUnit = core::StageUnit;
 
     /** The per-unit result of runStages(): a Status *per unit*, so one
      *  bad request never fails the rest of the batch. */
@@ -276,31 +272,36 @@ class SweepRunner
     explicit SweepRunner(Params params) : params_(params) {}
 
     /**
-     * runStages()' first step on its own: every distinct platform's
-     * profile, fetched from the xmem::ProfileStore (and measured when
-     * missing) once, in unit order.  A caller that must refuse a whole
-     * batch over one unusable profile checks these, then hands them to
-     * runStages() so nothing loads twice.
+     * Every distinct platform's profile among @p stages, fetched from
+     * the xmem::ProfileStore (and measured when missing) once, in
+     * stage order.  A caller that must refuse a whole batch over one
+     * unusable profile checks these before it runs the stages.
      */
-    Profiles loadProfiles(const std::vector<StageUnit> &units) const;
+    Profiles loadProfiles(const std::vector<AdmittedStage> &stages) const;
 
     /**
      * Run one simulated stage per unit and return the outcomes in unit
-     * order (never in completion order), loading the profiles first.
-     * Failures are reported *per unit*: a unit whose profile cannot be
-     * loaded, whose Experiment is refused or whose run fails (a
-     * watchdog trip) gets its error in its StageOutcome while the rest
-     * of the batch proceeds.
+     * order (never in completion order).  Every unit is admitted first
+     * (admitStage), so a refused unit never costs a profile load or a
+     * characterization, and only the admitted ones run.  Failures are
+     * reported *per unit*: a unit that admission refuses, whose
+     * profile cannot be loaded or whose run fails (a watchdog trip)
+     * gets its error in its StageOutcome while the rest proceed.
      */
+    std::vector<StageOutcome> runStages(const std::vector<StageUnit> &units);
+
+    /** runStages() for stages admitStage() already accepted (the run
+     *  service admits while it coalesces); nothing is checked again. */
     std::vector<StageOutcome>
-    runStages(const std::vector<StageUnit> &units)
+    runAdmitted(const std::vector<AdmittedStage> &stages)
     {
-        return runStages(units, loadProfiles(units));
+        return runAdmitted(stages, loadProfiles(stages));
     }
 
-    /** runStages() over profiles loadProfiles(@p units) returned. */
+    /** runAdmitted() on @p profiles instead of the profile store's. */
     std::vector<StageOutcome>
-    runStages(const std::vector<StageUnit> &units, const Profiles &profiles);
+    runAdmitted(const std::vector<AdmittedStage> &stages,
+                const Profiles &profiles);
 
   private:
     Params params_;

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "util/names.hh"
-#include "workloads/spec_workload.hh"
 
 namespace lll::search
 {
@@ -40,37 +39,22 @@ util::Result<SearchResult>
 Searcher::run(const SearchSpec &spec)
 {
     // Resolve the base platform and the workload.
-    platforms::Platform base;
-    if (spec.hasBasePlatform) {
-        base = spec.basePlatform;
-    } else {
-        util::Result<platforms::Platform> p =
-            platforms::findPlatform(spec.platformName);
-        if (!p.ok())
-            return p.status();
-        base = p.take();
-    }
-    workloads::WorkloadPtr workload;
-    if (spec.hasSpec) {
-        workload = workloads::inlineSpecWorkload(spec.spec,
-                                                 spec.randomDominated);
-    } else {
-        util::Result<workloads::WorkloadPtr> w =
-            workloads::findWorkload(spec.workloadName);
-        if (!w.ok())
-            return w.status();
-        workload = w.take();
-    }
+    util::Result<core::ResolvedRequest> target = core::resolveRequest(
+        spec, spec.hasBasePlatform ? &spec.basePlatform : nullptr);
+    if (!target.ok())
+        return target.status();
+    const platforms::Platform &base = target->unit.platform;
+    const workloads::Workload &workload = *target->workload;
 
     util::Result<std::vector<Candidate>> enumerated =
-        enumerateSpace(spec, base, *workload);
+        enumerateSpace(spec, base, workload);
     if (!enumerated.ok())
         return enumerated.status();
     std::vector<Candidate> candidates = enumerated.take();
 
     SearchResult result;
     result.platform = base.name;
-    result.workload = workload->name();
+    result.workload = workload.name();
     result.optsLabel = spec.opts.label();
     result.bankWeight = spec.bankWeight;
     {
@@ -106,11 +90,6 @@ Searcher::run(const SearchSpec &spec)
             classes[candidates[i].cost].push_back(i);
     }
 
-    const double warmup = spec.warmupUs > 0.0 ? spec.warmupUs
-                                              : workload->warmupUs();
-    const double measure = spec.measureUs > 0.0 ? spec.measureUs
-                                                : workload->measureUs();
-
     core::SweepRunner runner(params_);
 
     // Both ceiling terms (DESIGN.md §17.2) cap the *sustained* rate,
@@ -145,9 +124,8 @@ Searcher::run(const SearchSpec &spec)
         std::vector<core::SweepRunner::StageUnit> units;
         units.reserve(to_run.size());
         for (size_t i : to_run) {
-            units.push_back({candidates[i].platform, workload.get(),
-                             spec.opts, warmup, measure, spec.cores,
-                             spec.seed});
+            core::StageUnit &u = units.emplace_back(target->unit);
+            u.platform = candidates[i].platform;
         }
         const std::vector<core::SweepRunner::StageOutcome> outcomes =
             runner.runStages(units);

@@ -132,8 +132,9 @@ analyzeCandidate(const SearchSpec &spec,
     c.ceilingGBs =
         std::min(lineCapacityGBs(*sp, kernel), bankCapacityGBs(*sp));
     if (c.bounds.vacuous()) {
-        // Experiment::create would refuse it (LLL-LINT-102/106);
-        // classify here so the wave runner never queues it.
+        // The applied variant is vacuous (LLL-LINT-102/106), which no
+        // simulation can fix; classify it here so the wave runner
+        // never queues it.  (core::admitStage checks the base variant.)
         c.feasible = false;
         c.infeasibleWhy = Status::error(
             ErrorCode::FailedPrecondition,

@@ -39,14 +39,46 @@ expect_exit(2 walk isx skl --bogus)
 expect_exit(2 table isx extra)
 expect_exit(2 roofline skl --bogus)
 
-# --cores: zero/garbage are usage errors; a config whose derived bounds
-# are statically vacuous (one KNL core barely loads the memory system,
-# LLL-LINT-102) is refused with exit 3 before any simulation runs.
+# --cores: zero/garbage are usage errors.
 expect_exit(2 analyze isx skl --cores 0)
 expect_exit(2 analyze isx skl --cores nope)
 expect_exit(2 trace isx skl --cores 0)
 expect_exit(2 analyze isx skl --cores 4294967306)   # would wrap to 10
-expect_exit(3 analyze isx knl --cores 1)
+
+# A config whose derived bounds are statically vacuous (one KNL core
+# barely loads the memory system, LLL-LINT-102) is refused with exit 3
+# before any profile loads: no X-Mem characterization runs, and the
+# empty profile directory stays empty.  `lll analyze` and a one-line
+# `serve --batch` of the same request refuse it alike.
+set(_vacuous_dir "${WORK_DIR}/vacuous_profiles")
+set(_vacuous "stage unit knl/isx: experiment 'isx' on 'knl' with 1 cores is vacuous \\(LLL-LINT-102\\)")
+file(REMOVE_RECURSE "${_vacuous_dir}")
+file(MAKE_DIRECTORY "${_vacuous_dir}")
+file(WRITE "${WORK_DIR}/vacuous.jsonl"
+     "{\"schema_version\": 1, \"platform\": \"knl\", \"workload\": \"isx\", \"cores\": 1}\n")
+function(expect_vacuous_refused expected)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env
+                            LLL_PROFILE_DIR=${_vacuous_dir}
+                            ${LLL_BIN} ${ARGN}
+                    RESULT_VARIABLE got
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    string(REPLACE ";" " " cmd "${ARGN}")
+    if(NOT got EQUAL 3 OR NOT "${out}${err}" MATCHES "${expected}")
+        message(FATAL_ERROR "lll ${cmd}: expected exit 3 with the "
+                            "LLL-LINT-102 refusal, got ${got}:\n"
+                            "${out}${err}")
+    endif()
+    file(GLOB written "${_vacuous_dir}/*")
+    if(written)
+        message(FATAL_ERROR "lll ${cmd} wrote ${written} before "
+                            "refusing a vacuous config")
+    endif()
+endfunction()
+expect_vacuous_refused("lll: failed-precondition: ${_vacuous}"
+                       analyze isx knl --cores 1)
+expect_vacuous_refused("\"code\": \"failed-precondition\", \"exit\": 3, \"message\": \"${_vacuous}"
+                       serve --batch "${WORK_DIR}/vacuous.jsonl")
 
 # An SMT request the platform cannot run fails its stage unit with
 # failed-precondition (exit 3); it must not abort the process.  Run

@@ -92,18 +92,34 @@ runOk(sim::System &sys, double warmup_us, double measure_us)
     return r.valueOr(sim::RunResult());
 }
 
-/** @p unit through a one-unit runStages batch on @p profile; a failed
- *  unit fails the test and yields empty metrics. */
-inline core::StageMetrics
-stageOk(const core::SweepRunner::StageUnit &unit,
-        const xmem::LatencyProfile &profile)
+/** @p units admitted and run on @p profile, the one platform's; a
+ *  refused unit fails the test and is left out. */
+inline std::vector<core::SweepRunner::StageOutcome>
+runOn(const std::vector<core::StageUnit> &units,
+      const xmem::LatencyProfile &profile)
 {
-    const core::SweepRunner::StageOutcome out =
-        core::SweepRunner({})
-            .runStages({unit}, {{unit.platform.name, profile}})
-            .front();
-    EXPECT_TRUE(out.status.ok()) << out.status.toString();
-    return out.metrics;
+    std::vector<core::AdmittedStage> stages;
+    for (const core::StageUnit &u : units) {
+        util::Result<core::AdmittedStage> a = core::admitStage(u);
+        EXPECT_TRUE(a.ok()) << a.status().toString();
+        if (a.ok())
+            stages.push_back(a.take());
+    }
+    return core::SweepRunner({}).runAdmitted(
+        stages, {{profile.platformName(), profile}});
+}
+
+/** @p unit through a one-unit batch on @p profile; a failed unit fails
+ *  the test and yields empty metrics. */
+inline core::StageMetrics
+stageOk(const core::StageUnit &unit, const xmem::LatencyProfile &profile)
+{
+    const std::vector<core::SweepRunner::StageOutcome> out =
+        runOn({unit}, profile);
+    if (out.empty())
+        return {};
+    EXPECT_TRUE(out[0].status.ok()) << out[0].status.toString();
+    return out[0].metrics;
 }
 
 } // namespace lll::test

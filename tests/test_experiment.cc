@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the stage step: what one stage carries, how it fails,
- * what create() refuses, and paper-table assembly, run on a reduced
- * core count for speed.
+ * what admission and create() refuse, and paper-table assembly, run on
+ * a reduced core count for speed.
  */
 
 #include <gtest/gtest.h>
@@ -36,8 +36,8 @@ committedProfile(const std::string &platform)
 }
 
 /** The paper table of @p w on @p p: the planned stages at @p knobs'
- *  windows and cores, one runStages batch on @p profile, read back by
- *  the assembler. */
+ *  windows and cores, one batch on @p profile, read back by the
+ *  assembler. */
 std::vector<TableRow>
 paperTable(const platforms::Platform &p, const workloads::WorkloadPtr &w,
            const xmem::LatencyProfile &profile,
@@ -49,8 +49,8 @@ paperTable(const platforms::Platform &p, const workloads::WorkloadPtr &w,
         u.measureUs = knobs.measureUs;
         u.coresUsed = knobs.coresUsed;
     }
-    util::Result<std::vector<PaperTable>> tables = assemblePaperTables(
-        plan, SweepRunner({}).runStages(plan.stages, {{p.name, profile}}));
+    util::Result<std::vector<PaperTable>> tables =
+        assemblePaperTables(plan, test::runOn(plan.stages, profile));
     if (!tables.ok() || tables->size() != 1) {
         ADD_FAILURE() << tables.status().toString();
         return {};
@@ -67,15 +67,6 @@ class ExperimentTest : public ::testing::Test
           profile_(test::syntheticProfile("skl", plat_.peakGBs)),
           unit_{plat_, isx_.get(), {}, 5.0, 10.0, 6}
     {
-    }
-
-    /** unit_'s windows and cores as Experiment::create() takes them. */
-    Experiment::Params
-    params() const
-    {
-        return {.warmupUs = unit_.warmupUs,
-                .measureUs = unit_.measureUs,
-                .coresUsed = unit_.coresUsed};
     }
 
     platforms::Platform plat_;
@@ -106,8 +97,7 @@ TEST_F(ExperimentTest, WatchdogTripFailsOnlyItsUnit)
     SweepRunner::StageUnit stuck = unit_;
     stuck.workload = wedge.get();
     const std::vector<SweepRunner::StageOutcome> out =
-        SweepRunner({}).runStages({stuck, unit_},
-                                  {{plat_.name, profile_}});
+        test::runOn({stuck, unit_}, profile_);
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].status.code(), util::ErrorCode::DeadlineExceeded);
     EXPECT_NE(out[0].status.message().find("stage unit skl/test-random"),
@@ -259,30 +249,56 @@ TEST_F(ExperimentTest, ThroughputBasisIsWorkUnits)
     EXPECT_GT(m.throughput, 0.0);
 }
 
-TEST_F(ExperimentTest, CreateAcceptsNonVacuousConfig)
+TEST_F(ExperimentTest, CreateRefusesProfileOfAnotherPlatform)
 {
-    auto exp = Experiment::create(plat_, *isx_, profile_, params());
-    EXPECT_TRUE(exp.ok()) << exp.status().toString();
+    // The one check that needs a profile: a knl profile cannot analyze
+    // an skl stage.
+    const platforms::Platform knl = platforms::findPlatform("knl").take();
+    auto exp = Experiment::create(
+        plat_, *isx_, test::syntheticProfile("knl", knl.peakGBs), {});
+    ASSERT_FALSE(exp.ok());
+    EXPECT_EQ(exp.status().code(), util::ErrorCode::FailedPrecondition);
+    EXPECT_NE(exp.status().message().find(
+                  "profile is for 'knl' but platform is 'skl'"),
+              std::string::npos)
+        << exp.status().toString();
 }
 
-TEST_F(ExperimentTest, CreateRefusesVacuousConfig)
+TEST_F(ExperimentTest, AdmissionAcceptsNonVacuousConfig)
+{
+    util::Result<AdmittedStage> a = admitStage(unit_);
+    ASSERT_TRUE(a.ok()) << a.status().toString();
+    EXPECT_EQ(a->stageKey,
+              ResultCache::stageKey(plat_, isx_->spec(plat_, {}), {}, 7,
+                                    5.0, 10.0, 6));
+}
+
+TEST_F(ExperimentTest, AdmissionFillsInDefaults)
+{
+    SweepRunner::StageUnit defaults{plat_, isx_.get(), {}};
+    util::Result<AdmittedStage> a = admitStage(defaults);
+    ASSERT_TRUE(a.ok()) << a.status().toString();
+    EXPECT_EQ(a->coresUsed, plat_.defaultCores());
+    EXPECT_DOUBLE_EQ(a->warmupUs, isx_->warmupUs());
+    EXPECT_DOUBLE_EQ(a->measureUs, isx_->measureUs());
+    EXPECT_EQ(a->sys.cores, plat_.defaultCores());
+}
+
+TEST_F(ExperimentTest, AdmissionRefusesVacuousConfig)
 {
     // One KNL core barely loads the memory system: deriveBounds() puts
     // the MLP ceiling under 5% of peak (LLL-LINT-102), so every
-    // Little's-law conclusion would be noise.  create() must refuse
+    // Little's-law conclusion would be noise.  Admission must refuse
     // instead of simulating.
     platforms::Platform knl = platforms::findPlatform("knl").take();
     workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
-    Experiment::Params params;
-    params.coresUsed = 1;
-    params.warmupUs = 5.0;
-    params.measureUs = 10.0;
-    auto exp = Experiment::create(
-        knl, *isx, test::syntheticProfile("knl", knl.peakGBs), params);
-    ASSERT_FALSE(exp.ok());
-    EXPECT_EQ(exp.status().code(), util::ErrorCode::FailedPrecondition);
-    EXPECT_NE(exp.status().message().find("LLL-LINT"),
-              std::string::npos);
+    util::Result<AdmittedStage> a =
+        admitStage({knl, isx.get(), {}, 5.0, 10.0, 1});
+    ASSERT_FALSE(a.ok());
+    EXPECT_EQ(a.status().code(), util::ErrorCode::FailedPrecondition);
+    EXPECT_NE(a.status().message().find("LLL-LINT"), std::string::npos);
+    EXPECT_EQ(a.status().message().rfind("stage unit knl/isx: ", 0), 0u)
+        << a.status().toString();
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -25,6 +26,7 @@
 #include "service/service.hh"
 #include "test_common.hh"
 #include "workloads/workload.hh"
+#include "xmem/profile_store.hh"
 #include "xmem/xmem_harness.hh"
 
 namespace lll::core
@@ -390,6 +392,59 @@ TEST(SweepRunner, UnsupportedSmtFailsOnlyItsUnit)
         << out[0].status.toString();
     EXPECT_TRUE(out[1].status.ok()) << out[1].status.toString();
     EXPECT_GT(out[1].metrics.throughput, 0.0);
+}
+
+TEST(SweepRunner, VacuousUnitIsRefusedBeforeAnyProfileLoads)
+{
+    // A vacuous knl unit (one core, LLL-LINT-102) beside a good skl
+    // unit, with knl's profile corrupt: admission refuses the knl unit
+    // before any profile loads, so it reports the static refusal and
+    // not the corrupt data, and nothing is characterized.
+    struct ProfileDir
+    {
+        std::string dir = ::testing::TempDir() + "lll_sweep_admission";
+        const char *old = std::getenv("LLL_PROFILE_DIR");
+        std::string oldDir = old ? old : "";
+        ProfileDir()
+        {
+            std::filesystem::remove_all(dir);
+            std::filesystem::create_directories(dir);
+            ::setenv("LLL_PROFILE_DIR", dir.c_str(), 1);
+        }
+        ~ProfileDir()
+        {
+            if (old)
+                ::setenv("LLL_PROFILE_DIR", oldDir.c_str(), 1);
+            else
+                ::unsetenv("LLL_PROFILE_DIR");
+            std::filesystem::remove_all(dir);
+        }
+    } profile_dir;
+    const platforms::Platform skl = platforms::skl();
+    const platforms::Platform knl = platforms::knl();
+    ASSERT_TRUE(test::syntheticProfile("skl", skl.peakGBs)
+                    .save(xmem::defaultProfilePath(skl))
+                    .ok());
+    {
+        std::ofstream out(xmem::defaultProfilePath(knl));
+        out << "platform knl\npeak_gbs 100\npoint 10";
+    }
+    const workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
+    const xmem::ProfileStore::Stats before =
+        xmem::ProfileStore::global().stats();
+    const std::vector<SweepRunner::StageOutcome> out =
+        SweepRunner({}).runStages({{knl, isx.get(), {}, 5.0, 10.0, 1},
+                                   {skl, isx.get(), {}, 5.0, 10.0, 6}});
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].status.code(), util::ErrorCode::FailedPrecondition)
+        << out[0].status.toString();
+    EXPECT_NE(out[0].status.message().find("LLL-LINT-102"),
+              std::string::npos)
+        << out[0].status.toString();
+    EXPECT_TRUE(out[1].status.ok()) << out[1].status.toString();
+    EXPECT_GT(out[1].metrics.throughput, 0.0);
+    EXPECT_EQ(xmem::ProfileStore::global().stats().measured,
+              before.measured);
 }
 
 TEST(PaperPlan, AssemblerReturnsFirstFailingStageInPlanOrder)

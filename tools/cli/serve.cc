@@ -261,8 +261,8 @@ runServe(const ServeRequest &r, const Context &ctx)
             .value();
     const core::ResultCache::Stats cs = cache.stats();
     std::fprintf(stderr,
-                 "serve: %zu requests (%zu failed), %llu units "
-                 "simulated, %llu coalesced — cache: %llu hits, %llu "
+                 "serve: %zu requests (%zu failed), %llu distinct "
+                 "units, %llu coalesced — cache: %llu hits, %llu "
                  "misses, %llu evictions, %llu spill evictions\n",
                  responses.size(), failed,
                  static_cast<unsigned long long>(units),

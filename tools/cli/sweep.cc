@@ -53,8 +53,9 @@ visitFields(V &v, R &r)
 }
 
 /** The paper tables of @p wls on every platform.  Every table needs
- *  its platform's profile, so an unusable one refuses the plan before
- *  any stage simulates. */
+ *  its stages admitted and its platform's profile, so a refused stage
+ *  or an unusable profile refuses the plan before any stage
+ *  simulates. */
 util::Result<std::vector<core::PaperTable>>
 runTables(const RunnerFlags &flags,
           const std::vector<workloads::WorkloadPtr> &wls,
@@ -66,17 +67,22 @@ runTables(const RunnerFlags &flags,
     sp->registry = registry;
     const core::PaperPlan plan =
         core::planPaperTables(platforms::allPlatforms(), wls);
+    std::vector<core::AdmittedStage> stages;
+    for (const core::StageUnit &u : plan.stages) {
+        util::Result<core::AdmittedStage> a = core::admitStage(u);
+        if (!a.ok())
+            return a.status().withContext("sweep");
+        stages.push_back(a.take());
+    }
     core::SweepRunner runner(*sp);
-    const core::SweepRunner::Profiles profiles =
-        runner.loadProfiles(plan.stages);
-    for (const core::SweepRunner::StageUnit &u : plan.stages) {
-        const util::Result<xmem::LatencyProfile> &prof =
-            profiles.at(u.platform.name);
-        if (!prof.ok())
-            return prof.status().withContext("sweep");
+    const core::SweepRunner::Profiles profiles = runner.loadProfiles(stages);
+    for (const core::AdmittedStage &s : stages) {
+        const Status &profile = profiles.at(s.platform.name).status();
+        if (!profile.ok())
+            return profile.withContext("sweep");
     }
     return core::assemblePaperTables(plan,
-                                     runner.runStages(plan.stages, profiles));
+                                     runner.runAdmitted(stages, profiles));
 }
 
 /** One table's rows as cells: Proc, Source, BW_obs, lat_avg, n_avg,
