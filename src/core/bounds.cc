@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/mem_ctrl.hh"
 #include "util/stats.hh"
 
 namespace lll::core
@@ -75,6 +76,40 @@ deriveBounds(const sim::SystemParams &sys, const sim::KernelSpec &spec)
         static_cast<uint64_t>(sys.l2.sets) * sys.l2.ways * sys.lineBytes;
 
     return b;
+}
+
+double
+throughputCeilingGBs(const sim::SystemParams &sys,
+                     const sim::KernelSpec &spec)
+{
+    // Line capacity: a line holds its L2 MSHR for at least the
+    // tick-quantized memory round trip (queuing, L3 lookups and the
+    // fill path only lengthen the hold).  The L1 MSHR count is the
+    // tighter budget only when demand is the sole issuer; the paper's
+    // ISx row measures n_avg above it because the prefetcher keeps
+    // extra lines in flight.
+    const double hold_ns = ticksToNs(nsToTicks(sys.mem.frontLatencyNs)) +
+                           ticksToNs(nsToTicks(sys.mem.bankServiceNs)) +
+                           ticksToNs(nsToTicks(sys.mem.backLatencyNs));
+    double lines = sys.l2.mshrs;
+    if (!sys.l2PrefetcherEnabled && !spec.swPrefetchL2)
+        lines = std::min(lines, static_cast<double>(sys.l1.mshrs));
+    const double line_cap =
+        hold_ns > 0.0 ? static_cast<double>(sys.cores) * lines *
+                            static_cast<double>(sys.lineBytes) / hold_ns
+                      : sys.mem.peakGBs;
+
+    // Bank capacity: every line serializes on one bank for the
+    // tick-quantized service time.  Not the declared peak, which
+    // bank-count rounding can land either side of: the pruner needs
+    // the strict cap.
+    const double service_ns = ticksToNs(nsToTicks(sys.mem.bankServiceNs));
+    const double bank_cap =
+        service_ns > 0.0
+            ? static_cast<double>(sim::MemCtrl::banksFor(sys.mem)) *
+                  static_cast<double>(sys.mem.lineBytes) / service_ns
+            : sys.mem.peakGBs;
+    return std::min(line_cap, bank_cap);
 }
 
 void

@@ -9,8 +9,9 @@
  * This lives in core (not analysis) because the experiment runner
  * consumes the bounds too: stage admission (core::admitStage) refuses
  * configs whose bounds make every downstream conclusion vacuous
- * (LLL-LINT-102/106), and analysis already links core, so the
- * derivation must sit below both.  `lll::analysis` re-exports these names for source
+ * (LLL-LINT-102/106), and the search pruner reads its ceiling
+ * (throughputCeilingGBs) from here; analysis already links core, so
+ * the derivation must sit below all of them.  `lll::analysis` re-exports these names for source
  * compatibility (analysis/spec_lint.hh).
  *
  * Everything here is a pure function of the static tables — no X-Mem
@@ -86,6 +87,17 @@ struct SpecBounds
 /** Derive the bounds above; pure arithmetic, no validation. */
 SpecBounds deriveBounds(const sim::SystemParams &sys,
                         const sim::KernelSpec &spec);
+
+/**
+ * The search pruner's bandwidth ceiling (GB/s) for @p sys running
+ * @p spec: min(in-flight-line capacity, bank-serialization capacity),
+ * by Little's law at the idle memory round trip.  Unlike
+ * SpecBounds::mlpCeilingGBs, an estimate of the MLP the kernel is
+ * expected to expose, it is meant as a proven cap (DESIGN.md §17.2,
+ * which also names the case where it is not).
+ */
+double throughputCeilingGBs(const sim::SystemParams &sys,
+                            const sim::KernelSpec &spec);
 
 /** Every SpecBounds field as a block-layout JSON object
  *  ({"idle_latency_ns": ...}), doubles to 6 significant digits. */

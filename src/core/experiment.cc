@@ -53,23 +53,19 @@ admitStage(StageUnit unit)
                 ErrorCode::FailedPrecondition,
                 "experiment '%s' on '%s' is vacuous (LLL-LINT-106): "
                 "the %llu-byte footprint fits in the %llu-byte L1, so "
-                "the kernel never exercises the memory system; run "
-                "`lll lint %s %s` for the full report",
+                "the kernel never exercises the memory system",
                 workload.name().c_str(), platform.name.c_str(),
                 static_cast<unsigned long long>(b.footprintBytes),
-                static_cast<unsigned long long>(b.l1CapacityBytes),
-                workload.name().c_str(), platform.name.c_str()));
+                static_cast<unsigned long long>(b.l1CapacityBytes)));
         }
         return refuse(Status::error(
             ErrorCode::FailedPrecondition,
             "experiment '%s' on '%s' with %d cores is vacuous "
             "(LLL-LINT-102): effective MLP %.1f/core sustains at most "
-            "%.1f of %.0f GB/s peak (%.1f%%); run `lll lint %s %s` for "
-            "the full report",
+            "%.1f of %.0f GB/s peak (%.1f%%)",
             workload.name().c_str(), platform.name.c_str(), a.coresUsed,
             b.effectiveMlpPerCore, b.mlpCeilingGBs, b.peakGBs,
-            100.0 * b.mlpCeilingGBs / b.peakGBs, workload.name().c_str(),
-            platform.name.c_str()));
+            100.0 * b.mlpCeilingGBs / b.peakGBs));
     }
 
     if (!a.opts.empty())

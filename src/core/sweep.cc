@@ -119,6 +119,14 @@ hashKernelSpec(const sim::KernelSpec &spec)
     return hasher.h;
 }
 
+StageUnit
+requestUnit(const StageRequest &r, platforms::Platform platform,
+            const workloads::Workload &workload)
+{
+    return {std::move(platform), &workload, r.opts, r.warmupUs,
+            r.measureUs, r.cores, r.seed};
+}
+
 util::Result<ResolvedRequest>
 resolveRequest(const StageRequest &r, const platforms::Platform *platform)
 {
@@ -131,10 +139,8 @@ resolveRequest(const StageRequest &r, const platforms::Platform *platform)
                   : workloads::findWorkload(r.workloadName);
     if (!w.ok())
         return w.status();
-    const workloads::Workload *wl = w->get();
-    return ResolvedRequest{{plat.take(), wl, r.opts, r.warmupUs, r.measureUs,
-                            r.cores, r.seed},
-                           w.take()};
+    StageUnit unit = requestUnit(r, plat.take(), **w);
+    return ResolvedRequest{std::move(unit), w.take()};
 }
 
 std::string

@@ -106,7 +106,6 @@ class ResultCache
      * lookups from files found there.  Empty disables spilling.
      */
     [[nodiscard]] util::Status setSpillDir(const std::string &dir);
-    const std::string &spillDir() const { return spillDir_; }
 
     /** Cap the in-memory table at @p cap entries, evicting least-
      *  recently-used beyond it.  0 = unbounded.  Shrinking below the
@@ -203,6 +202,11 @@ struct ResolvedRequest
     workloads::WorkloadPtr workload; //!< built for an inline spec
 };
 
+/** @p r's stage fields as a unit of @p workload on @p platform: the
+ *  unit resolveRequest() builds, and each search candidate's. */
+StageUnit requestUnit(const StageRequest &r, platforms::Platform platform,
+                      const workloads::Workload &workload);
+
 /** The StageRequest -> (platform, workload) lookup the run service and
  *  the searcher share: @p r's names looked up (@p platform, when set,
  *  stands in for r's) and its other fields copied as they are. */
@@ -291,7 +295,8 @@ class SweepRunner
     std::vector<StageOutcome> runStages(const std::vector<StageUnit> &units);
 
     /** runStages() for stages admitStage() already accepted (the run
-     *  service admits while it coalesces); nothing is checked again. */
+     *  service admits while it coalesces, the searcher while it
+     *  enumerates); nothing is checked again. */
     std::vector<StageOutcome>
     runAdmitted(const std::vector<AdmittedStage> &stages)
     {

@@ -72,9 +72,9 @@ Searcher::run(const SearchSpec &spec)
         row.label = candidates[i].label;
         row.cost = candidates[i].cost;
         row.ceilingGBs = candidates[i].ceilingGBs;
-        if (!candidates[i].feasible) {
+        if (!candidates[i].stage.ok()) {
             row.fate = CandidateFate::Infeasible;
-            row.status = candidates[i].infeasibleWhy;
+            row.status = candidates[i].stage.status();
             ++result.prunedInfeasible;
         }
     }
@@ -86,7 +86,7 @@ Searcher::run(const SearchSpec &spec)
     // of intra-class completion order.
     std::map<double, std::vector<size_t>> classes;
     for (size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i].feasible)
+        if (candidates[i].stage.ok())
             classes[candidates[i].cost].push_back(i);
     }
 
@@ -121,14 +121,12 @@ Searcher::run(const SearchSpec &spec)
         if (to_run.empty())
             continue;
         ++result.waves;
-        std::vector<core::SweepRunner::StageUnit> units;
-        units.reserve(to_run.size());
-        for (size_t i : to_run) {
-            core::StageUnit &u = units.emplace_back(target->unit);
-            u.platform = candidates[i].platform;
-        }
+        std::vector<core::AdmittedStage> stages;
+        stages.reserve(to_run.size());
+        for (size_t i : to_run)
+            stages.push_back(std::move(*candidates[i].stage));
         const std::vector<core::SweepRunner::StageOutcome> outcomes =
-            runner.runStages(units);
+            runner.runAdmitted(stages);
         double class_best = 0.0;
         bool class_any = false;
         for (size_t u = 0; u < to_run.size(); ++u) {

@@ -3,18 +3,20 @@
  * The bounds-pruned design-space autotuner behind `lll search`
  * (DESIGN.md §17).
  *
- * Searcher::run() enumerates a SearchSpec, prices every candidate with
- * the MSHR+bank cost model, derives each one's analytic Little's-law
- * bandwidth ceiling (core::deriveBounds at idle latency — a proven
- * upper bound on anything the candidate can simulate to), and then
- * simulates in cost-ascending waves through SweepRunner::runStages:
+ * Searcher::run() enumerates a SearchSpec, admitting every candidate
+ * once as a stage, prices it with the MSHR+bank cost model, derives
+ * its analytic Little's-law bandwidth ceiling
+ * (core::throughputCeilingGBs, an upper bound on anything the
+ * candidate can simulate to; DESIGN.md §17.2 names its known gap), and
+ * then simulates the admitted stages in cost-ascending waves through
+ * SweepRunner::runAdmitted:
  * before a wave runs, any member whose ceiling is already met by a
  * strictly cheaper simulated point is pruned — it is provably
  * dominated (the cheaper point is no worse on perf and strictly
  * better on cost), so the frontier cannot contain it.
  *
  * Determinism: waves are ordered by cost class, prune decisions read
- * only completed waves (merged after join), and runStages itself is
+ * only completed waves (merged after join), and runAdmitted itself is
  * jobs-invariant — so the whole result, frontier included, is
  * byte-identical for any --jobs N and across warm cache reruns.
  */
@@ -88,7 +90,7 @@ class Searcher
   public:
     /**
      * The runner's parameters, passed to every wave: jobs run within
-     * one wave (runStages fan-out), candidates key the cache by their
+     * one wave (runAdmitted fan-out), candidates key the cache by their
      * encoded name, so a warm cache serves repeated neighborhoods from
      * memo, and the registry receives search.{enumerated,
      * pruned_analytic,pruned_infeasible,simulated,waves}_total

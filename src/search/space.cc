@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <map>
 
-#include "util/stats.hh"
+#include "core/bounds.hh"
+#include "sim/mem_ctrl.hh"
 
 namespace lll::search
 {
@@ -25,128 +26,49 @@ candidateFateName(CandidateFate fate)
     return "?";
 }
 
-/** Mirror MemCtrl's constructor: an explicit override wins, else
- *  banks are derived so peak is (approximately) sustainable. */
-static unsigned
-effectiveBanks(const sim::SystemParams &sys)
+namespace
 {
-    unsigned banks = sys.mem.banksOverride;
-    if (banks == 0) {
-        banks = static_cast<unsigned>(sys.mem.peakGBs *
-                                          sys.mem.bankServiceNs /
-                                          static_cast<double>(
-                                              sys.mem.lineBytes) +
-                                      0.5);
-    }
-    return banks;
-}
 
+/** The cost model (SearchSpec::bankWeight) of an admitted stage. */
 double
 candidateCost(const sim::SystemParams &sys, double bank_weight)
 {
     return static_cast<double>(sys.l1.mshrs) +
            static_cast<double>(sys.l2.mshrs) +
-           bank_weight * static_cast<double>(effectiveBanks(sys));
+           bank_weight *
+               static_cast<double>(sim::MemCtrl::banksFor(sys.mem));
 }
 
-/**
- * The bandwidth the memory controller can physically stream: every
- * line serializes on one bank for the (tick-quantized) service
- * latency.  This — not the declared peak, which bank-count rounding
- * can land above or below — is the strict throughput cap the ceiling
- * must use for the pruner to be sound.
- */
-static double
-bankCapacityGBs(const sim::SystemParams &sys)
+/** @p platform as @p spec's stage of @p workload: admitted, then
+ *  priced, bounded and its applied variant checked. */
+Candidate
+admitCandidate(const SearchSpec &spec, const workloads::Workload &workload,
+               const std::string &label, platforms::Platform platform)
 {
-    const double service_ns =
-        ticksToNs(nsToTicks(sys.mem.bankServiceNs));
-    if (!(service_ns > 0.0))
-        return sys.mem.peakGBs;
-    return static_cast<double>(effectiveBanks(sys)) *
-           static_cast<double>(sys.mem.lineBytes) / service_ns;
-}
-
-/** Lower bound on how long a line's L2 MSHR is held: the memory round
- *  trip alone (tick-quantized).  Queuing, L3 lookups and the fill path
- *  only lengthen the real hold, so dividing by this never understates
- *  the candidate's throughput cap. */
-static double
-memHoldNs(const sim::SystemParams &sys)
-{
-    return ticksToNs(nsToTicks(sys.mem.frontLatencyNs)) +
-           ticksToNs(nsToTicks(sys.mem.bankServiceNs)) +
-           ticksToNs(nsToTicks(sys.mem.backLatencyNs));
-}
-
-/**
- * Little's-law cap from the in-flight-line budget.  Every line headed
- * to memory — demand miss or prefetch — occupies one L2 MSHR from
- * before the request leaves the cache until its fill returns, so
- * cores x l2_mshrs lines at most are ever in flight, each for at
- * least memHoldNs().  This is a *provable* cap, unlike the analyzer's
- * effective-MLP estimate (core::deriveBounds), which models the MLP
- * the kernel is *expected* to expose — the paper's own ISx row
- * measures n_avg above the L1 MSHR count because the prefetcher keeps
- * extra lines in flight, so that estimate must not prune.  Only when
- * no prefetcher can add traffic (hardware prefetcher off and the
- * kernel issues no software prefetches) is demand the only issuer and
- * the L1 MSHR count a valid tighter budget.
- */
-static double
-lineCapacityGBs(const sim::SystemParams &sys,
-                const sim::KernelSpec &spec)
-{
-    const double hold = memHoldNs(sys);
-    if (!(hold > 0.0))
-        return sys.mem.peakGBs;
-    double lines = sys.l2.mshrs;
-    if (!sys.l2PrefetcherEnabled && !spec.swPrefetchL2)
-        lines = std::min(lines, static_cast<double>(sys.l1.mshrs));
-    return static_cast<double>(sys.cores) * lines *
-           static_cast<double>(sys.lineBytes) / hold;
-}
-
-namespace
-{
-
-/** Fill the cost/ceiling/feasibility fields of @p c. */
-void
-analyzeCandidate(const SearchSpec &spec,
-                 const workloads::Workload &workload, Candidate &c)
-{
-    const int cores = spec.cores > 0 ? spec.cores
-                                     : c.platform.totalCores;
-    util::Result<sim::SystemParams> sp =
-        c.platform.trySysParams(cores, spec.opts.smtWays());
-    if (!sp.ok()) {
-        c.feasible = false;
-        c.infeasibleWhy = sp.status().withContext("candidate %s",
-                                                  c.label.c_str());
-        return;
+    util::Result<core::AdmittedStage> stage =
+        core::admitStage(core::requestUnit(spec, platform, workload));
+    if (!stage.ok()) {
+        return {label, std::move(platform),
+                stage.status().withContext("candidate %s", label.c_str())};
     }
-    const sim::KernelSpec kernel =
-        workload.spec(c.platform, spec.opts);
-    c.cost = candidateCost(*sp, spec.bankWeight);
-    c.bounds = core::deriveBounds(*sp, kernel);
-    c.ceilingGBs =
-        std::min(lineCapacityGBs(*sp, kernel), bankCapacityGBs(*sp));
-    if (c.bounds.vacuous()) {
-        // The applied variant is vacuous (LLL-LINT-102/106), which no
-        // simulation can fix; classify it here so the wave runner
-        // never queues it.  (core::admitStage checks the base variant.)
-        c.feasible = false;
-        c.infeasibleWhy = Status::error(
+    const sim::SystemParams &sys = stage->sys;
+    const double cost = candidateCost(sys, spec.bankWeight);
+    const double ceiling = core::throughputCeilingGBs(sys, stage->spec);
+    const core::SpecBounds b = core::deriveBounds(sys, stage->spec);
+    if (b.vacuous()) {
+        // Admission checks the base variant; the applied one, when
+        // vacuous (LLL-LINT-102/106), is as useless to simulate, so no
+        // wave ever queues it.
+        stage = Status::error(
             ErrorCode::FailedPrecondition,
             "candidate %s is statically vacuous "
             "(ceiling %.2f GB/s of %.2f peak, footprint %llu B vs "
             "L1 %llu B)",
-            c.label.c_str(), c.bounds.mlpCeilingGBs, c.bounds.peakGBs,
-            static_cast<unsigned long long>(c.bounds.footprintBytes),
-            static_cast<unsigned long long>(c.bounds.l1CapacityBytes));
-        return;
+            label.c_str(), b.mlpCeilingGBs, b.peakGBs,
+            static_cast<unsigned long long>(b.footprintBytes),
+            static_cast<unsigned long long>(b.l1CapacityBytes));
     }
-    c.feasible = true;
+    return {label, std::move(platform), std::move(stage), cost, ceiling};
 }
 
 } // namespace
@@ -230,19 +152,15 @@ enumerateSpace(const SearchSpec &spec, const platforms::Platform &base,
     std::vector<Candidate> out;
     std::map<std::string, size_t> seen; //!< label -> first index
     for (const Assignment &assign : assignments) {
-        Candidate c;
-        c.assign = assign;
-        c.label = assign.label();
-        if (seen.count(c.label))
+        const std::string label = assign.label();
+        if (seen.count(label))
             continue; // an explicit point restating a grid point
         util::Result<platforms::Platform> plat =
             applyAssignment(base, assign);
         if (!plat.ok())
             return plat.status();
-        c.platform = plat.take();
-        analyzeCandidate(spec, workload, c);
-        seen.emplace(c.label, out.size());
-        out.push_back(std::move(c));
+        seen.emplace(label, out.size());
+        out.push_back(admitCandidate(spec, workload, label, plat.take()));
     }
     return out;
 }

@@ -6,8 +6,9 @@
  * cross product spans the space, optional explicit points, and the
  * cost-model weights.  enumerateSpace() expands it into concrete
  * candidates, each a self-contained Platform with a canonical label,
- * its static cost, and its analytic Little's-law bandwidth ceiling —
- * everything the pruner compares before anything simulates.
+ * admitted once as a stage (core::admitStage), with its static cost
+ * and its analytic Little's-law bandwidth ceiling — everything the
+ * pruner compares before anything simulates.
  */
 
 #ifndef LLL_SEARCH_SPACE_HH
@@ -16,11 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "core/bounds.hh"
 #include "core/sweep.hh"
 #include "platforms/platform.hh"
 #include "search/axes.hh"
-#include "sim/kernel_spec.hh"
 #include "util/fields.hh"
 #include "util/status.hh"
 #include "workloads/optimization.hh"
@@ -78,9 +77,9 @@ visitFields(V &v, R &s)
 /** How one candidate left the pipeline. */
 enum class CandidateFate
 {
-    Simulated,      //!< fanned through SweepRunner::runStages
+    Simulated,      //!< fanned through SweepRunner::runAdmitted
     PrunedAnalytic, //!< ceiling proves it dominated by a cheaper point
-    Infeasible,     //!< cannot build/analyze (bad combo or vacuous)
+    Infeasible,     //!< admission refused it, or its variant is vacuous
 };
 
 const char *candidateFateName(CandidateFate fate);
@@ -88,40 +87,36 @@ const char *candidateFateName(CandidateFate fate);
 /** One enumerated point of the space, pre-simulation. */
 struct Candidate
 {
-    Assignment assign;
     std::string label;             //!< canonical "axis=value,..." form
     platforms::Platform platform;  //!< base + assignment, renamed
+    /** The SearchSpec's stage fields on @ref platform, admitted once
+     *  (core::admitStage); or, in "candidate <label>" context, the
+     *  refusal or the applied variant's vacuity (LLL-LINT-102/106),
+     *  which no simulation can fix. */
+    util::Result<core::AdmittedStage> stage;
+    /** l1_mshrs + l2_mshrs + bankWeight * banks, per core MSHRs and
+     *  banks as the memory controller builds them (0 when refused). */
     double cost = 0.0;
-    /** min(in-flight-line capacity, bank-serialization capacity): a
-     *  proven upper bound on any bandwidth this candidate can simulate
-     *  to.  Every line to memory holds an L2 MSHR for at least the
-     *  idle memory round trip (Little's law; load only lengthens the
-     *  hold), and every line serializes on one bank. */
+    /** core::throughputCeilingGBs of the admitted stage: the bound
+     *  the pruner compares (0 when refused). */
     double ceilingGBs = 0.0;
-    core::SpecBounds bounds;
-    bool feasible = false;
-    util::Status infeasibleWhy; //!< set when !feasible
 };
 
 /**
  * Expand the cross product of @p spec's axes plus its explicit points
  * into candidates (canonical order: label-lexicographic within the
  * name-sorted cross product; duplicates collapse to their first
- * occurrence).  Computes each candidate's cost and analytic ceiling
- * against @p workload's kernel under @p spec's opts.
+ * occurrence).  Admits each candidate as @p workload's stage under
+ * @p spec's opts, then prices and bounds what admission built.
  *
  * Fails only on structural problems (empty space, too many
  * candidates, a bank weight or candidate cap out of range) — the one
  * place both `lll search` and a serve search request check them;
- * per-candidate build failures come back as infeasible candidates,
- * not errors.
+ * per-candidate refusals ride in Candidate::stage, not errors.
  */
 [[nodiscard]] util::Result<std::vector<Candidate>>
 enumerateSpace(const SearchSpec &spec, const platforms::Platform &base,
                const workloads::Workload &workload);
-
-/** The cost model above, from a candidate's built system parameters. */
-double candidateCost(const sim::SystemParams &sys, double bank_weight);
 
 } // namespace lll::search
 

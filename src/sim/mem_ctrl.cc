@@ -27,18 +27,22 @@ MemCtrl::MemCtrl(const Params &params, EventQueue &eq, RequestPool &pool)
 {
     lll_assert(params_.peakGBs > 0 && params_.bankServiceNs > 0,
                "memory controller needs positive bandwidth and service");
-    unsigned banks = params_.banksOverride;
-    if (banks == 0) {
-        // banks * lineBytes / serviceNs == peak GB/s
-        double b = params_.peakGBs * params_.bankServiceNs /
-                   static_cast<double>(params_.lineBytes);
-        banks = static_cast<unsigned>(b + 0.5);
-    }
+    const unsigned banks = banksFor(params_);
     lll_assert(banks > 0, "derived zero banks; raise bankServiceNs");
     banks_.assign(banks, 0);
     frontLat_ = nsToTicks(params_.frontLatencyNs);
     backLat_ = nsToTicks(params_.backLatencyNs);
     serviceLat_ = nsToTicks(params_.bankServiceNs);
+}
+
+unsigned
+MemCtrl::banksFor(const Params &params)
+{
+    if (params.banksOverride != 0)
+        return params.banksOverride;
+    return static_cast<unsigned>(params.peakGBs * params.bankServiceNs /
+                                     static_cast<double>(params.lineBytes) +
+                                 0.5);
 }
 
 unsigned

@@ -63,6 +63,11 @@ class MemCtrl : public MemLevel
 
     MemCtrl(const Params &params, EventQueue &eq, RequestPool &pool);
 
+    /** The bank count a controller built from @p params has: the
+     *  override when set, else banks * lineBytes / serviceNs == peak
+     *  GB/s, rounded to nearest. */
+    static unsigned banksFor(const Params &params);
+
     // MemLevel interface.  The controller never refuses a request.
     bool tryAccess(MemRequest *req) override;
     void addRetryWaiter(EventFn cb) override;

@@ -215,7 +215,6 @@ class System
     RunResult run(double warmup_us, double measure_us);
 
     // Component access for tests and the counters layer.
-    EventQueue &eventQueue() { return eq_; }
     MemCtrl &mem() { return *mem_; }
     Cache &l1(int core) { return *l1s_.at(core); }
     Cache &l2(int core) { return *l2s_.at(core); }

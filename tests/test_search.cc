@@ -294,6 +294,35 @@ TEST_F(SearcherTest, PrunedFrontierEqualsBruteForceFrontier)
     }
 }
 
+TEST_F(SearcherTest, AdmissionRefusalIsInfeasibleNotSimulated)
+{
+    // ISx on 4 KNL cores sustains 15.2 of 400 GB/s at one SMT way,
+    // under the 5% line (LLL-LINT-102), so admission refuses the
+    // candidate; 2-ht lifts the applied variant above the line, so
+    // only admission catches it.  No wave runs, and nothing is
+    // characterized.
+    SearchSpec s;
+    s.platformName = "knl";
+    s.workloadName = "isx";
+    s.opts = workloads::OptSet{workloads::Opt::Smt2};
+    s.cores = 4;
+    s.axes = {parseAxis("l1_mshrs=24").take()};
+    SearchResult r = runOk(s);
+    EXPECT_EQ(r.enumerated, 1u);
+    EXPECT_EQ(r.simulated, 0u);
+    EXPECT_EQ(r.prunedInfeasible, 1u);
+    EXPECT_EQ(r.waves, 0u);
+    EXPECT_TRUE(r.frontier.empty());
+    ASSERT_EQ(r.rows.size(), 1u);
+    const SearchRow &row = r.rows[0];
+    EXPECT_EQ(row.fate, CandidateFate::Infeasible);
+    EXPECT_EQ(row.status.code(), ErrorCode::FailedPrecondition);
+    EXPECT_NE(row.status.message().find("LLL-LINT-102"), std::string::npos)
+        << row.status.toString();
+    EXPECT_NE(row.status.message().find("stage unit"), std::string::npos)
+        << row.status.toString();
+}
+
 TEST_F(SearcherTest, ParallelRunIsByteIdenticalToSerial)
 {
     // Warm the on-disk candidate profiles once so every run below
