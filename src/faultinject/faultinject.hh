@@ -68,11 +68,11 @@ std::string flipRandomBytes(const std::string &text, Rng &rng, int flips);
 
 /**
  * The socket front-end under deliberately hostile clients (DESIGN.md
- * §14): malformed frame, oversized line, slow-loris partial request,
- * mid-request disconnect, and a client that never reads its responses.
- * Every scenario asserts the same invariant — the listener answers
- * with a structured error or reaps the connection, and *keeps serving
- * other connections*.  Implemented in netfaults.cc so the core harness
+ * §14): a non-JSON line, an oversized line, a slow-loris partial
+ * request, a mid-request disconnect, a client that never reads its
+ * responses, and a wedged request.  Every scenario asserts the same
+ * invariant — the listener answers with a structured error or reaps
+ * the connection, and *keeps serving other requests*.  Implemented in netfaults.cc so the core harness
  * stays free of the net layer.
  */
 std::vector<ScenarioResult> listenerScenarios(const Options &opts);

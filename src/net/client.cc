@@ -1,13 +1,11 @@
 #include "net/client.hh"
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "obs/timer.hh"
@@ -25,7 +23,7 @@ BlockingClient::~BlockingClient()
 }
 
 BlockingClient::BlockingClient(BlockingClient &&other) noexcept
-    : fd_(other.fd_), rxbuf_(std::move(other.rxbuf_))
+    : fd_(other.fd_), rx_(std::move(other.rx_))
 {
     other.fd_ = -1;
 }
@@ -36,67 +34,45 @@ BlockingClient::operator=(BlockingClient &&other) noexcept
     if (this != &other) {
         close();
         fd_ = other.fd_;
-        rxbuf_ = std::move(other.rxbuf_);
+        rx_ = std::move(other.rx_);
         other.fd_ = -1;
     }
     return *this;
 }
 
 Result<BlockingClient>
-BlockingClient::connectTcp(const std::string &host, int port)
+BlockingClient::connect(const Result<SocketAddress> &addr)
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (!addr.ok())
+        return addr.status();
+    const int fd = ::socket(addr->family(), SOCK_STREAM, 0);
     if (fd < 0) {
         return Status::error(ErrorCode::IoError, "socket: %s",
                              strerror(errno));
     }
-    sockaddr_in sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sin_family = AF_INET;
-    sa.sin_port = htons(uint16_t(port));
-    if (::inet_pton(AF_INET, host.c_str(), &sa.sin_addr) != 1) {
-        ::close(fd);
-        return Status::error(ErrorCode::InvalidArgument,
-                             "bad host '%s'", host.c_str());
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&sa), sizeof(sa)) <
-        0) {
-        Status s = Status::error(ErrorCode::IoError,
-                                 "connect %s:%d: %s", host.c_str(),
-                                 port, strerror(errno));
+    if (::connect(fd, addr->get(), addr->size) < 0) {
+        Status s = Status::error(ErrorCode::IoError, "connect %s: %s",
+                                 addr->name.c_str(), strerror(errno));
         ::close(fd);
         return s;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (addr->family() == AF_INET) {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
     return BlockingClient(fd);
+}
+
+Result<BlockingClient>
+BlockingClient::connectTcp(const std::string &host, int port)
+{
+    return connect(socketAddress(host, port, ""));
 }
 
 Result<BlockingClient>
 BlockingClient::connectUnix(const std::string &path)
 {
-    sockaddr_un sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(sa.sun_path)) {
-        return Status::error(ErrorCode::InvalidArgument,
-                             "unix socket path longer than %zu bytes",
-                             sizeof(sa.sun_path) - 1);
-    }
-    std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        return Status::error(ErrorCode::IoError, "socket: %s",
-                             strerror(errno));
-    }
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&sa), sizeof(sa)) <
-        0) {
-        Status s = Status::error(ErrorCode::IoError, "connect %s: %s",
-                                 path.c_str(), strerror(errno));
-        ::close(fd);
-        return s;
-    }
-    return BlockingClient(fd);
+    return connect(socketAddress("", 0, path));
 }
 
 Status
@@ -121,15 +97,14 @@ Result<std::string>
 BlockingClient::recvLine(int timeout_ms)
 {
     const obs::WallClock::time_point start = obs::WallClock::now();
+    std::string line;
+    Status err;
     for (;;) {
-        const size_t nl = rxbuf_.find('\n');
-        if (nl != std::string::npos) {
-            std::string line = rxbuf_.substr(0, nl);
-            rxbuf_.erase(0, nl + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
+        const FrameDecoder::Next next = rx_.next(&line, &err);
+        if (next == FrameDecoder::Next::Frame)
             return line;
-        }
+        if (next == FrameDecoder::Next::Error)
+            return err.withContext("reading a response");
 
         const double elapsed_ms =
             obs::wallDeltaNs(start, obs::WallClock::now()) / 1e6;
@@ -161,15 +136,8 @@ BlockingClient::recvLine(int timeout_ms)
             return Status::error(ErrorCode::IoError,
                                  "server closed the connection");
         }
-        rxbuf_.append(buf, size_t(n));
+        rx_.feed(buf, size_t(n));
     }
-}
-
-void
-BlockingClient::shutdownWrite()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_WR);
 }
 
 void

@@ -2,8 +2,9 @@
  * @file
  * A small blocking JSON-lines client for the socket front-end — the
  * shared plumbing under tests/test_net.cc, the `lll selftest` listener
- * fault scenarios and the bench-serve load generator's setup path.
- * Deliberately simple: one fd, blocking connect, poll-bounded reads.
+ * fault scenarios and the bench-serve load generator's connect path.
+ * Deliberately simple: one fd, blocking connect, poll-bounded reads
+ * through the listener's own FrameDecoder.
  */
 
 #ifndef LLL_NET_CLIENT_HH
@@ -11,10 +12,17 @@
 
 #include <string>
 
+#include "net/frame.hh"
+#include "net/socket.hh"
 #include "util/status.hh"
 
 namespace lll::net
 {
+
+/** The longest response line a client reads, and so the most it
+ *  buffers of one line.  No response of this server comes near it: a
+ *  search response carries only its frontier. */
+inline constexpr size_t kMaxResponseLineBytes = size_t(64) << 20;
 
 class BlockingClient
 {
@@ -36,14 +44,12 @@ class BlockingClient
     [[nodiscard]] util::Status sendAll(const std::string &data);
 
     /**
-     * One response line (without its newline).  Blocks up to
-     * @p timeout_ms; DeadlineExceeded on timeout, IoError when the
-     * server closes first.
+     * One response line (without its newline; blank lines skipped).
+     * Blocks up to @p timeout_ms; DeadlineExceeded on timeout, IoError
+     * when the server closes first, InvalidArgument on a line over
+     * kMaxResponseLineBytes.
      */
     [[nodiscard]] util::Result<std::string> recvLine(int timeout_ms);
-
-    /** Half-close: no more writes, reads still work (drain tests). */
-    void shutdownWrite();
 
     /** Abrupt close (mid-request disconnect scenarios). */
     void close();
@@ -53,8 +59,11 @@ class BlockingClient
   private:
     explicit BlockingClient(int fd) : fd_(fd) {}
 
+    [[nodiscard]] static util::Result<BlockingClient> connect(
+        const util::Result<SocketAddress> &addr);
+
     int fd_ = -1;
-    std::string rxbuf_;
+    FrameDecoder rx_{kMaxResponseLineBytes};
 };
 
 } // namespace lll::net

@@ -50,71 +50,22 @@ FrameDecoder::next(std::string *frame, util::Status *error)
         if (off_ >= buf_.size())
             return Next::NeedMore;
 
-        const char c = buf_[off_];
-        if (c >= '0' && c <= '9') {
-            // Length framing: LEN:PAYLOAD, LEN at most 8 digits.
-            size_t p = off_;
-            size_t len = 0;
-            size_t digits = 0;
-            while (p < buf_.size() && buf_[p] >= '0' && buf_[p] <= '9') {
-                len = len * 10 + size_t(buf_[p] - '0');
-                ++digits;
-                ++p;
-                if (digits > 8) {
-                    *error = poison(Status::error(
-                        ErrorCode::InvalidArgument,
-                        "frame length prefix exceeds 8 digits"));
-                    return Next::Error;
-                }
-            }
-            if (p >= buf_.size())
-                return Next::NeedMore; // prefix still arriving
-            if (buf_[p] != ':') {
-                *error = poison(Status::error(
-                    ErrorCode::InvalidArgument,
-                    "frame length prefix must be DIGITS ':', got "
-                    "'%c' after %zu digits", buf_[p], digits));
-                return Next::Error;
-            }
-            if (len > maxFrameBytes_) {
-                *error = poison(Status::error(
-                    ErrorCode::InvalidArgument,
-                    "frame of %zu bytes exceeds the %zu-byte limit",
-                    len, maxFrameBytes_));
-                return Next::Error;
-            }
-            ++p; // ':'
-            if (buf_.size() - p < len)
-                return Next::NeedMore;
-            frame->assign(buf_, p, len);
-            off_ = p + len;
-        } else {
-            // Newline framing.
-            const size_t nl = buf_.find('\n', off_);
-            if (nl == std::string::npos) {
-                // +2 leaves room for a limit-sized line's CRLF.
-                if (buf_.size() - off_ > maxFrameBytes_ + 2) {
-                    *error = poison(Status::error(
-                        ErrorCode::InvalidArgument,
-                        "request line exceeds the %zu-byte limit",
-                        maxFrameBytes_));
-                    return Next::Error;
-                }
-                return Next::NeedMore;
-            }
-            size_t end = nl;
-            if (end > off_ && buf_[end - 1] == '\r')
-                --end;
-            if (end - off_ > maxFrameBytes_) {
-                *error = poison(Status::error(
-                    ErrorCode::InvalidArgument,
-                    "request line exceeds the %zu-byte limit",
-                    maxFrameBytes_));
-                return Next::Error;
-            }
-            frame->assign(buf_, off_, end - off_);
-            off_ = nl + 1;
+        // The line so far, less a final '\r' that may open its CRLF:
+        // once that exceeds the limit, the whole line will.
+        const size_t nl = buf_.find('\n', off_);
+        size_t end = nl == std::string::npos ? buf_.size() : nl;
+        if (end > off_ && buf_[end - 1] == '\r')
+            --end;
+        if (end - off_ > maxFrameBytes_) {
+            *error = poison(Status::error(
+                ErrorCode::InvalidArgument,
+                "request line exceeds the %zu-byte limit", maxFrameBytes_));
+            return Next::Error;
         }
+        if (nl == std::string::npos)
+            return Next::NeedMore;
+        frame->assign(buf_, off_, end - off_);
+        off_ = nl + 1;
 
         // Whitespace-only frames are keep-alives, not requests.
         if (frame->find_first_not_of(" \t") != std::string::npos)

@@ -1,23 +1,19 @@
 /**
  * @file
- * Incremental frame decoding for the socket front-end (DESIGN.md §14).
+ * Incremental line decoding for the socket front-end (DESIGN.md §14)
+ * and its clients.
  *
- * The wire protocol is JSON-lines with two interchangeable framings,
- * distinguished by the first byte of each frame:
+ * The wire protocol is newline-delimited JSON, the same lines a
+ * `lll serve --batch` file holds: a frame is everything up to the next
+ * '\n', with a trailing '\r' stripped.  A line that does not parse as
+ * a request is the service's business, answered like any other
+ * request; the only framing violation is a line longer than the limit.
  *
- *  - newline framing: the frame is everything up to the next '\n'
- *    (a trailing '\r' is stripped).  JSON requests start with '{', so
- *    this is the common case and what `lll serve --batch` files use
- *    unchanged.
- *  - length framing: `LEN:PAYLOAD` where LEN is the decimal payload
- *    byte count (at most 8 digits).  Needed when a payload may contain
- *    raw newlines; also what a binary client naturally emits.
- *
- * The decoder is fed raw socket bytes and hands back complete frames;
+ * The decoder is fed raw socket bytes and hands back complete lines;
  * it never copies more than one compaction per read and never buffers
- * beyond the configured frame limit — an over-limit or malformed frame
- * is an InvalidArgument error that poisons the decoder, because the
- * stream cannot be re-synchronized after it.
+ * beyond the configured limit: an over-limit line is an
+ * InvalidArgument error that poisons the decoder, because the line is
+ * dropped unread and what follows cannot be told from its tail.
  */
 
 #ifndef LLL_NET_FRAME_HH
@@ -60,9 +56,6 @@ class FrameDecoder
     /** True when bytes of an incomplete frame are buffered — the
      *  read-timeout (slow-loris) clock runs only while this holds. */
     bool hasPartial() const;
-
-    /** Bytes currently buffered (diagnostics). */
-    size_t buffered() const { return buf_.size() - off_; }
 
   private:
     [[nodiscard]] util::Status poison(util::Status s);

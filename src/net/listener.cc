@@ -1,18 +1,16 @@
 #include "net/listener.hh"
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -20,6 +18,7 @@
 #include <thread>
 
 #include "net/frame.hh"
+#include "net/socket.hh"
 #include "obs/timer.hh"
 #include "service/service.hh"
 #include "util/names.hh"
@@ -29,6 +28,7 @@ namespace lll::net
 
 using obs::WallClock;
 using util::ErrorCode;
+using util::Result;
 using util::Status;
 
 util::Status
@@ -60,17 +60,6 @@ double
 msSince(WallClock::time_point t, WallClock::time_point now)
 {
     return obs::wallDeltaNs(t, now) / 1e6;
-}
-
-Status
-setNonBlocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-        return Status::error(ErrorCode::IoError,
-                             "fcntl(O_NONBLOCK): %s", strerror(errno));
-    }
-    return Status::okStatus();
 }
 
 /** Render the structured response for a request the service never
@@ -195,6 +184,13 @@ struct Listener::Impl
         WallClock::time_point lastActivity;
 
         explicit Conn(size_t max_frame) : decoder(max_frame) {}
+
+        /** Nothing admitted, waiting its turn or unflushed. */
+        bool settled() const
+        {
+            return outstanding == 0 && ready.empty() &&
+                   outoff == outbuf.size();
+        }
     };
     std::map<uint64_t, Conn> conns;
     uint64_t nextConnId = 1;
@@ -257,72 +253,49 @@ struct Listener::Impl
         [[maybe_unused]] ssize_t n = ::write(wakeWrite, &b, 1);
     }
 
-    Status bindTcp()
+    /** Bind, listen and go non-blocking on @p addr into @p *fd. */
+    static Status listenOn(const Result<SocketAddress> &addr, int *fd)
     {
-        tcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (tcpFd < 0) {
+        if (!addr.ok())
+            return addr.status();
+        *fd = ::socket(addr->family(), SOCK_STREAM, 0);
+        if (*fd < 0) {
             return Status::error(ErrorCode::IoError, "socket: %s",
                                  strerror(errno));
         }
-        const int one = 1;
-        ::setsockopt(tcpFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in sa;
-        std::memset(&sa, 0, sizeof(sa));
-        sa.sin_family = AF_INET;
-        sa.sin_port = htons(uint16_t(params.tcpPort));
-        if (::inet_pton(AF_INET, params.tcpHost.c_str(), &sa.sin_addr) !=
-            1) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "bad listen host '%s' (IPv4 dotted "
-                                 "quad expected)", params.tcpHost.c_str());
+        if (addr->family() == AF_INET) {
+            const int one = 1;
+            ::setsockopt(*fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+        } else {
+            ::unlink(addr->name.c_str()); // stale socket file
         }
-        if (::bind(tcpFd, reinterpret_cast<sockaddr *>(&sa),
-                   sizeof(sa)) < 0) {
-            return Status::error(ErrorCode::IoError,
-                                 "bind %s:%d: %s", params.tcpHost.c_str(),
-                                 params.tcpPort, strerror(errno));
+        if (::bind(*fd, addr->get(), addr->size) < 0) {
+            return Status::error(ErrorCode::IoError, "bind %s: %s",
+                                 addr->name.c_str(), strerror(errno));
         }
-        if (::listen(tcpFd, 128) < 0) {
+        if (::listen(*fd, 128) < 0) {
             return Status::error(ErrorCode::IoError, "listen: %s",
                                  strerror(errno));
         }
-        sockaddr_in bound;
-        socklen_t len = sizeof(bound);
-        if (::getsockname(tcpFd, reinterpret_cast<sockaddr *>(&bound),
-                          &len) == 0)
-            boundPort = ntohs(bound.sin_port);
-        return setNonBlocking(tcpFd);
+        return setNonBlocking(*fd);
     }
 
-    Status bindUnix()
+    Status bindEndpoints()
     {
-        sockaddr_un sa;
-        std::memset(&sa, 0, sizeof(sa));
-        sa.sun_family = AF_UNIX;
-        if (params.unixPath.size() >= sizeof(sa.sun_path)) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "unix socket path longer than %zu "
-                                 "bytes", sizeof(sa.sun_path) - 1);
+        if (params.tcpPort >= 0) {
+            LLL_RETURN_IF_ERROR(listenOn(
+                socketAddress(params.tcpHost, params.tcpPort, ""), &tcpFd));
+            sockaddr_in bound;
+            socklen_t len = sizeof(bound);
+            if (::getsockname(tcpFd, reinterpret_cast<sockaddr *>(&bound),
+                              &len) == 0)
+                boundPort = ntohs(bound.sin_port);
         }
-        std::memcpy(sa.sun_path, params.unixPath.c_str(),
-                    params.unixPath.size() + 1);
-        unixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (unixFd < 0) {
-            return Status::error(ErrorCode::IoError, "socket: %s",
-                                 strerror(errno));
+        if (!params.unixPath.empty()) {
+            LLL_RETURN_IF_ERROR(
+                listenOn(socketAddress("", 0, params.unixPath), &unixFd));
         }
-        ::unlink(params.unixPath.c_str()); // stale socket file
-        if (::bind(unixFd, reinterpret_cast<sockaddr *>(&sa),
-                   sizeof(sa)) < 0) {
-            return Status::error(ErrorCode::IoError, "bind %s: %s",
-                                 params.unixPath.c_str(),
-                                 strerror(errno));
-        }
-        if (::listen(unixFd, 128) < 0) {
-            return Status::error(ErrorCode::IoError, "listen: %s",
-                                 strerror(errno));
-        }
-        return setNonBlocking(unixFd);
+        return Status::okStatus();
     }
 
     Status start()
@@ -344,12 +317,15 @@ struct Listener::Impl
                                      "(got %d)", ms);
             }
         }
+        if (params.workers < 1 || params.maxPipelined < 1) {
+            return Status::error(ErrorCode::InvalidArgument,
+                                 "listener needs at least one worker and "
+                                 "one pipelined request per connection "
+                                 "(got %d and %zu)",
+                                 params.workers, params.maxPipelined);
+        }
         reg = params.registry ? params.registry : &ownedRegistry;
         m = std::make_unique<RequestMetrics>(*reg);
-        if (params.workers < 1)
-            params.workers = 1;
-        if (params.maxPipelined < 1)
-            params.maxPipelined = 1;
 
         int pipefd[2];
         if (::pipe(pipefd) < 0) {
@@ -361,19 +337,10 @@ struct Listener::Impl
         LLL_RETURN_IF_ERROR(setNonBlocking(wakeRead));
         LLL_RETURN_IF_ERROR(setNonBlocking(wakeWrite));
 
-        if (params.tcpPort >= 0) {
-            Status s = bindTcp();
-            if (!s.ok()) {
-                closeFds();
-                return s;
-            }
-        }
-        if (!params.unixPath.empty()) {
-            Status s = bindUnix();
-            if (!s.ok()) {
-                closeFds();
-                return s;
-            }
+        Status bound = bindEndpoints();
+        if (!bound.ok()) {
+            closeFds();
+            return bound;
         }
         workerRegistries.resize(size_t(params.workers));
         for (obs::MetricRegistry &wr : workerRegistries) {
@@ -504,26 +471,16 @@ struct Listener::Impl
         if (cit == conns.end())
             return true;
         Conn &conn = cit->second;
-        while (conn.outoff < conn.outbuf.size()) {
-            const ssize_t n = ::send(
-                conn.fd, conn.outbuf.data() + conn.outoff,
-                conn.outbuf.size() - conn.outoff, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK)
-                    break; // poll for POLLOUT
-                // EPIPE/ECONNRESET: the client is gone.
-                teardown(conn_id, util::names::kNetConnsClosedErrorTotal);
-                return true;
-            }
-            m->bytesWritten.increment(uint64_t(n));
-            conn.outoff += size_t(n);
-            conn.lastActivity = WallClock::now();
+        const Result<size_t> sent =
+            flushNonBlocking(conn.fd, &conn.outbuf, &conn.outoff);
+        if (!sent.ok()) {
+            // EPIPE/ECONNRESET: the client is gone.
+            teardown(conn_id, util::names::kNetConnsClosedErrorTotal);
+            return true;
         }
-        if (conn.outoff == conn.outbuf.size() && conn.outoff > 0) {
-            conn.outbuf.clear();
-            conn.outoff = 0;
+        if (*sent > 0) {
+            m->bytesWritten.increment(*sent);
+            conn.lastActivity = WallClock::now();
         }
         const size_t pending = conn.outbuf.size() - conn.outoff;
         if (pending >= params.maxWriteBuffer) {
@@ -531,8 +488,7 @@ struct Listener::Impl
             teardown(conn_id, util::names::kNetConnsClosedOverflowTotal);
             return true;
         }
-        if ((conn.wantClose || conn.eofSeen) && pending == 0 &&
-            conn.outstanding == 0 && conn.ready.empty()) {
+        if ((conn.wantClose || conn.eofSeen) && conn.settled()) {
             teardown(conn_id, conn.wantClose
                                   ? util::names::kNetConnsClosedProtocolTotal
                                   : util::names::kNetConnsClosedEofTotal);
@@ -606,8 +562,8 @@ struct Listener::Impl
                 break;
             if (r == FrameDecoder::Next::Error) {
                 // One structured error response, then close: the
-                // stream cannot be re-synchronized after a framing
-                // violation.
+                // over-limit line was dropped unread, so the stream
+                // cannot be re-synchronized.
                 counter(util::names::kNetRequestsMalformedTotal)++;
                 conn.ready[conn.nextReq] =
                     outOfBandResponse(conn.nextReq, err);
@@ -666,8 +622,7 @@ struct Listener::Impl
                 // mid-request simply never gets its responses.
                 conn.eofSeen = true;
                 conn.readPaused = true;
-                if (conn.outstanding == 0 && conn.ready.empty() &&
-                    conn.outbuf.size() == conn.outoff) {
+                if (conn.settled()) {
                     teardown(conn_id, util::names::kNetConnsClosedEofTotal);
                     return;
                 }
@@ -738,15 +693,7 @@ struct Listener::Impl
             return;
         draining = true;
         drainStart = WallClock::now();
-        if (tcpFd >= 0) {
-            ::close(tcpFd);
-            tcpFd = -1;
-        }
-        if (unixFd >= 0) {
-            ::close(unixFd);
-            unixFd = -1;
-            ::unlink(params.unixPath.c_str());
-        }
+        closeListeners();
         // Connections stop being read; anything already admitted
         // completes and flushes.
         for (auto &[id, conn] : conns) {
@@ -761,15 +708,10 @@ struct Listener::Impl
 
     bool drainComplete() const
     {
-        if (inflight != 0)
-            return false;
-        for (const auto &[id, conn] : conns) {
-            (void)id;
-            if (conn.outstanding != 0 || !conn.ready.empty() ||
-                conn.outbuf.size() != conn.outoff)
-                return false;
-        }
-        return true;
+        return inflight == 0 &&
+               std::all_of(conns.begin(), conns.end(), [](const auto &c) {
+                   return c.second.settled();
+               });
     }
 
     Status run()
@@ -783,6 +725,20 @@ struct Listener::Impl
         std::vector<uint64_t> fdConn; // conn id per pollfd (0 = none)
         Status result = Status::okStatus();
         for (;;) {
+            const Wakeup wakeup = passDeadlines();
+            if (draining) {
+                if (drainComplete())
+                    break;
+                if (wakeup.drainOverdue) {
+                    std::fprintf(stderr,
+                                 "serve: drain grace of %d ms "
+                                 "exceeded with %zu in flight — "
+                                 "closing\n",
+                                 params.drainGraceMs, inflight);
+                    break;
+                }
+            }
+
             fds.clear();
             fdConn.clear();
             fds.push_back({wakeRead, POLLIN, 0});
@@ -805,15 +761,13 @@ struct Listener::Impl
                 fdConn.push_back(id);
             }
 
-            const int timeout_ms = pollTimeoutMs();
             const int rc = ::poll(fds.data(), nfds_t(fds.size()),
-                                  timeout_ms);
+                                  wakeup.pollMs);
             if (rc < 0 && errno != EINTR) {
                 result = Status::error(ErrorCode::IoError, "poll: %s",
                                        strerror(errno));
                 break;
             }
-            const WallClock::time_point now = WallClock::now();
 
             // Wake pipe: worker completions and/or shutdown signals.
             if (rc > 0 && (fds[0].revents & POLLIN)) {
@@ -858,22 +812,6 @@ struct Listener::Impl
                 if (fds[i].revents & (POLLIN | POLLHUP))
                     handleReadable(id);
             }
-
-            enforceTimeouts(now);
-
-            if (draining) {
-                if (drainComplete())
-                    break;
-                if (msSince(drainStart, now) >
-                    double(params.drainGraceMs)) {
-                    std::fprintf(stderr,
-                                 "serve: drain grace of %d ms "
-                                 "exceeded with %zu in flight — "
-                                 "closing\n",
-                                 params.drainGraceMs, inflight);
-                    break;
-                }
-            }
         }
 
         // Close every remaining connection, stop the workers.
@@ -891,64 +829,69 @@ struct Listener::Impl
         return result;
     }
 
-    int pollTimeoutMs() const
+    /** When poll must wake next, and whether the drain ran out of
+     *  grace. */
+    struct Wakeup
     {
-        // The nearest deadline decides how long poll may sleep; 1 s
-        // bounds the wait so gauge/watchdog upkeep always runs.
-        double next = 1000.0;
-        const WallClock::time_point now = WallClock::now();
-        auto consider = [&next](double remaining) {
-            if (remaining < next)
-                next = remaining < 0.0 ? 0.0 : remaining;
-        };
-        for (const auto &[id, conn] : conns) {
-            (void)id;
-            if (conn.partialActive) {
-                consider(double(params.readTimeoutMs) -
-                         msSince(conn.partialSince, now));
-            } else if (conn.outstanding == 0) {
-                consider(double(params.idleTimeoutMs) -
-                         msSince(conn.lastActivity, now));
-            }
-        }
-        if (inflight > 0) {
-            consider(double(params.watchdogMs) -
-                     msSince(lastProgress, now));
-        }
-        if (draining) {
-            consider(double(params.drainGraceMs) -
-                     msSince(drainStart, now));
-        }
-        return int(next) + 1;
-    }
+        int pollMs = 0;
+        bool drainOverdue = false;
+    };
 
-    void enforceTimeouts(WallClock::time_point now)
+    /**
+     * One pass over every deadline: reap the connections past their
+     * read (slow-loris) or idle timeout, trip the watchdog, check the
+     * drain grace, and work out how long poll may sleep until the
+     * nearest deadline; 1 s bounds the sleep so gauge/watchdog upkeep
+     * always runs.
+     */
+    Wakeup passDeadlines()
     {
-        std::vector<uint64_t> lorises, idlers;
+        const WallClock::time_point now = WallClock::now();
+        double next_ms = 1000.0;
+        std::vector<std::pair<uint64_t, const char *>> expired;
         for (const auto &[id, conn] : conns) {
-            if (conn.partialActive &&
-                msSince(conn.partialSince, now) >
-                    double(params.readTimeoutMs)) {
-                lorises.push_back(id);
+            // The idle clock covers both the keep-alive connection with
+            // nothing to say and the stalled writer: a client that
+            // stops reading freezes lastActivity (successful writes
+            // refresh it), so pending output must NOT exempt it.
+            double left_ms;
+            const char *reason;
+            if (conn.partialActive) {
+                left_ms = double(params.readTimeoutMs) -
+                          msSince(conn.partialSince, now);
+                reason = util::names::kNetConnsClosedReadTimeoutTotal;
+            } else if (conn.outstanding == 0) {
+                left_ms = double(params.idleTimeoutMs) -
+                          msSince(conn.lastActivity, now);
+                reason = util::names::kNetConnsClosedIdleTotal;
+            } else {
                 continue;
             }
-            // Covers both the keep-alive connection with nothing to
-            // say and the stalled writer: a client that stops reading
-            // freezes lastActivity (successful writes refresh it), so
-            // pending output must NOT exempt a connection here.
-            if (!conn.partialActive && conn.outstanding == 0 &&
-                msSince(conn.lastActivity, now) >
-                    double(params.idleTimeoutMs)) {
-                idlers.push_back(id);
-            }
+            if (left_ms < 0.0)
+                expired.emplace_back(id, reason);
+            else
+                next_ms = std::min(next_ms, left_ms);
         }
-        for (uint64_t id : lorises)
-            teardown(id, util::names::kNetConnsClosedReadTimeoutTotal);
-        for (uint64_t id : idlers)
-            teardown(id, util::names::kNetConnsClosedIdleTotal);
-        if (inflight > 0 &&
-            msSince(lastProgress, now) > double(params.watchdogMs))
-            watchdogSnapshot(now);
+        for (const auto &[id, reason] : expired)
+            teardown(id, reason);
+        if (inflight > 0) {
+            double left_ms =
+                double(params.watchdogMs) - msSince(lastProgress, now);
+            if (left_ms < 0.0) {
+                watchdogSnapshot(now); // re-arms the watchdog
+                left_ms = double(params.watchdogMs);
+            }
+            next_ms = std::min(next_ms, left_ms);
+        }
+        Wakeup wakeup;
+        if (draining) {
+            const double left_ms =
+                double(params.drainGraceMs) - msSince(drainStart, now);
+            wakeup.drainOverdue = left_ms < 0.0;
+            next_ms = std::min(next_ms, std::max(left_ms, 0.0));
+        }
+        wakeup.pollMs = int(next_ms) + 1;
+        return wakeup;
     }
 };
 

@@ -84,7 +84,8 @@ struct ListenerParams
      *  file at the path is replaced. */
     std::string unixPath;
 
-    /** Worker threads executing admitted requests. */
+    /** Worker threads executing admitted requests (>= 1; start()
+     *  refuses less). */
     int workers = 1;
 
     /** Admission bound: requests in flight (queued on the worker pool
@@ -92,9 +93,9 @@ struct ListenerParams
      *  shed with `unavailable`. */
     size_t maxInflight = 8;
 
-    /** Per-connection cap on admitted-but-unanswered requests; at the
-     *  cap the connection's reads pause (TCP backpressure) so one
-     *  pipelining client cannot monopolize admission slots. */
+    /** Per-connection cap on admitted-but-unanswered requests (>= 1);
+     *  at the cap the connection's reads pause (TCP backpressure) so
+     *  one pipelining client cannot monopolize admission slots. */
     size_t maxPipelined = 4;
 
     /** Concurrent connection cap; excess accepts are closed. */

@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -12,6 +11,7 @@
 #include <thread>
 
 #include "net/client.hh"
+#include "net/socket.hh"
 #include "obs/timer.hh"
 #include "util/json.hh"
 
@@ -94,8 +94,12 @@ runConnection(const LoadGenParams &params, int conn_index,
         return;
     }
     const int fd = client->fd();
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+    const Status nonblocking = setNonBlocking(fd);
+    if (!nonblocking.ok()) {
+        stats->connectionError = true;
+        stats->error = nonblocking.toString();
+        return;
+    }
 
     // Pacing: each connection sends its 1/connections share of the
     // aggregate target, staggered by index so arrivals interleave.
@@ -108,8 +112,11 @@ runConnection(const LoadGenParams &params, int conn_index,
             interval_ns * double(conn_index) /
             double(params.connections > 0 ? params.connections : 1)));
 
-    std::string outbuf, rxbuf;
+    std::string outbuf;
     size_t outoff = 0;
+    FrameDecoder rx(kMaxResponseLineBytes);
+    std::string response;
+    Status rx_error;
     std::deque<Pending> pending;
     size_t line_idx = size_t(conn_index);
     bool sending = true;
@@ -181,24 +188,11 @@ runConnection(const LoadGenParams &params, int conn_index,
             continue;
 
         if (pfd.revents & POLLOUT) {
-            while (outoff < outbuf.size()) {
-                const ssize_t n =
-                    ::send(fd, outbuf.data() + outoff,
-                           outbuf.size() - outoff, MSG_NOSIGNAL);
-                if (n < 0) {
-                    if (errno == EINTR)
-                        continue;
-                    if (errno == EAGAIN || errno == EWOULDBLOCK)
-                        break;
-                    stats->error =
-                        std::string("send: ") + strerror(errno);
-                    goto done;
-                }
-                outoff += size_t(n);
-            }
-            if (outoff == outbuf.size()) {
-                outbuf.clear();
-                outoff = 0;
+            const Result<size_t> sent =
+                flushNonBlocking(fd, &outbuf, &outoff);
+            if (!sent.ok()) {
+                stats->error = sent.status().message();
+                break;
             }
         }
 
@@ -221,46 +215,40 @@ runConnection(const LoadGenParams &params, int conn_index,
                 }
                 break;
             }
-            rxbuf.append(buf, size_t(n));
-            size_t start = 0;
-            for (;;) {
-                const size_t nl = rxbuf.find('\n', start);
-                if (nl == std::string::npos)
+            rx.feed(buf, size_t(n));
+            FrameDecoder::Next next;
+            while ((next = rx.next(&response, &rx_error)) ==
+                   FrameDecoder::Next::Frame) {
+                if (pending.empty())
+                    continue;
+                const WallClock::time_point at = WallClock::now();
+                const double lat_ns =
+                    obs::wallDeltaNs(pending.front().due, at);
+                stats->inflightNs +=
+                    obs::wallDeltaNs(pending.front().sent, at);
+                pending.pop_front();
+                ++stats->received;
+                stats->lat.sample(lat_ns);
+                switch (classify(response)) {
+                  case ResponseClass::Ok:
+                    ++stats->ok;
+                    stats->okLat.sample(lat_ns);
                     break;
-                size_t end = nl;
-                if (end > start && rxbuf[end - 1] == '\r')
-                    --end;
-                if (end > start && !pending.empty()) {
-                    const std::string line =
-                        rxbuf.substr(start, end - start);
-                    const WallClock::time_point at = WallClock::now();
-                    const double lat_ns =
-                        obs::wallDeltaNs(pending.front().due, at);
-                    stats->inflightNs +=
-                        obs::wallDeltaNs(pending.front().sent, at);
-                    pending.pop_front();
-                    ++stats->received;
-                    stats->lat.sample(lat_ns);
-                    switch (classify(line)) {
-                      case ResponseClass::Ok:
-                        ++stats->ok;
-                        stats->okLat.sample(lat_ns);
-                        break;
-                      case ResponseClass::Unavailable:
-                        ++stats->unavailable;
-                        stats->shedLat.sample(lat_ns);
-                        break;
-                      case ResponseClass::Failed:
-                        ++stats->failed;
-                        break;
-                    }
+                  case ResponseClass::Unavailable:
+                    ++stats->unavailable;
+                    stats->shedLat.sample(lat_ns);
+                    break;
+                  case ResponseClass::Failed:
+                    ++stats->failed;
+                    break;
                 }
-                start = nl + 1;
             }
-            rxbuf.erase(0, start);
+            if (next == FrameDecoder::Next::Error) {
+                stats->error = rx_error.message();
+                break;
+            }
         }
     }
-done:
     const WallClock::time_point stop = WallClock::now();
     for (const Pending &p : pending)
         stats->inflightNs += obs::wallDeltaNs(p.sent, stop);

@@ -3,7 +3,7 @@
  * Tests for the socket front-end (DESIGN.md §14): frame decoding,
  * admission control and shedding, per-connection pipelining caps,
  * concurrent-client byte-identity with the `serve --batch` path,
- * counter reconciliation, fault handling (malformed frames, oversized
+ * counter reconciliation, fault handling (non-JSON lines, oversized
  * lines, slow-loris, idle connections) and drain-on-shutdown.
  */
 
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -81,18 +82,20 @@ TEST(FrameDecoder, ReassemblesAcrossFeeds)
     EXPECT_FALSE(d.hasPartial());
 }
 
-TEST(FrameDecoder, AcceptsLengthPrefixedFrames)
+TEST(FrameDecoder, LineStartingWithADigitIsAnOrdinaryFrame)
 {
+    // Only newlines frame the stream: a leading digit is not a length
+    // prefix, so the line comes back whole for the service to judge.
     FrameDecoder d(1024);
-    // A length-framed payload may contain raw newlines.
-    const std::string in = "6:a\nb\ncd{\"x\": 1}\n";
+    const std::string in = "123xyz\n6:a\n{\"x\": 1}\n";
     d.feed(in.data(), in.size());
     std::string frame;
     Status err;
-    ASSERT_EQ(d.next(&frame, &err), FrameDecoder::Next::Frame);
-    EXPECT_EQ(frame, "a\nb\ncd"); // 6 bytes, newlines included
-    ASSERT_EQ(d.next(&frame, &err), FrameDecoder::Next::Frame);
-    EXPECT_EQ(frame, "{\"x\": 1}");
+    for (const char *want : {"123xyz", "6:a", "{\"x\": 1}"}) {
+        ASSERT_EQ(d.next(&frame, &err), FrameDecoder::Next::Frame);
+        EXPECT_EQ(frame, want);
+    }
+    EXPECT_EQ(d.next(&frame, &err), FrameDecoder::Next::NeedMore);
 }
 
 TEST(FrameDecoder, SwallowsBlankKeepAlives)
@@ -121,28 +124,6 @@ TEST(FrameDecoder, RejectsOversizedLines)
     const std::string more = "{\"a\": 1}\n";
     d.feed(more.data(), more.size());
     EXPECT_EQ(d.next(&frame, &err), FrameDecoder::Next::Error);
-}
-
-TEST(FrameDecoder, RejectsOversizedLengthPrefix)
-{
-    FrameDecoder d(16);
-    const std::string in = "4096:";
-    d.feed(in.data(), in.size());
-    std::string frame;
-    Status err;
-    ASSERT_EQ(d.next(&frame, &err), FrameDecoder::Next::Error);
-    EXPECT_EQ(err.code(), ErrorCode::InvalidArgument);
-}
-
-TEST(FrameDecoder, RejectsMalformedLengthPrefix)
-{
-    FrameDecoder d(1024);
-    const std::string in = "123xyz";
-    d.feed(in.data(), in.size());
-    std::string frame;
-    Status err;
-    ASSERT_EQ(d.next(&frame, &err), FrameDecoder::Next::Error);
-    EXPECT_EQ(err.code(), ErrorCode::InvalidArgument);
 }
 
 // ------------------------------------------------------------ parseHostPort
@@ -179,8 +160,10 @@ quickRequest(const std::string &id)
            "\"cores\": 6, \"warmup_us\": 5, \"measure_us\": 10}";
 }
 
-/** The profile cache must be on disk before worker threads serve
- *  concurrently (they must never race to measure + write it). */
+/** Load (or measure once) skl's profile before a timed test, so no
+ *  request waits on a characterization and every compared response
+ *  comes from the saved profile (a fresh measurement differs from its
+ *  disk round-trip in the last digits). */
 void
 warmProfileCache()
 {
@@ -450,8 +433,20 @@ TEST(Listener, ShedsBeyondAdmissionCapacityWithStructuredUnavailable)
     EXPECT_EQ(server.counter("net.requests_admitted_total"), 0u);
 }
 
-TEST(Listener, MalformedFrameGetsOneErrorThenClose)
+TEST(Listener, DigitLeadingLineIsAnsweredLikeTheBatchPathAndStaysOpen)
 {
+    // The batch path's answer to the same line is the expectation: a
+    // line that is not JSON is corrupt-data, like any other.
+    core::ResultCache batch_cache;
+    service::RunService::Params sp;
+    sp.cache = &batch_cache;
+    service::RunService svc(sp);
+    std::vector<service::RunResponse> rs = svc.serveLines({"123xyz"});
+    ASSERT_EQ(rs.size(), 1u);
+    EXPECT_EQ(rs[0].status.code(), ErrorCode::CorruptData);
+    const std::string expected = service::renderRunResponse(rs[0]);
+
+    warmProfileCache();
     TestServer server(ListenerParams{});
     util::Result<BlockingClient> client =
         BlockingClient::connectTcp("127.0.0.1", server.port());
@@ -459,27 +454,20 @@ TEST(Listener, MalformedFrameGetsOneErrorThenClose)
     ASSERT_TRUE(client->sendAll("123xyz\n").ok());
     util::Result<std::string> line = client->recvLine(15000);
     ASSERT_TRUE(line.ok()) << line.status().toString();
-    EXPECT_NE(line->find("\"code\": \"invalid-argument\""),
-              std::string::npos)
-        << *line;
-    // The stream is unrecoverable, so the server closes it...
-    util::Result<std::string> eof = client->recvLine(15000);
-    ASSERT_FALSE(eof.ok());
-    EXPECT_EQ(eof.status().code(), ErrorCode::IoError);
+    EXPECT_EQ(*line, expected);
 
-    // ...while new connections keep working.
-    util::Result<BlockingClient> fresh =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
-    ASSERT_TRUE(fresh.ok()) << fresh.status().toString();
-    warmProfileCache();
-    ASSERT_TRUE(fresh->sendAll(quickRequest("ok1") + "\n").ok());
-    util::Result<std::string> fresh_line = fresh->recvLine(30000);
-    ASSERT_TRUE(fresh_line.ok()) << fresh_line.status().toString();
-    EXPECT_NE(fresh_line->find("\"id\": \"ok1\""), std::string::npos);
+    // The line was a request, not a framing violation: the connection
+    // stays open and answers the next request.
+    ASSERT_TRUE(client->sendAll(quickRequest("ok1") + "\n").ok());
+    util::Result<std::string> next = client->recvLine(30000);
+    ASSERT_TRUE(next.ok()) << next.status().toString();
+    EXPECT_NE(next->find("\"id\": \"ok1\""), std::string::npos) << *next;
+    EXPECT_NE(next->find("\"code\": \"ok\""), std::string::npos) << *next;
 
     Status run = server.stop();
     EXPECT_TRUE(run.ok()) << run.toString();
-    EXPECT_EQ(server.counter("net.requests_malformed_total"), 1u);
+    EXPECT_EQ(server.counter("net.requests_malformed_total"), 0u);
+    EXPECT_EQ(server.counter("net.requests_received_total"), 2u);
 }
 
 TEST(Listener, OversizedLineIsRejectedNotBuffered)
@@ -540,19 +528,25 @@ TEST(Listener, IdleConnectionIsReaped)
 TEST(Listener, NonPositiveTimeoutIsRefused)
 {
     // Every timeout is armed; 0 or less is a bad input, not "off".
-    for (int ListenerParams::*field :
-         {&ListenerParams::idleTimeoutMs, &ListenerParams::readTimeoutMs,
-          &ListenerParams::watchdogMs, &ListenerParams::drainGraceMs}) {
+    // Likewise no worker or no pipelined request is refused, never
+    // quietly raised to 1.
+    auto refused = [](const std::function<void(ListenerParams &)> &set) {
         ListenerParams params;
         params.tcpPort = 0;
         params.handler = [](const std::string &, uint64_t) {
             return HandlerResult{};
         };
-        params.*field = 0;
+        set(params);
         Listener listener(std::move(params));
         Status s = listener.start();
         EXPECT_EQ(s.code(), ErrorCode::InvalidArgument) << s.toString();
-    }
+    };
+    for (int ListenerParams::*field :
+         {&ListenerParams::idleTimeoutMs, &ListenerParams::readTimeoutMs,
+          &ListenerParams::watchdogMs, &ListenerParams::drainGraceMs,
+          &ListenerParams::workers})
+        refused([field](ListenerParams &p) { p.*field = 0; });
+    refused([](ListenerParams &p) { p.maxPipelined = 0; });
 }
 
 TEST(Listener, MidRequestDisconnectDoesNotDisturbOthers)

@@ -127,12 +127,6 @@ runListener(const ServeRequest &r, const Context &ctx,
     obs::MetricRegistry &registry = ctx.registry;
     lp.registry = &registry;
 
-    // Warm every platform's X-Mem profile once, up front: worker
-    // threads must never race to measure + write the same profile
-    // file on their first request.
-    for (const platforms::Platform &p : platforms::allPlatforms())
-        (void)profileFor(p);
-
     const std::string tcp_host = lp.tcpHost;
     net::Listener listener(std::move(lp));
     LLL_RETURN_IF_ERROR(listener.start());
