@@ -56,23 +56,25 @@ BlockingClient::connect(const Result<SocketAddress> &addr)
         ::close(fd);
         return s;
     }
-    if (addr->family() == AF_INET) {
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
     return BlockingClient(fd);
 }
 
 Result<BlockingClient>
 BlockingClient::connectTcp(const std::string &host, int port)
 {
-    return connect(socketAddress(host, port, ""));
+    Result<BlockingClient> client = connect(inetAddress(host, port));
+    if (client.ok()) {
+        const int one = 1;
+        ::setsockopt(client->fd(), IPPROTO_TCP, TCP_NODELAY, &one,
+                     sizeof(one));
+    }
+    return client;
 }
 
 Result<BlockingClient>
 BlockingClient::connectUnix(const std::string &path)
 {
-    return connect(socketAddress("", 0, path));
+    return connect(unixAddress(path));
 }
 
 Status

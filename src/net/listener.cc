@@ -263,12 +263,10 @@ struct Listener::Impl
             return Status::error(ErrorCode::IoError, "socket: %s",
                                  strerror(errno));
         }
-        if (addr->family() == AF_INET) {
-            const int one = 1;
-            ::setsockopt(*fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        } else {
-            ::unlink(addr->name.c_str()); // stale socket file
-        }
+        // Lets a restarted server rebind a TCP port still in TIME_WAIT;
+        // a unix socket ignores it.
+        const int one = 1;
+        ::setsockopt(*fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
         if (::bind(*fd, addr->get(), addr->size) < 0) {
             return Status::error(ErrorCode::IoError, "bind %s: %s",
                                  addr->name.c_str(), strerror(errno));
@@ -284,7 +282,7 @@ struct Listener::Impl
     {
         if (params.tcpPort >= 0) {
             LLL_RETURN_IF_ERROR(listenOn(
-                socketAddress(params.tcpHost, params.tcpPort, ""), &tcpFd));
+                inetAddress(params.tcpHost, params.tcpPort), &tcpFd));
             sockaddr_in bound;
             socklen_t len = sizeof(bound);
             if (::getsockname(tcpFd, reinterpret_cast<sockaddr *>(&bound),
@@ -292,8 +290,10 @@ struct Listener::Impl
                 boundPort = ntohs(bound.sin_port);
         }
         if (!params.unixPath.empty()) {
-            LLL_RETURN_IF_ERROR(
-                listenOn(socketAddress("", 0, params.unixPath), &unixFd));
+            const Result<SocketAddress> addr = unixAddress(params.unixPath);
+            if (addr.ok())
+                ::unlink(params.unixPath.c_str()); // stale socket file
+            LLL_RETURN_IF_ERROR(listenOn(addr, &unixFd));
         }
         return Status::okStatus();
     }
@@ -471,16 +471,17 @@ struct Listener::Impl
         if (cit == conns.end())
             return true;
         Conn &conn = cit->second;
-        const Result<size_t> sent =
-            flushNonBlocking(conn.fd, &conn.outbuf, &conn.outoff);
-        if (!sent.ok()) {
+        size_t sent = 0;
+        const Status flushed =
+            flushNonBlocking(conn.fd, &conn.outbuf, &conn.outoff, &sent);
+        if (sent > 0) {
+            m->bytesWritten.increment(sent);
+            conn.lastActivity = WallClock::now();
+        }
+        if (!flushed.ok()) {
             // EPIPE/ECONNRESET: the client is gone.
             teardown(conn_id, util::names::kNetConnsClosedErrorTotal);
             return true;
-        }
-        if (*sent > 0) {
-            m->bytesWritten.increment(*sent);
-            conn.lastActivity = WallClock::now();
         }
         const size_t pending = conn.outbuf.size() - conn.outoff;
         if (pending >= params.maxWriteBuffer) {

@@ -188,10 +188,11 @@ runConnection(const LoadGenParams &params, int conn_index,
             continue;
 
         if (pfd.revents & POLLOUT) {
-            const Result<size_t> sent =
-                flushNonBlocking(fd, &outbuf, &outoff);
-            if (!sent.ok()) {
-                stats->error = sent.status().message();
+            size_t sent = 0;
+            const Status flushed =
+                flushNonBlocking(fd, &outbuf, &outoff, &sent);
+            if (!flushed.ok()) {
+                stats->error = flushed.message();
                 break;
             }
         }

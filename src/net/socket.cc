@@ -15,24 +15,8 @@ using util::Result;
 using util::Status;
 
 Result<SocketAddress>
-socketAddress(const std::string &host, int port,
-              const std::string &unix_path)
+inetAddress(const std::string &host, int port)
 {
-    SocketAddress addr;
-    if (!unix_path.empty()) {
-        sockaddr_un sa{};
-        sa.sun_family = AF_UNIX;
-        if (unix_path.size() >= sizeof(sa.sun_path)) {
-            return Status::error(ErrorCode::InvalidArgument,
-                                 "unix socket path longer than %zu bytes",
-                                 sizeof(sa.sun_path) - 1);
-        }
-        std::memcpy(sa.sun_path, unix_path.c_str(), unix_path.size() + 1);
-        std::memcpy(&addr.storage, &sa, sizeof(sa));
-        addr.size = sizeof(sa);
-        addr.name = unix_path;
-        return addr;
-    }
     sockaddr_in sa{};
     sa.sin_family = AF_INET;
     sa.sin_port = htons(uint16_t(port));
@@ -41,9 +25,28 @@ socketAddress(const std::string &host, int port,
                              "bad host '%s' (IPv4 dotted quad expected)",
                              host.c_str());
     }
+    SocketAddress addr;
     std::memcpy(&addr.storage, &sa, sizeof(sa));
     addr.size = sizeof(sa);
     addr.name = host + ":" + std::to_string(port);
+    return addr;
+}
+
+Result<SocketAddress>
+unixAddress(const std::string &path)
+{
+    sockaddr_un sa{};
+    sa.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(sa.sun_path)) {
+        return Status::error(ErrorCode::InvalidArgument,
+                             "unix socket path longer than %zu bytes",
+                             sizeof(sa.sun_path) - 1);
+    }
+    std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
+    SocketAddress addr;
+    std::memcpy(&addr.storage, &sa, sizeof(sa));
+    addr.size = sizeof(sa);
+    addr.name = path;
     return addr;
 }
 
@@ -58,10 +61,10 @@ setNonBlocking(int fd)
     return Status::okStatus();
 }
 
-Result<size_t>
-flushNonBlocking(int fd, std::string *buf, size_t *off)
+Status
+flushNonBlocking(int fd, std::string *buf, size_t *off, size_t *sent)
 {
-    size_t sent = 0;
+    *sent = 0;
     while (*off < buf->size()) {
         const ssize_t n = ::send(fd, buf->data() + *off, buf->size() - *off,
                                  MSG_NOSIGNAL);
@@ -74,13 +77,13 @@ flushNonBlocking(int fd, std::string *buf, size_t *off)
                                  strerror(errno));
         }
         *off += size_t(n);
-        sent += size_t(n);
+        *sent += size_t(n);
     }
     if (*off == buf->size()) {
         buf->clear();
         *off = 0;
     }
-    return sent;
+    return Status::okStatus();
 }
 
 } // namespace lll::net

@@ -30,14 +30,14 @@ struct SocketAddress
     }
 };
 
-/**
- * The unix-domain address @p unix_path or, when it is empty, the IPv4
- * address @p host:@p port.  InvalidArgument when @p host is not a
- * dotted quad or @p unix_path does not fit in sun_path.
- */
-[[nodiscard]] util::Result<SocketAddress>
-socketAddress(const std::string &host, int port,
-              const std::string &unix_path);
+/** The IPv4 address @p host:@p port; InvalidArgument when @p host is
+ *  not a dotted quad. */
+[[nodiscard]] util::Result<SocketAddress> inetAddress(const std::string &host,
+                                                      int port);
+
+/** The unix-domain address @p path; InvalidArgument when it does not
+ *  fit in sun_path. */
+[[nodiscard]] util::Result<SocketAddress> unixAddress(const std::string &path);
 
 /** Set O_NONBLOCK on @p fd; IoError when fcntl fails. */
 [[nodiscard]] util::Status setNonBlocking(int fd);
@@ -45,12 +45,12 @@ socketAddress(const std::string &host, int port,
 /**
  * Send @p *buf from @p *off on the non-blocking socket @p fd until it
  * is all out or the socket would block, retrying EINTR; empties the
- * buffer once all of it is sent.  Returns the bytes sent by this call,
- * or an IoError for any other send() failure (the peer is gone).
+ * buffer once all of it is sent.  @p *sent is the bytes this call sent,
+ * also when it fails.  IoError for any send() failure but EAGAIN (the
+ * peer is gone).
  */
-[[nodiscard]] util::Result<size_t> flushNonBlocking(int fd,
-                                                    std::string *buf,
-                                                    size_t *off);
+[[nodiscard]] util::Status flushNonBlocking(int fd, std::string *buf,
+                                            size_t *off, size_t *sent);
 
 } // namespace lll::net
 
