@@ -474,6 +474,9 @@ TEST(Listener, OversizedLineIsRejectedNotBuffered)
 {
     ListenerParams params;
     params.maxFrameBytes = 128;
+    // Longer than the waits below, so only the close that follows the
+    // error can end the connection within them.
+    params.readTimeoutMs = 60000;
     TestServer server(params);
     util::Result<BlockingClient> client =
         BlockingClient::connectTcp("127.0.0.1", server.port());
@@ -486,6 +489,17 @@ TEST(Listener, OversizedLineIsRejectedNotBuffered)
               std::string::npos)
         << *line;
     EXPECT_NE(line->find("limit"), std::string::npos) << *line;
+    // The rest of the line was dropped unread, so the stream cannot be
+    // re-synchronized: the server closes it.
+    util::Result<std::string> eof = client->recvLine(15000);
+    ASSERT_FALSE(eof.ok());
+    EXPECT_EQ(eof.status().code(), ErrorCode::IoError);
+
+    Status run = server.stop();
+    EXPECT_TRUE(run.ok()) << run.toString();
+    EXPECT_EQ(server.counter(util::names::kNetRequestsMalformedTotal), 1u);
+    EXPECT_EQ(server.counter(util::names::kNetConnsClosedProtocolTotal),
+              1u);
 }
 
 TEST(Listener, SlowLorisConnectionIsReaped)
