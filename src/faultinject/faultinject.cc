@@ -466,7 +466,7 @@ runAll(const Options &opts)
     report.entries.push_back(profileByteFuzzScenario(opts));
 
     // The socket front-end under hostile clients.
-    for (ScenarioResult &r : listenerScenarios(opts))
+    for (ScenarioResult &r : listenerScenarios())
         report.entries.push_back(std::move(r));
 
     std::filesystem::remove_all(dir, ec);

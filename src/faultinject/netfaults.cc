@@ -11,16 +11,14 @@
 #include "faultinject/faultinject.hh"
 
 #include <initializer_list>
-#include <memory>
-#include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/sweep.hh"
 #include "net/client.hh"
-#include "net/listener.hh"
 #include "net/serve_handler.hh"
-#include "obs/registry.hh"
 #include "util/json.hh"
+#include "util/names.hh"
 #include "util/status.hh"
 
 namespace lll::faultinject
@@ -44,91 +42,6 @@ quickRequestLine(const char *workload = "isx")
     req.warmupUs = 5;
     req.measureUs = 10;
     return core::requestLine(req, "ctl") + "\n";
-}
-
-/** An in-process listener on an ephemeral loopback port. */
-class NetServer
-{
-  public:
-    explicit NetServer(net::ListenerParams params)
-    {
-        net::ServeHandlerParams hp;
-        hp.cache = &cache_;
-        params.tcpPort = 0;
-        if (!params.handler)
-            params.handler = net::ServeHandler(hp);
-        params.registry = &registry_;
-        listener_ =
-            std::make_unique<net::Listener>(std::move(params));
-        startStatus_ = listener_->start();
-        if (startStatus_.ok()) {
-            thread_ = std::thread(
-                [this] { runStatus_ = listener_->run(); });
-        }
-    }
-
-    ~NetServer()
-    {
-        if (thread_.joinable())
-            stop();
-    }
-
-    Status stop()
-    {
-        listener_->requestShutdown();
-        thread_.join();
-        return runStatus_;
-    }
-
-    /** A client connection, or why there is none (the listener's
-     *  start error first). */
-    util::Result<BlockingClient> connect()
-    {
-        if (!startStatus_.ok())
-            return startStatus_;
-        return BlockingClient::connectTcp("127.0.0.1",
-                                          listener_->tcpPort());
-    }
-
-  private:
-    core::ResultCache cache_;
-    obs::MetricRegistry registry_;
-    std::unique_ptr<net::Listener> listener_;
-    std::thread thread_;
-    Status startStatus_;
-    Status runStatus_;
-};
-
-/** The cross-scenario invariant: a fresh, polite connection is still
- *  answered (any structured response line counts — with admission
- *  disabled the answer is a well-formed `unavailable`).  The control
- *  request names no workload, so the handler answers it `not-found`
- *  without a simulation that could outlast the wait. */
-bool
-controlStillServed(NetServer &server, std::string *detail)
-{
-    util::Result<BlockingClient> client = server.connect();
-    if (!client.ok()) {
-        *detail = "control connect failed: " +
-                  client.status().toString();
-        return false;
-    }
-    Status sent = client->sendAll(quickRequestLine("no-such-workload"));
-    if (!sent.ok()) {
-        *detail = "control send failed: " + sent.toString();
-        return false;
-    }
-    util::Result<std::string> line = client->recvLine(30000);
-    if (!line.ok()) {
-        *detail = "control response missing: " +
-                  line.status().toString();
-        return false;
-    }
-    if (line->find("\"status\"") == std::string::npos) {
-        *detail = "control response unstructured: " + *line;
-        return false;
-    }
-    return true;
 }
 
 /** The `status.code` of response @p line if it answers request @p id;
@@ -171,30 +84,108 @@ expectResponses(BlockingClient &client,
     return true;
 }
 
+/** A connection to @p server that has sent @p payload, or the connect
+ *  or send error. */
+util::Result<BlockingClient>
+connectAndSend(net::LocalServer &server, const std::string &payload)
+{
+    util::Result<BlockingClient> client = server.connect();
+    if (client.ok()) {
+        Status sent = client->sendAll(payload);
+        if (!sent.ok())
+            return sent;
+    }
+    return client;
+}
+
+/** The cross-scenario invariant: a fresh, polite connection is still
+ *  answered, with @p code under @p id.  The control request names no
+ *  workload, so the handler answers it `not-found` without a
+ *  simulation that could outlast the wait; with admission disabled it
+ *  is shed `unavailable` under its positional id. */
+bool
+controlStillServed(net::LocalServer &server, std::string *detail,
+                   const char *id = "ctl", const char *code = "not-found")
+{
+    util::Result<BlockingClient> client =
+        connectAndSend(server, quickRequestLine("no-such-workload"));
+    if (!client.ok()) {
+        *detail = "control request failed: " + client.status().toString();
+        return false;
+    }
+    return expectResponses(*client, {{id, code}}, detail);
+}
+
+/** Stop @p server and check that its run() ended ok and that each
+ *  named net.* counter reads its value; false with @p *detail set on
+ *  the first that does not. */
+bool
+stopsWithCounters(
+    net::LocalServer &server,
+    std::initializer_list<std::pair<const char *, uint64_t>> want,
+    std::string *detail)
+{
+    Status run = server.stop();
+    if (!run.ok()) {
+        *detail = "listener run failed: " + run.toString();
+        return false;
+    }
+    for (const auto &[name, value] : want) {
+        const uint64_t got = server.counter(name);
+        if (got != value) {
+            *detail = std::string(name) + " is " + std::to_string(got) +
+                      ", expected " + std::to_string(value);
+            return false;
+        }
+    }
+    return true;
+}
+
 ScenarioResult
 malformedFrameScenario()
 {
     ScenarioResult r;
     r.scenario = "listener-malformed-frame";
-    NetServer server((net::ListenerParams()));
-    util::Result<BlockingClient> client = server.connect();
+    net::LocalServer server((net::ListenerParams()));
+    // A line that starts with a digit is a request like any other: it
+    // gets the batch path's own answer to that line, byte for byte,
+    // and the connection goes on to answer the next request.  Called
+    // here, off the listener, the handler renders that answer with the
+    // batch path's serveLines + renderRunResponse.
+    const net::HandlerResult batch =
+        net::ServeHandler(net::ServeHandlerParams())("123xyz", 1);
+    if (!batch.failed || responseCode(batch.line, "#1") != "corrupt-data") {
+        r.detail = "the batch path did not answer '123xyz' corrupt-data: " +
+                   batch.line;
+        return r;
+    }
+    util::Result<BlockingClient> client =
+        connectAndSend(server, "123xyz\n" + quickRequestLine());
     if (!client.ok()) {
         r.detail = client.status().toString();
         return r;
     }
-    // A line that starts with a digit is a request like any other: the
-    // service answers it corrupt-data, as a batch file's line, and the
-    // connection goes on to answer the next request.
-    if (!client->sendAll("123xyz\n" + quickRequestLine()).ok()) {
-        r.detail = "send failed";
+    util::Result<std::string> line = client->recvLine(30000);
+    if (!line.ok()) {
+        r.detail = "response missing: " + line.status().toString();
         return r;
     }
-    if (!expectResponses(*client, {{"#1", "corrupt-data"}, {"ctl", "ok"}},
-                         &r.detail))
+    if (*line != batch.line) {
+        r.detail = "expected the batch path's " + batch.line + ", got: " +
+                   *line;
+        return r;
+    }
+    if (!expectResponses(*client, {{"ctl", "ok"}}, &r.detail))
+        return r;
+    // A request, not a framing violation: nothing counted malformed.
+    if (!stopsWithCounters(server,
+                           {{util::names::kNetRequestsMalformedTotal, 0},
+                            {util::names::kNetRequestsReceivedTotal, 2}},
+                           &r.detail))
         return r;
     r.passed = true;
-    r.detail = "corrupt-data for the non-JSON line, then ok for the next "
-               "request on the same connection";
+    r.detail = "the batch path's corrupt-data for the non-JSON line, then "
+               "ok for the next request on the same connection";
     return r;
 }
 
@@ -208,14 +199,11 @@ oversizedLineScenario()
     // Longer than the waits below, so only the close that follows the
     // error can end the connection within them.
     params.readTimeoutMs = 60000;
-    NetServer server(params);
-    util::Result<BlockingClient> client = server.connect();
+    net::LocalServer server(params);
+    util::Result<BlockingClient> client =
+        connectAndSend(server, std::string(4096, 'x') + "\n");
     if (!client.ok()) {
         r.detail = client.status().toString();
-        return r;
-    }
-    if (!client->sendAll(std::string(4096, 'x') + "\n").ok()) {
-        r.detail = "send failed";
         return r;
     }
     util::Result<std::string> line = client->recvLine(15000);
@@ -236,6 +224,12 @@ oversizedLineScenario()
     // ...and the server must keep serving.
     if (!controlStillServed(server, &r.detail))
         return r;
+    if (!stopsWithCounters(
+            server,
+            {{util::names::kNetRequestsMalformedTotal, 1},
+             {util::names::kNetConnsClosedProtocolTotal, 1}},
+            &r.detail))
+        return r;
     r.passed = true;
     r.detail = "4 KiB line rejected at a 256-byte limit without "
                "buffering it, then close; control connection served";
@@ -249,15 +243,12 @@ slowLorisScenario()
     r.scenario = "listener-slow-loris";
     net::ListenerParams params;
     params.readTimeoutMs = 150;
-    NetServer server(params);
-    util::Result<BlockingClient> client = server.connect();
+    net::LocalServer server(params);
+    // A frame that never completes: a few bytes, then silence.
+    util::Result<BlockingClient> client =
+        connectAndSend(server, "{\"schema_version\":");
     if (!client.ok()) {
         r.detail = client.status().toString();
-        return r;
-    }
-    // A frame that never completes: a few bytes, then silence.
-    if (!client->sendAll("{\"schema_version\":").ok()) {
-        r.detail = "send failed";
         return r;
     }
     util::Result<std::string> eof = client->recvLine(15000);
@@ -272,6 +263,10 @@ slowLorisScenario()
         return r;
     }
     if (!controlStillServed(server, &r.detail))
+        return r;
+    if (!stopsWithCounters(
+            server, {{util::names::kNetConnsClosedReadTimeoutTotal, 1}},
+            &r.detail))
         return r;
     r.passed = true;
     r.detail = "partial frame reaped by the read timeout; control "
@@ -289,20 +284,18 @@ midRequestDisconnectScenario()
     // meanwhile instead of queueing it behind that simulation.
     net::ListenerParams params;
     params.workers = 2;
-    NetServer server(params);
+    net::LocalServer server(params);
     {
-        util::Result<BlockingClient> rude = server.connect();
+        util::Result<BlockingClient> rude =
+            connectAndSend(server, quickRequestLine());
         if (!rude.ok()) {
             r.detail = rude.status().toString();
             return r;
         }
-        if (!rude->sendAll(quickRequestLine()).ok()) {
-            r.detail = "send failed";
-            return r;
-        }
         rude->close(); // gone before the response exists
     }
-    if (!controlStillServed(server, &r.detail))
+    if (!controlStillServed(server, &r.detail) ||
+        !stopsWithCounters(server, {}, &r.detail))
         return r;
     r.passed = true;
     r.detail = "request orphaned by disconnect; control connection "
@@ -326,7 +319,7 @@ neverReadsScenario()
     params.maxPipelined = 64;
     params.readTimeoutMs = 400;
     params.idleTimeoutMs = 400;
-    NetServer server(params);
+    net::LocalServer server(params);
     util::Result<BlockingClient> client = server.connect();
     if (!client.ok()) {
         r.detail = client.status().toString();
@@ -346,7 +339,7 @@ neverReadsScenario()
                    "requests and reads nothing";
         return r;
     }
-    if (!controlStillServed(server, &r.detail))
+    if (!controlStillServed(server, &r.detail, "#1", "unavailable"))
         return r;
     r.passed = true;
     r.detail = "flooding non-reader stalled and was reaped; control "
@@ -359,12 +352,7 @@ wedgedRequestScenario()
 {
     ScenarioResult r;
     r.scenario = "listener-wedged-request";
-    NetServer server((net::ListenerParams()));
-    util::Result<BlockingClient> client = server.connect();
-    if (!client.ok()) {
-        r.detail = client.status().toString();
-        return r;
-    }
+    net::LocalServer server((net::ListenerParams()));
     // An inline random stream that thinks 1e12 cycles between requests
     // stops the event queue draining; the simulator's watchdog fails
     // that request alone, and the control line behind it on the same
@@ -376,10 +364,11 @@ wedgedRequestScenario()
     wedge.spec.computeCyclesPerOp = 1e12;
     wedge.spec.streams = {{.kind = sim::StreamDesc::Kind::Random}};
     wedge.randomDominated = true;
-    if (!client->sendAll(core::requestLine(wedge, "wedge") + "\n" +
-                         quickRequestLine())
-             .ok()) {
-        r.detail = "send failed";
+    util::Result<BlockingClient> client = connectAndSend(
+        server, core::requestLine(wedge, "wedge") + "\n" +
+                    quickRequestLine());
+    if (!client.ok()) {
+        r.detail = client.status().toString();
         return r;
     }
     if (!expectResponses(*client,
@@ -395,9 +384,8 @@ wedgedRequestScenario()
 } // namespace
 
 std::vector<ScenarioResult>
-listenerScenarios(const Options &opts)
+listenerScenarios()
 {
-    (void)opts; // deterministic scenarios; no fuzz stage yet
     std::vector<ScenarioResult> results;
     results.push_back(malformedFrameScenario());
     results.push_back(oversizedLineScenario());

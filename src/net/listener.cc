@@ -8,6 +8,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -131,6 +132,7 @@ struct Listener::Impl
     // ---- sockets --------------------------------------------------
     int tcpFd = -1;
     int unixFd = -1;
+    bool unixBound = false; //!< this listener made the file at unixPath
     int wakeRead = -1;
     int wakeWrite = -1;
     int boundPort = 0;
@@ -253,8 +255,10 @@ struct Listener::Impl
         [[maybe_unused]] ssize_t n = ::write(wakeWrite, &b, 1);
     }
 
-    /** Bind, listen and go non-blocking on @p addr into @p *fd. */
-    static Status listenOn(const Result<SocketAddress> &addr, int *fd)
+    /** Bind, listen and go non-blocking on @p addr into @p *fd;
+     *  @p *bound (when given) is set once bind() succeeds. */
+    static Status listenOn(const Result<SocketAddress> &addr, int *fd,
+                           bool *bound = nullptr)
     {
         if (!addr.ok())
             return addr.status();
@@ -271,6 +275,8 @@ struct Listener::Impl
             return Status::error(ErrorCode::IoError, "bind %s: %s",
                                  addr->name.c_str(), strerror(errno));
         }
+        if (bound)
+            *bound = true;
         if (::listen(*fd, 128) < 0) {
             return Status::error(ErrorCode::IoError, "listen: %s",
                                  strerror(errno));
@@ -290,10 +296,23 @@ struct Listener::Impl
                 boundPort = ntohs(bound.sin_port);
         }
         if (!params.unixPath.empty()) {
+            const char *path = params.unixPath.c_str();
             const Result<SocketAddress> addr = unixAddress(params.unixPath);
-            if (addr.ok())
-                ::unlink(params.unixPath.c_str()); // stale socket file
-            LLL_RETURN_IF_ERROR(listenOn(addr, &unixFd));
+            if (!addr.ok())
+                return addr.status();
+            // Only a socket file (a stale one from an earlier server) is
+            // replaced; any other file at the path is left alone.
+            struct stat st{};
+            if (::lstat(path, &st) == 0) {
+                if (!S_ISSOCK(st.st_mode)) {
+                    return Status::error(ErrorCode::IoError,
+                                         "unix socket path %s exists and "
+                                         "is not a socket",
+                                         path);
+                }
+                ::unlink(path);
+            }
+            LLL_RETURN_IF_ERROR(listenOn(addr, &unixFd, &unixBound));
         }
         return Status::okStatus();
     }
@@ -353,9 +372,10 @@ struct Listener::Impl
         return Status::okStatus();
     }
 
-    /** Close the listening endpoints.  The wake pipe stays open:
-     *  requestShutdown() may still write it from another thread until
-     *  the Listener is destroyed. */
+    /** Close the listening endpoints and unlink the socket file this
+     *  listener bound.  The wake pipe stays open: requestShutdown() may
+     *  still write it from another thread until the Listener is
+     *  destroyed. */
     void closeListeners()
     {
         for (int *fd : {&tcpFd, &unixFd}) {
@@ -364,8 +384,10 @@ struct Listener::Impl
                 *fd = -1;
             }
         }
-        if (!params.unixPath.empty())
+        if (unixBound) {
             ::unlink(params.unixPath.c_str());
+            unixBound = false;
+        }
     }
 
     void closeFds()

@@ -81,7 +81,9 @@ struct ListenerParams
     int tcpPort = -1;
 
     /** Unix-domain socket path; empty disables.  An existing socket
-     *  file at the path is replaced. */
+     *  file at the path is replaced; start() refuses any other file
+     *  there and leaves it alone.  Only a path this listener bound is
+     *  unlinked when it closes. */
     std::string unixPath;
 
     /** Worker threads executing admitted requests (>= 1; start()

@@ -3,15 +3,19 @@
  * Tests for the socket front-end (DESIGN.md §14): frame decoding,
  * admission control and shedding, per-connection pipelining caps,
  * concurrent-client byte-identity with the `serve --batch` path,
- * counter reconciliation, fault handling (non-JSON lines, oversized
- * lines, slow-loris, idle connections) and drain-on-shutdown.
+ * counter reconciliation, idle reaping, start() refusals, the unix
+ * socket file and drain-on-shutdown.  The non-JSON line, oversized
+ * line, slow-loris and mid-request disconnect contracts are checked
+ * once, by the `lll selftest` listener scenarios
+ * (src/faultinject/netfaults.cc, run by test_faultinject).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -29,7 +33,6 @@
 #include "service/service.hh"
 #include "util/names.hh"
 #include "util/status.hh"
-#include "xmem/xmem_harness.hh"
 
 namespace lll::net
 {
@@ -160,77 +163,10 @@ quickRequest(const std::string &id)
            "\"cores\": 6, \"warmup_us\": 5, \"measure_us\": 10}";
 }
 
-/** Load (or measure once) skl's profile before a timed test, so no
- *  request waits on a characterization and every compared response
- *  comes from the saved profile (a fresh measurement differs from its
- *  disk round-trip in the last digits). */
-void
-warmProfileCache()
-{
-    platforms::Platform skl = platforms::skl();
-    util::Result<xmem::LatencyProfile> prof =
-        xmem::XMemHarness().measureCachedChecked(
-            skl, xmem::defaultProfilePath(skl));
-    ASSERT_TRUE(prof.ok()) << prof.status().toString();
-}
-
-/** An in-process listener on an ephemeral loopback port, with run()
- *  on its own thread and the real ServeHandler behind it. */
-class TestServer
-{
-  public:
-    explicit TestServer(ListenerParams params)
-    {
-        ServeHandlerParams hp;
-        hp.cache = &cache_;
-        params.tcpPort = 0; // ephemeral
-        if (!params.handler)
-            params.handler = ServeHandler(hp);
-        params.registry = &registry_;
-        listener_ = std::make_unique<Listener>(std::move(params));
-        Status s = listener_->start();
-        EXPECT_TRUE(s.ok()) << s.toString();
-        thread_ = std::thread([this] { runStatus_ = listener_->run(); });
-    }
-
-    ~TestServer()
-    {
-        if (thread_.joinable())
-            stop();
-    }
-
-    Status stop()
-    {
-        listener_->requestShutdown();
-        thread_.join();
-        return runStatus_;
-    }
-
-    int port() const { return listener_->tcpPort(); }
-
-    /** Only valid after stop() — the registry belongs to the event
-     *  loop while it runs. */
-    obs::MetricRegistry &registry() { return registry_; }
-
-    uint64_t counter(const char *name)
-    {
-        return registry_.counter(name).value();
-    }
-
-  private:
-    core::ResultCache cache_;
-    obs::MetricRegistry registry_;
-    std::unique_ptr<Listener> listener_;
-    std::thread thread_;
-    Status runStatus_;
-};
-
 TEST(Listener, ServesOneRequest)
 {
-    warmProfileCache();
-    TestServer server(ListenerParams{});
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
+    LocalServer server(ListenerParams{});
+    util::Result<BlockingClient> client = server.connect();
     ASSERT_TRUE(client.ok()) << client.status().toString();
     ASSERT_TRUE(client->sendAll(quickRequest("r1") + "\n").ok());
     util::Result<std::string> line = client->recvLine(30000);
@@ -241,8 +177,9 @@ TEST(Listener, ServesOneRequest)
 
 TEST(Listener, V2SearchRequestMatchesTheBatchPathByteForByte)
 {
-    warmProfileCache();
-
+    // First, so skl's saved profile is loaded before the batch path
+    // computes the expectation from it.
+    LocalServer server(ListenerParams{});
     const std::string search_line =
         "{\"schema_version\": 2, \"kind\": \"search\", \"id\": "
         "\"s1\", \"platform\": \"skl\", \"workload\": \"isx\", "
@@ -272,9 +209,7 @@ TEST(Listener, V2SearchRequestMatchesTheBatchPathByteForByte)
         expected = service::renderRunResponse(rs[0]);
     }
 
-    TestServer server(ListenerParams{});
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
+    util::Result<BlockingClient> client = server.connect();
     ASSERT_TRUE(client.ok()) << client.status().toString();
     ASSERT_TRUE(client->sendAll(search_line + "\n").ok());
     util::Result<std::string> line = client->recvLine(60000);
@@ -286,7 +221,13 @@ TEST(Listener, V2SearchRequestMatchesTheBatchPathByteForByte)
 
 TEST(Listener, ConcurrentClientsMatchTheBatchPathByteForByte)
 {
-    warmProfileCache();
+    // First, so skl's saved profile is loaded before the batch path
+    // computes the expectation from it.
+    ListenerParams params;
+    params.workers = 3;
+    params.maxInflight = 16;
+    params.maxPipelined = 8;
+    LocalServer server(params);
 
     // The same 4-line batch every client will send.
     std::vector<std::string> lines;
@@ -310,20 +251,13 @@ TEST(Listener, ConcurrentClientsMatchTheBatchPathByteForByte)
         expected.push_back(service::renderRunResponse(r));
     ASSERT_EQ(expected.size(), lines.size());
 
-    ListenerParams params;
-    params.workers = 3;
-    params.maxInflight = 16;
-    params.maxPipelined = 8;
-    TestServer server(params);
-
     constexpr int kClients = 4;
     std::vector<std::vector<std::string>> got(kClients);
     std::vector<std::string> errors(kClients);
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
         clients.emplace_back([&, c] {
-            util::Result<BlockingClient> cl =
-                BlockingClient::connectTcp("127.0.0.1", server.port());
+            util::Result<BlockingClient> cl = server.connect();
             if (!cl.ok()) {
                 errors[c] = cl.status().toString();
                 return;
@@ -373,15 +307,13 @@ TEST(Listener, ConcurrentClientsMatchTheBatchPathByteForByte)
 
 TEST(Listener, PipeliningCapStillAnswersEverythingInOrder)
 {
-    warmProfileCache();
     ListenerParams params;
     params.workers = 2;
     params.maxInflight = 4;
     params.maxPipelined = 2; // forces pause/resume on the read side
-    TestServer server(params);
+    LocalServer server(params);
 
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
+    util::Result<BlockingClient> client = server.connect();
     ASSERT_TRUE(client.ok()) << client.status().toString();
     constexpr int kRequests = 12;
     std::string payload;
@@ -403,10 +335,9 @@ TEST(Listener, ShedsBeyondAdmissionCapacityWithStructuredUnavailable)
     // shed, none ever reaches the service.
     ListenerParams params;
     params.maxInflight = 0;
-    TestServer server(params);
+    LocalServer server(params);
 
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
+    util::Result<BlockingClient> client = server.connect();
     ASSERT_TRUE(client.ok()) << client.status().toString();
     ASSERT_TRUE(client
                     ->sendAll(quickRequest("x1") + "\n" +
@@ -433,102 +364,12 @@ TEST(Listener, ShedsBeyondAdmissionCapacityWithStructuredUnavailable)
     EXPECT_EQ(server.counter("net.requests_admitted_total"), 0u);
 }
 
-TEST(Listener, DigitLeadingLineIsAnsweredLikeTheBatchPathAndStaysOpen)
-{
-    // The batch path's answer to the same line is the expectation: a
-    // line that is not JSON is corrupt-data, like any other.
-    core::ResultCache batch_cache;
-    service::RunService::Params sp;
-    sp.cache = &batch_cache;
-    service::RunService svc(sp);
-    std::vector<service::RunResponse> rs = svc.serveLines({"123xyz"});
-    ASSERT_EQ(rs.size(), 1u);
-    EXPECT_EQ(rs[0].status.code(), ErrorCode::CorruptData);
-    const std::string expected = service::renderRunResponse(rs[0]);
-
-    warmProfileCache();
-    TestServer server(ListenerParams{});
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
-    ASSERT_TRUE(client.ok()) << client.status().toString();
-    ASSERT_TRUE(client->sendAll("123xyz\n").ok());
-    util::Result<std::string> line = client->recvLine(15000);
-    ASSERT_TRUE(line.ok()) << line.status().toString();
-    EXPECT_EQ(*line, expected);
-
-    // The line was a request, not a framing violation: the connection
-    // stays open and answers the next request.
-    ASSERT_TRUE(client->sendAll(quickRequest("ok1") + "\n").ok());
-    util::Result<std::string> next = client->recvLine(30000);
-    ASSERT_TRUE(next.ok()) << next.status().toString();
-    EXPECT_NE(next->find("\"id\": \"ok1\""), std::string::npos) << *next;
-    EXPECT_NE(next->find("\"code\": \"ok\""), std::string::npos) << *next;
-
-    Status run = server.stop();
-    EXPECT_TRUE(run.ok()) << run.toString();
-    EXPECT_EQ(server.counter("net.requests_malformed_total"), 0u);
-    EXPECT_EQ(server.counter("net.requests_received_total"), 2u);
-}
-
-TEST(Listener, OversizedLineIsRejectedNotBuffered)
-{
-    ListenerParams params;
-    params.maxFrameBytes = 128;
-    // Longer than the waits below, so only the close that follows the
-    // error can end the connection within them.
-    params.readTimeoutMs = 60000;
-    TestServer server(params);
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
-    ASSERT_TRUE(client.ok()) << client.status().toString();
-    const std::string huge(4096, 'x');
-    ASSERT_TRUE(client->sendAll(huge + "\n").ok());
-    util::Result<std::string> line = client->recvLine(15000);
-    ASSERT_TRUE(line.ok()) << line.status().toString();
-    EXPECT_NE(line->find("\"code\": \"invalid-argument\""),
-              std::string::npos)
-        << *line;
-    EXPECT_NE(line->find("limit"), std::string::npos) << *line;
-    // The rest of the line was dropped unread, so the stream cannot be
-    // re-synchronized: the server closes it.
-    util::Result<std::string> eof = client->recvLine(15000);
-    ASSERT_FALSE(eof.ok());
-    EXPECT_EQ(eof.status().code(), ErrorCode::IoError);
-
-    Status run = server.stop();
-    EXPECT_TRUE(run.ok()) << run.toString();
-    EXPECT_EQ(server.counter(util::names::kNetRequestsMalformedTotal), 1u);
-    EXPECT_EQ(server.counter(util::names::kNetConnsClosedProtocolTotal),
-              1u);
-}
-
-TEST(Listener, SlowLorisConnectionIsReaped)
-{
-    ListenerParams params;
-    params.readTimeoutMs = 150;
-    TestServer server(params);
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
-    ASSERT_TRUE(client.ok()) << client.status().toString();
-    // A frame that never completes.
-    ASSERT_TRUE(client->sendAll("{\"schema_version\": 1").ok());
-    util::Result<std::string> eof = client->recvLine(15000);
-    ASSERT_FALSE(eof.ok());
-    EXPECT_EQ(eof.status().code(), ErrorCode::IoError); // closed on us
-
-    Status run = server.stop();
-    EXPECT_TRUE(run.ok()) << run.toString();
-    EXPECT_EQ(server.counter("net.conns_closed_read_timeout_total"),
-              1u);
-}
-
 TEST(Listener, IdleConnectionIsReaped)
 {
     ListenerParams params;
     params.idleTimeoutMs = 150;
-    TestServer server(params);
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
+    LocalServer server(params);
+    util::Result<BlockingClient> client = server.connect();
     ASSERT_TRUE(client.ok()) << client.status().toString();
     util::Result<std::string> eof = client->recvLine(15000);
     ASSERT_FALSE(eof.ok());
@@ -546,13 +387,11 @@ TEST(Listener, NonPositiveTimeoutIsRefused)
     // quietly raised to 1.
     auto refused = [](const std::function<void(ListenerParams &)> &set) {
         ListenerParams params;
-        params.tcpPort = 0;
-        params.handler = [](const std::string &, uint64_t) {
-            return HandlerResult{};
-        };
         set(params);
-        Listener listener(std::move(params));
-        Status s = listener.start();
+        LocalServer server(std::move(params));
+        EXPECT_EQ(server.connect().status().code(),
+                  ErrorCode::InvalidArgument);
+        Status s = server.stop();
         EXPECT_EQ(s.code(), ErrorCode::InvalidArgument) << s.toString();
     };
     for (int ListenerParams::*field :
@@ -563,41 +402,10 @@ TEST(Listener, NonPositiveTimeoutIsRefused)
     refused([](ListenerParams &p) { p.maxPipelined = 0; });
 }
 
-TEST(Listener, MidRequestDisconnectDoesNotDisturbOthers)
-{
-    warmProfileCache();
-    ListenerParams params;
-    params.workers = 2;
-    TestServer server(params);
-
-    // One client sends a request and disconnects without reading.
-    {
-        util::Result<BlockingClient> rude =
-            BlockingClient::connectTcp("127.0.0.1", server.port());
-        ASSERT_TRUE(rude.ok()) << rude.status().toString();
-        ASSERT_TRUE(rude->sendAll(quickRequest("gone") + "\n").ok());
-        rude->close();
-    }
-
-    // A well-behaved client is still served.
-    util::Result<BlockingClient> polite =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
-    ASSERT_TRUE(polite.ok()) << polite.status().toString();
-    ASSERT_TRUE(polite->sendAll(quickRequest("here") + "\n").ok());
-    util::Result<std::string> line = polite->recvLine(30000);
-    ASSERT_TRUE(line.ok()) << line.status().toString();
-    EXPECT_NE(line->find("\"id\": \"here\""), std::string::npos);
-
-    Status run = server.stop();
-    EXPECT_TRUE(run.ok()) << run.toString();
-}
-
 TEST(Listener, DrainShutdownCompletesAdmittedWork)
 {
-    warmProfileCache();
-    TestServer server(ListenerParams{});
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
+    LocalServer server(ListenerParams{});
+    util::Result<BlockingClient> client = server.connect();
     ASSERT_TRUE(client.ok()) << client.status().toString();
     ASSERT_TRUE(client->sendAll(quickRequest("d1") + "\n").ok());
     // Give the event loop a moment to admit it, then drain.
@@ -613,12 +421,10 @@ TEST(Listener, DrainShutdownCompletesAdmittedWork)
 
 TEST(Listener, WorkerTelemetryAddsUpToTheAdmittedRequests)
 {
-    warmProfileCache();
     ListenerParams params;
     params.workers = 2;
-    TestServer server(params);
-    util::Result<BlockingClient> client =
-        BlockingClient::connectTcp("127.0.0.1", server.port());
+    LocalServer server(params);
+    util::Result<BlockingClient> client = server.connect();
     ASSERT_TRUE(client.ok()) << client.status().toString();
 
     // One request in flight at a time, so each request's cache-stat
@@ -664,10 +470,9 @@ TEST(Listener, WorkerTelemetryAddsUpToTheAdmittedRequests)
 
 TEST(Listener, ConcurrentWarmHitsCountEachLookupOnce)
 {
-    warmProfileCache();
     ListenerParams params;
     params.workers = 2;
-    TestServer server(params);
+    LocalServer server(params);
 
     // Two cold stages first, one at a time; then two clients pipeline
     // warm repeats of them, so both workers serve hits at once on the
@@ -681,8 +486,7 @@ TEST(Listener, ConcurrentWarmHitsCountEachLookupOnce)
     constexpr int kCold = 2;
     constexpr int kWarmPerClient = 1000;
     {
-        util::Result<BlockingClient> client =
-            BlockingClient::connectTcp("127.0.0.1", server.port());
+        util::Result<BlockingClient> client = server.connect();
         ASSERT_TRUE(client.ok()) << client.status().toString();
         for (int k = 0; k < kCold; ++k) {
             ASSERT_TRUE(client->sendAll(request(k)).ok());
@@ -691,8 +495,7 @@ TEST(Listener, ConcurrentWarmHitsCountEachLookupOnce)
     }
     std::vector<BlockingClient> clients;
     for (int c = 0; c < 2; ++c) {
-        util::Result<BlockingClient> client =
-            BlockingClient::connectTcp("127.0.0.1", server.port());
+        util::Result<BlockingClient> client = server.connect();
         ASSERT_TRUE(client.ok()) << client.status().toString();
         clients.push_back(client.take());
     }
@@ -718,23 +521,24 @@ TEST(Listener, ConcurrentWarmHitsCountEachLookupOnce)
     EXPECT_EQ(misses, uint64_t(kCold));
 }
 
+/** A path for a unix socket test, unique to this process, holding a
+ *  regular file when @p contents is given. */
+std::string
+unixTestPath(const char *name, const char *contents = nullptr)
+{
+    const std::string path = ::testing::TempDir() + "lll_test_net_" +
+                             std::to_string(::getpid()) + "_" + name;
+    if (contents != nullptr)
+        std::ofstream(path) << contents;
+    return path;
+}
+
 TEST(Listener, UnixSocketServes)
 {
-    warmProfileCache();
-    const std::string path =
-        "/tmp/lll_test_net_" + std::to_string(::getpid()) + ".sock";
+    const std::string path = unixTestPath("serves");
     ListenerParams params;
-    params.tcpPort = -1;
     params.unixPath = path;
-    ServeHandlerParams hp;
-    core::ResultCache cache;
-    hp.cache = &cache;
-    params.handler = ServeHandler(hp);
-    obs::MetricRegistry registry;
-    params.registry = &registry;
-    Listener listener(std::move(params));
-    ASSERT_TRUE(listener.start().ok());
-    std::thread runner([&listener] { (void)listener.run(); });
+    LocalServer server(std::move(params));
 
     util::Result<BlockingClient> client =
         BlockingClient::connectUnix(path);
@@ -744,9 +548,48 @@ TEST(Listener, UnixSocketServes)
     ASSERT_TRUE(line.ok()) << line.status().toString();
     EXPECT_NE(line->find("\"id\": \"u1\""), std::string::npos);
 
-    listener.requestShutdown();
-    runner.join();
-    std::remove(path.c_str());
+    Status run = server.stop();
+    EXPECT_TRUE(run.ok()) << run.toString();
+    // The listener unlinks the socket file it made.
+    EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(Listener, UnixPathHoldingARegularFileIsRefusedAndKept)
+{
+    // Only a socket file is replaced; any other file is not the
+    // listener's to delete.
+    const std::string path = unixTestPath("regular", "keep me\n");
+    ListenerParams params;
+    params.unixPath = path;
+    LocalServer server(std::move(params));
+    Status s = server.stop();
+    EXPECT_EQ(s.code(), ErrorCode::IoError) << s.toString();
+    EXPECT_NE(s.toString().find("is not a socket"), std::string::npos)
+        << s.toString();
+    EXPECT_TRUE(std::filesystem::is_regular_file(path));
+    EXPECT_EQ(std::filesystem::file_size(path), 8u);
+    std::filesystem::remove(path);
+}
+
+TEST(Listener, FailedStartKeepsAUnixPathItNeverBound)
+{
+    // The TCP bind fails first, so the listener never reaches the unix
+    // path and must not unlink what is there when it closes.
+    LocalServer holder(ListenerParams{});
+    const std::string path = unixTestPath("unbound", "keep me\n");
+    ListenerParams params;
+    params.tcpPort = holder.port();
+    params.unixPath = path;
+    params.handler = ServeHandler(ServeHandlerParams{});
+    {
+        Listener listener(std::move(params));
+        Status s = listener.start();
+        EXPECT_EQ(s.code(), ErrorCode::IoError) << s.toString();
+        EXPECT_NE(s.toString().find("bind"), std::string::npos)
+            << s.toString();
+    }
+    EXPECT_TRUE(std::filesystem::is_regular_file(path));
+    std::filesystem::remove(path);
 }
 
 // --------------------------------------------------------------- loadgen
@@ -769,7 +612,7 @@ TEST(LoadGen, PacedLatencyIncludesTheBacklogBehindAStall)
         out.line = "{\"status\": {\"code\": \"ok\"}}";
         return out;
     };
-    TestServer server(std::move(params));
+    LocalServer server(std::move(params));
 
     LoadGenParams lp;
     lp.port = server.port();
@@ -800,7 +643,7 @@ TEST(LoadGen, LightlyPacedRunObeysLittlesLaw)
         out.line = "{\"status\": {\"code\": \"ok\"}}";
         return out;
     };
-    TestServer server(std::move(params));
+    LocalServer server(std::move(params));
 
     LoadGenParams lp;
     lp.port = server.port();
