@@ -151,13 +151,17 @@ Experiment::stage(const AdmittedStage &s)
             params_.resultCache->insert(s.stageKey, m, &cacheStats_);
     }
 
-    if (params_.registry) {
-        params_.registry->setGauge("analyzer.variant." + label + ".n_avg",
-                                   m.analysis.nAvg);
-        params_.registry->setGauge(
-            "analyzer.variant." + label + ".bw_gbps", m.analysis.bwGBs);
-    }
+    if (params_.registry)
+        recordVariantGauges(*params_.registry, label, m.analysis);
     return m;
+}
+
+void
+recordVariantGauges(obs::MetricRegistry &registry, const std::string &label,
+                    const Analysis &a)
+{
+    registry.setGauge("analyzer.variant." + label + ".n_avg", a.nAvg);
+    registry.setGauge("analyzer.variant." + label + ".bw_gbps", a.bwGBs);
 }
 
 } // namespace lll::core

@@ -114,6 +114,11 @@ struct AdmittedStage : StageUnit
  */
 [[nodiscard]] util::Result<AdmittedStage> admitStage(StageUnit unit);
 
+/** The gauges a stage of variant @p label publishes, simulated or
+ *  served from the cache: analyzer.variant.<label>.{n_avg,bw_gbps}. */
+void recordVariantGauges(obs::MetricRegistry &registry,
+                         const std::string &label, const Analysis &a);
+
 /**
  * One (platform, workload) configuration, checked once by create(),
  * whose admitted stages stage() simulates.

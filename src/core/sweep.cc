@@ -16,6 +16,7 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "workloads/spec_workload.hh"
+#include "xmem/profile_store.hh"
 #include "xmem/xmem_harness.hh"
 
 namespace lll::core
@@ -370,6 +371,27 @@ ResultCache::lookup(const std::string &key, StageMetrics *out,
     return false;
 }
 
+bool
+ResultCache::probe(std::span<const AdmittedStage> stages,
+                   std::vector<StageMetrics> *out)
+{
+    std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+    if (!lock.owns_lock())
+        return false;
+    for (const AdmittedStage &s : stages) {
+        if (!entries_.count(s.stageKey))
+            return false;
+    }
+    out->clear();
+    for (const AdmittedStage &s : stages) {
+        Entry &e = entries_.find(s.stageKey)->second;
+        out->push_back(e.metrics);
+        touchLocked(e);
+        ++stats_.hits;
+    }
+    return true;
+}
+
 void
 ResultCache::insert(const std::string &key, const StageMetrics &m,
                     Stats *mine)
@@ -573,6 +595,44 @@ SweepRunner::loadProfiles(const std::vector<AdmittedStage> &stages) const
         profiles.emplace(s.platform.name, std::move(prof));
     }
     return profiles;
+}
+
+std::optional<std::vector<SweepRunner::StageOutcome>>
+SweepRunner::probeAdmitted(const std::vector<AdmittedStage> &stages) const
+{
+    if (stages.empty())
+        return std::vector<StageOutcome>();
+    if (!params_.cache)
+        return std::nullopt;
+    obs::WallTimer timer;
+    for (size_t i = 0; i < stages.size(); ++i) {
+        const platforms::Platform &p = stages[i].platform;
+        const bool checked = std::any_of(
+            stages.begin(), stages.begin() + i,
+            [&p](const AdmittedStage &s) { return s.platform.name == p.name; });
+        if (checked)
+            continue;
+        const std::optional<xmem::LatencyProfile> prof =
+            xmem::ProfileStore::global().cached(xmem::defaultProfilePath(p));
+        if (!prof || !Analyzer::validateInputs(p, *prof).ok())
+            return std::nullopt;
+    }
+    std::vector<StageMetrics> hits;
+    if (!params_.cache->probe(stages, &hits))
+        return std::nullopt;
+    const double probe_ns = timer.elapsedNs();
+    std::vector<StageOutcome> outcomes(stages.size());
+    for (size_t i = 0; i < stages.size(); ++i) {
+        StageOutcome &out = outcomes[i];
+        out.metrics = std::move(hits[i]);
+        out.cache.hits = 1;
+        out.simulateNs = probe_ns;
+        if (params_.registry) {
+            recordVariantGauges(*params_.registry, stages[i].opts.label(),
+                                out.metrics.analysis);
+        }
+    }
+    return outcomes;
 }
 
 std::vector<SweepRunner::StageOutcome>

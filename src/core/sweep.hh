@@ -30,6 +30,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -95,6 +96,17 @@ class ResultCache
      *  callers can account for their own traffic. */
     bool lookup(const std::string &key, StageMetrics *out,
                 Stats *mine = nullptr);
+
+    /**
+     * lookup() for every stage of @p stages at once, from memory only
+     * and without waiting for the cache's lock: either each stage's
+     * metrics land in @p out, in stage order, each counted as a hit
+     * and touched in the LRU as lookup() would, or nothing is fetched,
+     * counted or touched.  A stage held only in the spill dir is not
+     * fetched: reading its file is lookup()'s work.
+     */
+    bool probe(std::span<const AdmittedStage> stages,
+               std::vector<StageMetrics> *out);
 
     /** Memoize @p m under @p key (and spill it when configured);
      *  @p mine as for lookup(): the spill and what it evicted. */
@@ -302,6 +314,20 @@ class SweepRunner
     {
         return runAdmitted(stages, loadProfiles(stages));
     }
+
+    /**
+     * The outcomes of @p stages when all of them can be given without
+     * blocking: every platform's profile is already in the
+     * xmem::ProfileStore, unchanged on disk, and passes
+     * Analyzer::validateInputs, and every stage is in the cache's
+     * memory (ResultCache::probe).  Then the hits are counted and the
+     * per-variant gauges recorded as runAdmitted() would; otherwise
+     * nullopt, with nothing loaded, counted or recorded.  Never
+     * measures, reads a file, builds an Experiment or simulates, so
+     * its simulateNs is the probe's own wall time.
+     */
+    std::optional<std::vector<StageOutcome>>
+    probeAdmitted(const std::vector<AdmittedStage> &stages) const;
 
     /** runAdmitted() on @p profiles instead of the profile store's. */
     std::vector<StageOutcome>

@@ -94,6 +94,9 @@ class LocalServer
     /** The bound TCP port. */
     int port() const { return listener_->tcpPort(); }
 
+    /** The thread running the event loop (no thread once stopped). */
+    std::thread::id loopThread() const { return thread_.get_id(); }
+
     /** Drain and join the run() thread; run()'s status, or the start
      *  failure.  A second call returns the same status. */
     [[nodiscard]] util::Status stop();

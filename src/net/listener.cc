@@ -20,6 +20,7 @@
 
 #include "net/frame.hh"
 #include "net/socket.hh"
+#include "obs/span.hh"
 #include "obs/timer.hh"
 #include "service/service.hh"
 #include "util/names.hh"
@@ -75,8 +76,54 @@ outOfBandResponse(uint64_t req_no, const Status &status)
     return service::renderRunResponse(resp);
 }
 
-/** The registry of the listener worker running on this thread. */
+/** The registry a handler on this thread records into. */
 thread_local obs::MetricRegistry *tWorkerRegistry = nullptr;
+/** This thread is the event loop, calling a handler. */
+thread_local bool tOnEventLoop = false;
+
+/**
+ * The event loop calling a handler, for the scope's lifetime:
+ * onEventLoop() is true, workerRegistry() is the listener's registry,
+ * and spans go to a tracker of the loop's own — never the loop
+ * thread's, which may be exported (`lll serve --json`), just as a
+ * worker's spans stay on the worker.
+ */
+class LoopCall
+{
+  public:
+    LoopCall(obs::MetricRegistry *reg, obs::SpanTracker &spans)
+        : previous_(tWorkerRegistry), redirect_(spans)
+    {
+        tWorkerRegistry = reg;
+        tOnEventLoop = true;
+    }
+    ~LoopCall()
+    {
+        tOnEventLoop = false;
+        tWorkerRegistry = previous_;
+    }
+    LoopCall(const LoopCall &) = delete;
+    LoopCall &operator=(const LoopCall &) = delete;
+
+  private:
+    obs::MetricRegistry *previous_;
+    obs::SpanTracker::Redirect redirect_;
+};
+
+/** True when a server accepts connections on the unix socket at
+ *  @p addr; false for a stale socket file nobody listens on. */
+bool
+unixSocketAnswers(const SocketAddress &addr)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0)
+        return false;
+    const int rc = ::connect(fd, addr.get(), addr.size);
+    // A full backlog (EAGAIN) is a live server too.
+    const bool live = rc == 0 || errno == EAGAIN || errno == EINPROGRESS;
+    ::close(fd);
+    return live;
+}
 
 /** The net.* metrics every request touches, resolved by name once per
  *  run instead of once per use: std::map nodes never move, so the
@@ -87,6 +134,8 @@ struct RequestMetrics
         : received(r.counter(util::names::kNetRequestsReceivedTotal)),
           admitted(r.counter(util::names::kNetRequestsAdmittedTotal)),
           shed(r.counter(util::names::kNetRequestsShedTotal)),
+          answeredOnLoop(
+              r.counter(util::names::kNetRequestsAnsweredOnLoopTotal)),
           failed(r.counter(util::names::kNetRequestsFailedTotal)),
           responses(r.counter(util::names::kNetResponsesTotal)),
           bytesRead(r.counter(util::names::kNetBytesReadTotal)),
@@ -101,6 +150,7 @@ struct RequestMetrics
     obs::CounterMetric &received;
     obs::CounterMetric &admitted;
     obs::CounterMetric &shed;
+    obs::CounterMetric &answeredOnLoop;
     obs::CounterMetric &failed;
     obs::CounterMetric &responses;
     obs::CounterMetric &bytesRead;
@@ -119,6 +169,12 @@ workerRegistry()
     return tWorkerRegistry;
 }
 
+bool
+onEventLoop()
+{
+    return tOnEventLoop;
+}
+
 struct Listener::Impl
 {
     explicit Impl(ListenerParams p) : params(std::move(p)) {}
@@ -133,6 +189,8 @@ struct Listener::Impl
     int tcpFd = -1;
     int unixFd = -1;
     bool unixBound = false; //!< this listener made the file at unixPath
+    dev_t unixDev = 0;      //!< ... with this device and inode
+    ino_t unixIno = 0;
     int wakeRead = -1;
     int wakeWrite = -1;
     int boundPort = 0;
@@ -161,6 +219,9 @@ struct Listener::Impl
     bool tasksClosed = false;
     std::mutex compMu;
     std::deque<Completion> completions;
+    /** The loop's side of `completions`: swapped with it, then
+     *  emptied, so a wakeup allocates nothing. */
+    std::deque<Completion> completionBatch;
     std::vector<std::thread> workerThreads;
     /** One registry per worker for its lifetime (a deque, so the
      *  addresses stay put); merged into *reg after the workers join. */
@@ -197,6 +258,10 @@ struct Listener::Impl
     std::map<uint64_t, Conn> conns;
     uint64_t nextConnId = 1;
     size_t inflight = 0;
+
+    // ---- answers on the loop -------------------------------------
+    bool handlerOptedIn = false; //!< a completion had loopSafe set
+    obs::SpanTracker loopSpans;  //!< spans of handler calls on the loop
 
     // ---- lifecycle -----------------------------------------------
     std::atomic<int> shutdownSignals{0};
@@ -300,8 +365,9 @@ struct Listener::Impl
             const Result<SocketAddress> addr = unixAddress(params.unixPath);
             if (!addr.ok())
                 return addr.status();
-            // Only a socket file (a stale one from an earlier server) is
-            // replaced; any other file at the path is left alone.
+            // Only a stale socket file (an earlier server's, nobody
+            // listening) is replaced; a live server's socket and any
+            // other file at the path are left alone.
             struct stat st{};
             if (::lstat(path, &st) == 0) {
                 if (!S_ISSOCK(st.st_mode)) {
@@ -310,9 +376,19 @@ struct Listener::Impl
                                          "is not a socket",
                                          path);
                 }
+                if (unixSocketAnswers(*addr)) {
+                    return Status::error(ErrorCode::IoError,
+                                         "unix socket path %s is in use",
+                                         path);
+                }
                 ::unlink(path);
             }
-            LLL_RETURN_IF_ERROR(listenOn(addr, &unixFd, &unixBound));
+            const Status listening = listenOn(addr, &unixFd, &unixBound);
+            if (unixBound && ::lstat(path, &st) == 0) {
+                unixDev = st.st_dev;
+                unixIno = st.st_ino;
+            }
+            LLL_RETURN_IF_ERROR(listening);
         }
         return Status::okStatus();
     }
@@ -373,9 +449,9 @@ struct Listener::Impl
     }
 
     /** Close the listening endpoints and unlink the socket file this
-     *  listener bound.  The wake pipe stays open: requestShutdown() may
-     *  still write it from another thread until the Listener is
-     *  destroyed. */
+     *  listener bound, unless another file has replaced it since.  The
+     *  wake pipe stays open: requestShutdown() may still write it from
+     *  another thread until the Listener is destroyed. */
     void closeListeners()
     {
         for (int *fd : {&tcpFd, &unixFd}) {
@@ -385,7 +461,10 @@ struct Listener::Impl
             }
         }
         if (unixBound) {
-            ::unlink(params.unixPath.c_str());
+            struct stat st{};
+            if (::lstat(params.unixPath.c_str(), &st) == 0 &&
+                st.st_dev == unixDev && st.st_ino == unixIno)
+                ::unlink(params.unixPath.c_str());
             unixBound = false;
         }
     }
@@ -557,6 +636,8 @@ struct Listener::Impl
         ++conn.outstanding;
         m->admitted++;
         m->inflight.set(double(inflight));
+        if (handlerOptedIn && answerOnLoop(conn, req_no, line, now))
+            return;
         Task task;
         task.connId = conn.id;
         task.reqNo = req_no;
@@ -567,6 +648,35 @@ struct Listener::Impl
             tasks.push_back(std::move(task));
         }
         taskCv.notify_one();
+    }
+
+    /**
+     * Call the opted-in handler on the loop for an admitted request.
+     * False when it declined: the request then goes to the workers.
+     * The answer waits in `ready` behind any earlier request of the
+     * connection still on the pool; the caller writes it out.
+     */
+    bool answerOnLoop(Conn &conn, uint64_t req_no, const std::string &line,
+                      WallClock::time_point admitted)
+    {
+        Completion c;
+        const WallClock::time_point called = WallClock::now();
+        {
+            LoopCall call(reg, loopSpans);
+            c.result = params.handler(line, req_no);
+        }
+        if (c.result.declined)
+            return false;
+        const WallClock::time_point now = WallClock::now();
+        c.connId = conn.id;
+        c.reqNo = req_no;
+        c.admitted = admitted;
+        c.queueWaitNs = obs::wallDeltaNs(admitted, called);
+        c.handlerNs = obs::wallDeltaNs(called, now);
+        m->answeredOnLoop++;
+        lastProgress = now;
+        settle(c, now);
+        return true;
     }
 
     /** Pull every complete frame the pause conditions allow. */
@@ -661,38 +771,48 @@ struct Listener::Impl
         extractFrames(conn_id);
     }
 
+    /** Account for one finished request and queue its response
+     *  line.  The connection it answers, or nullptr when the client
+     *  has gone. */
+    Conn *settle(Completion &c, WallClock::time_point now)
+    {
+        --inflight;
+        m->inflight.set(double(inflight));
+        m->queueWaitNs.sample(c.queueWaitNs);
+        m->handlerNs.sample(c.handlerNs);
+        m->requestNs.sample(obs::wallDeltaNs(c.admitted, now));
+        if (c.result.failed)
+            m->failed++;
+        handlerOptedIn |= c.result.loopSafe;
+        auto cit = conns.find(c.connId);
+        if (cit == conns.end()) {
+            // The client disconnected while its request ran.
+            counter(util::names::kNetResponsesOrphanedTotal)++;
+            return nullptr;
+        }
+        Conn &conn = cit->second;
+        --conn.outstanding;
+        conn.ready[c.reqNo] = std::move(c.result.line);
+        flushReady(conn);
+        return &conn;
+    }
+
     void drainCompletions()
     {
-        std::deque<Completion> batch;
         {
             std::lock_guard<std::mutex> lock(compMu);
-            batch.swap(completions);
+            completionBatch.swap(completions);
         }
-        if (batch.empty())
+        if (completionBatch.empty())
             return;
         const WallClock::time_point now = WallClock::now();
         lastProgress = now;
-        for (Completion &c : batch) {
-            --inflight;
-            m->inflight.set(double(inflight));
-            m->queueWaitNs.sample(c.queueWaitNs);
-            m->handlerNs.sample(c.handlerNs);
-            m->requestNs.sample(obs::wallDeltaNs(c.admitted, now));
-            if (c.result.failed)
-                m->failed++;
-            auto cit = conns.find(c.connId);
-            if (cit == conns.end()) {
-                // The client disconnected while its request ran.
-                counter(util::names::kNetResponsesOrphanedTotal)++;
-                continue;
-            }
-            Conn &conn = cit->second;
-            --conn.outstanding;
-            conn.ready[c.reqNo] = std::move(c.result.line);
-            flushReady(conn);
-            if (!attemptWrite(c.connId))
-                maybeResumeRead(conn);
+        for (Completion &c : completionBatch) {
+            Conn *conn = settle(c, now);
+            if (conn && !attemptWrite(c.connId))
+                maybeResumeRead(*conn);
         }
+        completionBatch.clear();
     }
 
     void watchdogSnapshot(WallClock::time_point now)

@@ -9,6 +9,8 @@ HandlerResult
 ServeHandler::operator()(const std::string &line, uint64_t req_no) const
 {
     HandlerResult out;
+    // On the event loop the service answers only what cannot block.
+    out.loopSafe = true;
     service::RunService::Params sp;
     // Concurrency lives in the listener's worker pool; at jobs 1 the
     // Executor runs the request on this worker, spawning no thread.
@@ -17,9 +19,14 @@ ServeHandler::operator()(const std::string &line, uint64_t req_no) const
     sp.registry = workerRegistry();
     service::RunService svc(sp);
 
-    std::vector<service::RunResponse> responses =
-        svc.serveLines({line}, req_no);
-    if (responses.size() != 1) {
+    std::optional<std::vector<service::RunResponse>> responses =
+        onEventLoop() ? svc.answerWithoutBlocking({line}, req_no)
+                      : svc.serveLines({line}, req_no);
+    if (!responses) {
+        out.declined = true;
+        return out;
+    }
+    if (responses->size() != 1) {
         // The frame decoder never emits blank frames, so this is a
         // service invariant violation, not a client error.
         service::RunResponse resp;
@@ -27,14 +34,14 @@ ServeHandler::operator()(const std::string &line, uint64_t req_no) const
         resp.status = util::Status::error(
             util::ErrorCode::Internal,
             "service returned %zu responses for one request line",
-            responses.size());
+            responses->size());
         out.line = service::renderRunResponse(resp);
         out.failed = true;
         return out;
     }
-    out.line = service::renderRunResponse(responses.front(),
+    out.line = service::renderRunResponse(responses->front(),
                                           params_.requestTelemetry);
-    out.failed = !responses.front().status.ok();
+    out.failed = !responses->front().status.ok();
     return out;
 }
 

@@ -2,7 +2,13 @@
  * @file
  * The bridge from the socket listener to the run service: a Handler
  * (listener.hh) that serves exactly one request line per call on
- * whatever worker thread the listener picked.
+ * whatever worker thread the listener picked, or on the event loop.
+ * It opts in to the loop (HandlerResult::loopSafe) with every result,
+ * so any callable that forwards its results gets the same: on the loop
+ * it answers through RunService::answerWithoutBlocking() — parse and
+ * admission outcomes, and run requests whose stage is a cache hit on a
+ * loaded, unchanged, valid profile — and declines the rest, leaving no
+ * trace, for a worker to serve as before.
  *
  * Byte-identity contract: admitted responses are rendered by the same
  * service::serveLines() + renderRunResponse() pair as the
@@ -13,9 +19,10 @@
  *
  * Thread safety: each call builds its own RunService over the shared
  * core::ResultCache (which is internally synchronized) and records its
- * telemetry into the calling worker's own registry (workerRegistry();
- * none off a listener worker) — the registry type itself is not
- * thread-safe, so no registry is ever shared between threads.
+ * telemetry into workerRegistry(): the calling worker's own, the
+ * listener's on the event loop, none off the listener — the registry
+ * type itself is not thread-safe, so no registry is ever shared
+ * between threads.
  */
 
 #ifndef LLL_NET_SERVE_HANDLER_HH

@@ -133,6 +133,8 @@ inline constexpr char kNetRequestsReceivedTotal[] =
 inline constexpr char kNetRequestsAdmittedTotal[] =
     "net.requests_admitted_total";
 inline constexpr char kNetRequestsShedTotal[] = "net.requests_shed_total";
+inline constexpr char kNetRequestsAnsweredOnLoopTotal[] =
+    "net.requests_answered_on_loop_total";
 inline constexpr char kNetRequestsMalformedTotal[] =
     "net.requests_malformed_total";
 inline constexpr char kNetRequestsFailedTotal[] =
@@ -211,6 +213,7 @@ inline constexpr const char *kRegisteredNames[] = {
     kNetRequestsReceivedTotal,
     kNetRequestsAdmittedTotal,
     kNetRequestsShedTotal,
+    kNetRequestsAnsweredOnLoopTotal,
     kNetRequestsMalformedTotal,
     kNetRequestsFailedTotal,
     kNetResponsesTotal,

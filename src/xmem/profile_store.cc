@@ -81,6 +81,18 @@ ProfileStore::load(const std::string &path)
     return loadLocked(slot, path);
 }
 
+std::optional<LatencyProfile>
+ProfileStore::cached(const std::string &path)
+{
+    Slot &slot = slotFor(path);
+    std::unique_lock<std::mutex> lock(slot.mu, std::try_to_lock);
+    FileId id;
+    if (!lock.owns_lock() || !slot.valid || !statFile(path, &id) ||
+        !(slot.id == id))
+        return std::nullopt;
+    return slot.profile;
+}
+
 Result<LatencyProfile>
 ProfileStore::loadOrMeasure(const platforms::Platform &platform,
                             const std::string &path,

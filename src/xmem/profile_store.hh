@@ -16,7 +16,10 @@
  *
  * The first load of a path is single-flight: concurrent callers wait
  * for one load (or one characterization) instead of racing to measure
- * and write the same file.
+ * and write the same file.  cached() is the one lookup that never
+ * waits: a caller that must not block (the socket server's event
+ * loop) asks it first and leaves any real load to load() or
+ * loadOrMeasure().
  */
 
 #ifndef LLL_XMEM_PROFILE_STORE_HH
@@ -26,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "platforms/platform.hh"
@@ -65,6 +69,15 @@ class ProfileStore
     [[nodiscard]] util::Result<LatencyProfile>
     loadOrMeasure(const platforms::Platform &platform,
                   const std::string &path, const XMemHarness &harness);
+
+    /**
+     * The profile at @p path when the store already holds it and the
+     * file is unchanged (the stat() check every load makes); nullopt
+     * otherwise, and while another caller is loading or measuring it.
+     * Never opens, parses or measures a file, never waits on a load
+     * and counts no lookup.
+     */
+    std::optional<LatencyProfile> cached(const std::string &path);
 
     Stats stats() const;
 

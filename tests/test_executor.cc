@@ -375,6 +375,30 @@ TEST(ProfileStore, RewrittenFileIsReloaded)
     EXPECT_EQ(gone.status().code(), util::ErrorCode::NotFound);
 }
 
+TEST(ProfileStore, CachedServesOnlyALoadedUnchangedFile)
+{
+    const std::string path = freshDir("cached") + "/tiny.profile";
+    ASSERT_TRUE(test::syntheticProfile("tiny", 24.0).save(path).ok());
+    ProfileStore store;
+    // Never loaded: cached() does not read the file itself.
+    EXPECT_FALSE(store.cached(path).has_value());
+    EXPECT_EQ(store.stats().fileLoads, 0u);
+
+    ASSERT_TRUE(store.load(path).ok());
+    const std::optional<LatencyProfile> hit = store.cached(path);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_DOUBLE_EQ(hit->peakGBs(), 24.0);
+
+    // Changed on disk: not served until a load reads it again.
+    ASSERT_TRUE(test::syntheticProfile("tiny", 48.0).save(path).ok());
+    EXPECT_FALSE(store.cached(path).has_value());
+    ASSERT_TRUE(store.load(path).ok());
+    ASSERT_TRUE(store.cached(path).has_value());
+    EXPECT_DOUBLE_EQ(store.cached(path)->peakGBs(), 48.0);
+    EXPECT_EQ(store.stats().lookups, 2u);
+    EXPECT_EQ(store.stats().fileLoads, 2u);
+}
+
 TEST(ProfileStore, MissingProfileIsMeasuredSavedAndThenServed)
 {
     const std::string path = freshDir("missing") + "/tiny.profile";

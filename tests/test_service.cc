@@ -481,6 +481,55 @@ TEST(RunService, WarmRerunServesEntirelyFromCacheByteIdentically)
     EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+TEST(RunService, AnswerWithoutBlockingDeclinesWithoutATrace)
+{
+    warmProfileCache();
+    core::ResultCache cache;
+    obs::MetricRegistry registry;
+    RunService::Params params;
+    params.cache = &cache;
+    params.registry = &registry;
+    RunService svc(params);
+    const std::string run = quickRequest("r", "isx", ", \"seed\": 9500");
+    const std::string search =
+        "{\"schema_version\": 2, \"kind\": \"search\", \"platform\": "
+        "\"skl\", \"workload\": \"isx\", \"cores\": 6, "
+        "\"axes\": [\"l2_mshrs=8,16\"]}";
+
+    // A miss, a search, and a batch holding either, are declined:
+    // nothing simulates, counts or records.
+    const uint64_t sims = simulateSpanCount();
+    EXPECT_FALSE(svc.answerWithoutBlocking({run}).has_value());
+    EXPECT_FALSE(svc.answerWithoutBlocking({search}).has_value());
+    EXPECT_FALSE(svc.answerWithoutBlocking({"not json", run}).has_value());
+    EXPECT_EQ(simulateSpanCount(), sims);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+    EXPECT_TRUE(registry.counters().empty());
+    EXPECT_TRUE(registry.histograms().empty());
+
+    // Parse failures need nothing that blocks.
+    std::optional<std::vector<RunResponse>> bad =
+        svc.answerWithoutBlocking({"not json"}, 4);
+    ASSERT_TRUE(bad.has_value());
+    ASSERT_EQ(bad->size(), 1u);
+    EXPECT_EQ(renderRunResponse(bad->front()),
+              renderRunResponse(svc.serveLines({"not json"}, 4).front()));
+
+    // Once cached, the hit is answered, counted once, byte-identical.
+    const std::vector<RunResponse> cold = svc.serveLines({run});
+    ASSERT_TRUE(cold[0].status.ok()) << cold[0].status.toString();
+    std::optional<std::vector<RunResponse>> warm =
+        svc.answerWithoutBlocking({run});
+    ASSERT_TRUE(warm.has_value());
+    EXPECT_EQ(renderRunResponse(warm->front()), renderRunResponse(cold[0]));
+    EXPECT_EQ(simulateSpanCount(), sims + 1);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(registry.counter("service.requests_total").value(), 4u);
+    EXPECT_EQ(registry.counter("service.cache_hits_total").value(), 1u);
+    EXPECT_EQ(registry.counter("service.cache_misses_total").value(), 1u);
+}
+
 TEST(RunService, InlineSpecRequestsAnalyzeLikeNamedWorkloads)
 {
     warmProfileCache();
