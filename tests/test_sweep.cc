@@ -447,6 +447,116 @@ TEST(SweepRunner, VacuousUnitIsRefusedBeforeAnyProfileLoads)
               before.measured);
 }
 
+/** @p u admitted; fails the test when admission refuses it. */
+AdmittedStage
+admitted(const SweepRunner::StageUnit &u)
+{
+    util::Result<AdmittedStage> a = admitStage(u);
+    EXPECT_TRUE(a.ok()) << a.status().toString();
+    return a.ok() ? a.take() : AdmittedStage{};
+}
+
+/** @p reg's analyzer.variant.* gauges by name. */
+std::map<std::string, double>
+variantGauges(const obs::MetricRegistry &reg)
+{
+    std::map<std::string, double> out;
+    for (const auto &[name, g] : reg.gauges()) {
+        if (name.starts_with("analyzer.variant."))
+            out[name] = g.read();
+    }
+    return out;
+}
+
+TEST(SweepRunner, ProfileOfAnotherPlatformFailsEachUnitInItsOwnContext)
+{
+    // knl's profile handed over for skl: every skl unit is refused with
+    // its own workload in the context, and none looks the cache up.
+    const workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
+    const workloads::WorkloadPtr hpcg =
+        workloads::findWorkload("hpcg").take();
+    const platforms::Platform skl = platforms::skl();
+    const std::vector<AdmittedStage> stages = {
+        admitted({skl, isx.get(), {}, 5.0, 10.0, 6}),
+        admitted({skl, hpcg.get(), {}, 5.0, 10.0, 6}),
+    };
+    SweepRunner::Profiles profiles;
+    profiles.emplace("skl", test::syntheticProfile(
+                                "knl", platforms::knl().peakGBs));
+    ResultCache cache;
+    SweepRunner::Params sp;
+    sp.cache = &cache;
+    const std::vector<SweepRunner::StageOutcome> out =
+        SweepRunner(sp).runAdmitted(stages, profiles);
+    ASSERT_EQ(out.size(), 2u);
+    for (size_t i = 0; i < out.size(); ++i) {
+        const std::string w = stages[i].workload->name();
+        EXPECT_EQ(out[i].status.code(),
+                  util::ErrorCode::FailedPrecondition);
+        EXPECT_EQ(out[i].status.message(),
+                  "stage unit skl/" + w + ": experiment '" + w +
+                      "' on 'skl': profile is for 'knl' but platform "
+                      "is 'skl'");
+        EXPECT_EQ(out[i].cache.hits + out[i].cache.misses, 0u);
+    }
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+}
+
+TEST(SweepRunner, WarmStageIsTheSameFromTheProbeAndFromTheRun)
+{
+    ASSERT_NO_FATAL_FAILURE(warmProfileCache());
+    const workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
+    const AdmittedStage s =
+        admitted({platforms::skl(), isx.get(), {}, 5.0, 10.0, 6});
+    ResultCache cache;
+    SweepRunner::Params sp;
+    sp.cache = &cache;
+    ASSERT_TRUE(SweepRunner(sp).runAdmitted({s})[0].status.ok());
+
+    obs::MetricRegistry probe_reg, run_reg;
+    sp.registry = &probe_reg;
+    const std::optional<std::vector<SweepRunner::StageOutcome>> probed =
+        SweepRunner(sp).probeAdmitted({s});
+    sp.registry = &run_reg;
+    const std::vector<SweepRunner::StageOutcome> ran =
+        SweepRunner(sp).runAdmitted({s});
+    ASSERT_TRUE(probed.has_value());
+    ASSERT_EQ(probed->size(), 1u);
+    ASSERT_EQ(ran.size(), 1u);
+    for (const SweepRunner::StageOutcome &o : {probed->front(), ran[0]}) {
+        ASSERT_TRUE(o.status.ok()) << o.status.toString();
+        EXPECT_EQ(o.cache.hits, 1u);
+        EXPECT_EQ(o.cache.misses, 0u);
+    }
+    EXPECT_EQ(stageMetricsJson(probed->front().metrics, s.stageKey),
+              stageMetricsJson(ran[0].metrics, s.stageKey));
+    EXPECT_FALSE(variantGauges(probe_reg).empty());
+    EXPECT_EQ(variantGauges(probe_reg), variantGauges(run_reg));
+}
+
+TEST(SweepRunner, WarmRunOpensItsStageSpanAndDoesNotSimulate)
+{
+    ASSERT_NO_FATAL_FAILURE(warmProfileCache());
+    const workloads::WorkloadPtr isx = workloads::findWorkload("isx").take();
+    const AdmittedStage s = admitted(
+        {platforms::skl(), isx.get(), OptSet{Opt::Vectorize}, 5.0, 10.0, 6});
+    ResultCache cache;
+    SweepRunner::Params sp;
+    sp.cache = &cache;
+    ASSERT_TRUE(SweepRunner(sp).runAdmitted({s})[0].status.ok());
+
+    obs::SpanTracker::global().reset();
+    ASSERT_TRUE(SweepRunner(sp).runAdmitted({s})[0].status.ok());
+    uint64_t stage_spans = 0;
+    for (const obs::SpanTracker::Stat &st :
+         obs::SpanTracker::global().stats()) {
+        if (st.path == "stage[" + s.opts.label() + "]")
+            stage_spans += st.count;
+    }
+    EXPECT_EQ(stage_spans, 1u);
+    EXPECT_EQ(simulateSpanCount(), 0u);
+}
+
 TEST(PaperPlan, AssemblerReturnsFirstFailingStageInPlanOrder)
 {
     std::vector<workloads::WorkloadPtr> wls = twoWorkloads();
