@@ -29,7 +29,7 @@ lintSpec(const sim::SystemParams &sys, const sim::KernelSpec &spec,
         return out;
     }
 
-    const SpecBounds b = deriveBounds(sys, spec);
+    const core::SpecBounds b = core::deriveBounds(sys, spec);
 
     if (spec.window > sys.lqSize) {
         out.warning("LLL-LINT-101", subject,
@@ -232,7 +232,7 @@ lintConfig(const platforms::Platform &platform,
     if (cl.diagnostics.hasErrors())
         return cl;
 
-    cl.bounds = deriveBounds(*sys, spec);
+    cl.bounds = core::deriveBounds(*sys, spec);
     cl.boundsValid = true;
 
     // The workload model's a-priori access-pattern hint must agree

@@ -34,14 +34,6 @@
 namespace lll::analysis
 {
 
-// The bounds derivation moved to core/bounds.hh so the experiment
-// runner can refuse vacuous configs at create() time (analysis links
-// core, not the other way around).  Re-exported here for source
-// compatibility.
-using SpecBounds = core::SpecBounds;
-using core::writeBounds;
-using core::deriveBounds;
-
 /**
  * Static feasibility lint of one assembled config: the sim validators
  * (LLL-SPEC / LLL-KRN errors) plus the analytical checks
@@ -66,7 +58,7 @@ struct ConfigLint
 {
     std::string subject;    //!< "skl/isx [base]"
     util::DiagnosticList diagnostics;
-    SpecBounds bounds;
+    core::SpecBounds bounds;
     bool boundsValid = false; //!< false when the variant cannot even
                               //!< produce SystemParams (e.g. SMT ways)
     bool feasible() const { return !diagnostics.hasErrors(); }

@@ -73,7 +73,7 @@ TEST(SpecLintTest, BoundsMatchLittlesLawArithmetic)
     sim::SystemParams sys = tiny.sysParams(tiny.totalCores, 1);
     sim::KernelSpec spec = test::randomKernel(32, 4.0);
 
-    SpecBounds b = deriveBounds(sys, spec);
+    core::SpecBounds b = core::deriveBounds(sys, spec);
     EXPECT_DOUBLE_EQ(b.exposedMlpPerThread,
                      std::min<double>(32, sys.lqSize));
     EXPECT_EQ(b.l1Mshrs, sys.l1.mshrs);
@@ -95,7 +95,7 @@ TEST(SpecLintTest, StreamingWithPrefetcherUsesL2Queue)
     ASSERT_TRUE(sys.l2PrefetcherEnabled);
     sim::KernelSpec spec = test::streamingKernel(4, 16, 8.0);
 
-    SpecBounds b = deriveBounds(sys, spec);
+    core::SpecBounds b = core::deriveBounds(sys, spec);
     EXPECT_FALSE(b.randomDominated);
     EXPECT_TRUE(b.prefetcherCovers);
     EXPECT_DOUBLE_EQ(b.effectiveMlpPerCore,
@@ -189,10 +189,10 @@ TEST(SpecLintTest, BoundsJsonCarriesEveryField)
 {
     platforms::Platform tiny = test::tinyPlatform();
     sim::SystemParams sys = tiny.sysParams(tiny.totalCores, 1);
-    SpecBounds b = deriveBounds(sys, test::randomKernel(32, 4.0));
+    core::SpecBounds b = core::deriveBounds(sys, test::randomKernel(32, 4.0));
     std::string json;
     util::JsonWriter w(json);
-    writeBounds(w, b);
+    core::writeBounds(w, b);
     for (const char *key :
          {"exposed_mlp_per_core", "idle_latency_ns", "peak_gbs",
           "l1_ceiling_gbs", "l2_ceiling_gbs", "mlp_ceiling_gbs",

@@ -202,7 +202,7 @@ runLint(const LintRequest &r, const Context &ctx)
             .member("feasible", cl.feasible())
             .key("bounds");
         if (cl.boundsValid)
-            analysis::writeBounds(w, cl.bounds);
+            core::writeBounds(w, cl.bounds);
         else
             w.null();
         w.key("diagnostics");
