@@ -1,5 +1,7 @@
 #include "net/frame.hh"
 
+#include "service/service.hh"
+
 namespace lll::net
 {
 
@@ -67,8 +69,8 @@ FrameDecoder::next(std::string *frame, util::Status *error)
         frame->assign(buf_, off_, end - off_);
         off_ = nl + 1;
 
-        // Whitespace-only frames are keep-alives, not requests.
-        if (frame->find_first_not_of(" \t") != std::string::npos)
+        // Blank frames are keep-alives, not requests.
+        if (!service::isBlankLine(*frame))
             return Next::Frame;
     }
 }

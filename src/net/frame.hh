@@ -45,11 +45,11 @@ class FrameDecoder
     };
 
     /**
-     * Extract the next complete frame into @p frame.  Whitespace-only
-     * frames (bare newlines, keep-alive blanks) are swallowed, so a
-     * returned frame always has content.  On Error, @p error carries
-     * the InvalidArgument describing the violation and every further
-     * call returns Error again.
+     * Extract the next complete frame into @p frame.  Blank frames
+     * (service::isBlankLine: bare newlines, keep-alive blanks) are
+     * swallowed, so a returned frame always has content.  On Error,
+     * @p error carries the InvalidArgument describing the violation
+     * and every further call returns Error again.
      */
     Next next(std::string *frame, util::Status *error);
 

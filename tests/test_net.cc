@@ -120,6 +120,20 @@ TEST(FrameDecoder, SwallowsBlankKeepAlives)
     EXPECT_FALSE(d.hasPartial());
 }
 
+TEST(FrameDecoder, BlankLinesHoldingCarriageReturnsAreKeepAlives)
+{
+    // A '\r' inside a blank line, not only at its end, keeps it blank:
+    // the same lines `serve --batch` skips.
+    FrameDecoder d(1024);
+    const std::string in = " \r \n\t\r\t\r\n\r\r\n{\"a\": 1}\n";
+    d.feed(in.data(), in.size());
+    std::string frame;
+    Status err;
+    ASSERT_EQ(d.next(&frame, &err), FrameDecoder::Next::Frame);
+    EXPECT_EQ(frame, "{\"a\": 1}");
+    EXPECT_EQ(d.next(&frame, &err), FrameDecoder::Next::NeedMore);
+}
+
 TEST(FrameDecoder, RejectsOversizedLines)
 {
     FrameDecoder d(16);
@@ -179,6 +193,25 @@ TEST(Listener, ServesOneRequest)
     ASSERT_TRUE(line.ok()) << line.status().toString();
     EXPECT_NE(line->find("\"id\": \"r1\""), std::string::npos);
     EXPECT_NE(line->find("\"code\": \"ok\""), std::string::npos);
+}
+
+TEST(Listener, BlankLineHoldingACarriageReturnGetsNoResponse)
+{
+    // " \r " is a blank line to `serve --batch`; on the socket it is a
+    // keep-alive too, so the next line is the connection's first
+    // request and its answer is the first response.
+    LocalServer server(ListenerParams{});
+    util::Result<BlockingClient> client = server.connect();
+    ASSERT_TRUE(client.ok()) << client.status().toString();
+    ASSERT_TRUE(client->sendAll(" \r \n\t\r\t\n123xyz\n").ok());
+    util::Result<std::string> line = client->recvLine(15000);
+    ASSERT_TRUE(line.ok()) << line.status().toString();
+    EXPECT_NE(line->find("\"id\": \"#1\""), std::string::npos) << *line;
+    EXPECT_NE(line->find("\"code\": \"corrupt-data\""), std::string::npos)
+        << *line;
+    Status run = server.stop();
+    EXPECT_TRUE(run.ok()) << run.toString();
+    EXPECT_EQ(server.counter("net.responses_total"), 1u);
 }
 
 TEST(Listener, V2SearchRequestMatchesTheBatchPathByteForByte)

@@ -338,7 +338,7 @@ runBenchServe(const BenchServeRequest &r, const Context &ctx)
         if (!lines.ok())
             return lines.status();
         for (std::string &line : *lines) {
-            if (line.find_first_not_of(" \t\r") != std::string::npos)
+            if (!service::isBlankLine(line))
                 lg.requestLines.push_back(std::move(line));
         }
         if (lg.requestLines.empty()) {
