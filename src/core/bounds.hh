@@ -11,8 +11,7 @@
  * configs whose bounds make every downstream conclusion vacuous
  * (LLL-LINT-102/106), and the search pruner reads its ceiling
  * (throughputCeilingGBs) from here; analysis already links core, so
- * the derivation must sit below all of them.  `lll::analysis` re-exports these names for source
- * compatibility (analysis/spec_lint.hh).
+ * the derivation must sit below all of them.
  *
  * Everything here is a pure function of the static tables — no X-Mem
  * profile, no event queue — so output is byte-deterministic.
