@@ -35,9 +35,10 @@ defaultLayers()
         {"analysis",
          {"util", "sim", "platforms", "workloads", "xmem", "core"}},
         // The autotuner composes core's bounds/sweep machinery over
-        // platform spaces; only service and the CLI may depend on it.
+        // platform spaces, sharing one xmem::PointMemo across a search's
+        // characterizations; only service and the CLI may depend on it.
         {"search",
-         {"util", "obs", "sim", "platforms", "workloads", "core"}},
+         {"util", "obs", "sim", "platforms", "workloads", "xmem", "core"}},
         {"service",
          {"util", "obs", "sim", "platforms", "workloads", "core",
           "search"}},

@@ -636,7 +636,7 @@ SweepRunner::loadProfiles(const std::vector<AdmittedStage> &stages) const
     // no more than that many threads ever run.
     xmem::XMemHarness::Params hp;
     hp.jobs = params_.jobs;
-    const xmem::XMemHarness harness(hp);
+    const xmem::XMemHarness harness(hp, pointMemo_);
     Profiles profiles;
     for (const AdmittedStage &s : stages) {
         if (profiles.count(s.platform.name))

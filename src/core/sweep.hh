@@ -43,6 +43,11 @@
 #include "util/status.hh"
 #include "workloads/workload.hh"
 
+namespace lll::xmem
+{
+class PointMemo;
+}
+
 namespace lll::core
 {
 
@@ -299,7 +304,12 @@ class SweepRunner
     using Profiles =
         std::map<std::string, util::Result<xmem::LatencyProfile>>;
 
-    explicit SweepRunner(Params params) : params_(params) {}
+    /** A runner whose characterizations reuse and add to @p memo's
+     *  X-Mem points, when set (a search's, across its waves). */
+    explicit SweepRunner(Params params, xmem::PointMemo *memo = nullptr)
+        : params_(params), pointMemo_(memo)
+    {
+    }
 
     /**
      * Every distinct platform's profile among @p stages, fetched from
@@ -351,6 +361,7 @@ class SweepRunner
 
   private:
     Params params_;
+    xmem::PointMemo *pointMemo_ = nullptr;
 };
 
 /** One rendered paper table (Tables IV–IX): a workload's walk on one

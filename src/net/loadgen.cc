@@ -135,7 +135,9 @@ runConnection(const LoadGenParams &params, int conn_index,
             const std::string &line =
                 params.requestLines[line_idx %
                                     params.requestLines.size()];
-            ++line_idx;
+            // Connection i sends lines i, i + connections, ...: together
+            // the connections send each line once per pass.
+            line_idx += size_t(params.connections);
             outbuf += line;
             outbuf += '\n';
             // A paced request is timed from its due time, not the

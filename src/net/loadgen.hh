@@ -53,8 +53,9 @@ struct LoadGenParams
     /** Sending phase length in seconds. */
     double durationS = 5.0;
 
-    /** Request lines (no trailing newline), cycled per send across
-     *  each connection.  Must not be empty. */
+    /** Request lines (no trailing newline), cycled through: connection
+     *  i sends lines i, i + connections, ..., so each line goes out
+     *  once per pass.  Must not be empty. */
     std::vector<std::string> requestLines;
 
     /** After the sending phase, wait this long for stragglers. */

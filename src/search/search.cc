@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/names.hh"
+#include "xmem/xmem_harness.hh"
 
 namespace lll::search
 {
@@ -90,7 +91,11 @@ Searcher::run(const SearchSpec &spec)
             classes[candidates[i].cost].push_back(i);
     }
 
-    core::SweepRunner runner(params_);
+    // Candidates differ in a few knobs, so a characterization can take
+    // many of its X-Mem points from an earlier candidate's
+    // (xmem::PointMemo); the memo lives for this search only.
+    xmem::PointMemo memo;
+    core::SweepRunner runner(params_, &memo);
 
     // Both ceiling terms (DESIGN.md §17.2) cap the *sustained* rate,
     // but a finite measurement window can overshoot them by a fraction

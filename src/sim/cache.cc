@@ -139,6 +139,7 @@ Cache::insert(uint64_t lineAddr, bool dirty, bool prefetched)
     tag = lineAddr;
     flags = static_cast<uint8_t>((dirty ? kDirty : 0) |
                                  (prefetched ? kPrefetched : 0));
+    lineArrived(lineAddr);
 }
 
 bool
@@ -212,6 +213,7 @@ Cache::tryAccess(MemRequest *req)
     ++stats_.demandMisses;
     Mshr *mshr = mshrs_.allocate(req->lineAddr, req->type, now);
     mshr->targets.push_back(req);
+    lineArrived(req->lineAddr);
 
     MemRequest *fill = pool_.alloc();
     fill->lineAddr = req->lineAddr;
@@ -268,6 +270,7 @@ Cache::startPrefetch(uint64_t lineAddr, ReqType type, int core, int thread)
 {
     const Tick now = eq_.now();
     mshrs_.allocate(lineAddr, type, now);
+    lineArrived(lineAddr);
 
     MemRequest *fill = pool_.alloc();
     fill->lineAddr = lineAddr;
@@ -306,7 +309,8 @@ Cache::sendDownstream(MemRequest *fillReq)
         pendingDown_.push_back(fillReq);
         if (!retryRegistered_) {
             retryRegistered_ = true;
-            down_->addRetryWaiter([this] { drainPending(); });
+            down_->addRetryWaiter(fillReq->lineAddr,
+                                  [this] { drainPending(); });
         }
     }
 }
@@ -320,7 +324,8 @@ Cache::drainPending()
         if (!down_->tryAccess(head)) {
             if (!retryRegistered_) {
                 retryRegistered_ = true;
-                down_->addRetryWaiter([this] { drainPending(); });
+                down_->addRetryWaiter(head->lineAddr,
+                                      [this] { drainPending(); });
             }
             return;
         }
@@ -386,9 +391,9 @@ Cache::handleFill(MemRequest *fillReq)
 }
 
 void
-Cache::addRetryWaiter(EventFn cb)
+Cache::addRetryWaiter(uint64_t lineAddr, EventFn cb)
 {
-    retryWaiters_.push_back(std::move(cb));
+    retryWaiters_.push_back({lineAddr, false, std::move(cb)});
 }
 
 void
@@ -396,16 +401,31 @@ Cache::notifyRetryWaiters()
 {
     if (retryWaiters_.empty())
         return;
-    // Run the waiters from the spare buffer while callbacks that
-    // re-register land in the (emptied, capacity-keeping) live list;
-    // the buffer goes back to spare afterwards.
-    std::vector<EventFn> waiters;
-    waiters.swap(spareWaiters_);
-    waiters.swap(retryWaiters_);
-    for (auto &cb : waiters)
-        cb();
-    waiters.clear();
-    spareWaiters_.swap(waiters);
+    LLL_INVARIANT(notifying_.empty(), "%s: nested retry round",
+                  params_.name.c_str());
+    // Run the round from notifying_ while callbacks that re-register
+    // land in the (emptied, capacity-keeping) live list.  Nothing in a
+    // round frees an MSHR, so a waiter found refusable at its turn
+    // would be refused: it records that refusal's full stall and goes
+    // back to the live list where its own re-registration would have
+    // put it.  A waiter called earlier in the round can still allocate
+    // its line, which lets a later one proceed.
+    notifying_.swap(retryWaiters_);
+    for (RetryWaiter &w : notifying_) {
+        if (w.lineArrived || !mshrs_.full()) {
+            w.cb();
+            continue;
+        }
+        LLL_INVARIANT(!isResident(w.lineAddr) &&
+                          mshrs_.lookup(w.lineAddr) == nullptr,
+                      "%s: skipped a waiter whose line %#llx is resident "
+                      "or in flight",
+                      params_.name.c_str(),
+                      static_cast<unsigned long long>(w.lineAddr));
+        mshrs_.recordFullStall();
+        retryWaiters_.push_back(std::move(w));
+    }
+    notifying_.clear();
 }
 
 void

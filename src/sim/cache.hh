@@ -81,6 +81,8 @@ class Cache : public MemLevel
          *  against other components' (see SchedBand); assigned by
          *  System, 0 for standalone test caches. */
         unsigned schedActor = 0;
+
+        bool operator==(const Params &) const = default;
     };
 
     struct CacheStats
@@ -117,7 +119,15 @@ class Cache : public MemLevel
 
     // MemLevel interface
     bool tryAccess(MemRequest *req) override;
-    void addRetryWaiter(EventFn cb) override;
+
+    /**
+     * Fills call back only the waiters whose retry can proceed: the
+     * MSHR queue has room, or @p lineAddr was allocated an MSHR or
+     * installed since the waiter blocked.  Every other waiter is
+     * charged the one full stall its refused retry would record, and
+     * keeps its place in the list (DESIGN.md §16.6).
+     */
+    void addRetryWaiter(uint64_t lineAddr, EventFn cb) override;
 
     /**
      * Non-blocking prefetch insertion (software or hardware).  Under MSHR
@@ -232,6 +242,29 @@ class Cache : public MemLevel
 
     void notifyRetryWaiters();
 
+    /** A requester refused for want of an MSHR. */
+    struct RetryWaiter
+    {
+        uint64_t lineAddr;  //!< line of its refused head request
+        /** That line was allocated an MSHR or installed since the
+         *  waiter blocked, so its retry proceeds even when full. */
+        bool lineArrived;
+        EventFn cb;
+    };
+
+    /** Note that @p lineAddr was allocated or installed: its waiters'
+     *  retries no longer need a free MSHR. */
+    void
+    lineArrived(uint64_t lineAddr)
+    {
+        for (std::vector<RetryWaiter> *list : {&retryWaiters_, &notifying_}) {
+            for (RetryWaiter &w : *list) {
+                if (w.lineAddr == lineAddr)
+                    w.lineArrived = true;
+            }
+        }
+    }
+
     Params params_;
     EventQueue &eq_;
     RequestPool &pool_;
@@ -274,10 +307,11 @@ class Cache : public MemLevel
 
     std::deque<PendingPrefetch> deferredPf_;
 
-    std::vector<EventFn> retryWaiters_;
-    /** Emptied buffer notifyRetryWaiters() runs from and hands back, so
-     *  re-registering never allocates. */
-    std::vector<EventFn> spareWaiters_;
+    std::vector<RetryWaiter> retryWaiters_;
+    /** The round notifyRetryWaiters() is running; empty between rounds,
+     *  its buffer handed back to retryWaiters_ so re-registering never
+     *  allocates. */
+    std::vector<RetryWaiter> notifying_;
 };
 
 /**

@@ -120,7 +120,7 @@ MemCtrl::tryAccess(MemRequest *req)
 }
 
 void
-MemCtrl::addRetryWaiter(EventFn cb)
+MemCtrl::addRetryWaiter(uint64_t, EventFn cb)
 {
     // The controller never refuses, so a retry can fire immediately; this
     // path is only reachable through misuse.

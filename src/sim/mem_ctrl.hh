@@ -44,6 +44,8 @@ class MemCtrl : public MemLevel
         unsigned lineBytes = 64;
         /** Banks are derived from peak bandwidth unless overridden. */
         unsigned banksOverride = 0;
+
+        bool operator==(const Params &) const = default;
     };
 
     struct MemStats
@@ -70,7 +72,7 @@ class MemCtrl : public MemLevel
 
     // MemLevel interface.  The controller never refuses a request.
     bool tryAccess(MemRequest *req) override;
-    void addRetryWaiter(EventFn cb) override;
+    void addRetryWaiter(uint64_t lineAddr, EventFn cb) override;
 
     /** Attach an optional request tracer (null to detach). */
     void setTracer(RequestTracer *tracer) { tracer_ = tracer; }

@@ -36,10 +36,12 @@ class MemLevel
     virtual bool tryAccess(MemRequest *req) = 0;
 
     /**
-     * Register a one-shot callback invoked the next time refused capacity
-     * frees up.  Callers re-register if they are refused again.
+     * Register a one-shot callback invoked once a retry of the refused
+     * request for @p lineAddr (the waiter's head request) can proceed:
+     * when capacity frees up, or when that line is allocated or
+     * installed.  Callers re-register if they are refused again.
      */
-    virtual void addRetryWaiter(EventFn cb) = 0;
+    virtual void addRetryWaiter(uint64_t lineAddr, EventFn cb) = 0;
 };
 
 } // namespace lll::sim

@@ -84,6 +84,7 @@ MshrQueue::allocate(uint64_t lineAddr, ReqType origin, Tick now)
     mshr.inUse = true;
     index_[slot] = {lineAddr, idx};
     ++used_;
+    peak_ = std::max(peak_, used_);
     ++allocations_;
     LLL_INVARIANT(size_ == 0 || used_ <= size_,
                   "%s: occupancy %u exceeds capacity %u", name_.c_str(),

@@ -94,6 +94,10 @@ class MshrQueue
     /** Highest occupancy observed since the last stats reset. */
     double maxOccupancy() const { return occupancy_.max(); }
 
+    /** Highest occupancy since construction: resetStats() keeps it, so
+     *  it covers a whole run, warmup included. */
+    unsigned peakOccupancy() const { return peak_; }
+
     /** Occupancy integrated over [last stats reset, now], in entry-ticks. */
     double occupancyIntegral(Tick now) const
     {
@@ -165,6 +169,7 @@ class MshrQueue
     std::string name_;
     unsigned size_;
     unsigned used_ = 0;
+    unsigned peak_ = 0;
     std::vector<Mshr> entries_;
     std::vector<unsigned> freeList_;
     std::vector<IndexSlot> index_;   //!< power of two, >= 2x entries_

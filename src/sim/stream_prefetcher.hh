@@ -42,6 +42,8 @@ class StreamPrefetcher
         unsigned distance = 16;     //!< how far ahead of demand to run
         unsigned degree = 4;        //!< max prefetches per trigger
         unsigned trainThreshold = 2; //!< confirmations before issuing
+
+        bool operator==(const Params &) const = default;
     };
 
     struct PfStats

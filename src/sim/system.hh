@@ -50,6 +50,8 @@ struct WatchdogParams
     /** Consecutive no-progress checks before the run is declared
      *  wedged. */
     unsigned maxStrikes = 2;
+
+    bool operator==(const WatchdogParams &) const = default;
 };
 
 /**
@@ -85,6 +87,8 @@ struct SystemParams
      *  only the determinism checker should set this — see
      *  EventQueue::setTieBreakSeed(). */
     uint64_t tieBreakSeed = 0;
+
+    bool operator==(const SystemParams &) const = default;
 };
 
 /**
@@ -115,6 +119,9 @@ struct RunResult
     // MSHR ground truth (per-core averages)
     double avgL1MshrOccupancy = 0.0;
     double avgL2MshrOccupancy = 0.0;
+    /** The highest occupancy of any core's queue within the measure
+     *  window only: the warmup's peak is not in it (the whole run's is
+     *  MshrQueue::peakOccupancy()). */
     double maxL1MshrOccupancy = 0.0;
     double maxL2MshrOccupancy = 0.0;
     uint64_t l1FullStalls = 0;

@@ -112,7 +112,7 @@ ThreadContext::tryIssue()
         pool_.free(req);
         if (!waitingRetry_) {
             waitingRetry_ = true;
-            l1_.addRetryWaiter([this] {
+            l1_.addRetryWaiter(pendingOp_->lineAddr, [this] {
                 waitingRetry_ = false;
                 retry();
             });

@@ -1,5 +1,6 @@
 #include "xmem/xmem_harness.hh"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "obs/executor.hh"
@@ -24,14 +25,6 @@ cachePathNs(const sim::SystemParams &sp)
         path += sp.l3.accessLat;
     return ticksToNs(path);
 }
-
-/** One load level of the sweep. */
-struct OperatingPoint
-{
-    unsigned window;    //!< per-thread requests in flight
-    double delayCycles; //!< compute gap between requests
-    bool streaming;     //!< sequential streams, else random accesses
-};
 
 /** The sweep's operating points, low load first. */
 std::vector<OperatingPoint>
@@ -88,7 +81,76 @@ loadSpec(const platforms::Platform &platform, const OperatingPoint &op)
     return spec;
 }
 
+/** @p field of @p sp's L1, L2 and L3 parameters. */
+std::array<unsigned, 3>
+perLevel(const sim::SystemParams &sp, unsigned sim::Cache::Params::*field)
+{
+    return {sp.l1.*field, sp.l2.*field, sp.l3.*field};
+}
+
+/** Whole-run peak MSHR occupancy of @p sys at L1, L2 and L3. */
+std::array<unsigned, 3>
+peakOccupancy(sim::System &sys)
+{
+    std::array<unsigned, 3> peak{};
+    for (int c = 0; c < sys.params().cores; ++c) {
+        peak[0] = std::max(peak[0], sys.l1(c).mshrs().peakOccupancy());
+        peak[1] = std::max(peak[1], sys.l2(c).mshrs().peakOccupancy());
+    }
+    if (sys.l3())
+        peak[2] = sys.l3()->mshrs().peakOccupancy();
+    return peak;
+}
+
+/** A queue of capacity @p cap (0 = unbounded) is never full and never
+ *  trips a prefetch reserve of @p reserve in a run that peaks at
+ *  @p peak. */
+bool
+neverNear(unsigned peak, unsigned reserve, unsigned cap)
+{
+    return cap == 0 || peak + reserve < cap;
+}
+
 } // namespace
+
+std::vector<PointMemo::Use>
+PointMemo::uses() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return uses_;
+}
+
+std::optional<LatencyProfile::Point>
+PointMemo::find(const Key &key, const std::array<unsigned, 3> &capacity,
+                const std::string &platform, size_t index)
+{
+    const std::array<unsigned, 3> reserve =
+        perLevel(key.sys, &sim::Cache::Params::prefetchReserve);
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Entry &e : entries_) {
+        if (!(e.key == key))
+            continue;
+        bool same = true;
+        for (size_t l = 0; l < capacity.size(); ++l) {
+            same = same && (e.capacity[l] == capacity[l] ||
+                            (neverNear(e.peak[l], reserve[l], e.capacity[l]) &&
+                             neverNear(e.peak[l], reserve[l], capacity[l])));
+        }
+        if (same) {
+            uses_.push_back({platform, index, true, e.peak});
+            return e.point;
+        }
+    }
+    return std::nullopt;
+}
+
+void
+PointMemo::add(Entry entry, const std::string &platform, size_t index)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    uses_.push_back({platform, index, false, entry.peak});
+    entries_.push_back(std::move(entry));
+}
 
 util::Result<LatencyProfile>
 XMemHarness::measure(const platforms::Platform &platform) const
@@ -105,6 +167,18 @@ XMemHarness::measure(const platforms::Platform &platform) const
         const OperatingPoint &op = ops[i];
         sim::SystemParams sp = platform.sysParams(platform.totalCores, 1);
         sp.seed = params_.seed;
+        PointMemo::Key key{sp, op, platform.lineBytes, params_.warmupUs,
+                           params_.measureUs};
+        key.sys.l1.mshrs = key.sys.l2.mshrs = key.sys.l3.mshrs = 0;
+        const std::array<unsigned, 3> capacity =
+            perLevel(sp, &sim::Cache::Params::mshrs);
+        if (memo_) {
+            if (std::optional<LatencyProfile::Point> hit =
+                    memo_->find(key, capacity, platform.name, i)) {
+                points[i] = *hit;
+                return;
+            }
+        }
         sim::System sys(sp, loadSpec(platform, op));
         util::Result<sim::RunResult> r =
             sys.runChecked(params_.warmupUs, params_.measureUs);
@@ -114,6 +188,11 @@ XMemHarness::measure(const platforms::Platform &platform) const
         }
         points[i].bwGBs = r->totalGBs;
         points[i].latencyNs = path_ns + r->avgMemLatencyNs;
+        if (memo_) {
+            memo_->add({std::move(key), capacity, peakOccupancy(sys),
+                        points[i]},
+                       platform.name, i);
+        }
     });
     // The first failing point in sweep order, whatever the jobs.
     for (size_t i = 0; i < ops.size(); ++i) {

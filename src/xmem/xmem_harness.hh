@@ -14,14 +14,99 @@
 #ifndef LLL_XMEM_XMEM_HARNESS_HH
 #define LLL_XMEM_XMEM_HARNESS_HH
 
+#include <array>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "platforms/platform.hh"
+#include "sim/system.hh"
 #include "xmem/latency_profile.hh"
 
 namespace lll::xmem
 {
+
+/** One load level of the sweep. */
+struct OperatingPoint
+{
+    unsigned window;    //!< per-thread requests in flight
+    double delayCycles; //!< compute gap between requests
+    bool streaming;     //!< sequential streams, else random accesses
+
+    bool operator==(const OperatingPoint &) const = default;
+};
+
+/**
+ * The operating points measured so far, for reuse by later
+ * characterizations (DESIGN.md §17.6).  An MSHR queue's capacity
+ * changes a run only through its full() check and the prefetch
+ * reserve check, so a run whose queue at some level never came within
+ * prefetchReserve of its capacity is the run any such capacity
+ * produces, event for event.  XMemHarness::measure() reuses a stored
+ * point when everything else matches: the SystemParams bar their MSHR
+ * capacities, the point, and the harness seed and windows.  At each
+ * level whose capacity differs, the stored run's whole-run peak plus
+ * that level's prefetchReserve must stay below both capacities.
+ * Every other point is simulated.
+ *
+ * Thread-safe.  Each search::Searcher::run() owns one, so nothing is
+ * kept between searches.
+ */
+class PointMemo
+{
+  public:
+    /** One operating point measure() asked for. */
+    struct Use
+    {
+        std::string platform;
+        size_t point = 0;       //!< index in the sweep
+        bool reused = false;    //!< served from an earlier run
+        /** Whole-run peak MSHR occupancy of the run that produced the
+         *  point, at L1, L2 and L3 (the highest over cores). */
+        std::array<unsigned, 3> peak{};
+    };
+
+    /** Every point asked for so far, completion order (which varies
+     *  with jobs). */
+    std::vector<Use> uses() const;
+
+  private:
+    friend class XMemHarness;
+
+    /** What a point's run depends on, bar MSHR capacities. */
+    struct Key
+    {
+        sim::SystemParams sys; //!< every MSHR capacity set to 0
+        OperatingPoint op;
+        unsigned lineBytes;    //!< the platform's, which sizes the load
+        double warmupUs;
+        double measureUs;
+
+        bool operator==(const Key &) const = default;
+    };
+
+    struct Entry
+    {
+        Key key;
+        std::array<unsigned, 3> capacity; //!< MSHRs it ran with
+        std::array<unsigned, 3> peak;
+        LatencyProfile::Point point;
+    };
+
+    /** A stored point valid at @p capacity, recorded as a reuse by
+     *  @p platform's point @p index. */
+    std::optional<LatencyProfile::Point>
+    find(const Key &key, const std::array<unsigned, 3> &capacity,
+         const std::string &platform, size_t index);
+
+    /** Store a simulated point, recorded as a use. */
+    void add(Entry entry, const std::string &platform, size_t index);
+
+    mutable std::mutex mu_;
+    std::vector<Entry> entries_;
+    std::vector<Use> uses_;
+};
 
 /**
  * The load sweep.
@@ -51,7 +136,13 @@ class XMemHarness
     };
 
     XMemHarness() : params_(Params()) {}
-    explicit XMemHarness(Params params) : params_(std::move(params)) {}
+
+    /** A harness that reuses and adds to @p memo's points, when set;
+     *  the profile is the same either way. */
+    explicit XMemHarness(Params params, PointMemo *memo = nullptr)
+        : params_(std::move(params)), memo_(memo)
+    {
+    }
 
     /**
      * Measure the bandwidth→latency profile of @p platform.
@@ -89,6 +180,7 @@ class XMemHarness
 
   private:
     Params params_;
+    PointMemo *memo_ = nullptr;
 };
 
 /** Default on-disk location for a platform's profile. */

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "sim/cache.hh"
@@ -155,7 +157,7 @@ TEST_F(CacheTest, RetryWaiterFiresWhenMshrFrees)
     load(*l1_, 3);
     EXPECT_FALSE(load(*l1_, 4));
     int fired = 0;
-    l1_->addRetryWaiter([&] { ++fired; });
+    l1_->addRetryWaiter(4, [&] { ++fired; });
     settle();
     EXPECT_GE(fired, 1);
     // Retrying now succeeds.
@@ -417,7 +419,7 @@ class RecordingLevel : public MemLevel
         return true;
     }
 
-    void addRetryWaiter(EventFn) override {}
+    void addRetryWaiter(uint64_t, EventFn) override {}
 
     std::vector<uint64_t> writebacks;
     std::vector<MemRequest *> fills;
@@ -425,6 +427,186 @@ class RecordingLevel : public MemLevel
   private:
     RequestPool &pool_;
 };
+
+/**
+ * Retry rounds on one cache whose fills the test delivers by hand:
+ * which waiters a fill calls back, in what order, and the full stalls
+ * the others are charged.
+ */
+class RetryRoundTest : public ::testing::Test
+{
+  protected:
+    /** A requester loading its lines in order, like a cache draining
+     *  its refused fills: on a refusal it waits for its head line, and
+     *  each callback appends its id to calls_ and drains again. */
+    struct Requester
+    {
+        char id;
+        std::deque<uint64_t> lines;
+    };
+
+    RetryRoundTest()
+    {
+        Cache::Params p;
+        p.name = "rt";
+        p.sets = 16;
+        p.ways = 4;
+        p.accessLat = nsToTicks(2.0);
+        p.mshrs = 3;
+        cache_ = std::make_unique<Cache>(p, eq_, pool_);
+        cache_->setDownstream(&down_);
+    }
+
+    bool
+    load(uint64_t line)
+    {
+        MemRequest *req = pool_.alloc();
+        req->lineAddr = line;
+        req->type = ReqType::DemandLoad;
+        const bool ok = cache_->tryAccess(req);
+        if (!ok)
+            pool_.free(req);
+        return ok;
+    }
+
+    /** Start @p id loading @p lines. */
+    Requester *
+    start(char id, std::deque<uint64_t> lines)
+    {
+        requesters_.push_back({id, std::move(lines)});
+        drain(&requesters_.back());
+        return &requesters_.back();
+    }
+
+    void
+    drain(Requester *r)
+    {
+        while (!r->lines.empty()) {
+            if (!load(r->lines.front())) {
+                cache_->addRetryWaiter(r->lines.front(), [this, r] {
+                    calls_ += r->id;
+                    drain(r);
+                });
+                return;
+            }
+            r->lines.pop_front();
+        }
+    }
+
+    /** Fill the whole queue with misses on @p lines and let their
+     *  requests reach the recording level. */
+    void
+    fillQueue(std::initializer_list<uint64_t> lines)
+    {
+        for (uint64_t line : lines)
+            ASSERT_TRUE(load(line));
+        ASSERT_TRUE(cache_->mshrs().full());
+        eq_.runUntil(eq_.now() + nsToTicks(10.0));
+    }
+
+    /** Deliver the parked fill of @p line: one retry round. */
+    void
+    deliver(uint64_t line)
+    {
+        for (auto it = down_.fills.begin(); it != down_.fills.end(); ++it) {
+            if ((*it)->lineAddr == line) {
+                MemRequest *fill = *it;
+                down_.fills.erase(it);
+                cache_->handleFill(fill);
+                return;
+            }
+        }
+        FAIL() << "no fill parked for line " << line;
+    }
+
+    /** Install @p line as a clean writeback from above. */
+    void
+    writeback(uint64_t line)
+    {
+        MemRequest *wb = pool_.alloc();
+        wb->lineAddr = line;
+        wb->type = ReqType::Writeback;
+        ASSERT_TRUE(cache_->tryAccess(wb));
+    }
+
+    uint64_t stalls() const { return cache_->mshrs().fullStalls(); }
+
+    EventQueue eq_;
+    RequestPool pool_;
+    RecordingLevel down_{pool_};
+    std::unique_ptr<Cache> cache_;
+    std::deque<Requester> requesters_;
+    std::string calls_;
+};
+
+TEST_F(RetryRoundTest, SkippedWaiterCountsOneFullStallPerRound)
+{
+    fillQueue({1, 2, 3});
+    start('a', {5});
+    start('b', {6});
+    start('c', {4});
+    EXPECT_EQ(stalls(), 3u);
+    // Each fill frees one MSHR and the first waiter in line takes it;
+    // every waiter behind it is charged the one refusal its retry
+    // would have met, round after round.
+    deliver(1);
+    EXPECT_EQ(calls_, "a");
+    EXPECT_EQ(stalls(), 5u);
+    deliver(2);
+    EXPECT_EQ(calls_, "ab");
+    EXPECT_EQ(stalls(), 6u);
+    deliver(3);
+    EXPECT_EQ(calls_, "abc");
+    EXPECT_EQ(stalls(), 6u);
+    EXPECT_TRUE(requesters_[2].lines.empty());
+}
+
+TEST_F(RetryRoundTest, WaiterWhoseLineAnotherRequesterAllocatesProceeds)
+{
+    fillQueue({1, 2, 3});
+    start('a', {5});
+    start('b', {5});
+    EXPECT_EQ(stalls(), 2u);
+    // a's retry allocates line 5 and fills the queue again; b's retry
+    // coalesces onto that MSHR, so b is called in the same round.
+    deliver(1);
+    EXPECT_EQ(calls_, "ab");
+    EXPECT_EQ(stalls(), 2u);
+    EXPECT_TRUE(requesters_[1].lines.empty());
+    EXPECT_EQ(cache_->stats().demandMshrHits.value(), 1u);
+}
+
+TEST_F(RetryRoundTest, WaiterWhoseLineAWritebackInstallsProceeds)
+{
+    fillQueue({1, 2, 3});
+    start('a', {5});
+    start('b', {7});
+    writeback(7);
+    // a takes the freed MSHR; the queue is full again at b's turn, but
+    // b's line is resident now, so its retry hits.
+    deliver(1);
+    EXPECT_EQ(calls_, "ab");
+    EXPECT_EQ(stalls(), 2u);
+    EXPECT_TRUE(requesters_[1].lines.empty());
+    EXPECT_EQ(cache_->stats().demandHits.value(), 1u);
+}
+
+TEST_F(RetryRoundTest, WaiterOrderIsKept)
+{
+    fillQueue({1, 2, 3});
+    start('a', {10, 13});
+    start('b', {11});
+    // a loads 10, is refused on 13 and re-registers during the round;
+    // b, skipped after it, stays behind a's new registration exactly
+    // as its own refused retry would have put it.
+    deliver(1);
+    EXPECT_EQ(calls_, "a");
+    deliver(2);
+    EXPECT_EQ(calls_, "aa");
+    deliver(3);
+    EXPECT_EQ(calls_, "aab");
+    EXPECT_EQ(stalls(), 5u);
+}
 
 /** The reference: per-way tag, stamp and dirty bit. */
 class StampModel

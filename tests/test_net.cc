@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -940,6 +941,49 @@ TEST(LoadGen, PacedLatencyIncludesTheBacklogBehindAStall)
     // About 40 of ~200 requests fell due during the stall, so the p99
     // sits inside the backlog, not on the fast path behind it.
     EXPECT_GE(rep->okLatencyNs.percentile(0.99), 0.5 * stall_ms * 1e6);
+}
+
+TEST(LoadGen, ConnectionsSendEachLineOncePerPass)
+{
+    // A --requests file of distinct (say, cold) lines: the connections
+    // share it out, so in less than one pass the server sees no line
+    // twice.
+    struct Seen
+    {
+        std::mutex mu;
+        std::map<std::string, int> count;
+    };
+    auto seen = std::make_shared<Seen>();
+    ListenerParams params;
+    params.handler = [seen](const std::string &line, uint64_t) {
+        {
+            std::lock_guard<std::mutex> lock(seen->mu);
+            ++seen->count[line];
+        }
+        HandlerResult out;
+        out.line = "{\"status\": {\"code\": \"ok\"}}";
+        return out;
+    };
+    LocalServer server(std::move(params));
+
+    LoadGenParams lp;
+    lp.port = server.port();
+    lp.connections = 4;
+    lp.pipeline = 1;
+    lp.qps = 400.0;
+    lp.durationS = 0.5;
+    for (int i = 0; i < 4096; ++i)
+        lp.requestLines.push_back("{\"id\": \"c" + std::to_string(i) + "\"}");
+    util::Result<LoadGenReport> rep = runLoadGen(lp);
+    ASSERT_TRUE(rep.ok()) << rep.status().toString();
+    ASSERT_EQ(rep->received, rep->sent);
+    ASSERT_GT(rep->sent, 8u);
+    ASSERT_LT(rep->sent, lp.requestLines.size());
+
+    std::lock_guard<std::mutex> lock(seen->mu);
+    EXPECT_EQ(seen->count.size(), rep->sent);
+    for (const auto &[line, n] : seen->count)
+        EXPECT_EQ(n, 1) << line;
 }
 
 TEST(LoadGen, LightlyPacedRunObeysLittlesLaw)

@@ -11,8 +11,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 
+#include "platforms/platform.hh"
+#include "search/axes.hh"
 #include "test_common.hh"
 #include "xmem/xmem_harness.hh"
 
@@ -30,6 +33,19 @@ fastParams()
     p.windows = {1, 4, 8, 12};
     p.delays = {256, 32};
     return p;
+}
+
+/** The bytes LatencyProfile::save() writes for @p prof. */
+std::string
+savedBytes(const LatencyProfile &prof, const std::string &name)
+{
+    const std::string path = ::testing::TempDir() + "/" + name;
+    EXPECT_TRUE(prof.save(path).ok());
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    return bytes;
 }
 
 class XmemTest : public ::testing::Test
@@ -104,18 +120,9 @@ TEST_F(XmemTest, ProfileIsIdenticalAtAnyJobCount)
     }
 
     // And the files save() writes are byte-identical.
-    auto saved = [](const LatencyProfile &prof, const std::string &name) {
-        const std::string path = ::testing::TempDir() + "/" + name;
-        EXPECT_TRUE(prof.save(path).ok());
-        std::ifstream in(path, std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        std::remove(path.c_str());
-        return bytes;
-    };
-    const std::string serial_file = saved(serial, "jobs1.profile");
+    const std::string serial_file = savedBytes(serial, "jobs1.profile");
     EXPECT_FALSE(serial_file.empty());
-    EXPECT_EQ(saved(parallel, "jobs3.profile"), serial_file);
+    EXPECT_EQ(savedBytes(parallel, "jobs3.profile"), serial_file);
 }
 
 TEST_F(XmemTest, WedgedPointFailsTheProfile)
@@ -197,6 +204,79 @@ TEST_F(XmemTest, CorruptCacheIsAnErrorNotASilentRemeasure)
     std::ifstream still_there(path);
     EXPECT_TRUE(still_there.good());
     std::remove(path.c_str());
+}
+
+TEST(PointMemoTest, ReusedPointsEqualFreshOnesOverTheSearchSpace)
+{
+    // The benchmark's search space on skl (l2_mshrs=8:32:*2 x
+    // banks=8:16:+4), each candidate characterized twice: through one
+    // memo shared by the whole space, and fresh, through a memo of its
+    // own that has nothing to reuse but records each run's peaks.
+    XMemHarness::Params params = fastParams();
+    params.warmupUs = 2.0;
+    params.measureUs = 4.0;
+    params.jobs = 2;
+    PointMemo shared;
+    const XMemHarness memoized(params, &shared);
+    const platforms::Platform base = platforms::skl();
+    const unsigned l2_reserve = base.proto.l2.prefetchReserve;
+    size_t reused = 0;
+    size_t near_capacity = 0;
+    for (double banks : {8.0, 12.0, 16.0}) {
+        for (double l2_mshrs : {8.0, 16.0, 32.0}) {
+            search::Assignment assign;
+            assign.values = {{"banks", banks}, {"l2_mshrs", l2_mshrs}};
+            util::Result<platforms::Platform> cand =
+                search::applyAssignment(base, assign);
+            ASSERT_TRUE(cand.ok()) << cand.status().toString();
+            SCOPED_TRACE(cand->name);
+
+            PointMemo own;
+            util::Result<LatencyProfile> fresh =
+                XMemHarness(params, &own).measure(*cand);
+            util::Result<LatencyProfile> memo = memoized.measure(*cand);
+            ASSERT_TRUE(fresh.ok()) << fresh.status().toString();
+            ASSERT_TRUE(memo.ok()) << memo.status().toString();
+            EXPECT_EQ(savedBytes(*memo, "memo.profile"),
+                      savedBytes(*fresh, "fresh.profile"));
+            ASSERT_EQ(memo->points().size(), fresh->points().size());
+            for (size_t i = 0; i < fresh->points().size(); ++i) {
+                EXPECT_EQ(memo->points()[i].bwGBs, fresh->points()[i].bwGBs)
+                    << "point " << i;
+                EXPECT_EQ(memo->points()[i].latencyNs,
+                          fresh->points()[i].latencyNs)
+                    << "point " << i;
+            }
+
+            // Only L2 capacities differ across the space.  A reused
+            // point's source run is this candidate's run event for
+            // event, so it peaked where the fresh run did; a run whose
+            // peak came within the prefetch reserve of this capacity is
+            // never reused.
+            std::map<size_t, PointMemo::Use> fresh_use;
+            for (const PointMemo::Use &u : own.uses()) {
+                EXPECT_FALSE(u.reused);
+                fresh_use[u.point] = u;
+            }
+            ASSERT_EQ(fresh_use.size(), fresh->points().size());
+            for (const PointMemo::Use &u : shared.uses()) {
+                if (u.platform != cand->name)
+                    continue;
+                const PointMemo::Use &f = fresh_use.at(u.point);
+                const bool touched =
+                    f.peak[1] + l2_reserve >= cand->proto.l2.mshrs;
+                near_capacity += touched ? 1 : 0;
+                if (!u.reused)
+                    continue;
+                ++reused;
+                EXPECT_FALSE(touched) << "point " << u.point;
+                EXPECT_EQ(u.peak, f.peak) << "point " << u.point;
+            }
+        }
+    }
+    // The space exercises both sides of the rule.
+    EXPECT_GT(reused, 0u);
+    EXPECT_GT(near_capacity, 0u);
 }
 
 TEST(XmemPathTest, DefaultPathUsesEnvOrDefault)
